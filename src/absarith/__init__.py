@@ -42,7 +42,6 @@ from .gamma_core import (
     NormedVectorConfig,
     PointedEndo,
     PointedMap,
-    PointedSet,
     collapse,
     cycle_type,
     eventual_image,

@@ -28,9 +28,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combinat import delannoy, iter_l1_ball
+from .combinat import delannoy, iter_l1_ball, l1_norm
 from .errors import CapExceeded
-from .numth import is_prime, padic_valuation, rational_abs
+from .numth import factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,10 @@ class ScaleValue:
 
     @staticmethod
     def from_log(u: float) -> "ScaleValue":
-        return ScaleValue(None, float(u))
+        u = float(u)
+        if not math.isfinite(u):
+            raise ValueError("the archimedean exponent must be finite")
+        return ScaleValue(None, u)
 
     @property
     def is_exact(self) -> bool:
@@ -137,8 +140,13 @@ class ArakelovDivisor:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "ArakelovDivisor":
-        finite = {int(p): int(a) for p, a in data.get("finite", {}).items()}
+        if not isinstance(data, Mapping):
+            raise ValueError("a divisor must be a JSON object")
+        finite_data = data.get("finite", {})
         arch_data = data.get("arch", {"exact_exp": "1"})
+        if not isinstance(finite_data, Mapping) or not isinstance(arch_data, Mapping):
+            raise ValueError("divisor 'finite' and 'arch' parts must be JSON objects")
+        finite = {int(p): int(a) for p, a in finite_data.items()}
         if "exact_exp" in arch_data:
             arch = ScaleValue.exact_exp(Fraction(str(arch_data["exact_exp"])))
         elif "float" in arch_data:
@@ -153,19 +161,9 @@ def principal(q) -> ArakelovDivisor:
     q = Fraction(q)
     if q == 0:
         raise ValueError("the zero rational has no divisor")
-    absq = rational_abs(q)
-    support: dict[int, int] = {}
-    for n in (absq.numerator, absq.denominator):
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                support[p] = padic_valuation(q, p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            support[m] = padic_valuation(q, m)
+    absq = abs(q)
+    support = factorize(absq.numerator)
+    support.update((p, -a) for p, a in factorize(absq.denominator).items())
     return ArakelovDivisor.make(support, ScaleValue.exact_exp(1 / absq))
 
 
@@ -203,18 +201,19 @@ def count_xi_over_L(xi_norm, lattice: Lattice1) -> int:
     """
     if xi_norm < 0:
         raise ValueError("norms are nonnegative")
-    if isinstance(xi_norm, (int, Fraction)):
-        ratio = Fraction(xi_norm) / lattice.generator
-    else:
-        ratio = float(xi_norm) / float(lattice.generator)
-    return 1 + 2 * math.floor(ratio)
+    return 1 + 2 * math.floor(xi_norm / lattice.generator)
 
 
 def e_xi_member(phi: Sequence, xi_norm) -> bool:
-    """Membership in the l1 ball: sum |phi_i| <= xi_norm (inclusive)."""
-    if all(isinstance(v, (int, Fraction)) for v in phi) and isinstance(xi_norm, (int, Fraction)):
-        return sum(rational_abs(Fraction(v)) for v in phi) <= xi_norm
-    return sum(abs(float(v)) for v in phi) <= float(xi_norm)
+    """Membership in the l1 ball: sum |phi_i| <= xi_norm (inclusive).
+
+    Exact when phi and xi_norm are all rational; a float bound compares the
+    float sum of the entries.
+    """
+    if not isinstance(xi_norm, (int, Fraction)):
+        phi = [float(v) for v in phi]
+    total = l1_norm(phi)
+    return total <= xi_norm if isinstance(total, Fraction) else total <= float(xi_norm)
 
 
 def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = 1_000_000) -> list[tuple[Fraction, ...]]:
@@ -240,8 +239,8 @@ def _theta_tail_sum(t: float, eps: float) -> float:
     Terms from M on are bounded by the geometric estimate
     exp(-pi t M^2) / (1 - exp(-pi t (2M + 1))).
     """
-    if t <= 0:
-        raise ValueError("theta parameter must be positive")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError("theta parameter must be positive and finite")
     total = 0.0
     m = 1
     while True:
@@ -252,28 +251,34 @@ def _theta_tail_sum(t: float, eps: float) -> float:
         m += 1
 
 
+def _theta_param(d: ArakelovDivisor | float, eps: float) -> float:
+    """t = exp(-2 deg) of a divisor or of a float degree, once eps is checked.
+
+    A divisor's t is computed from its exact rational exp-degree when
+    available, so that linearly equivalent divisors give identical output.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    if not isinstance(d, ArakelovDivisor):
+        return math.exp(-2.0 * d)
+    ed = exp_degree(d)
+    if isinstance(ed, Fraction):
+        return float(1 / (ed * ed))
+    return math.exp(-2.0 * math.log(ed))
+
+
+def _theta_h0(d: ArakelovDivisor | float, eps: float) -> float:
+    return math.log1p(2.0 * _theta_tail_sum(_theta_param(d, eps), eps))
+
+
 def theta_h0_of_degree(d: float, eps: float = 1e-12) -> float:
     """Theta invariant as a function of the degree alone."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    t = math.exp(-2.0 * d)
-    return math.log1p(2.0 * _theta_tail_sum(t, eps))
+    return _theta_h0(d, eps)
 
 
 def theta_h0(d: ArakelovDivisor, eps: float = 1e-12) -> float:
-    """log of the Gaussian lattice sum of the divisor, to absolute error < eps.
-
-    Only t = exp(-2 deg) enters, computed from the exact rational exp-degree
-    when available so that linearly equivalent divisors give identical output.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ed = exp_degree(d)
-    if isinstance(ed, Fraction):
-        t = float(1 / (ed * ed))
-    else:
-        t = math.exp(-2.0 * math.log(ed))
-    return math.log1p(2.0 * _theta_tail_sum(t, eps))
+    """log of the Gaussian lattice sum of the divisor, to absolute error < eps."""
+    return _theta_h0(d, eps)
 
 
 def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
@@ -284,10 +289,7 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     contributes (2n+1) (E_n - E_{n+1}) with E_n = exp(-pi t n^2), t = exp(-2 deg).
     Summation stops when the Abel-summed tail bound drops below eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ed = exp_degree(d)
-    t = float(1 / (ed * ed)) if isinstance(ed, Fraction) else math.exp(-2.0 * math.log(ed))
+    t = _theta_param(d, eps)
 
     def e(n: int) -> float:
         return math.exp(-math.pi * t * n * n)

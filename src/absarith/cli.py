@@ -28,13 +28,12 @@ from .arakelov import (
     theta_h0,
     theta_h0_of_degree,
 )
+from .combinat import delannoy, delannoy_table
 from .dold_kan import GroupHom, homotopy_groups
 from .errors import CapExceeded
 from .gamma_core import PointedEndo
 from .gamma_space import (
     GSConfig,
-    delannoy,
-    delannoy_table,
     higher_pi_trivial,
     pi0_cardinality_k1,
     pi0_trivial_predicate,
@@ -307,7 +306,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -1,4 +1,4 @@
-"""Counting and enumeration of integer vectors in l1 balls.
+"""The l1 norm, and counting and enumeration of integer vectors in l1 balls.
 
 delannoy(n, k) counts the points of Z^k with l1-norm at most n; the closed
 form is the terminating hypergeometric sum 1 + sum_m 2^m C(k,m) C(n,m), and
@@ -8,10 +8,16 @@ cross-check.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .errors import CapExceeded
+
+def l1_norm(vec: Sequence) -> Fraction | float:
+    """sum |v_i|: an exact Fraction when every entry is rational, else a float."""
+    if all(isinstance(v, (int, Fraction)) for v in vec):
+        return sum((abs(v) for v in vec), Fraction(0))
+    return sum(abs(float(v)) for v in vec)
 
 
 def delannoy(n: int, k: int) -> int:
@@ -44,10 +50,3 @@ def iter_l1_ball(k: int, radius: int) -> Iterator[tuple[int, ...]]:
         for rest in iter_l1_ball(k - 1, radius - abs(first)):
             yield (first,) + rest
 
-
-def l1_ball_points(k: int, radius: int, cap: int = 1_000_000) -> list[tuple[int, ...]]:
-    """Materialize iter_l1_ball, guarding against oversized enumerations."""
-    count = delannoy(radius, k)
-    if count > cap:
-        raise CapExceeded(f"l1 ball has {count} points, above the cap of {cap}")
-    return list(iter_l1_ball(k, radius))

@@ -19,19 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-
-@dataclass(frozen=True)
-class PointedSet:
-    """The pointed set {0, ..., size} with base point 0."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("pointed set size must be nonnegative")
-
-    def points(self) -> range:
-        return range(self.size + 1)
+from .combinat import l1_norm
 
 
 @dataclass(frozen=True)
@@ -261,9 +249,10 @@ def norm_filtered_member(phi: Sequence, cfg: NormedVectorConfig) -> bool:
 
     phi lists the values on the non-base points only.
     """
-    if cfg.alpha == 1 and all(_is_rational(v) for v in phi) and _is_rational(cfg.lam):
-        total = sum(abs(Fraction(v)) for v in phi)
-        return total <= cfg.lam
+    if cfg.alpha == 1 and _is_rational(cfg.lam):
+        total = l1_norm(phi)
+        if isinstance(total, Fraction):
+            return total <= cfg.lam
     total_f = sum(abs(float(v)) ** float(cfg.alpha) for v in phi)
     return total_f <= float(cfg.lam) + cfg.tol
 

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, exp_degree, lattice_of
-from .combinat import delannoy, delannoy_table, iter_l1_ball
-from .errors import CapExceeded
-from .numth import rational_abs
+from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, exp_degree, lattice_of
+from .combinat import delannoy, l1_norm
+from .smith import row_reduce
 
 __all__ = [
     "GSConfig",
@@ -50,8 +49,6 @@ __all__ = [
     "higher_pi_trivial",
     "TrivialityCertificate",
     "face_incidence",
-    "delannoy",
-    "delannoy_table",
 ]
 
 
@@ -102,17 +99,11 @@ def zero_element(cfg: GSConfig, n: int, k: int) -> GSElement:
     return GSElement(k, (zero,) * n, zero)
 
 
-def _l1(vec: Sequence) -> Fraction | float:
-    if all(isinstance(v, (int, Fraction)) for v in vec):
-        return sum(rational_abs(Fraction(v)) for v in vec)
-    return sum(abs(float(v)) for v in vec)
-
-
 def member(cfg: GSConfig, e: GSElement, tol: float = 1e-12) -> bool:
     """Whether the free norms sum to at most lambda and the torus entries are
     reduced representatives in [0, c)."""
     c = cfg.lattice.generator
-    total = sum((_l1(v) for v in e.free), Fraction(0) if cfg.exact else 0.0)
+    total = sum((l1_norm(v) for v in e.free), Fraction(0) if cfg.exact else 0.0)
     if cfg.exact and isinstance(total, Fraction):
         if total > cfg.lam:
             return False
@@ -123,16 +114,6 @@ def member(cfg: GSConfig, e: GSElement, tol: float = 1e-12) -> bool:
 
 def _vec_add(v1: Sequence, v2: Sequence) -> tuple:
     return tuple(a + b for a, b in zip(v1, v2))
-
-
-def _vec_mod(vec: Sequence, c: Fraction) -> tuple:
-    out = []
-    for v in vec:
-        if isinstance(v, (int, Fraction)):
-            out.append(Fraction(v) % c)
-        else:
-            out.append(float(v) % float(c))
-    return tuple(out)
 
 
 def face(cfg: GSConfig, j: int, e: GSElement) -> GSElement:
@@ -148,7 +129,8 @@ def face(cfg: GSConfig, j: int, e: GSElement) -> GSElement:
     if j < n:
         merged = _vec_add(e.free[j - 1], e.free[j])
         return GSElement(e.k, e.free[: j - 1] + (merged,) + e.free[j + 1 :], e.torus)
-    torus = _vec_mod(_vec_add(e.free[-1], e.torus), cfg.lattice.generator)
+    c = cfg.lattice.generator
+    torus = tuple(v % c for v in _vec_add(e.free[-1], e.torus))
     return GSElement(e.k, e.free[:-1], torus)
 
 
@@ -157,7 +139,7 @@ def degeneracy(cfg: GSConfig, j: int, e: GSElement) -> GSElement:
     n = e.degree
     if not 0 <= j <= n:
         raise ValueError(f"degeneracy index {j} out of range 0..{n}")
-    zero = (Fraction(0),) * e.k if cfg.exact else (0.0,) * e.k
+    zero = zero_element(cfg, 0, e.k).torus
     return GSElement(e.k, e.free[:j] + (zero,) + e.free[j:], e.torus)
 
 
@@ -167,15 +149,7 @@ def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = 1_000_000) -> list
     Exact mode only; returned in lexicographic order.  The count is the
     Delannoy number of (floor(lambda/c), k).
     """
-    if not cfg.exact:
-        raise ValueError("spherical enumeration requires an exact scale")
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    c = cfg.lattice.generator
-    radius = math.floor(Fraction(cfg.lam) / c)
-    if delannoy(radius, k) > cap:
-        raise CapExceeded(f"{delannoy(radius, k)} spherical elements exceed the cap of {cap}")
-    return [tuple(c * m for m in vec) for vec in iter_l1_ball(k, radius)]
+    return count_E_xi(cfg.lattice, k, cfg.lam, cap)
 
 
 def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> int:
@@ -203,8 +177,7 @@ def pi0_cardinality_k1(d: ArakelovDivisor) -> int | str:
     """pi_0 at level 1: 'trivial' when exp(deg) >= 1/2, else the largest
     integer strictly below exp(-deg) (a circle packing number)."""
     ed = exp_degree(d)
-    half = Fraction(1, 2) if isinstance(ed, Fraction) else 0.5
-    if ed >= half:
+    if ed >= Fraction(1, 2):
         return "trivial"
     inv = 1 / ed
     n = math.floor(inv)
@@ -215,10 +188,7 @@ def pi0_trivial_predicate(d: ArakelovDivisor, k: int) -> bool:
     """pi_0 at level k is a point exactly when k <= 2 exp(deg) (inclusive)."""
     if k < 1:
         raise ValueError("level must be >= 1")
-    ed = exp_degree(d)
-    if isinstance(ed, Fraction):
-        return Fraction(k) <= 2 * ed
-    return k <= 2 * ed
+    return k <= 2 * exp_degree(d)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +263,7 @@ def higher_pi_trivial(
                 witnesses.append(f"face {j}, coordinate {i}: psi_{sources[0]} = 0")
         if not torus_merge:
             torus_pinned = True  # the torus output is the torus input itself
-    rank = _rank(rows)
+    _, rank = row_reduce(rows)
     witnesses.append("face 0, torus coordinate: torus part = 0")
 
     rng = random.Random(seed)
@@ -317,25 +287,6 @@ def higher_pi_trivial(
         samples_checked=samples,
         verified=verified,
     )
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    matrix = [row[:] for row in rows]
-    rank = 0
-    cols = len(matrix[0]) if matrix else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        lead = matrix[rank][col]
-        matrix[rank] = [x / lead for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
-        rank += 1
-    return rank
 
 
 def _random_nonzero_member(

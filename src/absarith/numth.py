@@ -144,10 +144,6 @@ def padic_valuation(q: Fraction | int, p: int) -> int:
     return v
 
 
-def rational_abs(q: Fraction) -> Fraction:
-    return -q if q < 0 else q
-
-
 __all__ = [
     "is_prime",
     "factorize",
@@ -156,7 +152,6 @@ __all__ = [
     "euler_phi",
     "unit_group_generators",
     "padic_valuation",
-    "rational_abs",
     "gcd",
     "lcm",
 ]

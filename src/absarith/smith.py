@@ -5,7 +5,8 @@ a kernel via its saturation lattice, and reading off the isomorphism class of
 a brute-force group given only by its addition table (presented by all its
 elements and their pairwise sum relations).  Matrices here are tiny, so the
 classic alternating row/column Euclid with explicit transform tracking is
-plenty.
+plenty.  The package's one Gauss-Jordan elimination over Q lives here too:
+the rank and the exact inverse are both read off its reduced rows.
 """
 
 from __future__ import annotations
@@ -176,22 +177,35 @@ def kernel_divisors(
     return elementary_divisors(invariant_factors_of_presentation(rows, s))
 
 
+def row_reduce(rows) -> tuple[list[list[Fraction]], int]:
+    """Gauss-Jordan elimination over Q: the reduced row echelon form of an
+    integer or rational matrix, and its rank."""
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(matrix[0]) if matrix else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        lead = matrix[rank][col]
+        matrix[rank] = [x / lead for x in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return matrix, rank
+
+
 def _fraction_inverse(rows: Matrix) -> list[list[Fraction]]:
     """Exact inverse of a square integer matrix (rows acting on the left)."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    reduced, _ = row_reduce([list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)])
+    # [A | I] reduces to [I | A^-1] exactly when A is invertible.
+    if any(reduced[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 def group_divisors_from_table(elements, add, zero) -> list[int]:

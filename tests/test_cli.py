@@ -1,8 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from absarith.arakelov import ScaleValue
 from absarith.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -161,3 +168,32 @@ def test_reruns_byte_identical(capsys):
     a, b = json.loads(out1), json.loads(out2)
     a.pop("timing_ms"), b.pop("timing_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "h0", "--deg", "nan"),
+        ("theta", "rr", "--deg", "nan"),
+        ("theta", "h0", "--deg", "0", "--eps", "nan"),
+        ("theta", "h0", "--deg", "0", "--eps", "inf"),
+        ("theta", "mc", "--deg", "nan", "--seed", "1", "--samples", "10"),
+        ("theta", "h0", "--deg", "1000"),
+        ("gspace", "pi", "--divisor", "[1]", "--k", "1"),
+        ("theta", "h0", "--divisor", '{"finite":[2]}'),
+    ],
+)
+def test_malformed_or_extreme_input_is_a_domain_error(argv):
+    # A fresh process with a timeout, so that a hang fails instead of stalling the suite.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "absarith.cli", *argv], capture_output=True, text=True, timeout=5, env=env
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_scale_from_log_rejects_non_finite(u):
+    with pytest.raises(ValueError):
+        ScaleValue.from_log(u)
