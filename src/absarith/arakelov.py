@@ -22,6 +22,7 @@ from the functional equation of the theta sum and is exposed as a defect.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -29,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .combinat import delannoy, iter_l1_ball, l1_norm
-from .errors import CapExceeded
+from .errors import CapExceeded, json_int
 from .numth import factorize, is_prime
 
 
@@ -146,7 +147,7 @@ class ArakelovDivisor:
         arch_data = data.get("arch", {"exact_exp": "1"})
         if not isinstance(finite_data, Mapping) or not isinstance(arch_data, Mapping):
             raise ValueError("divisor 'finite' and 'arch' parts must be JSON objects")
-        finite = {int(p): int(a) for p, a in finite_data.items()}
+        finite = {json_int(p): json_int(a) for p, a in finite_data.items()}
         if "exact_exp" in arch_data:
             arch = ScaleValue.exact_exp(Fraction(str(arch_data["exact_exp"])))
         elif "float" in arch_data:
@@ -325,7 +326,8 @@ def gaussian_avg_mc(
     Draws z = x + iy with x, y independent normals of variance 1/(2 pi a),
     a = exp(-2u), via Box-Muller from counter-split uniform substreams; each
     fixed-size chunk is seeded independently from (seed, chunk index), so the
-    result does not depend on the number of worker threads.
+    result does not depend on the number of worker threads (at most one per
+    chunk and per CPU core).
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -344,10 +346,11 @@ def gaussian_avg_mc(
         vals = 1.0 + 2.0 * np.floor(np.hypot(x, y) / c)
         return float(vals.sum()), float(np.square(vals).sum())
 
-    if threads > 1 and n_chunks > 1:
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_chunk, range(n_chunks)))
     else:
         partials = [run_chunk(i) for i in range(n_chunks)]

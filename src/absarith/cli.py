@@ -30,7 +30,7 @@ from .arakelov import (
 )
 from .combinat import delannoy, delannoy_table
 from .dold_kan import GroupHom, homotopy_groups
-from .errors import CapExceeded
+from .errors import CapExceeded, json_int
 from .gamma_core import PointedEndo
 from .gamma_space import (
     GSConfig,
@@ -42,6 +42,9 @@ from .gamma_space import (
 from .witt import WittElement, frobenius, ghost, tau, to_primitive_basis, verschiebung
 
 USAGE_ERROR, DOMAIN_ERROR, CAP_ERROR = 2, 3, 4
+# Largest (n+1)(k+1) that `gspace delannoy` accepts.  The closed form costs
+# about cells * min(n, k) big-integer steps; the 100 x 100 table takes 0.5 s.
+DELANNOY_MAX_CELLS = 10_000
 
 
 def _default_threads() -> int:
@@ -55,7 +58,7 @@ def _parse_endo(text: str) -> PointedEndo:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("an endomorphism is a JSON array of images, index 0 first")
-    return PointedEndo(tuple(int(x) for x in data))
+    return PointedEndo(tuple(json_int(x) for x in data))
 
 
 def _parse_witt(text: str) -> WittElement:
@@ -167,6 +170,9 @@ def _cmd_theta_mc(args):
 
 
 def _cmd_gspace_delannoy(args):
+    cells = (args.n + 1) * (args.k + 1)
+    if args.n >= 0 and args.k >= 0 and cells > DELANNOY_MAX_CELLS:
+        raise CapExceeded(f"a delannoy table of {cells} cells is above the cap of {DELANNOY_MAX_CELLS}")
     table = delannoy_table(args.n, args.k)
     closed = [[delannoy(n, k) for k in range(args.k + 1)] for n in range(args.n + 1)]
     if table != closed:

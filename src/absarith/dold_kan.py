@@ -9,10 +9,10 @@ when an A-value lands on Y.  The simplicial operator of a monotone map theta
 is the pair map of its interval dual, so faces, degeneracies and all their
 identities come from one code path.
 
-Homotopy groups are computed by brute force: spherical simplices are
-enumerated, the one-step homotopy relation is tabulated and checked to be an
-equivalence, and the isomorphism class of the quotient group is read off its
-addition table.  The expected answers are pi_0 = coker phi, pi_1 = ker phi,
+Homotopy groups are computed by brute force, one routine for every degree n:
+spherical n-simplices are enumerated, the one-step relation from level n+1 is
+tabulated and checked to be an equivalence, and the isomorphism class of the
+quotient group is read off its addition table.  The expected answers are pi_0 = coker phi, pi_1 = ker phi,
 nothing above.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, json_int
 from .smith import group_divisors_from_table
 
 
@@ -53,9 +53,6 @@ class FiniteAbelianGroup:
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
-
-    def neg(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple((-x) % m for x, m in zip(a, self.orders))
 
     def scalar(self, n: int, a: Sequence[int]) -> tuple[int, ...]:
         return tuple((n * x) % m for x, m in zip(a, self.orders))
@@ -111,9 +108,9 @@ class GroupHom:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "GroupHom":
-        domain = FiniteAbelianGroup(tuple(int(m) for m in data["domain"]))
-        codomain = FiniteAbelianGroup(tuple(int(n) for n in data["codomain"]))
-        matrix = tuple(tuple(int(x) for x in row) for row in data["matrix"])
+        domain = FiniteAbelianGroup(tuple(json_int(m) for m in data["domain"]))
+        codomain = FiniteAbelianGroup(tuple(json_int(n) for n in data["codomain"]))
+        matrix = tuple(tuple(json_int(x) for x in row) for row in data["matrix"])
         return GroupHom(domain, codomain, matrix)
 
 
@@ -166,23 +163,22 @@ class HPhiElement:
                 raise ValueError(f"value at point {x} has the wrong rank")
 
 
-def h_phi_zero(hom: GroupHom, pair: PairOfPointedSets) -> HPhiElement:
-    values = tuple(
-        hom.codomain.zero() if x in pair.marked else hom.domain.zero()
-        for x in range(1, pair.size + 1)
-    )
-    return HPhiElement(hom, pair, values)
-
-
-def h_phi_add(e1: HPhiElement, e2: HPhiElement) -> HPhiElement:
-    if e1.pair != e2.pair or e1.hom != e2.hom:
-        raise ValueError("mismatched elements")
-    hom = e1.hom
-    values = tuple(
-        (hom.codomain if x in e1.pair.marked else hom.domain).add(v1, v2)
-        for x, (v1, v2) in enumerate(zip(e1.values, e2.values), start=1)
-    )
-    return HPhiElement(hom, e1.pair, values)
+def _push(hom: GroupHom, f: PairMap, values: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The values of h_phi_map(f, psi) from the bare values of psi."""
+    a_grp, b_grp = hom.domain, hom.codomain
+    out: list[tuple[int, ...]] = [
+        b_grp.zero() if y in f.dst.marked else a_grp.zero() for y in range(1, f.dst.size + 1)
+    ]
+    for x, value in enumerate(values, start=1):
+        y = f.images[x]
+        if y == 0:
+            continue
+        if y in f.dst.marked:
+            pushed = value if x in f.src.marked else hom.apply(value)
+            out[y - 1] = b_grp.add(out[y - 1], pushed)
+        else:
+            out[y - 1] = a_grp.add(out[y - 1], value)
+    return tuple(out)
 
 
 def h_phi_map(f: PairMap, psi: HPhiElement) -> HPhiElement:
@@ -195,22 +191,7 @@ def h_phi_map(f: PairMap, psi: HPhiElement) -> HPhiElement:
     """
     if psi.pair != f.src:
         raise ValueError("element does not live on the source of the map")
-    hom = psi.hom
-    a_grp, b_grp = hom.domain, hom.codomain
-    out: list[tuple[int, ...]] = [
-        b_grp.zero() if y in f.dst.marked else a_grp.zero() for y in range(1, f.dst.size + 1)
-    ]
-    for x in range(1, f.src.size + 1):
-        y = f.images[x]
-        if y == 0:
-            continue
-        value = psi.values[x - 1]
-        if y in f.dst.marked:
-            pushed = value if x in f.src.marked else hom.apply(value)
-            out[y - 1] = b_grp.add(out[y - 1], pushed)
-        else:
-            out[y - 1] = a_grp.add(out[y - 1], value)
-    return HPhiElement(hom, f.dst, tuple(out))
+    return HPhiElement(psi.hom, f.dst, _push(psi.hom, f, psi.values))
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +261,22 @@ class LevelDescriptor:
         return HPhiElement(self.hom, simplex_pair(self.n), values)
 
     def zero(self) -> HPhiElement:
-        return h_phi_zero(self.hom, simplex_pair(self.n))
+        return HPhiElement(self.hom, simplex_pair(self.n), _level_zero(self.hom, self.n))
 
     def elements(self, cap: int = 1_000_000) -> Iterator[HPhiElement]:
-        if self.size > cap:
-            raise CapExceeded(f"level {self.n} has {self.size} elements, above the cap of {cap}")
         pair = simplex_pair(self.n)
-        a_iter = itertools.product(self.hom.domain.elements(), repeat=self.n)
-        for a_values in a_iter:
-            for b in self.hom.codomain.elements():
-                yield HPhiElement(self.hom, pair, a_values + (b,))
+        for values in _level_values(self.hom, self.n, cap):
+            yield HPhiElement(self.hom, pair, values)
+
+
+def _level_values(hom: GroupHom, n: int, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The value tuples of level n: A-values at points 1..n, then the B-value."""
+    size = LevelDescriptor(hom, n).size
+    if size > cap:
+        raise CapExceeded(f"level {n} has {size} elements, above the cap of {cap}")
+    for a_values in itertools.product(hom.domain.elements(), repeat=n):
+        for b in hom.codomain.elements():
+            yield a_values + (b,)
 
 
 def simplicial_level(hom: GroupHom, n: int) -> LevelDescriptor:
@@ -333,37 +320,21 @@ class HomotopyGroups:
         return dict(self.higher_trivial)
 
 
-def _assert_equivalence(elements: list, relation: set) -> None:
-    for e in elements:
-        if (e, e) not in relation:
-            raise AssertionError("homotopy relation is not reflexive")
-    for x, y in relation:
-        if (y, x) not in relation:
-            raise AssertionError("homotopy relation is not symmetric")
-    by_first: dict = {}
-    for x, y in relation:
-        by_first.setdefault(x, set()).add(y)
-    for x, ys in by_first.items():
-        for y in ys:
-            if not by_first.get(y, set()) <= ys:
-                raise AssertionError("homotopy relation is not transitive")
-
-
 def _quotient_divisors(elements: list, relation: set, add, zero) -> tuple[int, ...]:
-    """Isomorphism class of the quotient of a finite abelian group by an
-    equivalence relation compatible with addition."""
-    _assert_equivalence(elements, relation)
-    class_of: dict = {}
-    representatives: list = []
-    for e in elements:
-        if e in class_of:
-            continue
-        rep = len(representatives)
-        representatives.append(e)
-        for x, y in relation:
-            if x == e:
-                class_of[y] = rep
-        class_of[e] = rep
+    """Isomorphism class of the quotient of a finite abelian group by a
+    relation, asserted to be an equivalence compatible with addition."""
+    related: dict = {e: set() for e in elements}
+    for x, y in relation:
+        related[x].add(y)
+    if any(e not in related[e] for e in elements):
+        raise AssertionError("homotopy relation is not reflexive")
+    if any(x not in related[y] for x, ys in related.items() for y in ys):
+        raise AssertionError("homotopy relation is not symmetric")
+    if any(not related[y] <= ys for ys in related.values() for y in ys):
+        raise AssertionError("homotopy relation is not transitive")
+    # In an equivalence relation the class of e is the set related to e.
+    class_index: dict = {}
+    class_of = {e: class_index.setdefault(frozenset(related[e]), len(class_index)) for e in elements}
     # Quotient addition, with an exhaustive well-definedness check.
     table: dict[tuple[int, int], int] = {}
     for a in elements:
@@ -376,63 +347,61 @@ def _quotient_divisors(elements: list, relation: set, add, zero) -> tuple[int, .
     def class_add(i: int, j: int) -> int:
         return table[(i, j)]
 
-    return tuple(group_divisors_from_table(range(len(representatives)), class_add, class_of[zero]))
+    return tuple(group_divisors_from_table(range(len(class_index)), class_add, class_of[zero]))
+
+
+def _level_groups(hom: GroupHom, n: int) -> tuple[FiniteAbelianGroup, ...]:
+    return (hom.domain,) * n + (hom.codomain,)
+
+
+def _level_zero(hom: GroupHom, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(g.zero() for g in _level_groups(hom, n))
+
+
+def _faces(n: int) -> list[PairMap]:
+    return [dual_pair_map(coface(j, n), n) for j in range(n + 1)]
+
+
+def _spherical(hom: GroupHom, n: int, cap: int) -> list:
+    """Level-n value tuples whose n+1 faces all vanish (every vertex at n = 0)."""
+    if n == 0:
+        return list(_level_values(hom, 0, cap))
+    zero_below = _level_zero(hom, n - 1)
+    faces = _faces(n)
+    return [v for v in _level_values(hom, n, cap) if all(_push(hom, f, v) == zero_below for f in faces)]
+
+
+def _pi(hom: GroupHom, n: int, cap: int) -> tuple[int, ...]:
+    """pi_n as elementary divisors: spherical n-simplices modulo x ~ y whenever
+    x = d_n z and y = d_{n+1} z for an (n+1)-simplex z with d_i z = 0, i < n."""
+    spherical = _spherical(hom, n, cap)
+    spherical_set = set(spherical)
+    groups = _level_groups(hom, n)
+    zero = _level_zero(hom, n)
+    faces = _faces(n + 1)
+    relation: set = set()
+    for z in _level_values(hom, n + 1, cap):
+        if any(_push(hom, f, z) != zero for f in faces[:n]):
+            continue
+        x, y = _push(hom, faces[n], z), _push(hom, faces[n + 1], z)
+        if x in spherical_set and y in spherical_set:
+            relation.add((x, y))
+
+    def add(x, y):
+        return tuple(g.add(u, v) for g, u, v in zip(groups, x, y))
+
+    return _quotient_divisors(spherical, relation, add, zero)
 
 
 def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = 1_000_000) -> HomotopyGroups:
     """pi_0, pi_1 (as elementary divisors) and triviality flags for 2..n_max.
 
-    Levels are enumerated outright; the one-step relation between simplices is
-    tabulated from the level above and asserted to be an equivalence relation
-    before quotienting (it is, for simplicial abelian groups).
+    Levels are enumerated outright; the one-step relation between spherical
+    simplices is tabulated from the level above and asserted to be an
+    equivalence relation before quotienting (it is, for simplicial abelian
+    groups).
     """
-    level0 = simplicial_level(hom, 0)
-    level1 = simplicial_level(hom, 1)
-    level2 = simplicial_level(hom, 2)
-
-    # pi_0: all vertices, related through edges.
-    vertices = [e.values for e in level0.elements(cap)]
-    relation0 = set()
-    for psi in level1.elements(cap):
-        relation0.add((boundary(0, psi).values, boundary(1, psi).values))
-    pair0 = simplex_pair(0)
-
-    def add0(v1, v2):
-        return h_phi_add(HPhiElement(hom, pair0, v1), HPhiElement(hom, pair0, v2)).values
-
-    pi0 = _quotient_divisors(vertices, relation0, add0, level0.zero().values)
-
-    # pi_1: spherical edges, related through triangles with a degenerate 0-face.
-    zero0 = level0.zero().values
-    spherical1 = [
-        e.values
-        for e in level1.elements(cap)
-        if boundary(0, e).values == zero0 and boundary(1, e).values == zero0
-    ]
-    spherical_set = set(spherical1)
-    zero1 = level1.zero().values
-    relation1: set = set()
-    for z in level2.elements(cap):
-        if boundary(0, z).values != zero1:
-            continue
-        x, y = boundary(1, z).values, boundary(2, z).values
-        if x in spherical_set and y in spherical_set:
-            relation1.add((x, y))
-    pair1 = simplex_pair(1)
-
-    def add1(v1, v2):
-        return h_phi_add(HPhiElement(hom, pair1, v1), HPhiElement(hom, pair1, v2)).values
-
-    pi1 = _quotient_divisors(spherical1, relation1, add1, zero1)
-
-    higher: list[tuple[int, bool]] = []
-    for n in range(2, n_max + 1):
-        level = simplicial_level(hom, n)
-        zero_below = simplicial_level(hom, n - 1).zero().values
-        spherical = [
-            e
-            for e in level.elements(cap)
-            if all(boundary(j, e).values == zero_below for j in range(n + 1))
-        ]
-        higher.append((n, len(spherical) == 1))
-    return HomotopyGroups(pi0=pi0, pi1=pi1, higher_trivial=tuple(higher))
+    pi0 = _pi(hom, 0, cap)
+    pi1 = _pi(hom, 1, cap)
+    higher = tuple((n, len(_spherical(hom, n, cap)) == 1) for n in range(2, n_max + 1))
+    return HomotopyGroups(pi0=pi0, pi1=pi1, higher_trivial=higher)

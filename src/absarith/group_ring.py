@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
+from .errors import json_int
 from .numth import euler_phi, unit_group_generators
 from .witt import WittElement, from_primitive_basis, ghost
 
@@ -113,7 +114,7 @@ class GroupRingElt:
         data = _json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("group ring JSON must be an object {'a/b': coefficient}")
-        return GroupRingElt.from_terms({Fraction(k): int(c) for k, c in data.items()})
+        return GroupRingElt.from_terms({Fraction(k): json_int(c) for k, c in data.items()})
 
 
 def sigma(n: int, x: GroupRingElt) -> GroupRingElt:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Mapping
 
+from .errors import json_int
 from .gamma_core import PointedEndo, cycle_type
 from .numth import divisors, mobius
 
@@ -116,7 +117,7 @@ class WittElement:
         data = _json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("Witt element JSON must be an object {cycle length: coefficient}")
-        return WittElement.from_coeffs({int(k): int(c) for k, c in data.items()})
+        return WittElement.from_coeffs({json_int(k): json_int(c) for k, c in data.items()})
 
 
 def tau(t: PointedEndo) -> WittElement:

@@ -168,6 +168,24 @@ def test_mc_threads_do_not_change_result():
     assert r1.mean == r4.mean and r1.stderr == r4.stderr
 
 
+def test_mc_workers_are_clamped_to_chunks(monkeypatch):
+    import concurrent.futures
+
+    recorded = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def recording(max_workers=None, **kwargs):
+        recorded.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    z = ArakelovDivisor.zero()
+    samples = 2 * (1 << 16) + 1  # three chunks
+    many = gaussian_avg_mc(z, samples, seed=5, threads=64)
+    assert all(w <= 3 for w in recorded)
+    assert many.mean == gaussian_avg_mc(z, samples, seed=5, threads=1).mean
+
+
 def test_mc_statistical_consistency():
     z = ArakelovDivisor.zero()
     r = gaussian_avg_mc(z, 400_000, seed=42)

@@ -181,6 +181,11 @@ def test_reruns_byte_identical(capsys):
         ("theta", "h0", "--deg", "1000"),
         ("gspace", "pi", "--divisor", "[1]", "--k", "1"),
         ("theta", "h0", "--divisor", '{"finite":[2]}'),
+        ("witt", "tau", "--endo", "[0, 1.7]"),
+        ("witt", "tau", "--endo", "[0, true]"),
+        ("theta", "h0", "--divisor", '{"finite":{"2":1.5}}'),
+        ("dk", "check", "--hom", '{"domain":[2.9],"codomain":[4],"matrix":[[2]]}'),
+        ("witt", "ghost", "--elt", '{"3":1.9}', "--n", "3"),
     ],
 )
 def test_malformed_or_extreme_input_is_a_domain_error(argv):
@@ -190,6 +195,19 @@ def test_malformed_or_extreme_input_is_a_domain_error(argv):
         [sys.executable, "-m", "absarith.cli", *argv], capture_output=True, text=True, timeout=5, env=env
     )
     assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_huge_delannoy_table_is_a_cap_error():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "absarith.cli", "gspace", "delannoy", "--n", "100000", "--k", "100000"],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env=env,
+    )
+    assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("error: ")
 
 

@@ -295,6 +295,19 @@ def test_higher_homotopy_trivial():
         assert groups.higher == {2: True, 3: True}
 
 
+@pytest.mark.parametrize(
+    "group, n_max, cap",
+    [
+        (Z4, 1, 20),  # pi_1 needs level 2 (64 elements) even at n_max = 1
+        (Z4, 0, 10),  # pi_0 needs level 1 (16 elements)
+        (Z2, 3, 8),  # the flag at n = 3 needs level 3 (16 elements)
+    ],
+)
+def test_homotopy_cap_covers_every_level_it_needs(group, n_max, cap):
+    with pytest.raises(CapExceeded):
+        homotopy_groups(GroupHom.identity(group), n_max=n_max, cap=cap)
+
+
 def test_hom_json_roundtrip():
     hom = GroupHom(Z2, Z4, ((2,),))
     assert GroupHom.from_json_dict(hom.to_json_dict()) == hom
