@@ -17,6 +17,10 @@ That identity is checkable here by three routes: the truncated theta sum, an
 exact piecewise integration of the radial step function, and a seeded Monte
 Carlo estimator.  The numeric Riemann-Roch identity h(d) - h(-d) = d follows
 from the functional equation of the theta sum and is exposed as a defect.
+
+For deg > 0 the sum is taken on the dual side of Jacobi's transformation
+theta(t) = t^(-1/2) theta(1/t), which needs a few terms at every degree; the
+quadrature keeps the direct sum and so stays the independent check.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .combinat import delannoy, iter_l1_ball, l1_norm
 from .errors import CapExceeded, json_int
@@ -234,14 +236,24 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = 1_000_000) -> list
     return [tuple(c * m for m in vec) for vec in iter_l1_ball(k, radius)]
 
 
+# Past pi s = 746, exp(-pi s m^2) underflows to 0.0 for every m >= 1.
+_DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
+
+QUADRATURE_MAX_PIECES = 2_000_000
+
+
+def _check_theta_param(t: float) -> None:
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError("theta parameter must be positive and finite")
+
+
 def _theta_tail_sum(t: float, eps: float) -> float:
     """sum_{m>=1} exp(-pi t m^2) with absolute error below eps/2.
 
     Terms from M on are bounded by the geometric estimate
     exp(-pi t M^2) / (1 - exp(-pi t (2M + 1))).
     """
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError("theta parameter must be positive and finite")
+    _check_theta_param(t)
     total = 0.0
     m = 1
     while True:
@@ -252,24 +264,36 @@ def _theta_tail_sum(t: float, eps: float) -> float:
         m += 1
 
 
-def _theta_param(d: ArakelovDivisor | float, eps: float) -> float:
-    """t = exp(-2 deg) of a divisor or of a float degree, once eps is checked.
+def _theta_param(d: ArakelovDivisor | float, eps: float) -> tuple[float, float]:
+    """(t, deg) with t = exp(-2 deg), for a divisor or a float degree, once
+    eps is checked.
 
-    A divisor's t is computed from its exact rational exp-degree when
+    A divisor's values are computed from its exact rational exp-degree when
     available, so that linearly equivalent divisors give identical output.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     if not isinstance(d, ArakelovDivisor):
-        return math.exp(-2.0 * d)
+        if not math.isfinite(d):
+            raise ValueError("the degree must be finite")
+        return math.exp(-2.0 * d), d
     ed = exp_degree(d)
     if isinstance(ed, Fraction):
-        return float(1 / (ed * ed))
-    return math.exp(-2.0 * math.log(ed))
+        return float(1 / (ed * ed)), math.log(ed.numerator) - math.log(ed.denominator)
+    deg = math.log(ed)
+    return math.exp(-2.0 * deg), deg
 
 
 def _theta_h0(d: ArakelovDivisor | float, eps: float) -> float:
-    return math.log1p(2.0 * _theta_tail_sum(_theta_param(d, eps), eps))
+    """log theta(t): the direct sum for t >= 1, else Jacobi's transformation
+    log theta(t) = deg + log theta(1/t), with 1/t = exp(2 deg) taken from the
+    degree so that it never comes from a t that underflowed."""
+    t, deg = _theta_param(d, eps)
+    if t >= 1.0:
+        return math.log1p(2.0 * _theta_tail_sum(t, eps))
+    if 2.0 * deg > _DUAL_LOG_CUTOFF:
+        return deg
+    return deg + math.log1p(2.0 * _theta_tail_sum(math.exp(2.0 * deg), eps))
 
 
 def theta_h0_of_degree(d: float, eps: float = 1e-12) -> float:
@@ -288,23 +312,32 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     The integrand is radially a step function jumping at |z| = n c; on each
     annulus the Gaussian integrates in closed form, so the n-th piece
     contributes (2n+1) (E_n - E_{n+1}) with E_n = exp(-pi t n^2), t = exp(-2 deg).
-    Summation stops when the Abel-summed tail bound drops below eps.
+    Summation stops when the Abel-summed tail bound drops below eps.  This is
+    the direct sum at every degree, the independent route to exp(theta_h0);
+    more than QUADRATURE_MAX_PIECES pieces raise CapExceeded.
     """
-    t = _theta_param(d, eps)
+    t, _ = _theta_param(d, eps)
+    _check_theta_param(t)
+    # Piece n can end the sum only if (2n+3) E_{n+1} < eps.  The log of that
+    # product is concave in n, so if neither end of the range gets below
+    # log(eps), no piece within the cap does.
+    log_eps = math.log(eps)
+    if all(math.log(2 * n + 3) - math.pi * t * (n + 1) ** 2 >= log_eps for n in (0, QUADRATURE_MAX_PIECES - 1)):
+        raise CapExceeded(f"the quadrature at t = {t!r} needs more than {QUADRATURE_MAX_PIECES} pieces")
 
-    def e(n: int) -> float:
-        return math.exp(-math.pi * t * n * n)
-
+    # E_n = exp(a n^2), each computed once; a n n is the same float as -pi t n n.
+    exp, a = math.exp, -math.pi * t
     total = 0.0
-    n = 0
-    while True:
-        total += (2 * n + 1) * (e(n) - e(n + 1))
+    e0, e1, e2 = exp(a * 0 * 0), exp(a * 1 * 1), exp(a * 2 * 2)
+    for n in range(QUADRATURE_MAX_PIECES):
+        total += (2 * n + 1) * (e0 - e1)
         # Remaining pieces sum to (2n+3) E_{n+1} + 2 sum_{m >= n+2} E_m.
-        ratio = math.exp(-math.pi * t * (2 * n + 5))
-        tail = (2 * n + 3) * e(n + 1) + 2.0 * e(n + 2) / (1.0 - ratio)
+        ratio = exp(a * (2 * n + 5))
+        tail = (2 * n + 3) * e1 + 2.0 * e2 / (1.0 - ratio)
         if tail < eps:
             return total
-        n += 1
+        e0, e1, e2 = e1, e2, exp(a * (n + 3) * (n + 3))
+    raise CapExceeded(f"the quadrature at t = {t!r} needs more than {QUADRATURE_MAX_PIECES} pieces")
 
 
 @dataclass(frozen=True)
@@ -329,6 +362,8 @@ def gaussian_avg_mc(
     result does not depend on the number of worker threads (at most one per
     chunk and per CPU core).
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("at least one sample is required")
     sigma = math.exp(d.arch.log) / math.sqrt(2.0 * math.pi)
@@ -367,7 +402,12 @@ def gaussian_avg_mc(
 
 
 def riemann_roch_defect(d: float, eps: float = 1e-12) -> float:
-    """h(d) - h(-d) - d; zero by the theta functional equation."""
+    """h(d) - h(-d) - d; zero by the theta functional equation.
+
+    h0 applies that equation for deg > 0, and h(d) and h(-d) then sum the same
+    dual series, so the defect is zero up to rounding by construction.  The
+    identity itself is checked by gaussian_avg_quadrature, a direct sum.
+    """
     if d == 0:
         return 0.0
     return theta_h0_of_degree(d, eps) - theta_h0_of_degree(-d, eps) - d

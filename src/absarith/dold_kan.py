@@ -269,11 +269,15 @@ class LevelDescriptor:
             yield HPhiElement(self.hom, pair, values)
 
 
-def _level_values(hom: GroupHom, n: int, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The value tuples of level n: A-values at points 1..n, then the B-value."""
+def _check_level_cap(hom: GroupHom, n: int, cap: int) -> None:
     size = LevelDescriptor(hom, n).size
     if size > cap:
         raise CapExceeded(f"level {n} has {size} elements, above the cap of {cap}")
+
+
+def _level_values(hom: GroupHom, n: int, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The value tuples of level n: A-values at points 1..n, then the B-value."""
+    _check_level_cap(hom, n, cap)
     for a_values in itertools.product(hom.domain.elements(), repeat=n):
         for b in hom.codomain.elements():
             yield a_values + (b,)
@@ -399,8 +403,11 @@ def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = 1_000_000) -> Homo
     Levels are enumerated outright; the one-step relation between spherical
     simplices is tabulated from the level above and asserted to be an
     equivalence relation before quotienting (it is, for simplicial abelian
-    groups).
+    groups).  Every level it will enumerate, 0..max(2, n_max), is checked
+    against cap before any is listed.
     """
+    for n in range(max(2, n_max) + 1):
+        _check_level_cap(hom, n, cap)
     pi0 = _pi(hom, 0, cap)
     pi1 = _pi(hom, 1, cap)
     higher = tuple((n, len(_spherical(hom, n, cap)) == 1) for n in range(2, n_max + 1))

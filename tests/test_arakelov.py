@@ -120,6 +120,34 @@ def test_theta_h0_direct_summation_oracle():
     assert abs(theta_h0(ArakelovDivisor.zero(), 1e-12) - direct) < 1e-12
 
 
+def _direct_theta_h0(deg):
+    # log(1 + 2 sum_{m >= 1} exp(-pi t m^2)), t = exp(-2 deg), summed term by
+    # term up to exp(-50) independently of the library's sum and of Jacobi's
+    # transformation.
+    t = math.exp(-2 * deg)
+    m_max = int(math.sqrt(50 / (math.pi * t))) + 1
+    total = 0.0
+    for m in range(1, m_max + 1):
+        total += math.exp(-math.pi * t * m * m)
+    return math.log(1 + 2 * total)
+
+
+def test_theta_h0_matches_direct_sum_at_positive_degree():
+    for d in (0.25, 0.5, 1, 2, 3, 5, 6):
+        assert abs(theta_h0_of_degree(d) - _direct_theta_h0(d)) < 1e-10
+    exact = D({}, ScaleValue.exact_exp(Fraction(7, 2)))
+    assert abs(theta_h0(exact) - _direct_theta_h0(math.log(3.5))) < 1e-10
+
+
+def test_theta_h0_far_beyond_the_direct_sum():
+    # h0 = max(deg, 0) once every dual term underflows; t itself is 0.0 at 400.
+    for d in (20.0, 400.0):
+        assert theta_h0_of_degree(d) == d
+        assert theta_h0(ArakelovDivisor.of_degree(d)) == d
+    with pytest.raises(ValueError):
+        theta_h0_of_degree(math.inf)
+
+
 def test_theta_h0_limits_and_monotonicity():
     assert theta_h0_of_degree(-40.0) == pytest.approx(0.0, abs=1e-12)
     values = [theta_h0_of_degree(d) for d in (-2.0, -1.0, 0.0, 1.0, 2.0)]

@@ -211,6 +211,35 @@ def test_huge_delannoy_table_is_a_cap_error():
     assert proc.stderr.startswith("error: ")
 
 
+def _run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "absarith.cli", *argv], capture_output=True, text=True, timeout=5, env=env
+    )
+
+
+# An exact divisor whose exp-degree 10^200 squares far beyond the float range.
+HUGE_EXACT = ("--divisor", '{"arch":{"exact_exp":"1e200"}}')
+
+
+@pytest.mark.parametrize(
+    "source, h0", [(("--deg", "20"), 20.0), (("--deg", "400"), 400.0), (HUGE_EXACT, 200 * math.log(10))]
+)
+def test_theta_h0_at_large_degree(source, h0):
+    proc = _run_cli("theta", "h0", *source)
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(proc.stdout)["outputs"]["h0"] - h0) < 1e-9
+
+
+@pytest.mark.parametrize("source, code", [(("--deg", "20"), 4), (("--deg", "400"), 3), (HUGE_EXACT, 3)])
+def test_theta_verify_beyond_the_quadrature(source, code):
+    # Degree 20 needs ~1.9e9 quadrature pieces (cap error); at 400 and beyond
+    # the quadrature's t = exp(-2 deg) underflows to 0.0 (domain error).
+    proc = _run_cli("theta", "verify", *source)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
 def test_scale_from_log_rejects_non_finite(u):
     with pytest.raises(ValueError):

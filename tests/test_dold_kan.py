@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -306,6 +307,20 @@ def test_higher_homotopy_trivial():
 def test_homotopy_cap_covers_every_level_it_needs(group, n_max, cap):
     with pytest.raises(CapExceeded):
         homotopy_groups(GroupHom.identity(group), n_max=n_max, cap=cap)
+
+
+def test_homotopy_cap_is_checked_before_enumerating():
+    # Level 0 of the identity on Z/10^6 fits the cap, level 1 does not; the
+    # million vertices of level 0 must not be listed first.
+    group = FiniteAbelianGroup((10**6,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            homotopy_groups(GroupHom.identity(group), cap=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_hom_json_roundtrip():

@@ -10,7 +10,7 @@ from absarith.numth import (
     unit_group_generators,
 )
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 def test_mobius_values():
@@ -41,6 +41,21 @@ def test_rejects_nonpositive():
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_trial_division():
+    def oracle(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(200_000) if is_prime(n)] == [n for n in range(200_000) if oracle(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for p in (10**16 + 61, 99999999999999997):
+        assert is_prime(p)
 
 
 def test_factorize_roundtrip():
