@@ -328,7 +328,7 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     # E_n = exp(a n^2), each computed once; a n n is the same float as -pi t n n.
     exp, a = math.exp, -math.pi * t
     total = 0.0
-    e0, e1, e2 = exp(a * 0 * 0), exp(a * 1 * 1), exp(a * 2 * 2)
+    e0, e1, e2 = 1.0, exp(a), exp(4 * a)
     for n in range(QUADRATURE_MAX_PIECES):
         total += (2 * n + 1) * (e0 - e1)
         # Remaining pieces sum to (2n+3) E_{n+1} + 2 sum_{m >= n+2} E_m.
