@@ -266,7 +266,7 @@ def _theta_tail_sum(t: float, eps: float) -> float:
 
 def _theta_param(d: ArakelovDivisor | float, eps: float) -> tuple[float, float]:
     """(t, deg) with t = exp(-2 deg), for a divisor or a float degree, once
-    eps is checked.
+    eps is checked; t is inf where it overflows (far below degree 0).
 
     A divisor's values are computed from its exact rational exp-degree when
     available, so that linearly equivalent divisors give identical output.
@@ -276,19 +276,27 @@ def _theta_param(d: ArakelovDivisor | float, eps: float) -> tuple[float, float]:
     if not isinstance(d, ArakelovDivisor):
         if not math.isfinite(d):
             raise ValueError("the degree must be finite")
-        return math.exp(-2.0 * d), d
-    ed = exp_degree(d)
-    if isinstance(ed, Fraction):
-        return float(1 / (ed * ed)), math.log(ed.numerator) - math.log(ed.denominator)
-    deg = math.log(ed)
-    return math.exp(-2.0 * deg), deg
+        deg, ed = d, None
+    else:
+        ed = exp_degree(d)
+        deg = math.log(ed.numerator) - math.log(ed.denominator) if isinstance(ed, Fraction) else math.log(ed)
+    try:
+        t = float(1 / (ed * ed)) if isinstance(ed, Fraction) else math.exp(-2.0 * deg)
+    except OverflowError:
+        t = math.inf
+    return t, deg
 
 
 def _theta_h0(d: ArakelovDivisor | float, eps: float) -> float:
     """log theta(t): the direct sum for t >= 1, else Jacobi's transformation
     log theta(t) = deg + log theta(1/t), with 1/t = exp(2 deg) taken from the
-    degree so that it never comes from a t that underflowed."""
+    degree so that it never comes from a t that underflowed.  Both ends are
+    decided in log space: once -2 deg exceeds _DUAL_LOG_CUTOFF every direct
+    term underflows and h0 is 0, and once 2 deg does every dual term does and
+    h0 is deg."""
     t, deg = _theta_param(d, eps)
+    if -2.0 * deg > _DUAL_LOG_CUTOFF:
+        return 0.0
     if t >= 1.0:
         return math.log1p(2.0 * _theta_tail_sum(t, eps))
     if 2.0 * deg > _DUAL_LOG_CUTOFF:

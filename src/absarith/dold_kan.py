@@ -12,8 +12,11 @@ identities come from one code path.
 Homotopy groups are computed by brute force, one routine for every degree n:
 spherical n-simplices are enumerated, the one-step relation from level n+1 is
 tabulated and checked to be an equivalence, and the isomorphism class of the
-quotient group is read off its addition table.  The expected answers are pi_0 = coker phi, pi_1 = ker phi,
-nothing above.
+quotient group is read off its addition table.  The expected answers are
+pi_0 = coker phi, pi_1 = ker phi, nothing above.  That enumeration runs on
+element indices, with addition, phi and every face compiled into lookup
+tables once per call; the element objects above stay as the small-group
+oracle the compiled faces are tested against.
 """
 
 from __future__ import annotations
@@ -354,61 +357,137 @@ def _quotient_divisors(elements: list, relation: set, add, zero) -> tuple[int, .
     return tuple(group_divisors_from_table(range(len(class_index)), class_add, class_of[zero]))
 
 
-def _level_groups(hom: GroupHom, n: int) -> tuple[FiniteAbelianGroup, ...]:
-    return (hom.domain,) * n + (hom.codomain,)
-
-
 def _level_zero(hom: GroupHom, n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(g.zero() for g in _level_groups(hom, n))
+    return (hom.domain.zero(),) * n + (hom.codomain.zero(),)
 
 
 def _faces(n: int) -> list[PairMap]:
     return [dual_pair_map(coface(j, n), n) for j in range(n + 1)]
 
 
-def _spherical(hom: GroupHom, n: int, cap: int) -> list:
-    """Level-n value tuples whose n+1 faces all vanish (every vertex at n = 0)."""
+def _add_table(orders: tuple[int, ...]) -> list[list[int]]:
+    """Addition of a product of cyclic groups on element indices, the index of
+    an element being its position in `elements()` (mixed radix, last
+    coordinate fastest)."""
+    table, size = [[0]], 1
+    for m in reversed(orders):
+        # Prepend a factor Z/m: index d * size + i, digits added mod m.
+        table = [[(d + e) % m * size + t for e in range(m) for t in row] for d in range(m) for row in table]
+        size *= m
+    return table
+
+
+def _element_index(orders: Sequence[int], value: Sequence[int]) -> int:
+    i = 0
+    for m, x in zip(orders, value):
+        i = i * m + x
+    return i
+
+
+class _IndexedHom:
+    """The index form of hom that homotopy_groups runs on.
+
+    Elements of A and B are numbered in `elements()` order, so a level-n
+    element is a tuple of n A-indices and one B-index, listed in the order of
+    _level_values (0 is the zero of both groups).  A and B addition and phi
+    are lookup tables, and each face is compiled from its pair map into one
+    plan per target slot: the addition table of that slot and the (source
+    slot, apply phi) pairs summed into it.
+    """
+
+    def __init__(self, hom: GroupHom) -> None:
+        self.hom = hom
+        self.a_add = _add_table(hom.domain.orders)
+        self.b_add = _add_table(hom.codomain.orders)
+        self.phi = [_element_index(hom.codomain.orders, hom.apply(a)) for a in hom.domain.elements()]
+
+    def level(self, n: int) -> Iterator[tuple[int, ...]]:
+        return itertools.product(*[range(self.hom.domain.order)] * n, range(self.hom.codomain.order))
+
+    def faces(self, n: int) -> list:
+        """The compiled faces d_0..d_n of level n."""
+        return [self._compile(f) for f in _faces(n)]
+
+    def _compile(self, f: PairMap) -> tuple:
+        slots = []
+        for y in range(1, f.dst.size + 1):
+            sources = tuple(
+                (x - 1, y in f.dst.marked and x not in f.src.marked)
+                for x in range(1, f.src.size + 1)
+                if f.images[x] == y
+            )
+            slots.append((self.b_add if y in f.dst.marked else self.a_add, sources))
+        return tuple(slots)
+
+    def push(self, plan, v: tuple[int, ...]) -> tuple[int, ...]:
+        """A compiled face applied to a level element."""
+        phi = self.phi
+        out = []
+        for add, sources in plan:
+            acc = 0
+            for x, through_phi in sources:
+                acc = add[acc][phi[v[x]] if through_phi else v[x]]
+            out.append(acc)
+        return tuple(out)
+
+    def vanishes(self, plans, v: tuple[int, ...]) -> bool:
+        """Whether every compiled face in plans sends v to zero, stopping at
+        the first nonzero slot."""
+        phi = self.phi
+        for plan in plans:
+            for add, sources in plan:
+                acc = 0
+                for x, through_phi in sources:
+                    acc = add[acc][phi[v[x]] if through_phi else v[x]]
+                if acc:
+                    return False
+        return True
+
+    def adder(self, n: int):
+        """Addition on level n."""
+        tables = (self.a_add,) * n + (self.b_add,)
+        return lambda x, y: tuple(t[u][w] for t, u, w in zip(tables, x, y))
+
+
+def _spherical(ix: _IndexedHom, n: int) -> list:
+    """Level-n index tuples whose n+1 faces all vanish (every vertex at n = 0)."""
     if n == 0:
-        return list(_level_values(hom, 0, cap))
-    zero_below = _level_zero(hom, n - 1)
-    faces = _faces(n)
-    return [v for v in _level_values(hom, n, cap) if all(_push(hom, f, v) == zero_below for f in faces)]
+        return list(ix.level(0))
+    faces = ix.faces(n)
+    return [v for v in ix.level(n) if ix.vanishes(faces, v)]
 
 
-def _pi(hom: GroupHom, n: int, cap: int) -> tuple[int, ...]:
+def _pi(ix: _IndexedHom, n: int) -> tuple[int, ...]:
     """pi_n as elementary divisors: spherical n-simplices modulo x ~ y whenever
     x = d_n z and y = d_{n+1} z for an (n+1)-simplex z with d_i z = 0, i < n."""
-    spherical = _spherical(hom, n, cap)
+    spherical = _spherical(ix, n)
     spherical_set = set(spherical)
-    groups = _level_groups(hom, n)
-    zero = _level_zero(hom, n)
-    faces = _faces(n + 1)
+    faces = ix.faces(n + 1)
+    lower, d_n, d_n1 = faces[:n], faces[n], faces[n + 1]
     relation: set = set()
-    for z in _level_values(hom, n + 1, cap):
-        if any(_push(hom, f, z) != zero for f in faces[:n]):
+    for z in ix.level(n + 1):
+        if not ix.vanishes(lower, z):
             continue
-        x, y = _push(hom, faces[n], z), _push(hom, faces[n + 1], z)
+        x, y = ix.push(d_n, z), ix.push(d_n1, z)
         if x in spherical_set and y in spherical_set:
             relation.add((x, y))
-
-    def add(x, y):
-        return tuple(g.add(u, v) for g, u, v in zip(groups, x, y))
-
-    return _quotient_divisors(spherical, relation, add, zero)
+    return _quotient_divisors(spherical, relation, ix.adder(n), (0,) * (n + 1))
 
 
 def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = 1_000_000) -> HomotopyGroups:
     """pi_0, pi_1 (as elementary divisors) and triviality flags for 2..n_max.
 
-    Levels are enumerated outright; the one-step relation between spherical
-    simplices is tabulated from the level above and asserted to be an
-    equivalence relation before quotienting (it is, for simplicial abelian
-    groups).  Every level it will enumerate, 0..max(2, n_max), is checked
-    against cap before any is listed.
+    Levels are enumerated outright, as index tuples pushed through the lookup
+    tables of _IndexedHom; the one-step relation between spherical simplices
+    is tabulated from the level above and asserted to be an equivalence
+    relation before quotienting (it is, for simplicial abelian groups).
+    Every level it will enumerate, 0..max(2, n_max), is checked against cap
+    before any table is built or level listed.
     """
     for n in range(max(2, n_max) + 1):
         _check_level_cap(hom, n, cap)
-    pi0 = _pi(hom, 0, cap)
-    pi1 = _pi(hom, 1, cap)
-    higher = tuple((n, len(_spherical(hom, n, cap)) == 1) for n in range(2, n_max + 1))
+    ix = _IndexedHom(hom)
+    pi0 = _pi(ix, 0)
+    pi1 = _pi(ix, 1)
+    higher = tuple((n, len(_spherical(ix, n)) == 1) for n in range(2, n_max + 1))
     return HomotopyGroups(pi0=pi0, pi1=pi1, higher_trivial=higher)

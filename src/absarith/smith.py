@@ -2,11 +2,12 @@
 
 Three consumers: presenting a cokernel on the codomain generators, presenting
 a kernel via its saturation lattice, and reading off the isomorphism class of
-a brute-force group given only by its addition table (presented by all its
-elements and their pairwise sum relations).  Matrices here are tiny, so the
-classic alternating row/column Euclid with explicit transform tracking is
-plenty.  The package's one Gauss-Jordan elimination over Q lives here too:
-the rank and the exact inverse are both read off its reduced rows.
+a brute-force group given only by its addition table (presented by its sum
+relations against a generating set, reduced to the generators by a search
+tree).  Matrices here are small, so the classic alternating row/column Euclid
+with explicit transform tracking is plenty.  The package's one Gauss-Jordan
+elimination over Q lives here too: the rank and the exact inverse are both
+read off its reduced rows.
 """
 
 from __future__ import annotations
@@ -211,30 +212,59 @@ def _fraction_inverse(rows: Matrix) -> list[list[Fraction]]:
 def group_divisors_from_table(elements, add, zero) -> list[int]:
     """Elementary divisors of a finite abelian group given by its addition law.
 
-    Presents the group on the full element list: the relation lattice of that
-    generating set is spanned by e_g + e_h - e_{g+h}, whose Smith form yields
-    the isomorphism class with no structure assumed beyond the table itself.
+    Presents the group on its m elements with the relations
+    e_g + e_s - e_{g+s} for every g and every s in a generating set S, plus
+    e_0 = 0: every element is a sum of generators, so these imply all m^2 sum
+    relations (Tietze).  S is chosen greedily in list order, an element
+    joining it when the subgroup generated so far misses it.  A search tree
+    from zero along S then writes each e_g as a sum of generators, which
+    eliminates every e_g outside S, and the Smith form of the remaining rows
+    in |S| columns yields the isomorphism class with no structure assumed
+    beyond the table itself.
     """
     elems = list(elements)
     index = {g: i for i, g in enumerate(elems)}
     if zero not in index:
         raise ValueError("the zero element must be listed")
-    m = len(elems)
-    rows: Matrix = []
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            total = add(g, h)
-            if total not in index:
-                raise ValueError("the element list is not closed under addition")
-            row = [0] * m
-            row[i] += 1
-            row[j] += 1
-            row[index[total]] -= 1
-            rows.append(row)
-    factors = invariant_factors_of_presentation(rows, m)
+    generators: list[int] = []
+    # coords[i]: e_i as a sum of the generators (trailing zeros omitted);
+    # sums[i][k]: the index of elems[i] + elems[generators[k]].
+    coords: dict[int, list[int]] = {index[zero]: []}
+    sums: dict[int, list[int]] = {index[zero]: []}
+    for s in range(len(elems)):
+        if s in coords:
+            continue
+        coords[s] = [0] * len(generators) + [1]
+        sums[s] = []
+        generators.append(s)
+        # Add the new generator to everything spanned so far, and every
+        # generator to what that reaches.
+        frontier = list(coords)
+        while frontier:
+            i = frontier.pop()
+            for k in range(len(sums[i]), len(generators)):
+                total = add(elems[i], elems[generators[k]])
+                if total not in index:
+                    raise ValueError("the element list is not closed under addition")
+                j = index[total]
+                sums[i].append(j)
+                if j not in coords:
+                    coords[j] = coords[i] + [0] * (k + 1 - len(coords[i]))
+                    coords[j][k] += 1
+                    sums[j] = []
+                    frontier.append(j)
+    r = len(generators)
+    vectors = {i: c + [0] * (r - len(c)) for i, c in coords.items()}
+    rows = set()
+    for i, targets in sums.items():
+        for k, j in enumerate(targets):
+            row = tuple(x + (t == k) - y for t, (x, y) in enumerate(zip(vectors[i], vectors[j])))
+            if any(row):
+                rows.add(row)
+    factors = invariant_factors_of_presentation([list(row) for row in rows], r)
     order = 1
     for f in factors:
         order *= f
-    if order != m:
+    if order != len(elems):
         raise ValueError("presentation order mismatch; the table is not a group")
     return elementary_divisors(factors)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,9 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absarith.arakelov import ScaleValue
 from absarith.cli import main
+from absarith.smith import cokernel_divisors, kernel_divisors
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -244,3 +249,63 @@ def test_theta_verify_beyond_the_quadrature(source, code):
 def test_scale_from_log_rejects_non_finite(u):
     with pytest.raises(ValueError):
         ScaleValue.from_log(u)
+
+
+# An exact divisor whose exp-degree 10^-200 squares far beyond the float range.
+TINY_EXACT = ("--divisor", '{"arch":{"exact_exp":"1e-200"}}')
+
+
+@pytest.mark.parametrize("source", [("--deg", "-400"), TINY_EXACT])
+def test_theta_h0_far_below_degree_zero(source):
+    # Every direct term underflows long before t = exp(-2 deg) overflows.
+    proc = _run_cli("theta", "h0", *source)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["h0"] == 0.0
+
+
+def test_theta_rr_at_large_degree():
+    proc = _run_cli("theta", "rr", "--deg", "400")
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["h0_minus"] == 0.0 and outputs["h0_plus"] == 400.0
+    assert outputs["defect"] == 0.0
+
+
+def test_dk_check_zero_map_on_z64():
+    proc = _run_cli("dk", "check", "--hom", '{"domain":[64],"codomain":[64],"matrix":[[0]]}', "--n-max", "1")
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["pi0"] == [64] and outputs["pi1"] == [64]
+
+
+_ORDERS = st.lists(st.integers(0, 6), max_size=2)
+_ENTRY = st.one_of(st.integers(-12, 12), st.floats(-3, 3), st.booleans(), st.text(max_size=2))
+
+
+@st.composite
+def _hom_json(draw):
+    """A dk check --hom object: small (possibly invalid) orders, and a matrix
+    of the right shape with integer entries, or of any shape and entries."""
+    domain, codomain = draw(_ORDERS), draw(_ORDERS)
+    if draw(st.booleans()):
+        matrix = [[draw(st.integers(-12, 12)) for _ in codomain] for _ in domain]
+    else:
+        matrix = draw(st.lists(st.lists(_ENTRY, max_size=3), max_size=3))
+    return {"domain": domain, "codomain": codomain, "matrix": matrix}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hom=_hom_json(), n_max=st.integers(0, 2), cap=st.sampled_from([None, 10, 1000]))
+def test_dk_check_fuzz(hom, n_max, cap):
+    argv = ["dk", "check", "--hom", json.dumps(hom), "--n-max", str(n_max)]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3, 4), err.getvalue()
+    if code == 0:
+        outputs = json.loads(out.getvalue())["outputs"]
+        matrix = tuple(tuple(row) for row in hom["matrix"])
+        assert outputs["pi0"] == cokernel_divisors(tuple(hom["codomain"]), matrix)
+        assert outputs["pi1"] == kernel_divisors(tuple(hom["domain"]), tuple(hom["codomain"]), matrix)

@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from absarith.dold_kan import (
     FiniteAbelianGroup,
+    _IndexedHom,
     GroupHom,
     HPhiElement,
     PairMap,
@@ -326,3 +330,49 @@ def test_homotopy_cap_is_checked_before_enumerating():
 def test_hom_json_roundtrip():
     hom = GroupHom(Z2, Z4, ((2,),))
     assert GroupHom.from_json_dict(hom.to_json_dict()) == hom
+
+
+@pytest.mark.parametrize(
+    "hom",
+    [
+        GroupHom.identity(Z2),
+        GroupHom.zero_map(Z2, Z2),
+        GroupHom.identity(Z4),
+        GroupHom.zero_map(Z4, Z4),
+        GroupHom.identity(FiniteAbelianGroup((2, 2))),
+        GroupHom(FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 2)), ((0, 1), (1, 1))),
+        GroupHom(Z4, FiniteAbelianGroup((8,)), ((2,),)),
+        GroupHom(FiniteAbelianGroup((6,)), Z3, ((1,),)),
+    ],
+)
+def test_compiled_faces_match_the_object_path(hom):
+    # The index form behind homotopy_groups against boundary/h_phi_map: the
+    # same level order, and every compiled face equal to the object face
+    # read through the element index.
+    ix = _IndexedHom(hom)
+    a_index = {a: i for i, a in enumerate(hom.domain.elements())}
+    b_index = {b: i for i, b in enumerate(hom.codomain.elements())}
+
+    def indices(element):
+        *a_values, b = element.values
+        return tuple(a_index[a] for a in a_values) + (b_index[b],)
+
+    for n in (1, 2, 3):
+        faces = ix.faces(n)
+        level = list(ix.level(n))
+        objects = list(simplicial_level(hom, n).elements())
+        assert [indices(e) for e in objects] == level
+        for element, v in zip(objects, level):
+            for j, plan in enumerate(faces):
+                pushed = ix.push(plan, v)
+                assert pushed == indices(boundary(j, element))
+                assert ix.vanishes([plan], v) == (pushed == (0,) * n)
+
+
+def test_homotopy_path_does_not_import_numpy():
+    # dk check runs in a fresh process, where importing numpy would cost about
+    # as much as the rest of the command.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, absarith.cli, absarith.dold_kan; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=5).returncode == 0

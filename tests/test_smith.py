@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -118,3 +119,38 @@ def test_group_divisors_from_table():
     assert group_divisors_from_table([(0,)], lambda x, y: (0,), (0,)) == []
     with pytest.raises(ValueError):
         group_divisors_from_table([(1,)], add6, (0,))  # zero missing
+
+
+def _cyclic_products(max_order, least=2):
+    """Every product of cyclic groups of order <= max_order, as nondecreasing
+    tuples of cyclic orders (the trivial group is the empty one)."""
+    yield ()
+    for m in range(least, max_order + 1):
+        for rest in _cyclic_products(max_order // m, m):
+            yield (m,) + rest
+
+
+def test_group_divisors_from_table_every_group_up_to_64():
+    rng = random.Random(67)
+    seen = 0
+    for orders in _cyclic_products(64):
+        elements = list(itertools.product(*(range(m) for m in orders)))
+        rng.shuffle(elements)
+
+        def add(x, y, orders=orders):
+            return tuple((u + v) % m for u, v, m in zip(x, y, orders))
+
+        assert group_divisors_from_table(elements, add, (0,) * len(orders)) == elementary_divisors(list(orders))
+        seen += 1
+    assert seen > 100
+
+
+def test_group_divisors_from_table_edge_cases():
+    assert group_divisors_from_table([()], lambda x, y: (), ()) == []
+    add6 = lambda x, y: ((x[0] + y[0]) % 6,)
+    with pytest.raises(ValueError, match="not closed"):
+        group_divisors_from_table([(0,), (1,)], add6, (0,))
+    with pytest.raises(ValueError, match="not closed"):
+        group_divisors_from_table([(0,), (2,), (4,), (5,)], add6, (0,))
+    with pytest.raises(ValueError, match="zero"):
+        group_divisors_from_table([(1,), (2,)], add6, (0,))
