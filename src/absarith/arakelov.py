@@ -190,9 +190,16 @@ def exp_degree(d: ArakelovDivisor) -> Fraction | float:
 
 def degree(d: ArakelovDivisor) -> float:
     """deg d = sum a_p log p + u, as a float."""
-    ed = exp_degree(d)
+    return _degree_of(d, exp_degree(d))
+
+
+def _degree_of(d: ArakelovDivisor, ed: Fraction | float) -> float:
+    """deg d from ed = exp_degree(d).  A float ed of 0.0 has underflowed (far
+    below degree 0), so the degree is then summed in log space instead."""
     if isinstance(ed, Fraction):
         return math.log(ed.numerator) - math.log(ed.denominator)
+    if ed == 0.0:
+        return d.arch.log + sum(a * math.log(p) for p, a in d.finite)
     return math.log(ed)
 
 
@@ -279,7 +286,7 @@ def _theta_param(d: ArakelovDivisor | float, eps: float) -> tuple[float, float]:
         deg, ed = d, None
     else:
         ed = exp_degree(d)
-        deg = math.log(ed.numerator) - math.log(ed.denominator) if isinstance(ed, Fraction) else math.log(ed)
+        deg = _degree_of(d, ed)
     try:
         t = float(1 / (ed * ed)) if isinstance(ed, Fraction) else math.exp(-2.0 * deg)
     except OverflowError:

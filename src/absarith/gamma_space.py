@@ -179,6 +179,8 @@ def pi0_cardinality_k1(d: ArakelovDivisor) -> int | str:
     ed = exp_degree(d)
     if ed >= Fraction(1, 2):
         return "trivial"
+    if ed == 0:
+        raise ValueError("exp(deg) underflows a float, so exp(-deg) and its packing number are out of range")
     inv = 1 / ed
     n = math.floor(inv)
     return n - 1 if inv == n else n

@@ -255,3 +255,13 @@ def test_divisor_json_roundtrip():
     assert ArakelovDivisor.from_json_dict(d.to_json_dict()) == d
     f = ArakelovDivisor.of_degree(0.25)
     assert ArakelovDivisor.from_json_dict(f.to_json_dict()) == f
+
+
+def test_degree_where_exp_degree_underflows():
+    far = ArakelovDivisor.of_degree(-800.0)
+    assert exp_degree(far) == 0.0
+    assert degree(far) == -800.0
+    assert theta_h0(far) == 0.0
+    d = D({2: -1200}, ScaleValue.from_log(0.0))
+    assert degree(d) == pytest.approx(-1200 * math.log(2))
+    assert theta_h0(d) == 0.0

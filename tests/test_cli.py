@@ -309,3 +309,75 @@ def test_dk_check_fuzz(hom, n_max, cap):
         matrix = tuple(tuple(row) for row in hom["matrix"])
         assert outputs["pi0"] == cokernel_divisors(tuple(hom["codomain"]), matrix)
         assert outputs["pi1"] == kernel_divisors(tuple(hom["domain"]), tuple(hom["codomain"]), matrix)
+
+
+def test_gspace_pi_beyond_the_recursion_limit():
+    # With --n-max 1 no certificate runs, so the certificate cap does not apply.
+    proc = _run_cli(
+        "gspace", "pi", "--divisor", '{"finite":{},"arch":{"exact_exp":"1/3"}}', "--k", "2000", "--n-max", "1"
+    )
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["pi1_count"] == 1 and outputs["pi_higher_trivial"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "mc", "--deg", "0", "--samples", str(10**12), "--seed", "1"),
+        ("gspace", "pi", "--divisor", '{"finite":{},"arch":{"exact_exp":"1/3"}}', "--k", "100000"),
+        ("gspace", "pi", "--divisor", '{"finite":{},"arch":{"exact_exp":"1/3"}}', "--k", "1", "--n-max", str(10**9)),
+    ],
+)
+def test_unbounded_work_is_a_cap_error(argv):
+    proc = _run_cli(*argv)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("source", [("--deg", "-800"), ("--divisor", '{"finite":{"2":-1200},"arch":{"float":0}}')])
+def test_theta_h0_where_a_float_exp_degree_underflows(capsys, source):
+    assert run_json(capsys, "theta", "h0", *source)["outputs"]["h0"] == 0.0
+
+
+def test_gspace_pi_k1_where_a_float_exp_degree_underflows(capsys):
+    code, out, err = run(capsys, "gspace", "pi", "--divisor", '{"finite":{},"arch":{"float":-800}}', "--k", "1")
+    assert code == 3 and err.startswith("error: ")
+
+
+# Library modules (beside absarith.errors) that each command family loads:
+# a command pays to import and compile only its own layer.
+_DIVISOR_1_3 = '{"finite":{},"arch":{"exact_exp":"1/3"}}'
+_LOADED = [
+    ((), set()),
+    (("witt", "tau", "--endo", "[0,2,1]"), {"witt", "gamma_core", "numth", "combinat"}),
+    (("witt", "mul", "--a", '{"2":1}', "--b", '{"3":1}'), {"witt", "gamma_core", "numth", "combinat"}),
+    (("theta", "h0", "--deg", "1"), {"arakelov", "numth", "combinat"}),
+    (("theta", "rr", "--deg", "2"), {"arakelov", "numth", "combinat"}),
+    (("gspace", "delannoy", "--n", "3", "--k", "3"), {"combinat"}),
+    (("gspace", "pi", "--divisor", _DIVISOR_1_3, "--k", "1"), {"arakelov", "gamma_space", "smith", "numth", "combinat"}),
+    (("dk", "check", "--hom", '{"domain":[2],"codomain":[4],"matrix":[[2]]}'), {"dold_kan", "smith", "numth"}),
+]
+_REPORT_LOADED = """
+import contextlib, io, json, sys
+from absarith.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv) if argv else 0
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("absarith."))
+print(json.dumps({"code": code, "loaded": loaded, "dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("argv, layer", _LOADED)
+def test_each_command_loads_only_its_layer(argv, layer):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_LOADED, json.dumps(argv)], capture_output=True, text=True, timeout=5, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    assert set(report["loaded"]) == layer | {"cli", "errors"}
+    if argv[:2] == ("gspace", "delannoy"):
+        assert not report["dataclasses"]

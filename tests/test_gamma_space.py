@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from absarith.arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_xi_over_L, lattice_of, principal
-from absarith.combinat import delannoy, delannoy_table
+from absarith.combinat import delannoy, delannoy_table, iter_l1_ball
 from absarith.errors import CapExceeded
 from absarith.gamma_space import (
     GSConfig,
@@ -318,3 +318,30 @@ def test_linear_equivalence_invariance():
             assert pi1_count(base, k) == pi1_count(shifted, k)
             assert pi0_trivial_predicate(base, k) == pi0_trivial_predicate(shifted, k)
         assert pi0_cardinality_k1(base) == pi0_cardinality_k1(shifted)
+
+
+def _l1_ball_recursive(k, radius):
+    """The recursive enumeration, kept as the reference for iter_l1_ball."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(-radius, radius + 1):
+        for rest in _l1_ball_recursive(k - 1, radius - abs(first)):
+            yield (first,) + rest
+
+
+def test_iter_l1_ball_matches_recursive_reference():
+    for k in range(6):
+        for radius in range(5):
+            assert list(iter_l1_ball(k, radius)) == list(_l1_ball_recursive(k, radius))
+
+
+def test_pi1_count_beyond_the_recursion_limit():
+    # exp(deg) = 1/3 is below the lattice step 1: the cross-check enumerates
+    # the one vector of the radius-0 ball in Z^2000.
+    assert pi1_count(_exp_divisor(Fraction(1, 3)), 2000) == 1
+
+
+def test_pi0_cardinality_where_exp_degree_underflows():
+    with pytest.raises(ValueError):
+        pi0_cardinality_k1(ArakelovDivisor.of_degree(-800.0))
