@@ -29,6 +29,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, repeat, tee
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .combinat import delannoy, iter_l1_ball, l1_norm
@@ -327,9 +330,13 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     The integrand is radially a step function jumping at |z| = n c; on each
     annulus the Gaussian integrates in closed form, so the n-th piece
     contributes (2n+1) (E_n - E_{n+1}) with E_n = exp(-pi t n^2), t = exp(-2 deg).
-    Summation stops when the Abel-summed tail bound drops below eps.  This is
-    the direct sum at every degree, the independent route to exp(theta_h0);
-    more than QUADRATURE_MAX_PIECES pieces raise CapExceeded.
+    Summation stops at the first piece N whose Abel-summed tail bound
+    (2N+3) E_{N+1} + 2 E_{N+2} / (1 - exp(-pi t (2N+5))) drops below eps.  That
+    bound rises to one peak in N and then falls, so unless it is below eps at
+    N = 0 the stopping piece is where it crosses eps after the peak, found by
+    bisection; the pieces up to it are then added left to right.  This is the
+    direct sum at every degree, the independent route to exp(theta_h0); more
+    than QUADRATURE_MAX_PIECES pieces raise CapExceeded.
     """
     t, _ = _theta_param(d, eps)
     _check_theta_param(t)
@@ -340,19 +347,39 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     if all(math.log(2 * n + 3) - math.pi * t * (n + 1) ** 2 >= log_eps for n in (0, QUADRATURE_MAX_PIECES - 1)):
         raise CapExceeded(f"the quadrature at t = {t!r} needs more than {QUADRATURE_MAX_PIECES} pieces")
 
-    # E_n = exp(a n^2), each computed once; a n n is the same float as -pi t n n.
+    # E_n = exp(a n n) with a n n the same float as -pi t n n; E_0..E_2 are
+    # taken as 1, exp(a) and exp(4 a).
     exp, a = math.exp, -math.pi * t
-    total = 0.0
-    e0, e1, e2 = 1.0, exp(a), exp(4 * a)
-    for n in range(QUADRATURE_MAX_PIECES):
-        total += (2 * n + 1) * (e0 - e1)
-        # Remaining pieces sum to (2n+3) E_{n+1} + 2 sum_{m >= n+2} E_m.
-        ratio = exp(a * (2 * n + 5))
-        tail = (2 * n + 3) * e1 + 2.0 * e2 / (1.0 - ratio)
-        if tail < eps:
-            return total
-        e0, e1, e2 = e1, e2, exp(a * (n + 3) * (n + 3))
-    raise CapExceeded(f"the quadrature at t = {t!r} needs more than {QUADRATURE_MAX_PIECES} pieces")
+
+    def e(m: int) -> float:
+        return 1.0 if m == 0 else exp(a) if m == 1 else exp(4 * a) if m == 2 else exp(a * m * m)
+
+    def tail(n: int) -> float:
+        # What pieces n+1, n+2, ... can still add: (2n+3) E_{n+1} + 2 sum_{m >= n+2} E_m.
+        return (2 * n + 3) * e(n + 1) + 2.0 * e(n + 2) / (1.0 - exp(a * (2 * n + 5)))
+
+    if tail(0) < eps:
+        stop = 0
+    else:
+        lo, stop = 0, QUADRATURE_MAX_PIECES - 1
+        if tail(stop) >= eps:
+            raise CapExceeded(f"the quadrature at t = {t!r} needs more than {QUADRATURE_MAX_PIECES} pieces")
+        # tail(lo) >= eps > tail(stop) throughout, so at the end stop = lo + 1
+        # is the first piece whose tail is below eps.
+        while stop - lo > 1:
+            mid = (lo + stop) // 2
+            if tail(mid) < eps:
+                stop = mid
+            else:
+                lo = mid
+
+    # Pieces 0..stop from one exp per E_n, added left to right (reduce, not
+    # sum, which compensates float sums from Python 3.12 on).
+    ms = range(3, stop + 2)
+    es = chain((1.0, exp(a), exp(4 * a)), map(exp, map(mul, map(mul, repeat(a), ms), ms)))
+    lower, upper = tee(es)
+    next(upper)
+    return reduce(add, map(mul, range(1, 2 * stop + 2, 2), map(sub, lower, upper)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -371,11 +398,13 @@ def gaussian_avg_mc(
 ) -> McResult:
     """Monte Carlo average of [xi/L] over the Gaussian; same seed, same stream.
 
-    Draws z = x + iy with x, y independent normals of variance 1/(2 pi a),
-    a = exp(-2u), via Box-Muller from counter-split uniform substreams; each
-    fixed-size chunk is seeded independently from (seed, chunk index), so the
-    result does not depend on the number of worker threads (at most one per
-    chunk and per CPU core).
+    The Gaussian on C is z = x + iy with x, y independent normals of variance
+    sigma^2 = 1/(2 pi a), a = exp(-2u).  [xi/L] = 1 + 2 floor(|z| / c) is
+    radial, so only the Box-Muller radius |z| = sigma sqrt(-2 log(1 - u1)) is
+    drawn; the angle would be drawn from a second uniform that the count never
+    reads.  Each fixed-size chunk draws its uniforms from a generator seeded
+    independently from (seed, chunk index), so the result does not depend on
+    the number of worker threads (at most one per chunk and per CPU core).
     """
     import numpy as np
 
@@ -388,12 +417,8 @@ def gaussian_avg_mc(
     def run_chunk(idx: int) -> tuple[float, float]:
         m = min(_MC_CHUNK, samples - idx * _MC_CHUNK)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(idx,))))
-        u1 = rng.random(m)
-        u2 = rng.random(m)
-        r = sigma * np.sqrt(-2.0 * np.log1p(-u1))
-        x = r * np.cos(2.0 * np.pi * u2)
-        y = r * np.sin(2.0 * np.pi * u2)
-        vals = 1.0 + 2.0 * np.floor(np.hypot(x, y) / c)
+        r = sigma * np.sqrt(-2.0 * np.log1p(-rng.random(m)))
+        vals = 1.0 + 2.0 * np.floor(r / c)
         return float(vals.sum()), float(np.square(vals).sum())
 
     workers = min(threads, n_chunks, os.cpu_count() or 1)

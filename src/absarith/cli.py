@@ -36,11 +36,13 @@ DELANNOY_MAX_CELLS = 10_000
 # Largest work of the `gspace pi` certificates for degrees n = 2..n-max at
 # level k: per degree, (n+1) (samples k + n^2) cells, the coordinates of the
 # sampled members plus about as many as the face equations eliminated hold.
-# The largest accepted commands (level 342 at the default n-max 3, or n-max 24
-# at level 1) take 0.8-0.9 s on a 2.0 GHz Xeon core.
+# The largest accepted commands take, on a 2.0 GHz Xeon core: level 342 at
+# the default n-max 3 about 0.6 s, and n-max 24 at level 1 about 1.0 s, most
+# of it the exact elimination of the face equations.
 CERTIFICATE_SAMPLES = 50
 CERTIFICATE_MAX_CELLS = 120_000
-# Largest `theta mc --samples`: 0.95 s on one such core, numpy's import included.
+# Largest `theta mc --samples`: about 0.4 s on one such core, numpy's import
+# included.
 MC_MAX_SAMPLES = 6_000_000
 
 

@@ -152,11 +152,17 @@ def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = 1_000_000) -> list
     return count_E_xi(cfg.lattice, k, cfg.lam, cap)
 
 
+# The default cross-check of pi1_count enumerates count vectors of k
+# coordinates each; above this many coordinates it is skipped.
+CROSS_CHECK_MAX_COORDINATES = 60_000
+
+
 def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> int:
     """Number of pi_1 elements at level k: delannoy(floor(exp deg), k).
 
-    With cross_check (defaulting to on for small exact cases) the closed form
-    is verified against the explicit enumeration.
+    With cross_check the closed form is verified against the explicit
+    enumeration.  It defaults to on for exact scales whose enumeration builds
+    at most CROSS_CHECK_MAX_COORDINATES coordinates (count times k).
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -164,7 +170,7 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
     count = delannoy(math.floor(ed), k)
     exact = isinstance(ed, Fraction)
     if cross_check is None:
-        cross_check = exact and count <= 20_000
+        cross_check = exact and count * k <= CROSS_CHECK_MAX_COORDINATES
     if cross_check:
         if not exact:
             raise ValueError("cross-check enumeration requires an exact scale")
@@ -269,14 +275,12 @@ def higher_pi_trivial(
     witnesses.append("face 0, torus coordinate: torus part = 0")
 
     rng = random.Random(seed)
-    lam = Fraction(cfg.lam)
-    c = cfg.lattice.generator
+    free_values, torus_values = _coordinate_values(cfg, n, k)
+    zero = zero_element(cfg, n - 1, k)
     violated = 0
     for _ in range(samples):
-        e = _random_nonzero_member(rng, cfg, n, k, lam, c)
-        if any(
-            face(cfg, j, e) != zero_element(cfg, n - 1, k) for j in range(n + 1)
-        ):
+        e = _random_nonzero_member(rng, cfg, n, k, free_values, torus_values)
+        if any(face(cfg, j, e) != zero for j in range(n + 1)):
             violated += 1
     verified = rank == n and torus_pinned and violated == samples
     return TrivialityCertificate(
@@ -291,15 +295,27 @@ def higher_pi_trivial(
     )
 
 
+def _coordinate_values(cfg: GSConfig, n: int, k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The values a sampled member's coordinates take: free entries
+    lambda/(4nk) m for m = -2..2, torus entries c j/7 for j = 0..6."""
+    scale = Fraction(cfg.lam) / (4 * n * k)
+    c = cfg.lattice.generator
+    return tuple(scale * m for m in range(-2, 3)), tuple(c * j / 7 for j in range(7))
+
+
 def _random_nonzero_member(
-    rng: random.Random, cfg: GSConfig, n: int, k: int, lam: Fraction, c: Fraction
+    rng: random.Random,
+    cfg: GSConfig,
+    n: int,
+    k: int,
+    free_values: tuple[Fraction, ...],
+    torus_values: tuple[Fraction, ...],
 ) -> GSElement:
+    """A member whose free entries are free_values[m + 2] for m = randint(-2, 2)
+    and torus entries torus_values[randint(0, 6)], redrawn until nonzero."""
     while True:
-        scale = lam / (4 * n * k)
-        free = tuple(
-            tuple(scale * rng.randint(-2, 2) for _ in range(k)) for _ in range(n)
-        )
-        torus = tuple(c * rng.randint(0, 6) / 7 for _ in range(k))
+        free = tuple(tuple(free_values[rng.randint(-2, 2) + 2] for _ in range(k)) for _ in range(n))
+        torus = tuple(torus_values[rng.randint(0, 6)] for _ in range(k))
         e = GSElement(k, free, torus)
         if any(v != 0 for vec in free for v in vec) or any(t != 0 for t in torus):
             assert member(cfg, e)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from absarith.arakelov import (
+    _MC_CHUNK,
+    QUADRATURE_MAX_PIECES,
     ArakelovDivisor,
     Lattice1,
     ScaleValue,
@@ -20,8 +22,11 @@ from absarith.arakelov import (
     riemann_roch_defect,
     theta_h0,
     theta_h0_of_degree,
+    _check_theta_param,
+    _theta_param,
 )
 from absarith.combinat import delannoy
+from absarith.errors import CapExceeded
 
 
 def D(finite, arch):
@@ -265,3 +270,98 @@ def test_degree_where_exp_degree_underflows():
     d = D({2: -1200}, ScaleValue.from_log(0.0))
     assert degree(d) == pytest.approx(-1200 * math.log(2))
     assert theta_h0(d) == 0.0
+
+
+def _quadrature_per_piece(d, eps):
+    """gaussian_avg_quadrature as one loop over the pieces that recomputes
+    the tail bound after each (two exps per piece): the oracle for the
+    bisected stopping piece and the one-exp, left-to-right summation."""
+    t, _ = _theta_param(d, eps)
+    _check_theta_param(t)
+    log_eps = math.log(eps)
+    if all(math.log(2 * n + 3) - math.pi * t * (n + 1) ** 2 >= log_eps for n in (0, QUADRATURE_MAX_PIECES - 1)):
+        raise CapExceeded("cap")
+    exp, a = math.exp, -math.pi * t
+    total = 0.0
+    e0, e1, e2 = 1.0, exp(a), exp(4 * a)
+    for n in range(QUADRATURE_MAX_PIECES):
+        total += (2 * n + 1) * (e0 - e1)
+        ratio = exp(a * (2 * n + 5))
+        tail = (2 * n + 3) * e1 + 2.0 * e2 / (1.0 - ratio)
+        if tail < eps:
+            return total
+        e0, e1, e2 = e1, e2, exp(a * (n + 3) * (n + 3))
+    raise CapExceeded("cap")
+
+
+def _quadrature_outcome(quadrature, d, eps):
+    try:
+        return repr(quadrature(d, eps))
+    except CapExceeded:
+        return "CapExceeded"
+
+
+def _float_and_exact(deg):
+    return (
+        ArakelovDivisor.of_degree(deg),
+        D({2: 3, 3: -1}, ScaleValue.exact_exp(Fraction(math.exp(deg)) * Fraction(3, 8))),
+    )
+
+
+def test_quadrature_matches_the_per_piece_loop():
+    for deg in [i / 4 for i in range(-52, 37)] + [0.37, 3.3, 7.77, 10.5]:
+        for d in _float_and_exact(deg):
+            for eps in (1e-6, 1e-12, 1e-15):
+                got = _quadrature_outcome(gaussian_avg_quadrature, d, eps)
+                assert got == _quadrature_outcome(_quadrature_per_piece, d, eps), (deg, d, eps)
+
+
+def test_quadrature_cap_falls_where_the_per_piece_loop_puts_it():
+    # At eps 1e-12 the cap of 2e6 pieces falls between degrees 13.20 and 13.22.
+    d = ArakelovDivisor.of_degree(13.2)
+    got = _quadrature_outcome(gaussian_avg_quadrature, d, 1e-12)
+    assert got == _quadrature_outcome(_quadrature_per_piece, d, 1e-12) != "CapExceeded"
+    for deg, eps in ((13.2, 1e-15), (13.22, 1e-12), (13.22, 1e-15)):
+        for d in _float_and_exact(deg):
+            assert _quadrature_outcome(_quadrature_per_piece, d, eps) == "CapExceeded"
+            assert _quadrature_outcome(gaussian_avg_quadrature, d, eps) == "CapExceeded"
+
+
+def _mc_trig_box_muller(d, samples, seed):
+    """gaussian_avg_mc drawing both Box-Muller uniforms and taking |z| from
+    the cosine and sine parts: the oracle for drawing the radius alone."""
+    import numpy as np
+
+    sigma = math.exp(d.arch.log) / math.sqrt(2.0 * math.pi)
+    c = float(lattice_of(d).generator)
+    partials = []
+    for idx in range((samples + _MC_CHUNK - 1) // _MC_CHUNK):
+        m = min(_MC_CHUNK, samples - idx * _MC_CHUNK)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(idx,))))
+        u1 = rng.random(m)
+        u2 = rng.random(m)
+        r = sigma * np.sqrt(-2.0 * np.log1p(-u1))
+        x = r * np.cos(2.0 * np.pi * u2)
+        y = r * np.sin(2.0 * np.pi * u2)
+        vals = 1.0 + 2.0 * np.floor(np.hypot(x, y) / c)
+        partials.append((float(vals.sum()), float(np.square(vals).sum())))
+    s1 = sum(p[0] for p in partials)
+    s2 = sum(p[1] for p in partials)
+    mean = s1 / samples
+    var = max(s2 - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+def test_mc_radius_draw_matches_trig_box_muller():
+    divisors = (
+        ArakelovDivisor.zero(),
+        ArakelovDivisor.of_degree(1.0),
+        D({2: 1}, ScaleValue.exact_exp(Fraction(3, 4))),
+        D({3: -1}, ScaleValue.from_log(-0.7)),
+    )
+    for d in divisors:
+        for seed in (7, 11, 13, 42):
+            expected = tuple(map(repr, _mc_trig_box_muller(d, 150_001, seed)))
+            for threads in (1, 2):
+                r = gaussian_avg_mc(d, 150_001, seed, threads=threads)
+                assert (repr(r.mean), repr(r.stderr)) == expected, (d, seed, threads)

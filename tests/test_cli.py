@@ -381,3 +381,14 @@ def test_each_command_loads_only_its_layer(argv, layer):
     assert set(report["loaded"]) == layer | {"cli", "errors"}
     if argv[:2] == ("gspace", "delannoy"):
         assert not report["dataclasses"]
+
+
+@pytest.mark.parametrize("exp_deg, k, count", [("1", 9999, 19_999), ("1/3", 10**8, 1)])
+def test_gspace_pi_at_a_huge_level_skips_the_enumeration(exp_deg, k, count):
+    # The default cross-check is bounded by the coordinates it would build
+    # (count times k), so these answer from the closed form alone.
+    divisor = json.dumps({"finite": {}, "arch": {"exact_exp": exp_deg}})
+    proc = _run_cli("gspace", "pi", "--divisor", divisor, "--k", str(k), "--n-max", "1")
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["pi1_count"] == count and outputs["pi_higher_trivial"] == []

@@ -8,6 +8,8 @@ from absarith.combinat import delannoy, delannoy_table, iter_l1_ball
 from absarith.errors import CapExceeded
 from absarith.gamma_space import (
     GSConfig,
+    _coordinate_values,
+    _random_nonzero_member,
     GSElement,
     degeneracy,
     face,
@@ -345,3 +347,46 @@ def test_pi1_count_beyond_the_recursion_limit():
 def test_pi0_cardinality_where_exp_degree_underflows():
     with pytest.raises(ValueError):
         pi0_cardinality_k1(ArakelovDivisor.of_degree(-800.0))
+
+
+def _fraction_member(rng, cfg, n, k):
+    """A sampled certificate member built entry by entry as new Fractions:
+    the oracle for the coordinate values higher_pi_trivial builds once."""
+    lam = Fraction(cfg.lam)
+    c = cfg.lattice.generator
+    while True:
+        scale = lam / (4 * n * k)
+        free = tuple(tuple(scale * rng.randint(-2, 2) for _ in range(k)) for _ in range(n))
+        torus = tuple(c * rng.randint(0, 6) / 7 for _ in range(k))
+        e = GSElement(k, free, torus)
+        if any(v != 0 for vec in free for v in vec) or any(t != 0 for t in torus):
+            return e
+
+
+def test_certificate_members_match_the_per_entry_builder():
+    cases = ((2, 1, _cfg(1)), (3, 2, _cfg(Fraction(3, 2), Fraction(1, 2))), (4, 3, _cfg(Fraction(7, 3), Fraction(2, 9))))
+    for n, k, cfg in cases:
+        values = _coordinate_values(cfg, n, k)
+        for seed in (0, 5, 301):
+            fresh, shared = random.Random(seed), random.Random(seed)
+            for _ in range(60):
+                expected = _fraction_member(fresh, cfg, n, k)
+                got = _random_nonzero_member(shared, cfg, n, k, *values)
+                assert got == expected and repr(got) == repr(expected)
+
+
+def test_pi1_count_cross_checks_by_coordinates(monkeypatch):
+    import absarith.gamma_space as gs
+
+    calls = []
+    enumerate_ = gs.pi1_spherical_enumerate
+    monkeypatch.setattr(gs, "pi1_spherical_enumerate", lambda cfg, k: calls.append(k) or enumerate_(cfg, k))
+    # Counts up to 20,000 at levels up to 3 are still enumerated ...
+    for r, k in ((Fraction(7, 2), 1), (Fraction(9999), 1), (Fraction(99), 2), (Fraction(24), 3)):
+        assert delannoy(int(r), k) <= 20_000
+        assert pi1_count(_exp_divisor(r), k) == delannoy(int(r), k)
+    assert calls == [1, 1, 2, 3]
+    # ... but not 19,999 vectors of 9,999 coordinates, or one of 10^8.
+    assert pi1_count(_exp_divisor(1), 9999) == 19_999
+    assert pi1_count(_exp_divisor(Fraction(1, 3)), 10**8) == 1
+    assert calls == [1, 1, 2, 3]
