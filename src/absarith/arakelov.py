@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat, tee
@@ -35,11 +34,11 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .combinat import delannoy, iter_l1_ball, l1_norm
-from .errors import CapExceeded, json_int
+from .errors import CapExceeded, frozen, json_int
 from .numth import factorize, is_prime
 
 
-@dataclass(frozen=True)
+@frozen
 class ScaleValue:
     """The archimedean scale lambda = e^u, exactly rational or as a float exponent.
 
@@ -83,7 +82,7 @@ class ScaleValue:
         return ScaleValue.from_log(-self.log)
 
 
-@dataclass(frozen=True)
+@frozen
 class Lattice1:
     """The rank-one lattice c Z inside Q (c a positive rational)."""
 
@@ -94,7 +93,7 @@ class Lattice1:
             raise ValueError("lattice generator must be positive")
 
 
-@dataclass(frozen=True)
+@frozen
 class ArakelovDivisor:
     """Finite prime support plus an archimedean scale."""
 
@@ -382,7 +381,7 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     return reduce(add, map(mul, range(1, 2 * stop + 2, 2), map(sub, lower, upper)), 0.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class McResult:
     mean: float
     stderr: float
@@ -405,6 +404,8 @@ def gaussian_avg_mc(
     reads.  Each fixed-size chunk draws its uniforms from a generator seeded
     independently from (seed, chunk index), so the result does not depend on
     the number of worker threads (at most one per chunk and per CPU core).
+    A chunk is computed in place in its array of uniforms, with the same
+    float operations in the same order as the textbook expression.
     """
     import numpy as np
 
@@ -417,9 +418,19 @@ def gaussian_avg_mc(
     def run_chunk(idx: int) -> tuple[float, float]:
         m = min(_MC_CHUNK, samples - idx * _MC_CHUNK)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(idx,))))
-        r = sigma * np.sqrt(-2.0 * np.log1p(-rng.random(m)))
-        vals = 1.0 + 2.0 * np.floor(r / c)
-        return float(vals.sum()), float(np.square(vals).sum())
+        # vals = 1 + 2 floor(sigma sqrt(-2 log1p(-u)) / c), one ufunc at a time in u.
+        u = rng.random(m)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.multiply(-2.0, u, out=u)
+        np.sqrt(u, out=u)
+        np.multiply(sigma, u, out=u)
+        np.divide(u, c, out=u)
+        np.floor(u, out=u)
+        np.multiply(2.0, u, out=u)
+        np.add(1.0, u, out=u)
+        s1 = float(u.sum())
+        return s1, float(np.square(u, out=u).sum())
 
     workers = min(threads, n_chunks, os.cpu_count() or 1)
     if workers > 1:

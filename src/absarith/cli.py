@@ -22,8 +22,10 @@ from . import __version__
 from .errors import CapExceeded, json_int
 
 # Each handler imports the library modules of its own layer, so that a
-# command loads (and, without cached bytecode, compiles) only those; all of
-# them together take about 95 ms on a 2.0 GHz Xeon core.
+# command loads (and, without cached bytecode, compiles) only those.  All of
+# them together take about 27 ms to compile and import on a 2.1 GHz Xeon
+# core, or 8 ms from cached bytecode; numpy, which only `theta mc` loads,
+# takes about 75 ms more.
 if TYPE_CHECKING:
     from .arakelov import ArakelovDivisor
     from .gamma_core import PointedEndo
@@ -36,13 +38,14 @@ DELANNOY_MAX_CELLS = 10_000
 # Largest work of the `gspace pi` certificates for degrees n = 2..n-max at
 # level k: per degree, (n+1) (samples k + n^2) cells, the coordinates of the
 # sampled members plus about as many as the face equations eliminated hold.
-# The largest accepted commands take, on a 2.0 GHz Xeon core: level 342 at
-# the default n-max 3 about 0.6 s, and n-max 24 at level 1 about 1.0 s, most
-# of it the exact elimination of the face equations.
+# The largest accepted commands take, on a 2.1 GHz Xeon core and with the
+# interpreter's start: level 342 at the default n-max 3 about 0.12 s, most of
+# it the sampled members, and n-max 24 at level 1 about 0.10 s, since the
+# face equations of each degree are eliminated once, on their distinct rows.
 CERTIFICATE_SAMPLES = 50
 CERTIFICATE_MAX_CELLS = 120_000
-# Largest `theta mc --samples`: about 0.4 s on one such core, numpy's import
-# included.
+# Largest `theta mc --samples`: about 0.13 s on one such core, with the
+# interpreter's start and numpy's import.
 MC_MAX_SAMPLES = 6_000_000
 
 

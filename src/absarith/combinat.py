@@ -9,14 +9,19 @@ cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Sequence
 
 
 def l1_norm(vec: Sequence) -> Fraction | float:
-    """sum |v_i|: an exact Fraction when every entry is rational, else a float."""
+    """sum |v_i|: an exact Fraction when every entry is rational, else a float.
+
+    The exact sum is taken on integer numerators over the lcm L of the
+    denominators, sum |a_i| (L / b_i), and divided by L once.
+    """
     if all(isinstance(v, (int, Fraction)) for v in vec):
-        return sum((abs(v) for v in vec), Fraction(0))
+        common = lcm(*(v.denominator for v in vec))
+        return Fraction(sum(abs(v.numerator) * (common // v.denominator) for v in vec), common)
     return sum(abs(float(v)) for v in vec)
 
 

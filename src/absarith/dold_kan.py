@@ -22,15 +22,14 @@ oracle the compiled faces are tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapExceeded, json_int
+from .errors import CapExceeded, frozen, json_int
 from .smith import group_divisors_from_table
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteAbelianGroup:
     """Product of cyclic groups Z/m_i with m_i >= 2; elements are residue tuples."""
 
@@ -64,7 +63,7 @@ class FiniteAbelianGroup:
         return itertools.product(*(range(m) for m in self.orders))
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupHom:
     """A homomorphism between finite abelian groups, by generator images.
 
@@ -117,7 +116,7 @@ class GroupHom:
         return GroupHom(domain, codomain, matrix)
 
 
-@dataclass(frozen=True)
+@frozen
 class PairOfPointedSets:
     """A pointed set {0, ..., size} with a marked subset containing the base point."""
 
@@ -131,7 +130,7 @@ class PairOfPointedSets:
             raise ValueError("marked point out of range")
 
 
-@dataclass(frozen=True)
+@frozen
 class PairMap:
     """A pointed map sending the marked subset into the marked subset."""
 
@@ -148,7 +147,7 @@ class PairMap:
             raise ValueError("a pair map must send marked points to marked points")
 
 
-@dataclass(frozen=True)
+@frozen
 class HPhiElement:
     """A function on the non-base points of a pair: A-valued off the marked
     subset, B-valued on it."""
@@ -248,7 +247,7 @@ def codegeneracy(j: int, n: int) -> tuple[int, ...]:
     return tuple(k if k <= j else k - 1 for k in range(n + 2))
 
 
-@dataclass(frozen=True)
+@frozen
 class LevelDescriptor:
     """Level n of the simplicial group: the product B x A^n."""
 
@@ -314,7 +313,7 @@ def degeneracy(j: int, element: HPhiElement) -> HPhiElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class HomotopyGroups:
     """Elementary divisors of pi_0 and pi_1 and triviality flags above."""
 

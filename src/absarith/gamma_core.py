@@ -15,14 +15,14 @@ Push-forward preserves the filtration exactly when 0 < alpha <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .combinat import l1_norm
+from .errors import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class PointedMap:
     """A base-point-preserving map {0,...,N} -> {0,...,M}.
 
@@ -215,7 +215,7 @@ def collapse(x_size: int, y_indices: Sequence[int]) -> PointedMap:
     return PointedMap(tuple(images), nxt - 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class NormedVectorConfig:
     """Parameters of the norm filtration: sum |phi(x)|^alpha <= lam.
 

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, exp_degree, lattice_of
 from .combinat import delannoy, l1_norm
+from .errors import frozen
 from .smith import row_reduce
 
 __all__ = [
@@ -49,10 +50,11 @@ __all__ = [
     "higher_pi_trivial",
     "TrivialityCertificate",
     "face_incidence",
+    "face_equations",
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class GSConfig:
     """Section lattice cZ and norm budget lambda for one divisor class."""
 
@@ -72,7 +74,7 @@ class GSConfig:
         return self.scale.value
 
 
-@dataclass(frozen=True)
+@frozen
 class GSElement:
     """A simplex: free vectors psi_1..psi_n in Q^k and one torus vector mod L.
 
@@ -103,12 +105,14 @@ def member(cfg: GSConfig, e: GSElement, tol: float = 1e-12) -> bool:
     """Whether the free norms sum to at most lambda and the torus entries are
     reduced representatives in [0, c)."""
     c = cfg.lattice.generator
-    total = sum((l1_norm(v) for v in e.free), Fraction(0) if cfg.exact else 0.0)
-    if cfg.exact and isinstance(total, Fraction):
+    total = l1_norm([v for vec in e.free for v in vec]) if cfg.exact else None
+    if isinstance(total, Fraction):
         if total > cfg.lam:
             return False
-    elif float(total) > float(cfg.lam) + tol:
-        return False
+    else:
+        total = sum((l1_norm(v) for v in e.free), Fraction(0) if cfg.exact else 0.0)
+        if float(total) > float(cfg.lam) + tol:
+            return False
     return all(0 <= t < c for t in e.torus)
 
 
@@ -227,7 +231,35 @@ def face_incidence(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], tuple[i
     return tuple(rows), torus_merge
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=128)
+def face_equations(n: int) -> tuple[int, tuple[str, ...], bool]:
+    """(rank, witnesses, torus_pinned) of the face equations at degree n.
+
+    Each face j gives one 0/1 row per output free coordinate, over the n input
+    free coordinates; they depend on n alone.  Of the (n+1)(n-1) rows at most
+    2n - 1 are distinct, and repeats do not change the rank, so only the
+    distinct ones (in first-seen order) are eliminated over Q.
+    """
+    rows: list[tuple[int, ...]] = []
+    witnesses: list[str] = []
+    torus_pinned = False
+    for j in range(n + 1):
+        free_rows, torus_merge = face_incidence(n, j)
+        for i, sources in enumerate(free_rows, start=1):
+            row = [0] * n
+            for s in sources:
+                row[s - 1] += 1
+            rows.append(tuple(row))
+            if len(sources) == 1 and (j == 0 or j == 2):
+                witnesses.append(f"face {j}, coordinate {i}: psi_{sources[0]} = 0")
+        if not torus_merge:
+            torus_pinned = True  # the torus output is the torus input itself
+    _, rank = row_reduce(list(dict.fromkeys(rows)))
+    witnesses.append("face 0, torus coordinate: torus part = 0")
+    return rank, tuple(witnesses), torus_pinned
+
+
+@frozen
 class TrivialityCertificate:
     """Record of the linear-algebra argument that spherical simplices vanish."""
 
@@ -257,22 +289,7 @@ def higher_pi_trivial(
         raise ValueError("this certificate only applies above degree 1")
     if not cfg.exact:
         raise ValueError("the certificate uses exact arithmetic; use an exact scale")
-    rows: list[list[Fraction]] = []
-    witnesses: list[str] = []
-    torus_pinned = False
-    for j in range(n + 1):
-        free_rows, torus_merge = face_incidence(n, j)
-        for i, sources in enumerate(free_rows, start=1):
-            row = [Fraction(0)] * n
-            for s in sources:
-                row[s - 1] += 1
-            rows.append(row)
-            if len(sources) == 1 and (j == 0 or j == 2):
-                witnesses.append(f"face {j}, coordinate {i}: psi_{sources[0]} = 0")
-        if not torus_merge:
-            torus_pinned = True  # the torus output is the torus input itself
-    _, rank = row_reduce(rows)
-    witnesses.append("face 0, torus coordinate: torus part = 0")
+    rank, witnesses, torus_pinned = face_equations(n)
 
     rng = random.Random(seed)
     free_values, torus_values = _coordinate_values(cfg, n, k)
@@ -289,7 +306,7 @@ def higher_pi_trivial(
         free_dimension=n,
         rank=rank,
         torus_pinned=torus_pinned,
-        witness_equations=tuple(witnesses),
+        witness_equations=witnesses,
         samples_checked=samples,
         verified=verified,
     )

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import cmath
 import json as _json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .errors import json_int
+from .errors import frozen, json_int
 from .numth import euler_phi, unit_group_generators
 from .witt import WittElement, from_primitive_basis, ghost
 
@@ -39,7 +38,7 @@ def _canonical(terms: Mapping[Fraction, int]) -> tuple[tuple[Fraction, int], ...
     return tuple(sorted((g, c) for g, c in merged.items() if c != 0))
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupRingElt:
     """A finitely supported integer function on Q/Z, under convolution."""
 

@@ -8,11 +8,12 @@ lower bound rather than a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .errors import frozen
 
-@dataclass(frozen=True)
+
+@frozen
 class PackingResult:
     size: int
     exact: bool

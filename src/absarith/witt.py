@@ -17,11 +17,10 @@ length k/gcd(n,k); the Verschiebung operator is the odometer C(k) -> C(nk).
 from __future__ import annotations
 
 import json as _json
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Mapping
 
-from .errors import json_int
+from .errors import frozen, json_int
 from .gamma_core import PointedEndo, cycle_type
 from .numth import divisors, mobius
 
@@ -36,7 +35,7 @@ def _canonical(coeffs: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(items)
 
 
-@dataclass(frozen=True)
+@frozen
 class WittElement:
     """An integer combination of cyclic-permutation classes, keyed by order.
 

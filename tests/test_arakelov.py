@@ -365,3 +365,39 @@ def test_mc_radius_draw_matches_trig_box_muller():
             for threads in (1, 2):
                 r = gaussian_avg_mc(d, 150_001, seed, threads=threads)
                 assert (repr(r.mean), repr(r.stderr)) == expected, (d, seed, threads)
+
+
+def _mc_with_temporaries(d, samples, seed):
+    """gaussian_avg_mc with each chunk computed as one expression, a fresh
+    array per step: the oracle for the chunk computed in place."""
+    import numpy as np
+
+    sigma = math.exp(d.arch.log) / math.sqrt(2.0 * math.pi)
+    c = float(lattice_of(d).generator)
+    partials = []
+    for idx in range((samples + _MC_CHUNK - 1) // _MC_CHUNK):
+        m = min(_MC_CHUNK, samples - idx * _MC_CHUNK)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(idx,))))
+        r = sigma * np.sqrt(-2.0 * np.log1p(-rng.random(m)))
+        vals = 1.0 + 2.0 * np.floor(r / c)
+        partials.append((float(vals.sum()), float(np.square(vals).sum())))
+    s1 = sum(p[0] for p in partials)
+    s2 = sum(p[1] for p in partials)
+    mean = s1 / samples
+    var = max(s2 - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+def test_mc_in_place_chunk_matches_the_expression():
+    divisors = (
+        ArakelovDivisor.zero(),
+        ArakelovDivisor.of_degree(0.6),
+        D({2: 1}, ScaleValue.exact_exp(Fraction(3, 4))),
+        D({5: -1}, ScaleValue.from_log(0.9)),
+    )
+    for d in divisors:
+        for seed in (7, 11, 13, 42):
+            expected = tuple(map(repr, _mc_with_temporaries(d, 140_003, seed)))
+            for threads in (1, 2):
+                r = gaussian_avg_mc(d, 140_003, seed, threads=threads)
+                assert (repr(r.mean), repr(r.stderr)) == expected, (d, seed, threads)

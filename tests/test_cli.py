@@ -392,3 +392,23 @@ def test_gspace_pi_at_a_huge_level_skips_the_enumeration(exp_deg, k, count):
     assert proc.returncode == 0, proc.stderr
     outputs = json.loads(proc.stdout)["outputs"]
     assert outputs["pi1_count"] == count and outputs["pi_higher_trivial"] == []
+
+
+_REPORT_STDLIB = """
+import contextlib, io, json, sys
+from absarith.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv) if argv else 0
+print(json.dumps({"code": code, "loaded": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _LOADED])
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_STDLIB, json.dumps(argv)], capture_output=True, text=True, timeout=5, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "loaded": []}

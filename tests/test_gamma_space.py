@@ -390,3 +390,41 @@ def test_pi1_count_cross_checks_by_coordinates(monkeypatch):
     assert pi1_count(_exp_divisor(1), 9999) == 19_999
     assert pi1_count(_exp_divisor(Fraction(1, 3)), 10**8) == 1
     assert calls == [1, 1, 2, 3]
+
+
+def test_face_rank_from_distinct_rows_matches_all_rows():
+    from absarith.gamma_space import face_equations
+    from absarith.smith import row_reduce
+
+    for n in range(2, 31):
+        rows = []
+        for j in range(n + 1):
+            for sources in face_incidence(n, j)[0]:
+                rows.append([sum(1 for s in sources if s == col) for col in range(1, n + 1)])
+        assert len(rows) == (n + 1) * (n - 1)
+        assert len({tuple(row) for row in rows}) <= 2 * n - 1
+        assert face_equations(n)[0] == row_reduce(rows)[1] == n
+
+
+def test_face_equations_are_shared_by_every_certificate_of_a_degree():
+    a = higher_pi_trivial(5, _cfg(Fraction(7, 3)), 2, samples=20, seed=1)
+    b = higher_pi_trivial(5, _cfg(Fraction(2), Fraction(1, 2)), 4, samples=20, seed=9)
+    assert a.witness_equations is b.witness_equations
+    assert (a.rank, a.torus_pinned, a.verified) == (b.rank, b.torus_pinned, b.verified) == (5, True, True)
+
+
+def test_member_total_is_the_exact_sum_of_the_vector_norms():
+    from absarith.combinat import l1_norm
+
+    rng = random.Random(8)
+    for _ in range(200):
+        n, k = rng.randint(0, 4), rng.randint(1, 4)
+        free = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(k)) for _ in range(n)
+        )
+        total = sum((sum(abs(v) for v in vec) for vec in free), Fraction(0))
+        flat = [v for vec in free for v in vec]
+        assert l1_norm(flat) == total and type(l1_norm(flat)) is Fraction
+        if total:
+            e = GSElement(k, free, (Fraction(0),) * k)
+            assert member(_cfg(total), e) and not member(_cfg(total * (1 - Fraction(1, 10**9))), e)
