@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
-    except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -376,7 +376,16 @@ def main(argv=None) -> int:
     }
     if seed is not None:
         result["seed"] = seed
-    print(json.dumps(result, sort_keys=True))
+    try:
+        text = json.dumps(result, sort_keys=True)
+    except ValueError:  # an int longer than the interpreter prints as a string
+        print(
+            f"error: the answer holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "the limit on printing one",
+            file=sys.stderr,
+        )
+        return CAP_ERROR
+    print(text)
     return 0
 
 

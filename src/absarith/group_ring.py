@@ -11,6 +11,11 @@ multiplication on torsion) is spanned by the sums rho(n) of primitive
 n-torsion symbols, and is identified with the Witt ring of cyclic classes by
 C(k) <-> sum of all k-torsion symbols.  Under that identification sigma_n is
 the Frobenius operator and rho_n the Verschiebung.
+
+GroupRingElt shares witt.Combination with WittElement: the one merge (equal
+keys summed, zero coefficients dropped, sorted by key) and the additive
+methods.  Keys from outside are reduced into [0, 1) once, on the way in;
+the operators below produce reduced keys and merge their pairs directly.
 """
 
 from __future__ import annotations
@@ -23,78 +28,46 @@ from typing import Mapping
 
 from .errors import frozen, json_int
 from .numth import euler_phi, unit_group_generators
-from .witt import WittElement, from_primitive_basis, ghost
+from .witt import Combination, WittElement, from_primitive_basis, ghost
 
 
 def _reduce_mod_1(q: Fraction) -> Fraction:
     return q - (q.numerator // q.denominator)
 
 
-def _canonical(terms: Mapping[Fraction, int]) -> tuple[tuple[Fraction, int], ...]:
-    merged: dict[Fraction, int] = {}
-    for g, c in terms.items():
-        key = _reduce_mod_1(Fraction(g))
-        merged[key] = merged.get(key, 0) + int(c)
-    return tuple(sorted((g, c) for g, c in merged.items() if c != 0))
+def _fraction(g) -> Fraction:
+    """Fraction(g) for a symbol g given from outside; a zero denominator is a ValueError."""
+    try:
+        return Fraction(g)
+    except ZeroDivisionError:
+        raise ValueError(f"a symbol of Q/Z needs a nonzero denominator, got {g!r}") from None
 
 
 @frozen
-class GroupRingElt:
+class GroupRingElt(Combination):
     """A finitely supported integer function on Q/Z, under convolution."""
 
     items: tuple[tuple[Fraction, int], ...]
 
     @staticmethod
     def from_terms(terms: Mapping[Fraction, int]) -> "GroupRingElt":
-        return GroupRingElt(_canonical(terms))
-
-    @staticmethod
-    def zero() -> "GroupRingElt":
-        return GroupRingElt(())
+        return GroupRingElt._merged((_reduce_mod_1(_fraction(g)), int(c)) for g, c in terms.items())
 
     @staticmethod
     def e(g) -> "GroupRingElt":
         """The basis symbol of the class of g in Q/Z."""
-        return GroupRingElt(_canonical({Fraction(g): 1}))
+        return GroupRingElt(((_reduce_mod_1(_fraction(g)), 1),))
 
     @property
     def terms(self) -> dict[Fraction, int]:
         return dict(self.items)
 
-    def is_zero(self) -> bool:
-        return not self.items
-
     def coefficient(self, g) -> int:
-        return self.terms.get(_reduce_mod_1(Fraction(g)), 0)
+        return self.terms.get(_reduce_mod_1(_fraction(g)), 0)
 
-    def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
-        out = self.terms
-        for g, c in other.items:
-            out[g] = out.get(g, 0) + c
-        return GroupRingElt.from_terms(out)
-
-    def __neg__(self) -> "GroupRingElt":
-        return GroupRingElt(tuple((g, -c) for g, c in self.items))
-
-    def __sub__(self, other: "GroupRingElt") -> "GroupRingElt":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "GroupRingElt":
-        if not isinstance(n, int):
-            return NotImplemented
-        return GroupRingElt.from_terms({g: n * c for g, c in self.items})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        if not isinstance(other, GroupRingElt):
-            return NotImplemented
-        out: dict[Fraction, int] = {}
-        for g, cg in self.items:
-            for h, ch in other.items:
-                key = _reduce_mod_1(g + h)
-                out[key] = out.get(key, 0) + cg * ch
-        return GroupRingElt.from_terms(out)
+    def _product(self, other: "GroupRingElt") -> "GroupRingElt":
+        # e(g) e(h) = e(g + h)
+        return self._merged((_reduce_mod_1(g + h), cg * ch) for g, cg in self.items for h, ch in other.items)
 
     def torsion_lcm(self) -> int:
         """lcm of the orders of the support (1 for the zero element)."""
@@ -113,38 +86,32 @@ class GroupRingElt:
         data = _json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("group ring JSON must be an object {'a/b': coefficient}")
-        return GroupRingElt.from_terms({Fraction(k): json_int(c) for k, c in data.items()})
+        return GroupRingElt.from_terms({_fraction(k): json_int(c) for k, c in data.items()})
 
 
 def sigma(n: int, x: GroupRingElt) -> GroupRingElt:
     """Ring endomorphism e(g) -> e(n g); colliding images accumulate."""
     if n < 1:
         raise ValueError("sigma index must be >= 1")
-    return GroupRingElt.from_terms({n * g: c for g, c in x.items}) if x.items else x
+    return GroupRingElt._merged((_reduce_mod_1(n * g), c) for g, c in x.items)
 
 
 def rho_tilde(n: int, x: GroupRingElt) -> GroupRingElt:
     """Additive map e(g) -> sum of the n preimages of g under multiplication by n."""
     if n < 1:
         raise ValueError("rho index must be >= 1")
-    out: dict[Fraction, int] = {}
-    for g, c in x.items:
-        base = Fraction(g.numerator, n * g.denominator)
-        for j in range(n):
-            key = _reduce_mod_1(base + Fraction(j, n))
-            out[key] = out.get(key, 0) + c
-    return GroupRingElt.from_terms(out)
+    # The preimages of a/b are (a + j b)/(n b) for j = 0..n-1, all in [0, 1).
+    return GroupRingElt._merged(
+        (Fraction(g.numerator + j * g.denominator, n * g.denominator), c) for g, c in x.items for j in range(n)
+    )
 
 
 def act_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     """Automorphism of Q/Z induced by a unit u: g -> u g (u coprime to all orders)."""
-    out: dict[Fraction, int] = {}
-    for g, c in x.items:
+    for g, _ in x.items:
         if gcd(u, g.denominator) != 1:
             raise ValueError(f"{u} is not a unit modulo the order {g.denominator}")
-        key = Fraction(u * g.numerator % g.denominator, g.denominator)
-        out[key] = out.get(key, 0) + c
-    return GroupRingElt.from_terms(out)
+    return GroupRingElt._merged((Fraction(u * g.numerator % g.denominator, g.denominator), c) for g, c in x.items)
 
 
 def is_invariant(x: GroupRingElt) -> bool:
@@ -159,12 +126,7 @@ def is_invariant(x: GroupRingElt) -> bool:
 
 def witt_to_groupring(w: WittElement) -> GroupRingElt:
     """C(k) -> sum of all k-torsion symbols, extended additively."""
-    out: dict[Fraction, int] = {}
-    for k, c in w.items:
-        for j in range(k):
-            key = Fraction(j, k)
-            out[key] = out.get(key, 0) + c
-    return GroupRingElt.from_terms(out)
+    return GroupRingElt._merged((Fraction(j, k), c) for k, c in w.items for j in range(k))
 
 
 def groupring_to_witt(x: GroupRingElt) -> WittElement:
@@ -200,8 +162,7 @@ def primitive_orbit_sum(n: int) -> GroupRingElt:
     """The invariant sum rho(n) of all primitive n-torsion symbols."""
     if n < 1:
         raise ValueError("torsion order must be >= 1")
-    terms = {Fraction(a, n): 1 for a in range(n) if gcd(a, n) == 1} or {Fraction(0): 1}
-    x = GroupRingElt.from_terms(terms)
+    x = GroupRingElt(tuple((Fraction(a, n), 1) for a in range(n) if gcd(a, n) == 1))
     assert len(x.items) == (euler_phi(n) if n > 1 else 1)
     return x
 

@@ -12,12 +12,18 @@ Multiplication is C(a) * C(b) = gcd(a,b) * C(lcm(a,b)) extended bilinearly,
 which makes the ghost components multiply pointwise.  The Frobenius operator
 raises the endomorphism to a power, splitting C(k) into gcd(n,k) cycles of
 length k/gcd(n,k); the Verschiebung operator is the odometer C(k) -> C(nk).
+
+Combination is the additive core this ring shares with its copy inside
+Z[Q/Z] (group_ring): an element is the sorted tuple of its (key, nonzero
+coefficient) pairs, and every operation of either ring lists the pairs of
+its result and merges them once.
 """
 
 from __future__ import annotations
 
 import json as _json
-from math import gcd, lcm
+from itertools import chain
+from math import gcd
 from typing import Mapping
 
 from .errors import frozen, json_int
@@ -25,18 +31,55 @@ from .gamma_core import PointedEndo, cycle_type
 from .numth import divisors, mobius
 
 
-def _canonical(coeffs: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-    items = []
-    for k, c in sorted(coeffs.items()):
-        if k < 1:
-            raise ValueError(f"cycle length must be a positive integer, got {k}")
-        if c != 0:
-            items.append((int(k), int(c)))
-    return tuple(items)
+class Combination:
+    """A finite integer combination of basis keys: the one merge and the
+    additive methods of WittElement and group_ring.GroupRingElt.
+
+    A subclass is a frozen class whose one field, items, holds its (key,
+    nonzero coefficient) pairs sorted by key.  It adds only the check or
+    reduction of keys given from outside and _product, the product of two
+    elements.
+    """
+
+    @classmethod
+    def _merged(cls, pairs):
+        """The element of the pairs: equal keys summed, zeros dropped, sorted."""
+        out: dict = {}
+        for k, c in pairs:
+            out[k] = out.get(k, 0) + c
+        return cls(tuple(sorted((k, c) for k, c in out.items() if c)))
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    def is_zero(self) -> bool:
+        return not self.items
+
+    def __add__(self, other):
+        return self._merged(chain(self.items, other.items))
+
+    def __neg__(self):
+        return self.__class__(tuple((k, -c) for k, c in self.items))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        return self._merged((k, n * c) for k, c in self.items)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.__rmul__(other)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._product(other)
 
 
 @frozen
-class WittElement:
+class WittElement(Combination):
     """An integer combination of cyclic-permutation classes, keyed by order.
 
     Zero coefficients are dropped, so equality is structural.  Negative
@@ -48,11 +91,10 @@ class WittElement:
 
     @staticmethod
     def from_coeffs(coeffs: Mapping[int, int]) -> "WittElement":
-        return WittElement(_canonical(coeffs))
-
-    @staticmethod
-    def zero() -> "WittElement":
-        return WittElement(())
+        bad = [k for k in coeffs if k < 1]
+        if bad:
+            raise ValueError(f"cycle length must be a positive integer, got {min(bad)}")
+        return WittElement._merged((int(k), int(c)) for k, c in coeffs.items())
 
     @staticmethod
     def one() -> "WittElement":
@@ -69,44 +111,17 @@ class WittElement:
     def coeffs(self) -> dict[int, int]:
         return dict(self.items)
 
-    def is_zero(self) -> bool:
-        return not self.items
-
     def is_effective(self) -> bool:
         return all(c >= 0 for _, c in self.items)
 
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.items)
 
-    def __add__(self, other: "WittElement") -> "WittElement":
-        out = self.coeffs
-        for k, c in other.items:
-            out[k] = out.get(k, 0) + c
-        return WittElement.from_coeffs(out)
-
-    def __neg__(self) -> "WittElement":
-        return WittElement(tuple((k, -c) for k, c in self.items))
-
-    def __sub__(self, other: "WittElement") -> "WittElement":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "WittElement":
-        if not isinstance(n, int):
-            return NotImplemented
-        return WittElement.from_coeffs({k: n * c for k, c in self.items})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        if not isinstance(other, WittElement):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for a, ca in self.items:
-            for b, cb in other.items:
-                g = gcd(a, b)
-                key = lcm(a, b)
-                out[key] = out.get(key, 0) + ca * cb * g
-        return WittElement.from_coeffs(out)
+    def _product(self, other: "WittElement") -> "WittElement":
+        # C(a) C(b) = gcd(a, b) C(lcm(a, b)), and lcm(a, b) = a // gcd(a, b) * b.
+        return self._merged(
+            (a // (g := gcd(a, b)) * b, ca * cb * g) for a, ca in self.items for b, cb in other.items
+        )
 
     def to_json(self) -> str:
         return _json.dumps({str(k): c for k, c in self.items}, sort_keys=True)
@@ -162,38 +177,23 @@ def frobenius(n: int, w: WittElement) -> WittElement:
     """Frobenius operator T -> T^n: C(k) -> gcd(n,k) copies of C(k/gcd(n,k))."""
     if n < 1:
         raise ValueError("Frobenius index must be >= 1")
-    out: dict[int, int] = {}
-    for k, c in w.items:
-        g = gcd(n, k)
-        key = k // g
-        out[key] = out.get(key, 0) + c * g
-    return WittElement.from_coeffs(out)
+    return WittElement._merged((k // (g := gcd(n, k)), c * g) for k, c in w.items)
 
 
 def verschiebung(n: int, w: WittElement) -> WittElement:
     """Verschiebung operator (odometer): C(k) -> C(nk)."""
     if n < 1:
         raise ValueError("Verschiebung index must be >= 1")
-    return WittElement.from_coeffs({n * k: c for k, c in w.items})
+    return WittElement(tuple((n * k, c) for k, c in w.items))
 
 
 def to_primitive_basis(w: WittElement) -> dict[int, int]:
     """Coefficients in the primitive basis rho, where C(n) = sum over u | n of rho(u)."""
-    out: dict[int, int] = {}
-    for k, _ in w.items:
-        for u in divisors(k):
-            out.setdefault(u, 0)
-    for u in list(out):
-        out[u] = sum(c for k, c in w.items if k % u == 0)
-    return {u: c for u, c in sorted(out.items()) if c != 0}
+    return dict(WittElement._merged((u, c) for k, c in w.items for u in divisors(k)).items)
 
 
 def from_primitive_basis(prim: Mapping[int, int]) -> WittElement:
     """Inverse change of basis: rho(u) = sum over d | u of mu(u/d) * C(d)."""
-    coeffs: dict[int, int] = {}
-    for u, c in prim.items():
-        if u < 1:
-            raise ValueError("primitive basis indices must be positive integers")
-        for d in divisors(u):
-            coeffs[d] = coeffs.get(d, 0) + c * mobius(u // d)
-    return WittElement.from_coeffs(coeffs)
+    if any(u < 1 for u in prim):
+        raise ValueError("primitive basis indices must be positive integers")
+    return WittElement._merged((d, c * mobius(u // d)) for u, c in prim.items() for d in divisors(u))

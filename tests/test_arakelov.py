@@ -401,3 +401,12 @@ def test_mc_in_place_chunk_matches_the_expression():
             for threads in (1, 2):
                 r = gaussian_avg_mc(d, 140_003, seed, threads=threads)
                 assert (repr(r.mean), repr(r.stderr)) == expected, (d, seed, threads)
+
+
+def test_prime_power_bits_are_capped_before_any_power_is_built():
+    one = ScaleValue.exact_exp(1)
+    # 400000 + 252000 log2 3 = 799,410 bits: accepted
+    assert ArakelovDivisor.make({2: 400000, 3: -252000}, one).finite == ((2, 400000), (3, -252000))
+    for finite in ({2: 800_001}, {2: 400000, 3: -253000}, {3: 10**7}, {2: 10**400}, {5: -(10**400)}):
+        with pytest.raises(CapExceeded, match="800000 bits"):
+            ArakelovDivisor.make(finite, one)

@@ -191,6 +191,8 @@ def test_reruns_byte_identical(capsys):
         ("theta", "h0", "--divisor", '{"finite":{"2":1.5}}'),
         ("dk", "check", "--hom", '{"domain":[2.9],"codomain":[4],"matrix":[[2]]}'),
         ("witt", "ghost", "--elt", '{"3":1.9}', "--n", "3"),
+        ("theta", "h0", "--divisor", '{"arch":{"exact_exp":"1/0"}}'),
+        ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1/0"}}', "--k", "1"),
     ],
 )
 def test_malformed_or_extreme_input_is_a_domain_error(argv):
@@ -327,6 +329,9 @@ def test_gspace_pi_beyond_the_recursion_limit():
         ("theta", "mc", "--deg", "0", "--samples", str(10**12), "--seed", "1"),
         ("gspace", "pi", "--divisor", '{"finite":{},"arch":{"exact_exp":"1/3"}}', "--k", "100000"),
         ("gspace", "pi", "--divisor", '{"finite":{},"arch":{"exact_exp":"1/3"}}', "--k", "1", "--n-max", str(10**9)),
+        ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1e20"}}', "--k", "300", "--n-max", "1"),
+        ("witt", "mul", "--a", '{"1": %s}' % ("9" * 2200), "--b", '{"1": %s}' % ("9" * 2200)),
+        ("theta", "h0", "--divisor", '{"finite":{"3":10000000}}'),
     ],
 )
 def test_unbounded_work_is_a_cap_error(argv):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -164,3 +165,125 @@ def test_json_roundtrip():
     for _ in range(20):
         x = random_groupring(rng)
         assert GroupRingElt.from_json(x.to_json()) == x
+
+
+def test_from_json_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="nonzero denominator"):
+        GroupRingElt.from_json('{"1/0": 1}')
+    with pytest.raises(ValueError, match="nonzero denominator"):
+        GroupRingElt.from_terms({"2/0": 1})
+
+
+# The parent's accumulate-then-canonicalize bodies of the operators, kept as
+# oracles for the shared merge of witt.Combination.
+
+
+def _ref_reduce(q):
+    return q - (q.numerator // q.denominator)
+
+
+def _ref_canonical(terms):
+    merged = {}
+    for g, c in terms.items():
+        key = _ref_reduce(Fraction(g))
+        merged[key] = merged.get(key, 0) + int(c)
+    return GroupRingElt(tuple(sorted((g, c) for g, c in merged.items() if c != 0)))
+
+
+def _ref_add(x, y):
+    out = x.terms
+    for g, c in y.items:
+        out[g] = out.get(g, 0) + c
+    return _ref_canonical(out)
+
+
+def _ref_neg(x):
+    return GroupRingElt(tuple((g, -c) for g, c in x.items))
+
+
+def _ref_mul(x, y):
+    out = {}
+    for g, cg in x.items:
+        for h, ch in y.items:
+            key = _ref_reduce(g + h)
+            out[key] = out.get(key, 0) + cg * ch
+    return _ref_canonical(out)
+
+
+def _ref_sigma(n, x):
+    return _ref_canonical({n * g: c for g, c in x.items}) if x.items else x
+
+
+def _ref_rho_tilde(n, x):
+    out = {}
+    for g, c in x.items:
+        base = Fraction(g.numerator, n * g.denominator)
+        for j in range(n):
+            key = _ref_reduce(base + Fraction(j, n))
+            out[key] = out.get(key, 0) + c
+    return _ref_canonical(out)
+
+
+def _ref_act_unit(u, x):
+    out = {}
+    for g, c in x.items:
+        if gcd(u, g.denominator) != 1:
+            raise ValueError(f"{u} is not a unit modulo the order {g.denominator}")
+        key = Fraction(u * g.numerator % g.denominator, g.denominator)
+        out[key] = out.get(key, 0) + c
+    return _ref_canonical(out)
+
+
+def _ref_witt_to_groupring(w):
+    out = {}
+    for k, c in w.items:
+        for j in range(k):
+            out[Fraction(j, k)] = out.get(Fraction(j, k), 0) + c
+    return _ref_canonical(out)
+
+
+def test_operators_match_the_accumulating_oracle():
+    rng = random.Random(107)
+    zero = GroupRingElt.zero()
+    pairs = [(zero, zero), (zero, random_groupring(rng)), (random_groupring(rng), zero)]
+    for _ in range(150):
+        # small orders so that sums, images and preimages collide
+        max_den = rng.choice((2, 4, 6, 12))
+        pairs.append((random_groupring(rng, max_den=max_den, terms=8), random_groupring(rng, max_den=max_den, terms=8)))
+    for x, y in pairs:
+        n, u = rng.randint(1, 6), rng.choice((1, 5, 7, 11, 2, 3))
+        assert repr(x + y) == repr(_ref_add(x, y))
+        assert repr(x - y) == repr(_ref_add(x, _ref_neg(y)))
+        assert repr(-x) == repr(_ref_neg(x))
+        m = rng.randint(0, 4)
+        assert repr(m * x) == repr(x * m) == repr(_ref_canonical({g: m * c for g, c in x.items}))
+        assert repr(x * y) == repr(_ref_mul(x, y))
+        assert repr(sigma(n, x)) == repr(_ref_sigma(n, x))
+        assert repr(rho_tilde(n, x)) == repr(_ref_rho_tilde(n, x))
+        try:
+            expected = repr(_ref_act_unit(u, x))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                act_unit(u, x)
+            assert str(got.value) == str(exc)
+        else:
+            assert repr(act_unit(u, x)) == expected
+    for _ in range(60):
+        w = random_witt(rng, max_k=10, terms=6)
+        assert repr(witt_to_groupring(w)) == repr(_ref_witt_to_groupring(w))
+
+
+def test_from_terms_matches_the_canonical_merge():
+    # unreduced, negative and colliding keys, zero coefficients, the empty mapping
+    rng = random.Random(109)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            den = rng.randint(1, 6)
+            terms[Fraction(rng.randint(-2 * den, 2 * den), den)] = rng.randint(-2, 2)
+        assert repr(GroupRingElt.from_terms(terms)) == repr(_ref_canonical(terms))
+        text = json.dumps({f"{g.numerator}/{g.denominator}": c for g, c in terms.items()})
+        assert repr(GroupRingElt.from_json(text)) == repr(_ref_canonical(terms))
+    for n in range(1, 40):
+        expected = _ref_canonical({Fraction(a, n): 1 for a in range(n) if gcd(a, n) == 1})
+        assert repr(primitive_orbit_sum(n)) == repr(expected)

@@ -220,3 +220,134 @@ def test_json_roundtrip():
     for _ in range(20):
         w = random_witt(rng)
         assert WittElement.from_json(w.to_json()) == w
+
+
+# The parent's accumulate-then-canonicalize bodies of the operators, kept as
+# oracles for the shared merge of witt.Combination.
+
+
+def _ref_canonical(coeffs):
+    items = []
+    for k, c in sorted(coeffs.items()):
+        if k < 1:
+            raise ValueError(f"cycle length must be a positive integer, got {k}")
+        if c != 0:
+            items.append((int(k), int(c)))
+    return WittElement(tuple(items))
+
+
+def _ref_add(x, y):
+    out = x.coeffs
+    for k, c in y.items:
+        out[k] = out.get(k, 0) + c
+    return _ref_canonical(out)
+
+
+def _ref_neg(x):
+    return WittElement(tuple((k, -c) for k, c in x.items))
+
+
+def _ref_scale(n, x):
+    return _ref_canonical({k: n * c for k, c in x.items})
+
+
+def _ref_mul(x, y):
+    from math import gcd, lcm
+
+    out = {}
+    for a, ca in x.items:
+        for b, cb in y.items:
+            key = lcm(a, b)
+            out[key] = out.get(key, 0) + ca * cb * gcd(a, b)
+    return _ref_canonical(out)
+
+
+def _ref_frobenius(n, w):
+    from math import gcd
+
+    out = {}
+    for k, c in w.items:
+        g = gcd(n, k)
+        out[k // g] = out.get(k // g, 0) + c * g
+    return _ref_canonical(out)
+
+
+def _ref_verschiebung(n, w):
+    return _ref_canonical({n * k: c for k, c in w.items})
+
+
+def _ref_to_primitive_basis(w):
+    from absarith.numth import divisors
+
+    out = {}
+    for k, _ in w.items:
+        for u in divisors(k):
+            out.setdefault(u, 0)
+    for u in list(out):
+        out[u] = sum(c for k, c in w.items if k % u == 0)
+    return {u: c for u, c in sorted(out.items()) if c != 0}
+
+
+def _ref_from_primitive_basis(prim):
+    from absarith.numth import divisors, mobius
+
+    coeffs = {}
+    for u, c in prim.items():
+        for d in divisors(u):
+            coeffs[d] = coeffs.get(d, 0) + c * mobius(u // d)
+    return _ref_canonical(coeffs)
+
+
+def _cases(seed):
+    """Seeded pairs of elements, with small supports so that keys collide, and
+    the empty element on either side."""
+    rng = random.Random(seed)
+    zero = WittElement.zero()
+    pairs = [(zero, zero), (zero, random_witt(rng)), (random_witt(rng), zero)]
+    for _ in range(150):
+        max_k = rng.choice((4, 6, 12, 30))
+        pairs.append((random_witt(rng, max_k=max_k, terms=8), random_witt(rng, max_k=max_k, terms=8)))
+    return rng, pairs
+
+
+def test_operators_match_the_accumulating_oracle():
+    rng, pairs = _cases(101)
+    for a, b in pairs:
+        n = rng.randint(0, 6)
+        assert repr(a + b) == repr(_ref_add(a, b))
+        assert repr(a - b) == repr(_ref_add(a, _ref_neg(b)))
+        assert repr(a - a) == repr(WittElement.zero())
+        assert repr(-a) == repr(_ref_neg(a))
+        assert repr(n * a) == repr(a * n) == repr(_ref_scale(n, a))
+        assert repr(a * b) == repr(_ref_mul(a, b))
+        if n:
+            assert repr(frobenius(n, a)) == repr(_ref_frobenius(n, a))
+            assert repr(verschiebung(n, a)) == repr(_ref_verschiebung(n, a))
+
+
+def test_primitive_basis_matches_the_accumulating_oracle():
+    rng, pairs = _cases(103)
+    for a, _ in pairs:
+        assert repr(to_primitive_basis(a)) == repr(_ref_to_primitive_basis(a))
+        # zero coefficients and indices whose Mobius sums collide or cancel
+        prim = {rng.randint(1, 24): rng.randint(-2, 2) for _ in range(rng.randint(0, 6))}
+        assert repr(from_primitive_basis(prim)) == repr(_ref_from_primitive_basis(prim))
+
+
+def test_from_coeffs_matches_the_canonical_walk():
+    rng = random.Random(105)
+    for _ in range(200):
+        coeffs = {rng.randint(-3, 12): rng.randint(-2, 2) for _ in range(rng.randint(0, 6))}
+        try:
+            expected = repr(_ref_canonical(coeffs))
+        except ValueError as exc:
+            # a key below 1 is rejected, even with a zero coefficient, by the smallest one
+            with pytest.raises(ValueError) as got:
+                WittElement.from_coeffs(coeffs)
+            assert str(got.value) == str(exc)
+        else:
+            assert repr(WittElement.from_coeffs(coeffs)) == expected
+    with pytest.raises(ValueError, match="got -1$"):
+        WittElement.from_coeffs({3: 1, 0: 0, -1: 0})
+    with pytest.raises(ValueError, match="got 0$"):
+        WittElement.from_json('{"2": 1, "0": 0}')
