@@ -33,7 +33,7 @@ from itertools import chain, repeat, tee
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
-from .combinat import delannoy, iter_l1_ball, l1_norm
+from .combinat import delannoy, iter_l1_ball, l1_within
 from .errors import CapExceeded, frozen, json_int
 from .numth import factorize, is_prime
 
@@ -234,13 +234,10 @@ def count_xi_over_L(xi_norm, lattice: Lattice1) -> int:
 def e_xi_member(phi: Sequence, xi_norm) -> bool:
     """Membership in the l1 ball: sum |phi_i| <= xi_norm (inclusive).
 
-    Exact when phi and xi_norm are all rational; a float bound compares the
-    float sum of the entries.
+    Exact when phi and xi_norm are all rational; otherwise the float sum of
+    the entries is compared with the float bound, with no tolerance.
     """
-    if not isinstance(xi_norm, (int, Fraction)):
-        phi = [float(v) for v in phi]
-    total = l1_norm(phi)
-    return total <= xi_norm if isinstance(total, Fraction) else total <= float(xi_norm)
+    return l1_within(phi, xi_norm)
 
 
 def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = 1_000_000) -> list[tuple[Fraction, ...]]:

@@ -81,6 +81,12 @@ def _parse_divisor(args) -> ArakelovDivisor:
     raise ValueError("provide --divisor JSON or --deg")
 
 
+def _fraction_json(value) -> str:
+    """json.dumps' hook for the one non-JSON type in an answer: a Fraction,
+    written "n/d"."""
+    return f"{value.numerator}/{value.denominator}"
+
+
 def _witt_json(w: WittElement) -> dict:
     return {str(k): c for k, c in w.items}
 
@@ -217,8 +223,6 @@ def _cmd_gspace_delannoy(args):
 
 
 def _cmd_gspace_pi(args):
-    from fractions import Fraction
-
     from .arakelov import exp_degree
     from .gamma_space import GSConfig, higher_pi_trivial, pi0_cardinality_k1, pi0_trivial_predicate, pi1_count
 
@@ -246,12 +250,7 @@ def _cmd_gspace_pi(args):
             cert = higher_pi_trivial(n, cfg, args.k, samples=CERTIFICATE_SAMPLES, seed=0)
             higher.append([n, cert.verified])
     outputs = {"pi0": pi0, "pi1_count": count, "pi_higher_trivial": higher}
-    ed = exp_degree(d)
-    inputs = {
-        "divisor": d.to_json_dict(),
-        "k": args.k,
-        "exp_degree": f"{ed.numerator}/{ed.denominator}" if isinstance(ed, Fraction) else ed,
-    }
+    inputs = {"divisor": d.to_json_dict(), "k": args.k, "exp_degree": exp_degree(d)}
     return inputs, outputs, None, None
 
 
@@ -377,7 +376,7 @@ def main(argv=None) -> int:
     if seed is not None:
         result["seed"] = seed
     try:
-        text = json.dumps(result, sort_keys=True)
+        text = json.dumps(result, sort_keys=True, default=_fraction_json)
     except ValueError:  # an int longer than the interpreter prints as a string
         print(
             f"error: the answer holds an integer of more than {sys.get_int_max_str_digits()} digits, "

@@ -1,4 +1,5 @@
-"""The l1 norm, and counting and enumeration of integer vectors in l1 balls.
+"""The l1 norm and the one l1-budget comparison, and counting and enumeration
+of integer vectors in l1 balls.
 
 delannoy(n, k) counts the points of Z^k with l1-norm at most n; the closed
 form is the terminating hypergeometric sum 1 + sum_m 2^m C(k,m) C(n,m), and
@@ -9,7 +10,7 @@ cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Iterator, Sequence
 
 
@@ -25,11 +26,31 @@ def l1_norm(vec: Sequence) -> Fraction | float:
     return sum(abs(float(v)) for v in vec)
 
 
+def l1_within(vec: Sequence, bound, tol: float = 0.0) -> bool:
+    """sum |v_i| <= bound, inclusive: the package's one l1-budget comparison.
+
+    Exact when the bound and every entry are rational (int or Fraction);
+    otherwise the float sum of the entries is compared with float(bound) + tol.
+    """
+    if isinstance(bound, (int, Fraction)):
+        total = l1_norm(vec)  # a Fraction exactly when every entry is rational
+    else:
+        total = sum(abs(float(v)) for v in vec)
+    return total <= bound if isinstance(total, Fraction) else total <= float(bound) + tol
+
+
 def delannoy(n: int, k: int) -> int:
-    """Number of integer vectors in Z^k with |v_1| + ... + |v_k| <= n."""
+    """Number of integer vectors in Z^k with |v_1| + ... + |v_k| <= n.
+
+    Each term 2^m C(k,m) C(n,m) is the last one times 2 (k-m+1) (n-m+1) / m^2.
+    """
     if n < 0 or k < 0:
         raise ValueError("delannoy is defined for nonnegative arguments")
-    return 1 + sum(2**m * comb(k, m) * comb(n, m) for m in range(1, min(n, k) + 1))
+    total = term = 1
+    for m in range(1, min(n, k) + 1):
+        term = term * 2 * (k - m + 1) * (n - m + 1) // (m * m)
+        total += term
+    return total
 
 
 def delannoy_table(n_max: int, k_max: int) -> list[list[int]]:

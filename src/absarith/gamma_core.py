@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .combinat import l1_norm
+from .combinat import l1_within
 from .errors import frozen
 
 
@@ -240,19 +240,13 @@ class NormedVectorConfig:
             raise ValueError("lambda must be nonnegative")
 
 
-def _is_rational(value: object) -> bool:
-    return isinstance(value, (int, Fraction))
-
-
 def norm_filtered_member(phi: Sequence, cfg: NormedVectorConfig) -> bool:
     """Whether sum_x |phi(x)|^alpha <= lambda.
 
     phi lists the values on the non-base points only.
     """
-    if cfg.alpha == 1 and _is_rational(cfg.lam):
-        total = l1_norm(phi)
-        if isinstance(total, Fraction):
-            return total <= cfg.lam
+    if cfg.alpha == 1:
+        return l1_within(phi, cfg.lam, cfg.tol)
     total_f = sum(abs(float(v)) ** float(cfg.alpha) for v in phi)
     return total_f <= float(cfg.lam) + cfg.tol
 
@@ -265,7 +259,7 @@ def push_forward(phi: Sequence, f: PointedMap) -> tuple:
     """
     if len(phi) != f.domain_size:
         raise ValueError(f"vector has {len(phi)} entries but the map has domain size {f.domain_size}")
-    zero = 0 if all(_is_rational(v) for v in phi) else 0.0
+    zero = 0 if all(isinstance(v, (int, Fraction)) for v in phi) else 0.0
     out = [zero] * f.codomain_size
     for x in range(1, f.domain_size + 1):
         y = f(x)

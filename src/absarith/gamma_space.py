@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, exp_degree, lattice_of
-from .combinat import delannoy, l1_norm
+from .combinat import delannoy, l1_within
 from .errors import frozen
 from .smith import row_reduce
 
@@ -102,18 +102,10 @@ def zero_element(cfg: GSConfig, n: int, k: int) -> GSElement:
 
 
 def member(cfg: GSConfig, e: GSElement, tol: float = 1e-12) -> bool:
-    """Whether the free norms sum to at most lambda and the torus entries are
-    reduced representatives in [0, c)."""
+    """Whether the free norms sum to at most lambda (exactly for rational data,
+    else within tol) and the torus entries are reduced representatives in [0, c)."""
     c = cfg.lattice.generator
-    total = l1_norm([v for vec in e.free for v in vec]) if cfg.exact else None
-    if isinstance(total, Fraction):
-        if total > cfg.lam:
-            return False
-    else:
-        total = sum((l1_norm(v) for v in e.free), Fraction(0) if cfg.exact else 0.0)
-        if float(total) > float(cfg.lam) + tol:
-            return False
-    return all(0 <= t < c for t in e.torus)
+    return l1_within([v for vec in e.free for v in vec], cfg.lam, tol) and all(0 <= t < c for t in e.torus)
 
 
 def _vec_add(v1: Sequence, v2: Sequence) -> tuple:

@@ -29,16 +29,19 @@ def _default_metric(x, y):
     return abs(x - y)
 
 
+# Largest instance that exact=None solves by branch and bound.
+BNB_MAX_POINTS = 40
+
+
 def packing_number(
     points: Sequence,
     radius,
     metric: Callable | None = None,
     exact: bool | None = None,
-    bnb_limit: int = 40,
 ) -> PackingResult:
     """Maximal number of points with pairwise distance strictly above radius.
 
-    exact=None picks branch and bound up to bnb_limit points and greedy
+    exact=None picks branch and bound up to BNB_MAX_POINTS points and greedy
     beyond; exact=True forces branch and bound, exact=False forces greedy.
     Comparisons against the radius are carried out in whatever arithmetic the
     metric returns (exact for rational inputs).
@@ -48,7 +51,7 @@ def packing_number(
     if n == 0:
         return PackingResult(0, True)
     if exact is None:
-        exact = n <= bnb_limit
+        exact = n <= BNB_MAX_POINTS
     if not exact:
         chosen: list = []
         for p in points:

@@ -1,13 +1,13 @@
 """Integer Smith normal form and elementary divisors of finite abelian groups.
 
 Three consumers: presenting a cokernel on the codomain generators, presenting
-a kernel via its saturation lattice, and reading off the isomorphism class of
-a brute-force group given only by its addition table (presented by its sum
-relations against a generating set, reduced to the generators by a search
-tree).  Matrices here are small, so the classic alternating row/column Euclid
-with explicit transform tracking is plenty.  The package's one Gauss-Jordan
-elimination over Q lives here too: the rank and the exact inverse are both
-read off its reduced rows.
+a kernel as the cokernel of the dual map (by Pontryagin duality), and reading
+off the isomorphism class of a brute-force group given only by its addition
+table (presented by its sum relations against a generating set, reduced to
+the generators by a search tree).  Matrices here are small, so the classic
+alternating row/column Euclid with explicit transform tracking is plenty.
+The package's one Gauss-Jordan elimination over Q lives here too, for the
+rank of the face equations.
 """
 
 from __future__ import annotations
@@ -132,16 +132,21 @@ def elementary_divisors(invariant_factors: list[int]) -> list[int]:
     return sorted(out)
 
 
+def _quotient_divisors(orders, rows) -> list[int]:
+    """Elementary divisors of prod Z/orders_i modulo the span of the rows."""
+    t = len(orders)
+    relations = [[orders[j] if i == j else 0 for j in range(t)] for i in range(t)]
+    relations += [list(r) for r in rows]
+    return elementary_divisors(invariant_factors_of_presentation(relations, t))
+
+
 def cokernel_divisors(codomain_orders: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> list[int]:
     """Elementary divisors of B / im(phi) for phi into B = prod Z/n_j.
 
     Presented on the generators of B: relations are the generator orders plus
     the images of the domain generators (rows of matrix).
     """
-    t = len(codomain_orders)
-    rows = [[codomain_orders[j] if i == j else 0 for j in range(t)] for i in range(t)]
-    rows += [list(r) for r in matrix]
-    return elementary_divisors(invariant_factors_of_presentation(rows, t))
+    return _quotient_divisors(codomain_orders, matrix)
 
 
 def kernel_divisors(
@@ -151,31 +156,24 @@ def kernel_divisors(
 ) -> list[int]:
     """Elementary divisors of ker(phi) for phi: prod Z/m_i -> prod Z/n_j.
 
-    Lift to x in Z^s with x M = 0 mod n: the solution lattice K is the
-    projection of the left kernel of the stacked matrix [M; diag(n)], and
-    ker(phi) = K / diag(m) Z^s, presented by expressing the rows m_i e_i in a
-    basis of K.
+    A finite abelian group is isomorphic to its character group, and
+    dualizing is exact, so ker(phi) is isomorphic to the cokernel of the dual
+    map.  The dual map sends the character y -> y_j / n_j of B to
+    x -> sum_i x_i M_ij / n_j, which is the character of A with coordinates
+    (M_ij m_i / n_j)_i on the dual generators x -> x_i / m_i.  These rows are
+    integral exactly when m_i M_ij = 0 mod n_j, that is when phi is a
+    homomorphism.
     """
-    s, t = len(domain_orders), len(codomain_orders)
-    if s == 0:
-        return []
-    if t == 0:
-        return elementary_divisors(sorted(domain_orders))
-    stacked = [list(matrix[i]) for i in range(s)]
-    stacked += [[codomain_orders[j] if i == j else 0 for j in range(t)] for i in range(t)]
-    d, u, _ = smith_normal_form(stacked)
-    rank = sum(1 for i in range(min(len(d), t)) if d[i][i] != 0)
-    basis = [u[i][:s] for i in range(rank, s + t)]
-    if len(basis) != s:
-        raise ValueError("kernel lattice has unexpected rank")
-    inv = _fraction_inverse(basis)
-    rows: Matrix = []
-    for i in range(s):
-        coords = [domain_orders[i] * inv[i][j] for j in range(s)]
-        if any(x.denominator != 1 for x in coords):
-            raise ValueError("relation lattice is not contained in the kernel lattice")
-        rows.append([int(x) for x in coords])
-    return elementary_divisors(invariant_factors_of_presentation(rows, s))
+    rows = []
+    for j, n in enumerate(codomain_orders):
+        row = []
+        for i, m in enumerate(domain_orders):
+            q, r = divmod(matrix[i][j] * m, n)
+            if r:
+                raise ValueError(f"matrix entry ({i}, {j}) does not give a homomorphism Z/{m} -> Z/{n}")
+            row.append(q)
+        rows.append(row)
+    return _quotient_divisors(domain_orders, rows)
 
 
 def row_reduce(rows) -> tuple[list[list[Fraction]], int]:
@@ -197,16 +195,6 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], int]:
                 matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
         rank += 1
     return matrix, rank
-
-
-def _fraction_inverse(rows: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of a square integer matrix (rows acting on the left)."""
-    n = len(rows)
-    reduced, _ = row_reduce([list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)])
-    # [A | I] reduces to [I | A^-1] exactly when A is invertible.
-    if any(reduced[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
 
 
 def group_divisors_from_table(elements, add, zero) -> list[int]:

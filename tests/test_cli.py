@@ -332,6 +332,8 @@ def test_gspace_pi_beyond_the_recursion_limit():
         ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1e20"}}', "--k", "300", "--n-max", "1"),
         ("witt", "mul", "--a", '{"1": %s}' % ("9" * 2200), "--b", '{"1": %s}' % ("9" * 2200)),
         ("theta", "h0", "--divisor", '{"finite":{"3":10000000}}'),
+        ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1e20"}}', "--k", "3000", "--n-max", "1"),
+        ("gspace", "pi", "--k", "1", "--divisor", '{"finite":{"2":400000,"3":-252000}}'),
     ],
 )
 def test_unbounded_work_is_a_cap_error(argv):

@@ -428,3 +428,20 @@ def test_member_total_is_the_exact_sum_of_the_vector_norms():
         if total:
             e = GSElement(k, free, (Fraction(0),) * k)
             assert member(_cfg(total), e) and not member(_cfg(total * (1 - Fraction(1, 10**9))), e)
+
+
+def test_l1_within_decides_a_rational_boundary_exactly():
+    from absarith.combinat import l1_within
+
+    tenths = [Fraction(1, 10), Fraction(-1, 10), Fraction(1, 10)]
+    # The float sum of three tenths is 0.30000000000000004.
+    assert l1_within(tenths, Fraction(3, 10))
+    assert not l1_within(tenths, Fraction(3, 10) - Fraction(1, 10**30))
+    assert l1_within([1, -2], 3) and not l1_within([1, -2], 2)
+    # Against a float bound, rational entries are summed as floats.
+    assert not l1_within(tenths, 0.3)
+    assert l1_within(tenths, 0.3, tol=1e-12)
+    # tol applies only when the comparison is made in floats.
+    assert not l1_within(tenths, Fraction(3, 10) - Fraction(1, 10**15), tol=1e-12)
+    assert l1_within([0.1, -0.1, 0.1], Fraction(3, 10), tol=1e-12)
+    assert not l1_within([0.1, -0.1, 0.1], Fraction(3, 10))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -154,3 +155,36 @@ def test_group_divisors_from_table_edge_cases():
         group_divisors_from_table([(0,), (2,), (4,), (5,)], add6, (0,))
     with pytest.raises(ValueError, match="zero"):
         group_divisors_from_table([(1,), (2,)], add6, (0,))
+
+
+def _small_groups(max_order):
+    """Every tuple of cyclic orders >= 2, nondecreasing, with product <= max_order."""
+    out = [()]
+    for orders in out:
+        lo = orders[-1] if orders else 2
+        out += [orders + (m,) for m in range(lo, max_order // math.prod(orders) + 1)]
+    return out
+
+
+def test_kernel_divisors_match_the_enumerated_kernel_on_every_small_hom():
+    from absarith.dold_kan import FiniteAbelianGroup, GroupHom
+
+    groups = [FiniteAbelianGroup(orders) for orders in _small_groups(8)]
+    checked = 0
+    for a in groups:
+        for b in groups:
+            # Row i ranges over the images of a generator of order m_i.
+            choices = [
+                list(itertools.product(*(range(0, n, n // math.gcd(m, n)) for n in b.orders))) for m in a.orders
+            ]
+            for rows in itertools.product(*choices):
+                hom = GroupHom(a, b, rows)
+                kernel = [x for x in a.elements() if hom.apply(x) == b.zero()]
+                assert kernel_divisors(a.orders, b.orders, rows) == group_divisors_from_table(kernel, a.add, a.zero())
+                checked += 1
+    assert checked == 1202
+
+
+def test_kernel_divisors_reject_a_matrix_that_is_not_a_homomorphism():
+    with pytest.raises(ValueError):
+        kernel_divisors((2,), (3,), ((1,),))
