@@ -261,6 +261,13 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = 1_000_000) -> list
 _DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
 
 QUADRATURE_MAX_PIECES = 2_000_000
+# From this many pieces on (about degree 11.88 at eps 1e-12) the quadrature
+# adds its pieces with numpy, in chunks of _QUADRATURE_CHUNK pieces.  numpy's
+# import takes about 150 ms on a 2.1 GHz Xeon core, as long as the iterator
+# sum of some 430,000 pieces, so a fresh process breaks even near 590,000
+# pieces (degree 12); one that has numpy loaded gains from the first chunk.
+_QUADRATURE_NUMPY_PIECES = 1 << 19
+_QUADRATURE_CHUNK = 1 << 14
 
 
 def _check_theta_param(t: float) -> None:
@@ -345,9 +352,12 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     (2N+3) E_{N+1} + 2 E_{N+2} / (1 - exp(-pi t (2N+5))) drops below eps.  That
     bound rises to one peak in N and then falls, so unless it is below eps at
     N = 0 the stopping piece is where it crosses eps after the peak, found by
-    bisection; the pieces up to it are then added left to right.  This is the
-    direct sum at every degree, the independent route to exp(theta_h0); more
-    than QUADRATURE_MAX_PIECES pieces raise CapExceeded.
+    bisection; the pieces up to it are then added left to right.  From
+    _QUADRATURE_NUMPY_PIECES pieces on (about degree 11.88 at eps 1e-12) they
+    are added in numpy chunks, with the same floats in the same order, so the
+    result is bit for bit the iterator sum's.  This is the direct sum at every
+    degree, the independent route to exp(theta_h0); more than
+    QUADRATURE_MAX_PIECES pieces raise CapExceeded.
     """
     t, _ = _theta_param(d, eps)
     _check_theta_param(t)
@@ -386,11 +396,31 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
 
     # Pieces 0..stop from one exp per E_n, added left to right (reduce, not
     # sum, which compensates float sums from Python 3.12 on).
-    ms = range(3, stop + 2)
-    es = chain((1.0, exp(a), exp(4 * a)), map(exp, map(mul, map(mul, repeat(a), ms), ms)))
-    lower, upper = tee(es)
-    next(upper)
-    return reduce(add, map(mul, range(1, 2 * stop + 2, 2), map(sub, lower, upper)), 0.0)
+    if stop < _QUADRATURE_NUMPY_PIECES:
+        ms = range(3, stop + 2)
+        es = chain((1.0, exp(a), exp(4 * a)), map(exp, map(mul, map(mul, repeat(a), ms), ms)))
+        lower, upper = tee(es)
+        next(upper)
+        return reduce(add, map(mul, range(1, 2 * stop + 2, 2), map(sub, lower, upper)), 0.0)
+
+    # The same floats in numpy, chunk by chunk: a m m is (a m) m as above
+    # (exactly 0, a and 4 a at m = 0, 1, 2), each E_m still comes from
+    # math.exp (np.exp's SIMD loops differ from it in the last bit), and
+    # add.accumulate adds in sequence, where add.reduce would add pairwise.
+    import numpy as np
+
+    total = 0.0
+    for start in range(0, stop + 1, _QUADRATURE_CHUNK):
+        end = min(start + _QUADRATURE_CHUNK, stop + 1)  # pieces start..end-1
+        m = np.arange(start, end + 1, dtype=np.float64)
+        x = a * m
+        x *= m
+        es = np.fromiter(map(exp, x.tolist()), np.float64, count=end - start + 1)
+        diffs = es[:-1] - es[1:]
+        diffs *= np.arange(2 * start + 1, 2 * end + 1, 2, dtype=np.float64)
+        diffs[0] += total
+        total = float(np.add.accumulate(diffs, out=diffs)[-1])
+    return total
 
 
 @frozen

@@ -24,8 +24,8 @@ from .errors import CapExceeded, json_int
 # Each handler imports the library modules of its own layer, so that a
 # command loads (and, without cached bytecode, compiles) only those.  All of
 # them together take about 27 ms to compile and import on a 2.1 GHz Xeon
-# core, or 8 ms from cached bytecode; numpy, which only `theta mc` loads,
-# takes about 75 ms more.
+# core, or 8 ms from cached bytecode; numpy, which only `theta mc` and a
+# `theta verify` from about degree 11.88 load, takes about 150 ms more.
 if TYPE_CHECKING:
     from .arakelov import ArakelovDivisor
     from .gamma_core import PointedEndo
@@ -242,6 +242,17 @@ def _cmd_gspace_pi(args):
             pi0 = 1
     else:
         pi0 = "trivial" if pi0_trivial_predicate(d, args.k) else "nontrivial"
+    # pi1_count is D(r, k) >= 2^m C(r, m) C(k, m) >= (2 max(r, k) / m)^m with
+    # radius r = floor(exp deg) and m = min(r, k).  When that bound alone has
+    # more digits than the interpreter prints (a limit of 0 is none), refuse
+    # before computing D; the one digit of slack covers the rounding of the logs.
+    ed = exp_degree(d)
+    radius = math.floor(ed)
+    m, limit = min(radius, args.k), sys.get_int_max_str_digits()
+    if limit and m > 0 and m * (math.log10(2 * max(radius, args.k)) - math.log10(m)) > limit + 1:
+        raise CapExceeded(
+            f"pi1_count at level {args.k} has more than {limit} digits, the limit on printing one integer"
+        )
     count = pi1_count(d, args.k)
     higher = []
     if d.arch.is_exact:
@@ -250,7 +261,7 @@ def _cmd_gspace_pi(args):
             cert = higher_pi_trivial(n, cfg, args.k, samples=CERTIFICATE_SAMPLES, seed=0)
             higher.append([n, cert.verified])
     outputs = {"pi0": pi0, "pi1_count": count, "pi_higher_trivial": higher}
-    inputs = {"divisor": d.to_json_dict(), "k": args.k, "exp_degree": exp_degree(d)}
+    inputs = {"divisor": d.to_json_dict(), "k": args.k, "exp_degree": ed}
     return inputs, outputs, None, None
 
 

@@ -53,9 +53,6 @@ class Combination:
     def zero(cls):
         return cls(())
 
-    def is_zero(self) -> bool:
-        return not self.items
-
     def __add__(self, other):
         return self._merged(chain(self.items, other.items))
 

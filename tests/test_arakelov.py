@@ -327,6 +327,37 @@ def test_quadrature_cap_falls_where_the_per_piece_loop_puts_it():
             assert _quadrature_outcome(gaussian_avg_quadrature, d, eps) == "CapExceeded"
 
 
+def test_numpy_quadrature_matches_the_per_piece_loop(monkeypatch):
+    # Every sum through the numpy chunks, however short.
+    monkeypatch.setattr("absarith.arakelov._QUADRATURE_NUMPY_PIECES", 0)
+    for deg in [i / 4 for i in range(-52, 37)] + [0.37, 3.3, 7.77, 10.5]:
+        for d in _float_and_exact(deg):
+            for eps in (1e-6, 1e-12, 1e-15):
+                got = _quadrature_outcome(gaussian_avg_quadrature, d, eps)
+                assert got == _quadrature_outcome(_quadrature_per_piece, d, eps), (deg, d, eps)
+
+
+@pytest.mark.parametrize("stop", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5])
+def test_numpy_quadrature_at_the_chunk_edges(monkeypatch, stop):
+    # eps = the tail bound after piece stop - 1 makes stop the bisected
+    # stopping piece, so pieces 0..stop fill one chunk, one chunk and a piece,
+    # one chunk and two pieces, and three chunks and six pieces.
+    t = 30.0 / (math.pi * stop * stop)
+    d = ArakelovDivisor.of_degree(-0.5 * math.log(t))
+    t, _ = _theta_param(d, 1e-12)
+    exp, a = math.exp, -math.pi * t
+
+    def tail(n):
+        ratio = exp(a * (2 * n + 5))
+        return (2 * n + 3) * exp(a * (n + 1) * (n + 1)) + 2.0 * exp(a * (n + 2) * (n + 2)) / (1.0 - ratio)
+
+    eps = tail(stop - 1)
+    assert tail(stop) < eps
+    iterated = repr(gaussian_avg_quadrature(d, eps))
+    monkeypatch.setattr("absarith.arakelov._QUADRATURE_NUMPY_PIECES", 0)
+    assert repr(gaussian_avg_quadrature(d, eps)) == iterated == repr(_quadrature_per_piece(d, eps))
+
+
 def _mc_trig_box_muller(d, samples, seed):
     """gaussian_avg_mc drawing both Box-Muller uniforms and taking |z| from
     the cosine and sine parts: the oracle for drawing the radius alone."""

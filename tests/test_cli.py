@@ -334,6 +334,7 @@ def test_gspace_pi_beyond_the_recursion_limit():
         ("theta", "h0", "--divisor", '{"finite":{"3":10000000}}'),
         ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1e20"}}', "--k", "3000", "--n-max", "1"),
         ("gspace", "pi", "--k", "1", "--divisor", '{"finite":{"2":400000,"3":-252000}}'),
+        ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1e200"}}', "--k", "10000", "--n-max", "1"),
     ],
 )
 def test_unbounded_work_is_a_cap_error(argv):
@@ -419,3 +420,24 @@ def test_no_command_loads_dataclasses_or_inspect(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"code": 0, "loaded": []}
+
+
+_REPORT_NUMPY = """
+import contextlib, io, json, sys
+from absarith.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv)
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("deg, numpy_loaded", [("0", False), ("11.85", False), ("12", True)])
+def test_theta_verify_loads_numpy_only_for_long_quadratures(deg, numpy_loaded):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    argv = ["theta", "verify", "--deg", deg]
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_NUMPY, json.dumps(argv)], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "numpy": numpy_loaded}
