@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat, tee
@@ -252,20 +253,27 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = 1_000_000) -> list
         raise ValueError("exact enumeration requires a rational norm bound")
     c = lattice.generator
     radius = math.floor(Fraction(xi_norm) / c)
-    if delannoy(radius, k) > cap:
-        raise CapExceeded(f"enumeration of {delannoy(radius, k)} lattice points exceeds cap {cap}")
-    return [tuple(c * m for m in vec) for vec in iter_l1_ball(k, radius)]
+    count = delannoy(radius, k)
+    if count > cap:
+        raise CapExceeded(f"enumeration of {count} lattice points exceeds cap {cap}")
+    # The multiples c m for m = 0..radius, then -radius..-1, so that a negative
+    # coordinate m indexes its own multiple from the end.
+    multiples = [c * m for m in range(radius + 1)] + [c * m for m in range(-radius, 0)]
+    return [tuple(map(multiples.__getitem__, vec)) for vec in iter_l1_ball(k, radius)]
 
 
 # Past pi s = 746, exp(-pi s m^2) underflows to 0.0 for every m >= 1.
 _DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
 
 QUADRATURE_MAX_PIECES = 2_000_000
-# From this many pieces on (about degree 11.88 at eps 1e-12) the quadrature
-# adds its pieces with numpy, in chunks of _QUADRATURE_CHUNK pieces.  numpy's
-# import takes about 150 ms on a 2.1 GHz Xeon core, as long as the iterator
-# sum of some 430,000 pieces, so a fresh process breaks even near 590,000
-# pieces (degree 12); one that has numpy loaded gains from the first chunk.
+# The quadrature adds its pieces with numpy, in chunks of _QUADRATURE_CHUNK
+# pieces, from one chunk on (about degree 8.45 at eps 1e-12) when numpy is
+# already loaded, and from _QUADRATURE_NUMPY_PIECES on (about degree 11.88)
+# when it is not.  numpy's import takes about 150 ms on a 2.1 GHz Xeon core,
+# as long as the iterator sum of some 430,000 pieces, so a fresh process
+# breaks even near 590,000 pieces (degree 12).  One that has numpy loaded
+# gains from the first chunk: per piece the chunks take about a 3.5th of the
+# iterator's time (2.0 against 6.7 ms at degree 8.5).
 _QUADRATURE_NUMPY_PIECES = 1 << 19
 _QUADRATURE_CHUNK = 1 << 14
 
@@ -286,7 +294,9 @@ def _theta_tail_sum(t: float, eps: float) -> float:
     m = 1
     while True:
         bound = math.exp(-math.pi * t * m * m) / (1.0 - math.exp(-math.pi * t * (2 * m + 1)))
-        if 2.0 * bound < eps / 2.0:
+        # A bound of 0.0 means every term from m on is 0.0 as well; it ends
+        # the sum where eps / 2 rounds to 0.0 (eps the least subnormal).
+        if 2.0 * bound < eps / 2.0 or bound == 0.0:
             return total
         total += math.exp(-math.pi * t * m * m)
         m += 1
@@ -352,10 +362,12 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     (2N+3) E_{N+1} + 2 E_{N+2} / (1 - exp(-pi t (2N+5))) drops below eps.  That
     bound rises to one peak in N and then falls, so unless it is below eps at
     N = 0 the stopping piece is where it crosses eps after the peak, found by
-    bisection; the pieces up to it are then added left to right.  From
-    _QUADRATURE_NUMPY_PIECES pieces on (about degree 11.88 at eps 1e-12) they
-    are added in numpy chunks, with the same floats in the same order, so the
-    result is bit for bit the iterator sum's.  This is the direct sum at every
+    bisection; the pieces up to it are then added left to right.  They are
+    added in numpy chunks, with the same floats in the same order, so that the
+    result is bit for bit the iterator sum's: from _QUADRATURE_CHUNK pieces on
+    (about degree 8.45 at eps 1e-12) when numpy is already imported, and from
+    _QUADRATURE_NUMPY_PIECES on (about degree 11.88) when it is not, where its
+    import would cost more than it saves.  This is the direct sum at every
     degree, the independent route to exp(theta_h0); more than
     QUADRATURE_MAX_PIECES pieces raise CapExceeded.
     """
@@ -395,8 +407,9 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
                 lo = mid
 
     # Pieces 0..stop from one exp per E_n, added left to right (reduce, not
-    # sum, which compensates float sums from Python 3.12 on).
-    if stop < _QUADRATURE_NUMPY_PIECES:
+    # sum, which compensates float sums from Python 3.12 on).  The route
+    # depends only on whether numpy is imported; both add the same floats.
+    if stop < _QUADRATURE_NUMPY_PIECES and (stop < _QUADRATURE_CHUNK or "numpy" not in sys.modules):
         ms = range(3, stop + 2)
         es = chain((1.0, exp(a), exp(4 * a)), map(exp, map(mul, map(mul, repeat(a), ms), ms)))
         lower, upper = tee(es)

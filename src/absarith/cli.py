@@ -25,7 +25,10 @@ from .errors import CapExceeded, json_int
 # command loads (and, without cached bytecode, compiles) only those.  All of
 # them together take about 27 ms to compile and import on a 2.1 GHz Xeon
 # core, or 8 ms from cached bytecode; numpy, which only `theta mc` and a
-# `theta verify` from about degree 11.88 load, takes about 150 ms more.
+# `theta verify` from about degree 11.88 load, takes about 150 ms more.  The
+# quadrature sums in numpy from about degree 8.45 when numpy is already
+# loaded, which in a fresh command process it never is, so no command loads
+# numpy below degree 11.88.
 if TYPE_CHECKING:
     from .arakelov import ArakelovDivisor
     from .gamma_core import PointedEndo

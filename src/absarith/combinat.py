@@ -14,29 +14,41 @@ from math import lcm
 from typing import Iterator, Sequence
 
 
+def _l1_over_lcm(vec: Sequence) -> tuple[int, int] | None:
+    """(sum |a_i| (L / b_i), L) for rational entries a_i / b_i, L the lcm of
+    the denominators, so that the l1 norm is the first over the second;
+    None when some entry is not rational (int or Fraction)."""
+    if not all(isinstance(v, (int, Fraction)) for v in vec):
+        return None
+    common = lcm(*[v.denominator for v in vec])
+    return sum(abs(v.numerator) * (common // v.denominator) for v in vec), common
+
+
 def l1_norm(vec: Sequence) -> Fraction | float:
     """sum |v_i|: an exact Fraction when every entry is rational, else a float.
 
     The exact sum is taken on integer numerators over the lcm L of the
     denominators, sum |a_i| (L / b_i), and divided by L once.
     """
-    if all(isinstance(v, (int, Fraction)) for v in vec):
-        common = lcm(*(v.denominator for v in vec))
-        return Fraction(sum(abs(v.numerator) * (common // v.denominator) for v in vec), common)
+    exact = _l1_over_lcm(vec)
+    if exact is not None:
+        return Fraction(*exact)
     return sum(abs(float(v)) for v in vec)
 
 
 def l1_within(vec: Sequence, bound, tol: float = 0.0) -> bool:
     """sum |v_i| <= bound, inclusive: the package's one l1-budget comparison.
 
-    Exact when the bound and every entry are rational (int or Fraction);
-    otherwise the float sum of the entries is compared with float(bound) + tol.
+    Exact when the bound and every entry are rational (int or Fraction): with
+    the norm as s / L, s / L <= p / q is decided as s q <= p L on ints.
+    Otherwise the float sum of the entries is compared with float(bound) + tol.
     """
     if isinstance(bound, (int, Fraction)):
-        total = l1_norm(vec)  # a Fraction exactly when every entry is rational
-    else:
-        total = sum(abs(float(v)) for v in vec)
-    return total <= bound if isinstance(total, Fraction) else total <= float(bound) + tol
+        exact = _l1_over_lcm(vec)
+        if exact is not None:
+            total, common = exact
+            return total * bound.denominator <= bound.numerator * common
+    return sum(abs(float(v)) for v in vec) <= float(bound) + tol
 
 
 def delannoy(n: int, k: int) -> int:

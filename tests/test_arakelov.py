@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import tee
 
 import pytest
 
@@ -25,7 +26,7 @@ from absarith.arakelov import (
     _check_theta_param,
     _theta_param,
 )
-from absarith.combinat import delannoy
+from absarith.combinat import delannoy, iter_l1_ball
 from absarith.errors import CapExceeded
 
 
@@ -117,6 +118,40 @@ def test_count_E_xi_matches_delannoy():
                 n = math.floor(xi / lat.generator)
                 assert len(pts) == delannoy(n, k)
                 assert all(e_xi_member(p, xi) for p in pts)
+
+
+def _count_E_xi_per_coordinate(lattice, k, radius):
+    """count_E_xi as one Fraction multiply c m per coordinate: the oracle for
+    the multiples tabled once per call."""
+    c = lattice.generator
+    return [tuple(c * m for m in vec) for vec in iter_l1_ball(k, radius)]
+
+
+def test_count_E_xi_matches_the_per_coordinate_multiples():
+    generators = (Fraction(1), Fraction(5, 7), Fraction(2**200 + 1, 3**150), Fraction(7**90, 2**61 - 1))
+    for c in generators:
+        lattice = Lattice1(c)
+        for k in range(1, 5):
+            # Every radius 0..30 at k <= 2; at k = 3 and 4 the balls up to 1,000 points.
+            for radius in range(31):
+                if delannoy(radius, k) > 1000:
+                    break
+                expected = _count_E_xi_per_coordinate(lattice, k, radius)
+                got = count_E_xi(lattice, k, c * radius)  # the inclusive boundary
+                assert got == expected and repr(got) == repr(expected), (c, k, radius)
+                if 0 < radius <= 3:  # just below radius c the ball shrinks
+                    below = count_E_xi(lattice, k, c * radius - Fraction(1, 10**40))
+                    assert repr(below) == repr(_count_E_xi_per_coordinate(lattice, k, radius - 1))
+    for c in (Fraction(1), Fraction(2**200 + 1, 3**150)):
+        for k, radius in ((2000, 0), (100, 1), (20, 2)):
+            expected = _count_E_xi_per_coordinate(Lattice1(c), k, radius)
+            got = count_E_xi(Lattice1(c), k, c * radius)
+            assert got == expected and repr(got) == repr(expected), (c, k, radius)
+
+
+def test_count_E_xi_cap_names_the_count():
+    with pytest.raises(CapExceeded, match=f"enumeration of {delannoy(30, 4)} lattice points exceeds cap 1000"):
+        count_E_xi(Lattice1(Fraction(1)), 4, 30, cap=1000)
 
 
 def test_theta_h0_direct_summation_oracle():
@@ -356,6 +391,35 @@ def test_numpy_quadrature_at_the_chunk_edges(monkeypatch, stop):
     iterated = repr(gaussian_avg_quadrature(d, eps))
     monkeypatch.setattr("absarith.arakelov._QUADRATURE_NUMPY_PIECES", 0)
     assert repr(gaussian_avg_quadrature(d, eps)) == iterated == repr(_quadrature_per_piece(d, eps))
+
+
+@pytest.mark.parametrize(
+    "deg, eps, chunked",
+    [
+        (8.4, 1e-12, False),
+        (8.4, 1e-15, True),
+        (8.46, 1e-12, True),
+        (9.0, 1e-12, True),
+        (9.0, 1e-15, True),
+        (10.5, 1e-12, True),
+        (11.87, 1e-12, True),
+    ],
+)
+def test_quadrature_with_numpy_loaded_sums_in_chunks_from_one_chunk(monkeypatch, deg, eps, chunked):
+    # With numpy imported, every sum of more than _QUADRATURE_CHUNK pieces
+    # (degree 8.45 on at eps 1e-12) takes the numpy chunks; 8.4 at eps 1e-12
+    # stops short of one chunk and 8.4 at eps 1e-15 just past it.  The
+    # iterator route is the only user of tee, so spying on it names the route.
+    import numpy  # noqa: F401
+
+    import absarith.arakelov as ak
+
+    tees = []
+    monkeypatch.setattr(ak, "tee", lambda it: tees.append(1) or tee(it))
+    for d in _float_and_exact(deg):
+        got = repr(gaussian_avg_quadrature(d, eps))
+        assert got == repr(_quadrature_per_piece(d, eps)), (deg, d, eps)
+    assert tees == ([] if chunked else [1, 1])
 
 
 def _mc_trig_box_muller(d, samples, seed):

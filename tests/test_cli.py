@@ -247,6 +247,19 @@ def test_theta_verify_beyond_the_quadrature(source, code):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["h0", "rr", "verify"])
+def test_theta_at_the_least_subnormal_eps(command):
+    # eps / 2 rounds to 0.0 at 5e-324, so the theta sum ends where its tail
+    # bound is 0.0; every term after it is 0.0, so the answer is the one at
+    # 1e-300.  _run_cli bounds the call at 5 s.
+    tiny = _run_cli("theta", command, "--deg", "0", "--eps", "5e-324")
+    assert tiny.returncode == 0, tiny.stderr
+    small = _run_cli("theta", command, "--deg", "0", "--eps", "1e-300")
+    outputs = json.loads(tiny.stdout)["outputs"]
+    assert outputs == json.loads(small.stdout)["outputs"]
+    assert outputs.get("abs_difference", 0.0) < 1e-10
+
+
 @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
 def test_scale_from_log_rejects_non_finite(u):
     with pytest.raises(ValueError):

@@ -369,6 +369,46 @@ def test_compiled_faces_match_the_object_path(hom):
                 assert ix.vanishes([plan], v) == (pushed == (0,) * n)
 
 
+def _index_path_homs():
+    """The identity on Z/2 and four distinct seeded nonzero maps between
+    nontrivial groups of order at most 6."""
+    rng = random.Random(1212)
+    homs = [GroupHom.identity(Z2)]
+    while len(homs) < 5:
+        a, b = random_abelian_group(rng, 6), random_abelian_group(rng, 6)
+        if a.orders and b.orders:
+            hom = random_hom(rng, a, b)
+            if any(any(row) for row in hom.matrix) and hom not in homs:
+                homs.append(hom)
+    return homs
+
+
+@pytest.mark.parametrize("hom", _index_path_homs())
+def test_compiled_faces_satisfy_the_simplicial_identities(hom):
+    # Acceptance criterion 8's face identities d_i d_j = d_{j-1} d_i (i < j),
+    # on the index path that homotopy_groups runs, at every level n <= 3; and
+    # each compiled face equal to the object path's boundary, read through
+    # element indices.
+    ix = _IndexedHom(hom)
+    a_index = {a: i for i, a in enumerate(hom.domain.elements())}
+    b_index = {b: i for i, b in enumerate(hom.codomain.elements())}
+
+    def indices(element):
+        *a_values, b = element.values
+        return tuple(a_index[a] for a in a_values) + (b_index[b],)
+
+    faces = {n: ix.faces(n) for n in range(1, 4)}
+    for n in range(1, 4):
+        for element, v in zip(simplicial_level(hom, n).elements(), ix.level(n)):
+            assert indices(element) == v
+            pushed = [ix.push(plan, v) for plan in faces[n]]
+            assert pushed == [indices(boundary(j, element)) for j in range(n + 1)]
+            if n >= 2:
+                for j in range(n + 1):
+                    for i in range(j):
+                        assert ix.push(faces[n - 1][i], pushed[j]) == ix.push(faces[n - 1][j - 1], pushed[i])
+
+
 def test_homotopy_path_does_not_import_numpy():
     # dk check runs in a fresh process, where importing numpy would cost about
     # as much as the rest of the command.

@@ -430,6 +430,34 @@ def test_member_total_is_the_exact_sum_of_the_vector_norms():
             assert member(_cfg(total), e) and not member(_cfg(total * (1 - Fraction(1, 10**9))), e)
 
 
+def test_l1_within_matches_the_fraction_comparison_at_the_boundary():
+    # The integer cross-multiplication against the plain Fraction sum, for
+    # bounds at, just above and just below the norm.
+    from absarith.combinat import l1_within
+
+    rng = random.Random(12)
+    vectors = [[], [0], [Fraction(0)], [3, -4], [Fraction(-7, 3)], [True, -2]]
+    for _ in range(150):
+        vectors.append(
+            [
+                rng.randint(-20, 20) if rng.random() < 0.3 else Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                for _ in range(rng.randint(1, 6))
+            ]
+        )
+    vectors.append([Fraction(1, 2**127 - 1), Fraction(-1, 2**89 - 1), 3**60])
+    for vec in vectors:
+        norm = sum((abs(Fraction(v)) for v in vec), Fraction(0))
+        for delta in (0, 1, -1, Fraction(1, 10**30), -Fraction(1, 10**30), Fraction(1, 3), -Fraction(1, 3)):
+            bound = norm + delta
+            assert l1_within(vec, bound) == (norm <= bound), (vec, bound)
+            if bound.denominator == 1:
+                assert l1_within(vec, int(bound)) == (norm <= bound), (vec, bound)
+            # tol plays no part in an exact comparison.
+            assert l1_within(vec, bound, tol=1.0) == (norm <= bound), (vec, bound)
+    assert l1_within([], 0) and l1_within([], Fraction(0)) and not l1_within([], -1)
+    assert not l1_within([], Fraction(-1, 10**40))
+
+
 def test_l1_within_decides_a_rational_boundary_exactly():
     from absarith.combinat import l1_within
 
