@@ -408,7 +408,8 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
 
     # Pieces 0..stop from one exp per E_n, added left to right (reduce, not
     # sum, which compensates float sums from Python 3.12 on).  The route
-    # depends only on whether numpy is imported; both add the same floats.
+    # depends on the piece count and on whether numpy is already imported;
+    # both add the same floats.
     if stop < _QUADRATURE_NUMPY_PIECES and (stop < _QUADRATURE_CHUNK or "numpy" not in sys.modules):
         ms = range(3, stop + 2)
         es = chain((1.0, exp(a), exp(4 * a)), map(exp, map(mul, map(mul, repeat(a), ms), ms)))

@@ -322,10 +322,9 @@ def _random_nonzero_member(
 ) -> GSElement:
     """A member whose free entries are free_values[m + 2] for m = randint(-2, 2)
     and torus entries torus_values[randint(0, 6)], redrawn until nonzero."""
-    randint = rng.randint
     while True:
-        free = tuple([tuple([free_values[randint(-2, 2) + 2] for _ in range(k)]) for _ in range(n)])
-        torus = tuple([torus_values[randint(0, 6)] for _ in range(k)])
+        free = tuple(tuple(free_values[rng.randint(-2, 2) + 2] for _ in range(k)) for _ in range(n))
+        torus = tuple(torus_values[rng.randint(0, 6)] for _ in range(k))
         e = GSElement(k, free, torus)
         if any(v != 0 for vec in free for v in vec) or any(t != 0 for t in torus):
             assert member(cfg, e)

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 from fractions import Fraction
 from itertools import tee
 
@@ -420,6 +421,51 @@ def test_quadrature_with_numpy_loaded_sums_in_chunks_from_one_chunk(monkeypatch,
         got = repr(gaussian_avg_quadrature(d, eps))
         assert got == repr(_quadrature_per_piece(d, eps)), (deg, d, eps)
     assert tees == ([] if chunked else [1, 1])
+
+
+
+def _divisor_stopping_at(stop):
+    """A divisor and an eps whose bisected stopping piece is stop: eps is the
+    tail bound after piece stop - 1, as in the chunk-edge test above."""
+    t = 30.0 / (math.pi * stop * stop)
+    d = ArakelovDivisor.of_degree(-0.5 * math.log(t))
+    t, _ = _theta_param(d, 1e-12)
+    exp, a = math.exp, -math.pi * t
+
+    def tail(n):
+        ratio = exp(a * (2 * n + 5))
+        return (2 * n + 3) * exp(a * (n + 1) * (n + 1)) + 2.0 * exp(a * (n + 2) * (n + 2)) / (1.0 - ratio)
+
+    assert tail(stop) < tail(stop - 1)
+    return d, tail(stop - 1)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(8.46, 1e-12), (9.0, 1e-12), (9.0, 1e-15), (10.5, 1e-12), (10.5, 1e-15), (11.87, 1e-12)]
+    + [1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5],
+)
+def test_quadrature_without_numpy_loaded_sums_by_iterator_below_the_cold_threshold(monkeypatch, case):
+    # From one chunk to _QUADRATURE_NUMPY_PIECES pieces the route turns on
+    # whether numpy is imported, and once any test has imported it the other
+    # quadrature tests take the chunks there.  Hiding numpy from the route
+    # check keeps the iterator sum of a cold process under test at these
+    # sizes; with numpy in sight again the same sums take the chunks.  A case
+    # is a (degree, eps) row, float and exact, or a stopping piece.
+    import numpy  # noqa: F401
+
+    import absarith.arakelov as ak
+
+    cases = [_divisor_stopping_at(case)] if isinstance(case, int) else [(d, case[1]) for d in _float_and_exact(case[0])]
+    expected = [repr(_quadrature_per_piece(d, eps)) for d, eps in cases]
+    tees = []
+    monkeypatch.setattr(ak, "tee", lambda it: tees.append(1) or tee(it))
+    with monkeypatch.context() as cold:
+        cold.setattr(ak, "sys", types.SimpleNamespace(modules={}))
+        assert [repr(gaussian_avg_quadrature(d, eps)) for d, eps in cases] == expected
+    assert tees == [1] * len(cases)
+    assert [repr(gaussian_avg_quadrature(d, eps)) for d, eps in cases] == expected
+    assert tees == [1] * len(cases)
 
 
 def _mc_trig_box_muller(d, samples, seed):
