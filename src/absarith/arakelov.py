@@ -35,7 +35,7 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .combinat import delannoy, iter_l1_ball, l1_within
-from .errors import CapExceeded, frozen, json_int
+from .errors import CapExceeded, frozen, json_int, json_key
 from .numth import factorize, is_prime
 
 
@@ -167,7 +167,7 @@ class ArakelovDivisor:
         arch_data = data.get("arch", {"exact_exp": "1"})
         if not isinstance(finite_data, Mapping) or not isinstance(arch_data, Mapping):
             raise ValueError("divisor 'finite' and 'arch' parts must be JSON objects")
-        finite = {json_int(p): json_int(a) for p, a in finite_data.items()}
+        finite = {json_key(p): json_int(a) for p, a in finite_data.items()}
         if "exact_exp" in arch_data:
             arch = ScaleValue.exact_exp(Fraction(str(arch_data["exact_exp"])))
         elif "float" in arch_data:

@@ -15,8 +15,11 @@ tabulated and checked to be an equivalence, and the isomorphism class of the
 quotient group is read off its addition table.  The expected answers are
 pi_0 = coker phi, pi_1 = ker phi, nothing above.  That enumeration runs on
 element indices, with addition, phi and every face compiled into lookup
-tables once per call; the element objects above stay as the small-group
-oracle the compiled faces are tested against.
+tables once per call, and searches each level depth-first, testing every
+face slot as soon as its sources are assigned; the element objects above
+stay as the small-group oracle the compiled faces are tested against, and
+the filter form (every tuple of the level, then its faces) as the oracle of
+the search.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapExceeded, frozen, json_int
+from .errors import CapExceeded, frozen, json_array, json_int
 from .smith import group_divisors_from_table
 
 
@@ -110,9 +113,9 @@ class GroupHom:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "GroupHom":
-        domain = FiniteAbelianGroup(tuple(json_int(m) for m in data["domain"]))
-        codomain = FiniteAbelianGroup(tuple(json_int(n) for n in data["codomain"]))
-        matrix = tuple(tuple(json_int(x) for x in row) for row in data["matrix"])
+        domain = FiniteAbelianGroup(tuple(json_int(m) for m in json_array(data["domain"])))
+        codomain = FiniteAbelianGroup(tuple(json_int(n) for n in json_array(data["codomain"])))
+        matrix = tuple(tuple(json_int(x) for x in json_array(row)) for row in json_array(data["matrix"]))
         return GroupHom(domain, codomain, matrix)
 
 
@@ -399,13 +402,18 @@ class _IndexedHom:
         self.a_add = _add_table(hom.domain.orders)
         self.b_add = _add_table(hom.codomain.orders)
         self.phi = [_element_index(hom.codomain.orders, hom.apply(a)) for a in hom.domain.elements()]
+        self._faces: dict[int, list] = {}
 
     def level(self, n: int) -> Iterator[tuple[int, ...]]:
+        """Every level-n index tuple, in level order.  With vanishes, the
+        filter form of the search in _vanishing, kept as its oracle."""
         return itertools.product(*[range(self.hom.domain.order)] * n, range(self.hom.codomain.order))
 
     def faces(self, n: int) -> list:
-        """The compiled faces d_0..d_n of level n."""
-        return [self._compile(f) for f in _faces(n)]
+        """The compiled faces d_0..d_n of level n, compiled once per instance."""
+        if n not in self._faces:
+            self._faces[n] = [self._compile(f) for f in _faces(n)]
+        return self._faces[n]
 
     def _compile(self, f: PairMap) -> tuple:
         slots = []
@@ -431,7 +439,8 @@ class _IndexedHom:
 
     def vanishes(self, plans, v: tuple[int, ...]) -> bool:
         """Whether every compiled face in plans sends v to zero, stopping at
-        the first nonzero slot."""
+        the first nonzero slot: the per-tuple test of the filter form, which
+        the search in _vanishing is checked against."""
         phi = self.phi
         for plan in plans:
             for add, sources in plan:
@@ -448,12 +457,55 @@ class _IndexedHom:
         return lambda x, y: tuple(t[u][w] for t, u, w in zip(tables, x, y))
 
 
+def _vanishing(ix: _IndexedHom, n: int, plans) -> list[tuple[int, ...]]:
+    """The level-n index tuples on which every compiled face in plans
+    vanishes, in level order: a depth-first search that is the same list as
+    [v for v in ix.level(n) if ix.vanishes(plans, v)].
+
+    Slots 0..n are assigned left to right (the n A-indices, then the
+    B-index), so tuples come out in itertools.product order.  Each face slot
+    is tested once its last source slot is assigned, and a branch is dropped
+    at the first nonzero one; a face slot without sources is always zero and
+    never tested.  An odometer, so that it holds no reference cycle.
+    """
+    sizes = [ix.hom.domain.order] * n + [ix.hom.codomain.order]
+    # tests[d]: the face slots whose last source slot is d.
+    tests: list[list] = [[] for _ in range(n + 1)]
+    for plan in plans:
+        for add, sources in plan:
+            if sources:
+                tests[max(x for x, _ in sources)].append((add, sources))
+    phi = ix.phi
+    out = []
+    v = [0] * (n + 1)
+    d = 0
+    while True:
+        for add, sources in tests[d]:
+            acc = 0
+            for x, through_phi in sources:
+                acc = add[acc][phi[v[x]] if through_phi else v[x]]
+            if acc:
+                break
+        else:
+            if d == n:
+                out.append(tuple(v))
+            else:
+                d += 1
+                v[d] = 0
+                continue
+        # Advance the odometer: the next value at slot d, backing up past
+        # the slots whose values are used up.
+        v[d] += 1
+        while v[d] == sizes[d]:
+            d -= 1
+            if d < 0:
+                return out
+            v[d] += 1
+
+
 def _spherical(ix: _IndexedHom, n: int) -> list:
     """Level-n index tuples whose n+1 faces all vanish (every vertex at n = 0)."""
-    if n == 0:
-        return list(ix.level(0))
-    faces = ix.faces(n)
-    return [v for v in ix.level(n) if ix.vanishes(faces, v)]
+    return _vanishing(ix, n, ix.faces(n) if n else ())
 
 
 def _pi(ix: _IndexedHom, n: int) -> tuple[int, ...]:
@@ -462,11 +514,9 @@ def _pi(ix: _IndexedHom, n: int) -> tuple[int, ...]:
     spherical = _spherical(ix, n)
     spherical_set = set(spherical)
     faces = ix.faces(n + 1)
-    lower, d_n, d_n1 = faces[:n], faces[n], faces[n + 1]
+    d_n, d_n1 = faces[n], faces[n + 1]
     relation: set = set()
-    for z in ix.level(n + 1):
-        if not ix.vanishes(lower, z):
-            continue
+    for z in _vanishing(ix, n + 1, faces[:n]):
         x, y = ix.push(d_n, z), ix.push(d_n1, z)
         if x in spherical_set and y in spherical_set:
             relation.add((x, y))
@@ -476,12 +526,15 @@ def _pi(ix: _IndexedHom, n: int) -> tuple[int, ...]:
 def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = 1_000_000) -> HomotopyGroups:
     """pi_0, pi_1 (as elementary divisors) and triviality flags for 2..n_max.
 
-    Levels are enumerated outright, as index tuples pushed through the lookup
-    tables of _IndexedHom; the one-step relation between spherical simplices
-    is tabulated from the level above and asserted to be an equivalence
-    relation before quotienting (it is, for simplicial abelian groups).
-    Every level it will enumerate, 0..max(2, n_max), is checked against cap
-    before any table is built or level listed.
+    Levels are searched depth-first on index tuples through the lookup
+    tables of _IndexedHom, each face slot tested as soon as its last source
+    slot is assigned, so a branch ends at its first nonzero face slot; the
+    one-step relation between spherical simplices is tabulated from the
+    level above and asserted to be an equivalence relation before
+    quotienting (it is, for simplicial abelian groups).  The cap bounds the
+    size |B| |A|^n of every level it searches, 0..max(2, n_max), not the
+    number of tuples visited, and is checked before any table is built or
+    level searched.
     """
     for n in range(max(2, n_max) + 1):
         _check_level_cap(hom, n, cap)

@@ -1,5 +1,5 @@
-"""Shared exception types, the one integer reader for JSON input, and the
-`frozen` decorator that makes the library's immutable value classes.
+"""Shared exception types, the readers of integers and arrays in JSON input,
+and the `frozen` decorator that makes the library's immutable value classes.
 
 Every command loads this module, so `frozen` lives here rather than in a
 module of its own.  It stands in for `dataclasses.dataclass(frozen=True)`,
@@ -13,11 +13,25 @@ class CapExceeded(RuntimeError):
 
 
 def json_int(x) -> int:
-    """int(x) for an int or an integer string such as a JSON key; a float or
-    a bool raises ValueError instead of being truncated to an int."""
-    if isinstance(x, (bool, float)):
+    """x for a JSON integer; anything else, a float, a bool or a string
+    included, raises ValueError instead of being truncated or parsed."""
+    if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"expected an integer, got {x!r}")
-    return int(x)
+    return x
+
+
+def json_key(k) -> int:
+    """int(k) for a JSON object key, which is a string such as "2" (or an int,
+    from a library caller's dict); a float or a bool raises ValueError."""
+    return int(k) if isinstance(k, str) else json_int(k)
+
+
+def json_array(x) -> list:
+    """x for a JSON array; a string, whose characters would otherwise be read
+    one by one, or any other value raises ValueError."""
+    if not isinstance(x, list):
+        raise ValueError(f"expected a JSON array, got {x!r}")
+    return x
 
 
 def _frozen_setattr(self, name, value):

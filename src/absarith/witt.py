@@ -26,7 +26,7 @@ from itertools import chain
 from math import gcd
 from typing import Mapping
 
-from .errors import frozen, json_int
+from .errors import frozen, json_int, json_key
 from .gamma_core import PointedEndo, cycle_type
 from .numth import divisors, mobius
 
@@ -128,7 +128,7 @@ class WittElement(Combination):
         data = _json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("Witt element JSON must be an object {cycle length: coefficient}")
-        return WittElement.from_coeffs({json_int(k): json_int(c) for k, c in data.items()})
+        return WittElement.from_coeffs({json_key(k): json_int(c) for k, c in data.items()})
 
 
 def tau(t: PointedEndo) -> WittElement:

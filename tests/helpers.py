@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from absarith.dold_kan import FiniteAbelianGroup, GroupHom
 from absarith.gamma_core import PointedEndo
@@ -53,3 +54,25 @@ def random_hom(rng: random.Random, domain: FiniteAbelianGroup, codomain: FiniteA
             row.append((n // g) * rng.randint(0, g - 1) % n)
         rows.append(tuple(row))
     return GroupHom(domain, codomain, tuple(rows))
+
+
+def small_groups(max_order: int) -> list[tuple[int, ...]]:
+    """Every tuple of cyclic orders >= 2, nondecreasing, with product <= max_order."""
+    out = [()]
+    for orders in out:
+        lo = orders[-1] if orders else 2
+        out += [orders + (m,) for m in range(lo, max_order // prod(orders) + 1)]
+    return out
+
+
+def small_homs(max_order: int):
+    """Every homomorphism between groups of small_groups(max_order): row i
+    ranges over the images of a generator of order m_i."""
+    groups = [FiniteAbelianGroup(orders) for orders in small_groups(max_order)]
+    for a in groups:
+        for b in groups:
+            choices = [
+                list(itertools.product(*(range(0, n, n // gcd(m, n)) for n in b.orders))) for m in a.orders
+            ]
+            for rows in itertools.product(*choices):
+                yield GroupHom(a, b, rows)

@@ -193,6 +193,17 @@ def test_reruns_byte_identical(capsys):
         ("witt", "ghost", "--elt", '{"3":1.9}', "--n", "3"),
         ("theta", "h0", "--divisor", '{"arch":{"exact_exp":"1/0"}}'),
         ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1/0"}}', "--k", "1"),
+        # Only object keys may be integer strings: a string value is neither
+        # parsed nor read character by character as an array.
+        ("dk", "check", "--hom", '{"domain":"23","codomain":[6],"matrix":[[3],[2]]}'),
+        ("dk", "check", "--hom", '{"domain":"","codomain":"","matrix":""}'),
+        ("dk", "check", "--hom", '{"domain":["2"],"codomain":[4],"matrix":[[2]]}'),
+        ("dk", "check", "--hom", '{"domain":[2],"codomain":[4],"matrix":[["2"]]}'),
+        ("dk", "check", "--hom", '{"domain":[2],"codomain":[4],"matrix":["2"]}'),
+        ("witt", "tau", "--endo", '["0","1"]'),
+        ("witt", "ghost", "--elt", '{"3":"1"}', "--n", "3"),
+        ("witt", "mul", "--a", '{"2":"1"}', "--b", '{"3":1}'),
+        ("theta", "h0", "--divisor", '{"finite":{"2":"1"}}'),
     ],
 )
 def test_malformed_or_extreme_input_is_a_domain_error(argv):

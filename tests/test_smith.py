@@ -13,6 +13,7 @@ from absarith.smith import (
     kernel_divisors,
     smith_normal_form,
 )
+from helpers import small_groups as _small_groups
 
 
 def _matmul(a, b):
@@ -155,15 +156,6 @@ def test_group_divisors_from_table_edge_cases():
         group_divisors_from_table([(0,), (2,), (4,), (5,)], add6, (0,))
     with pytest.raises(ValueError, match="zero"):
         group_divisors_from_table([(1,), (2,)], add6, (0,))
-
-
-def _small_groups(max_order):
-    """Every tuple of cyclic orders >= 2, nondecreasing, with product <= max_order."""
-    out = [()]
-    for orders in out:
-        lo = orders[-1] if orders else 2
-        out += [orders + (m,) for m in range(lo, max_order // math.prod(orders) + 1)]
-    return out
 
 
 def test_kernel_divisors_match_the_enumerated_kernel_on_every_small_hom():
