@@ -35,7 +35,7 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .combinat import delannoy, iter_l1_ball, l1_within
-from .errors import CapExceeded, frozen, json_int, json_key
+from .errors import CapExceeded, frozen, json_int, json_key, json_number
 from .numth import factorize, is_prime
 
 
@@ -171,7 +171,7 @@ class ArakelovDivisor:
         if "exact_exp" in arch_data:
             arch = ScaleValue.exact_exp(Fraction(str(arch_data["exact_exp"])))
         elif "float" in arch_data:
-            arch = ScaleValue.from_log(float(arch_data["float"]))
+            arch = ScaleValue.from_log(json_number(arch_data["float"]))
         else:
             raise ValueError("divisor arch part must carry 'exact_exp' or 'float'")
         return ArakelovDivisor.make(finite, arch)

@@ -41,9 +41,11 @@ DELANNOY_MAX_CELLS = 10_000
 # Largest work of the `gspace pi` certificates for degrees n = 2..n-max at
 # level k: per degree, (n+1) (samples k + n^2) cells, the coordinates of the
 # sampled members plus about as many as the face equations eliminated hold.
-# The largest accepted commands take, on a 2.1 GHz Xeon core and with the
-# interpreter's start: level 342 at the default n-max 3 about 0.12 s, most of
-# it the sampled members, and n-max 24 at level 1 about 0.10 s, since the
+# The largest accepted commands, level 342 at the default n-max 3 and n-max 24
+# at level 1, each take about 0.25 s on a 2.1 GHz Xeon core with the
+# interpreter's start (a bare start with site packages is about 0.09 s there).
+# The certificates in them take about 55 and 25 ms: the sampled members are
+# checked on integer indices, so their `randint` draws are most of it, and the
 # face equations of each degree are eliminated once, on their distinct rows.
 CERTIFICATE_SAMPLES = 50
 CERTIFICATE_MAX_CELLS = 120_000

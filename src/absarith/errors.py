@@ -1,5 +1,5 @@
-"""Shared exception types, the readers of integers and arrays in JSON input,
-and the `frozen` decorator that makes the library's immutable value classes.
+"""Shared exception types, the readers of integers, numbers and arrays in JSON
+input, and the `frozen` decorator that makes the library's immutable value classes.
 
 Every command loads this module, so `frozen` lives here rather than in a
 module of its own.  It stands in for `dataclasses.dataclass(frozen=True)`,
@@ -21,9 +21,24 @@ def json_int(x) -> int:
 
 
 def json_key(k) -> int:
-    """int(k) for a JSON object key, which is a string such as "2" (or an int,
-    from a library caller's dict); a float or a bool raises ValueError."""
-    return int(k) if isinstance(k, str) else json_int(k)
+    """int(k) for a JSON object key, which is a string such as "2" or "-5" (or
+    an int, from a library caller's dict).  The string must read back as
+    itself, so "1_1", "+3", " 2" and "02" raise ValueError, as do a float and
+    a bool."""
+    if not isinstance(k, str):
+        return json_int(k)
+    value = int(k)
+    if str(value) != k:
+        raise ValueError(f"expected an integer key written as one, got {k!r}")
+    return value
+
+
+def json_number(x) -> int | float:
+    """x for a JSON number, an int or a float; a bool or a string raises
+    ValueError instead of being read as one."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    return x
 
 
 def json_array(x) -> list:

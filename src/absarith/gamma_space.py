@@ -276,6 +276,14 @@ def higher_pi_trivial(
     certificate is extracted (face 0 kills psi_2..psi_n and the torus, face 2
     kills psi_1).  On top of the symbolic proof, randomly sampled nonzero
     members are checked to violate at least one spherical equation.
+
+    A sampled member is kept as its integer indices: free entries
+    lambda/(4nk) m with m in -2..2 and torus entries c t/7 with t in 0..6.
+    Membership and the vanishing of each face are decided on the indices
+    (_indices_are_member, _index_face_is_zero), the last face through a 5 x 7
+    table of which pairs (m, t) land in cZ, built once per certificate.  The
+    object path, member and face on the GSElement that
+    _random_nonzero_member builds from the same draw, is the oracle.
     """
     if n < 2:
         raise ValueError("this certificate only applies above degree 1")
@@ -284,12 +292,12 @@ def higher_pi_trivial(
     rank, witnesses, torus_pinned = face_equations(n)
 
     rng = random.Random(seed)
-    free_values, torus_values = _coordinate_values(cfg, n, k)
-    zero = zero_element(cfg, n - 1, k)
+    last_face_zero = _last_face_table(cfg, n, k)
     violated = 0
     for _ in range(samples):
-        e = _random_nonzero_member(rng, cfg, n, k, free_values, torus_values)
-        if any(face(cfg, j, e) != zero for j in range(n + 1)):
+        rows, torus = _draw_nonzero_indices(rng, n, k)
+        assert _indices_are_member(rows, torus, n, k)
+        if not all(_index_face_is_zero(j, rows, torus, last_face_zero) for j in range(n + 1)):
             violated += 1
     verified = rank == n and torus_pinned and violated == samples
     return TrivialityCertificate(
@@ -304,12 +312,78 @@ def higher_pi_trivial(
     )
 
 
+def _draw_nonzero_indices(rng: random.Random, n: int, k: int) -> tuple[list[list[int]], list[int]]:
+    """The indices of a sampled member: n rows of k free indices randint(-2, 2)
+    and k torus indices randint(0, 6), drawn in that order and redrawn until
+    some index is nonzero."""
+    randint = rng.randint
+    while True:
+        rows = [[randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        torus = [randint(0, 6) for _ in range(k)]
+        if any(map(any, rows)) or any(torus):
+            return rows, torus
+
+
+def _indices_are_member(rows: Sequence[Sequence[int]], torus: Sequence[int], n: int, k: int) -> bool:
+    """member() on indices: the free norms lambda/(4nk) sum|m| are at most
+    lambda exactly when sum|m| <= 4nk, and c t/7 lies in [0, c) for t in 0..6."""
+    return sum(sum(map(abs, row)) for row in rows) <= 4 * n * k and 0 <= min(torus) and max(torus) <= 6
+
+
+def _last_face_table(cfg: GSConfig, n: int, k: int) -> tuple[tuple[bool, ...], ...]:
+    """table[m + 2][t]: whether lambda/(4nk) m + c t/7 lies in cZ.
+
+    With lambda = a/b and c = p/q this is whether 7 a q m + 4nk b p t is a
+    multiple of 7 b p 4nk, decided on ints.
+    """
+    lam = Fraction(cfg.lam)
+    c = cfg.lattice.generator
+    a, b, p, q = lam.numerator, lam.denominator, c.numerator, c.denominator
+    nk4 = 4 * n * k
+    modulus = 7 * b * p * nk4
+    return tuple(tuple((7 * a * q * m + nk4 * b * p * t) % modulus == 0 for t in range(7)) for m in range(-2, 3))
+
+
+def _index_face_is_zero(
+    j: int, rows: Sequence[Sequence[int]], torus: Sequence[int], last_face_zero: Sequence[Sequence[bool]]
+) -> bool:
+    """Whether face(cfg, j, e) is zero for the member e with these indices.
+
+    Face 0 keeps psi_2..psi_n and the torus; face j < n keeps the other rows
+    and the torus and merges psi_j + psi_{j+1}; face n keeps psi_1..psi_{n-1}
+    and reduces each pair (m, t) of psi_n and the torus mod cZ.
+    """
+    n = len(rows)
+    if j == n:
+        return not any(map(any, rows[:-1])) and all(last_face_zero[m + 2][t] for m, t in zip(rows[-1], torus))
+    if any(torus):
+        return False
+    if j == 0:
+        return not any(map(any, rows[1:]))
+    return not any(map(any, rows[: j - 1] + rows[j + 1 :])) and all(
+        a + b == 0 for a, b in zip(rows[j - 1], rows[j])
+    )
+
+
 def _coordinate_values(cfg: GSConfig, n: int, k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The values a sampled member's coordinates take: free entries
     lambda/(4nk) m for m = -2..2, torus entries c j/7 for j = 0..6."""
     scale = Fraction(cfg.lam) / (4 * n * k)
     c = cfg.lattice.generator
     return tuple(scale * m for m in range(-2, 3)), tuple(c * j / 7 for j in range(7))
+
+
+def _element_from_indices(
+    k: int,
+    rows: Sequence[Sequence[int]],
+    torus: Sequence[int],
+    free_values: tuple[Fraction, ...],
+    torus_values: tuple[Fraction, ...],
+) -> GSElement:
+    """The member whose free entries are free_values[m + 2] and torus entries
+    torus_values[t] for the given indices."""
+    free = tuple(tuple(free_values[m + 2] for m in row) for row in rows)
+    return GSElement(k, free, tuple(torus_values[t] for t in torus))
 
 
 def _random_nonzero_member(
@@ -320,12 +394,8 @@ def _random_nonzero_member(
     free_values: tuple[Fraction, ...],
     torus_values: tuple[Fraction, ...],
 ) -> GSElement:
-    """A member whose free entries are free_values[m + 2] for m = randint(-2, 2)
-    and torus entries torus_values[randint(0, 6)], redrawn until nonzero."""
-    while True:
-        free = tuple(tuple(free_values[rng.randint(-2, 2) + 2] for _ in range(k)) for _ in range(n))
-        torus = tuple(torus_values[rng.randint(0, 6)] for _ in range(k))
-        e = GSElement(k, free, torus)
-        if any(v != 0 for vec in free for v in vec) or any(t != 0 for t in torus):
-            assert member(cfg, e)
-            return e
+    """The member of the certificate's next draw (_draw_nonzero_indices),
+    built as a GSElement from free_values and torus_values."""
+    e = _element_from_indices(k, *_draw_nonzero_indices(rng, n, k), free_values, torus_values)
+    assert member(cfg, e)
+    return e

@@ -298,6 +298,19 @@ def test_divisor_json_roundtrip():
     assert ArakelovDivisor.from_json_dict(f.to_json_dict()) == f
 
 
+def test_divisor_json_reads_canonical_keys_and_number_exponents():
+    # A key reads back as itself; the float exponent is a JSON int or float.
+    d = ArakelovDivisor.from_json_dict({"finite": {"2": 1, "11": -1}, "arch": {"float": 1}})
+    assert d == ArakelovDivisor.make({2: 1, 11: -1}, ScaleValue.from_log(1.0))
+    assert ArakelovDivisor.from_json_dict({"arch": {"float": 0.25}}) == ArakelovDivisor.of_degree(0.25)
+    for key in ("1_1", "+3", " 2", "02", "2 ", "0x2", "-0"):
+        with pytest.raises(ValueError):
+            ArakelovDivisor.from_json_dict({"finite": {key: 1}})
+    for value in ("1.5", True, False, None, [1.5]):
+        with pytest.raises(ValueError):
+            ArakelovDivisor.from_json_dict({"arch": {"float": value}})
+
+
 def test_degree_where_exp_degree_underflows():
     far = ArakelovDivisor.of_degree(-800.0)
     assert exp_degree(far) == 0.0

@@ -204,6 +204,14 @@ def test_reruns_byte_identical(capsys):
         ("witt", "ghost", "--elt", '{"3":"1"}', "--n", "3"),
         ("witt", "mul", "--a", '{"2":"1"}', "--b", '{"3":1}'),
         ("theta", "h0", "--divisor", '{"finite":{"2":"1"}}'),
+        # The archimedean exponent is a JSON number, not a string or a bool.
+        ("theta", "h0", "--divisor", '{"arch":{"float":"1.5"}}'),
+        ("gspace", "pi", "--divisor", '{"arch":{"float":true}}', "--k", "1"),
+        # An integer key must read back as itself.
+        ("theta", "h0", "--divisor", '{"finite":{"1_1":1}}'),
+        ("witt", "ghost", "--elt", '{"+3":1}', "--n", "3"),
+        ("theta", "h0", "--divisor", '{"finite":{" 2":1}}'),
+        ("witt", "ghost", "--elt", '{"02":1}', "--n", "3"),
     ],
 )
 def test_malformed_or_extreme_input_is_a_domain_error(argv):

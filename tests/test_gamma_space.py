@@ -9,6 +9,11 @@ from absarith.errors import CapExceeded
 from absarith.gamma_space import (
     GSConfig,
     _coordinate_values,
+    _draw_nonzero_indices,
+    _element_from_indices,
+    _index_face_is_zero,
+    _indices_are_member,
+    _last_face_table,
     _random_nonzero_member,
     GSElement,
     degeneracy,
@@ -373,6 +378,84 @@ def test_certificate_members_match_the_per_entry_builder():
                 expected = _fraction_member(fresh, cfg, n, k)
                 got = _random_nonzero_member(shared, cfg, n, k, *values)
                 assert got == expected and repr(got) == repr(expected)
+
+
+def _index_route_configs(n, k):
+    """A generic scale, then lambda/(4nk) = 3c/7 and lambda/(4nk) = c, where
+    the last face vanishes on nonzero indices."""
+    c = Fraction(1, 2)
+    return (_cfg(Fraction(7, 3), Fraction(2, 9)), _cfg(4 * n * k * 3 * c / 7, c), _cfg(4 * n * k * c, c))
+
+
+def _vanishing_indices(rng, cfg, n, k):
+    """Sparse indices, often with psi_j + psi_{j+1} = 0 or with psi_n plus
+    the torus in cZ (found on Fractions), so that faces vanish."""
+    scale, c = Fraction(cfg.lam) / (4 * n * k), cfg.lattice.generator
+    rows = [[rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in range(k)] for _ in range(n)]
+    torus = [rng.randint(0, 6) if rng.random() < 0.3 else 0 for _ in range(k)]
+    shape = rng.randrange(3)
+    if shape == 1:
+        j = rng.randint(1, n - 1)
+        rows[j] = [-m for m in rows[j - 1]]
+    elif shape == 2:
+        for i, m in enumerate(rows[-1]):
+            fits = [t for t in range(7) if (scale * m + c * t / 7) % c == 0]
+            if fits:
+                torus[i] = rng.choice(fits)
+    return rows, torus
+
+
+def test_index_faces_and_membership_match_the_object_path():
+    vanished = [0, 0, 0]  # face 0, a middle face, the last face on nonzero psi_n
+    for n in range(2, 6):
+        for k in range(1, 4):
+            for cfg in _index_route_configs(n, k):
+                values = _coordinate_values(cfg, n, k)
+                table = _last_face_table(cfg, n, k)
+                zero = zero_element(cfg, n - 1, k)
+                for seed in range(3):
+                    drawn, built = random.Random(seed), random.Random(seed)
+                    members = []
+                    for _ in range(30):
+                        rows, torus = _draw_nonzero_indices(drawn, n, k)
+                        e = _random_nonzero_member(built, cfg, n, k, *values)
+                        assert e == _element_from_indices(k, rows, torus, *values)
+                        members.append((rows, torus, e))
+                    rng = random.Random(1000 + seed)
+                    for _ in range(60):
+                        rows, torus = _vanishing_indices(rng, cfg, n, k)
+                        members.append((rows, torus, _element_from_indices(k, rows, torus, *values)))
+                    for rows, torus, e in members:
+                        assert _indices_are_member(rows, torus, n, k) and member(cfg, e)
+                        for j in range(n + 1):
+                            is_zero = face(cfg, j, e) == zero
+                            assert _index_face_is_zero(j, rows, torus, table) == is_zero, (n, k, cfg, j, rows, torus)
+                            if is_zero and (j < n or any(rows[-1])):
+                                vanished[0 if j == 0 else 1 if j < n else 2] += 1
+    assert min(vanished) > 0, vanished
+
+
+def test_index_membership_matches_member_at_the_budget():
+    # Indices outside the sampled range: l1 totals around 4nk, torus indices
+    # -1 and 7 outside 0..6.
+    rng = random.Random(17)
+    for n in range(2, 6):
+        for k in range(1, 4):
+            for cfg in _index_route_configs(n, k):
+                scale, c = Fraction(cfg.lam) / (4 * n * k), cfg.lattice.generator
+                seen = set()
+                for _ in range(40):
+                    rows = [[rng.randint(-8, 8) for _ in range(k)] for _ in range(n)]
+                    rest = sum(abs(m) for row in rows for m in row) - abs(rows[0][0])
+                    target = 4 * n * k + rng.randint(0, 1)
+                    if rest <= target:  # the total lands on 4nk, or one past it
+                        rows[0][0] = rng.choice((-1, 1)) * (target - rest)
+                    torus = [rng.choice((-1, 0, 3, 6, 7)) if rng.random() < 0.2 else rng.randint(0, 6) for _ in range(k)]
+                    e = GSElement(k, tuple(tuple(scale * m for m in row) for row in rows), tuple(c * t / 7 for t in torus))
+                    got = _indices_are_member(rows, torus, n, k)
+                    assert got == member(cfg, e), (rows, torus)
+                    seen.add(got)
+                assert seen == {True, False}
 
 
 def test_pi1_count_cross_checks_by_coordinates(monkeypatch):
