@@ -2,9 +2,10 @@
 lattices of global sections, and theta invariants.
 
 A divisor is a finite formal sum over rational primes plus a real archimedean
-part u; its degree is sum a_p log p + u, tracked exactly as the rational
-number exp(degree) whenever u is given as log of a rational.  The sections of
-the finite part form the rank-one lattice c Z in Q with c = prod p^(-a_p).
+part u; its degree is sum a_p log p + u.  degree_scale gives exp(degree) as
+one ScaleValue, an exact rational whenever u is given as log of a rational,
+whose log is the degree on either scale.  The sections of the finite part
+form the rank-one lattice c Z in Q with c = prod p^(-a_p).
 
 The theta invariant is h = log sum over v in L of exp(-pi |v|_D^2) with the
 degree-normalized norm, so only t = exp(-2 deg) enters:
@@ -41,10 +42,11 @@ from .numth import factorize, is_prime
 
 @frozen
 class ScaleValue:
-    """The archimedean scale lambda = e^u, exactly rational or as a float exponent.
+    """A scale e^u (a divisor's archimedean part, or its exp-degree), exactly
+    rational or as a float exponent.
 
-    exact is the rational value of e^u when known (u = log exact); otherwise
-    exact is None and log carries u.
+    exact is the rational value of e^u when known (u = log exact), else None;
+    log carries u in both cases.
     """
 
     exact: Fraction | None
@@ -188,37 +190,34 @@ def principal(q) -> ArakelovDivisor:
     return ArakelovDivisor.make(support, ScaleValue.exact_exp(1 / absq))
 
 
+def _finite_exp(d: ArakelovDivisor) -> Fraction:
+    """prod p^(a_p), the exp of the finite part's degree."""
+    return math.prod((Fraction(p) ** a for p, a in d.finite), start=Fraction(1))
+
+
 def lattice_of(d: ArakelovDivisor) -> Lattice1:
     """Sections of the finite part: |q|_p <= p^(a_p) for all p means q in cZ."""
-    c = Fraction(1)
-    for p, a in d.finite:
-        c *= Fraction(p) ** (-a)
-    return Lattice1(c)
+    return Lattice1(1 / _finite_exp(d))
+
+
+def degree_scale(d: ArakelovDivisor) -> ScaleValue:
+    """exp(deg d) = e^u prod p^(a_p), exact on an exact scale, with the degree
+    as its log.  On a float scale that log is u + log N - log D for
+    prod p^(a_p) = N/D, finite where its exp overflows or underflows."""
+    prod = _finite_exp(d)
+    if d.arch.is_exact:
+        return ScaleValue.exact_exp(d.arch.exact * prod)
+    return ScaleValue.from_log(d.arch.log + math.log(prod.numerator) - math.log(prod.denominator))
 
 
 def exp_degree(d: ArakelovDivisor) -> Fraction | float:
     """exp(deg d) = e^u * prod p^(a_p); exact rational in exact-scale mode."""
-    prod = Fraction(1)
-    for p, a in d.finite:
-        prod *= Fraction(p) ** a
-    if d.arch.is_exact:
-        return d.arch.exact * prod
-    return math.exp(d.arch.log + math.log(prod.numerator) - math.log(prod.denominator))
+    return degree_scale(d).value
 
 
 def degree(d: ArakelovDivisor) -> float:
     """deg d = sum a_p log p + u, as a float."""
-    return _degree_of(d, exp_degree(d))
-
-
-def _degree_of(d: ArakelovDivisor, ed: Fraction | float) -> float:
-    """deg d from ed = exp_degree(d).  A float ed of 0.0 has underflowed (far
-    below degree 0), so the degree is then summed in log space instead."""
-    if isinstance(ed, Fraction):
-        return math.log(ed.numerator) - math.log(ed.denominator)
-    if ed == 0.0:
-        return d.arch.log + sum(a * math.log(p) for p, a in d.finite)
-    return math.log(ed)
+    return degree_scale(d).log
 
 
 def count_xi_over_L(xi_norm, lattice: Lattice1) -> int:
@@ -302,36 +301,30 @@ def _theta_tail_sum(t: float, eps: float) -> float:
         m += 1
 
 
-def _theta_param(d: ArakelovDivisor | float, eps: float) -> tuple[float, float]:
-    """(t, deg) with t = exp(-2 deg), for a divisor or a float degree, once
-    eps is checked; t is inf where it overflows (far below degree 0).
-
-    A divisor's values are computed from its exact rational exp-degree when
-    available, so that linearly equivalent divisors give identical output.
-    """
+def _theta_param(d: ArakelovDivisor, eps: float) -> tuple[float, float]:
+    """(t, deg) with t = exp(-2 deg), both read off degree_scale(d) once eps
+    is checked: t from the exact rational when there is one, so that linearly
+    equivalent divisors give identical output, and inf where it overflows."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    if not isinstance(d, ArakelovDivisor):
-        if not math.isfinite(d):
-            raise ValueError("the degree must be finite")
-        deg, ed = d, None
-    else:
-        ed = exp_degree(d)
-        deg = _degree_of(d, ed)
+    ed = degree_scale(d)
     try:
-        t = float(1 / (ed * ed)) if isinstance(ed, Fraction) else math.exp(-2.0 * deg)
+        t = float(1 / (ed.exact * ed.exact)) if ed.is_exact else math.exp(-2.0 * ed.log)
     except OverflowError:
         t = math.inf
-    return t, deg
+    return t, ed.log
 
 
-def _theta_h0(d: ArakelovDivisor | float, eps: float) -> float:
-    """log theta(t): the direct sum for t >= 1, else Jacobi's transformation
-    log theta(t) = deg + log theta(1/t), with 1/t = exp(2 deg) taken from the
-    degree so that it never comes from a t that underflowed.  Both ends are
-    decided in log space: once -2 deg exceeds _DUAL_LOG_CUTOFF every direct
-    term underflows and h0 is 0, and once 2 deg does every dual term does and
-    h0 is deg."""
+def theta_h0(d: ArakelovDivisor, eps: float = 1e-12) -> float:
+    """log of the Gaussian lattice sum of the divisor, to absolute error < eps.
+
+    That is log theta(t): the direct sum for t >= 1, else Jacobi's
+    transformation log theta(t) = deg + log theta(1/t), with 1/t = exp(2 deg)
+    taken from the degree so that it never comes from a t that underflowed.
+    Both ends are decided in log space: once -2 deg exceeds _DUAL_LOG_CUTOFF
+    every direct term underflows and h0 is 0, and once 2 deg does every dual
+    term does and h0 is deg.
+    """
     t, deg = _theta_param(d, eps)
     if -2.0 * deg > _DUAL_LOG_CUTOFF:
         return 0.0
@@ -344,12 +337,7 @@ def _theta_h0(d: ArakelovDivisor | float, eps: float) -> float:
 
 def theta_h0_of_degree(d: float, eps: float = 1e-12) -> float:
     """Theta invariant as a function of the degree alone."""
-    return _theta_h0(d, eps)
-
-
-def theta_h0(d: ArakelovDivisor, eps: float = 1e-12) -> float:
-    """log of the Gaussian lattice sum of the divisor, to absolute error < eps."""
-    return _theta_h0(d, eps)
+    return theta_h0(ArakelovDivisor.of_degree(d), eps)
 
 
 def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:

@@ -229,7 +229,8 @@ def _cmd_gspace_delannoy(args):
 
 def _cmd_gspace_pi(args):
     from .arakelov import exp_degree
-    from .gamma_space import GSConfig, higher_pi_trivial, pi0_cardinality_k1, pi0_trivial_predicate, pi1_count
+    from .gamma_space import GSConfig, higher_pi_trivial, pi0_cardinality_k1, pi0_trivial_predicate
+    from .gamma_space import pi1_count, pi1_radius
 
     d = _parse_divisor(args)
     if d.arch.is_exact:
@@ -241,23 +242,22 @@ def _cmd_gspace_pi(args):
                     f"the certificates up to degree {args.n_max} at level {args.k} are above the cap of "
                     f"{CERTIFICATE_MAX_CELLS} cells"
                 )
+    # pi1_count is D(r, k) >= 2^m C(r, m) C(k, m) >= (2 max(r, k) / m)^m with
+    # radius r = floor(exp deg) and m = min(r, k).  When that bound alone has
+    # more digits than the interpreter prints (a limit of 0 is none), refuse
+    # before computing D; the one digit of slack covers the rounding of the logs.
+    radius = pi1_radius(d)
+    m, limit = min(radius, args.k), sys.get_int_max_str_digits()
+    if limit and m > 0 and m * (math.log10(2 * max(radius, args.k)) - math.log10(m)) > limit + 1:
+        raise CapExceeded(
+            f"pi1_count at level {args.k} has more than {limit} digits, the limit on printing one integer"
+        )
     if args.k == 1:
         pi0 = pi0_cardinality_k1(d)
         if pi0 == "trivial":
             pi0 = 1
     else:
         pi0 = "trivial" if pi0_trivial_predicate(d, args.k) else "nontrivial"
-    # pi1_count is D(r, k) >= 2^m C(r, m) C(k, m) >= (2 max(r, k) / m)^m with
-    # radius r = floor(exp deg) and m = min(r, k).  When that bound alone has
-    # more digits than the interpreter prints (a limit of 0 is none), refuse
-    # before computing D; the one digit of slack covers the rounding of the logs.
-    ed = exp_degree(d)
-    radius = math.floor(ed)
-    m, limit = min(radius, args.k), sys.get_int_max_str_digits()
-    if limit and m > 0 and m * (math.log10(2 * max(radius, args.k)) - math.log10(m)) > limit + 1:
-        raise CapExceeded(
-            f"pi1_count at level {args.k} has more than {limit} digits, the limit on printing one integer"
-        )
     count = pi1_count(d, args.k)
     higher = []
     if d.arch.is_exact:
@@ -266,7 +266,7 @@ def _cmd_gspace_pi(args):
             cert = higher_pi_trivial(n, cfg, args.k, samples=CERTIFICATE_SAMPLES, seed=0)
             higher.append([n, cert.verified])
     outputs = {"pi0": pi0, "pi1_count": count, "pi_higher_trivial": higher}
-    inputs = {"divisor": d.to_json_dict(), "k": args.k, "exp_degree": ed}
+    inputs = {"divisor": d.to_json_dict(), "k": args.k, "exp_degree": exp_degree(d)}
     return inputs, outputs, None, None
 
 

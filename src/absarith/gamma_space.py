@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, exp_degree, lattice_of
+from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, exp_degree, lattice_of
 from .combinat import delannoy, l1_within
 from .errors import frozen
 from .smith import row_reduce
@@ -44,6 +44,7 @@ __all__ = [
     "degeneracy",
     "zero_element",
     "pi1_spherical_enumerate",
+    "pi1_radius",
     "pi1_count",
     "pi0_cardinality_k1",
     "pi0_trivial_predicate",
@@ -153,8 +154,17 @@ def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = 1_000_000) -> list
 CROSS_CHECK_MAX_COORDINATES = 60_000
 
 
+def pi1_radius(d: ArakelovDivisor) -> int:
+    """floor(exp deg).  On a float scale past degree 53 log 2, where exp(deg)
+    is above 2^53 and its floor just its own rounding, a ValueError."""
+    ed = degree_scale(d)
+    if not ed.is_exact and ed.log > 53 * math.log(2):
+        raise ValueError(f"floor(exp(deg)) at degree {ed.log!r} is past 2^53, beyond a float scale's precision")
+    return math.floor(ed.value)
+
+
 def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> int:
-    """Number of pi_1 elements at level k: delannoy(floor(exp deg), k).
+    """Number of pi_1 elements at level k: delannoy(pi1_radius(d), k).
 
     With cross_check the closed form is verified against the explicit
     enumeration.  It defaults to on for exact scales whose enumeration builds
@@ -162,9 +172,8 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
     """
     if k < 1:
         raise ValueError("level must be >= 1")
-    ed = exp_degree(d)
-    count = delannoy(math.floor(ed), k)
-    exact = isinstance(ed, Fraction)
+    count = delannoy(pi1_radius(d), k)
+    exact = d.arch.is_exact
     if cross_check is None:
         cross_check = exact and count * k <= CROSS_CHECK_MAX_COORDINATES
     if cross_check:

@@ -182,9 +182,14 @@ def test_theta_h0_matches_direct_sum_at_positive_degree():
 
 def test_theta_h0_far_beyond_the_direct_sum():
     # h0 = max(deg, 0) once every dual term underflows; t itself is 0.0 at 400.
-    for d in (20.0, 400.0):
+    for d in (20.0, 400.0, 1000.0):
         assert theta_h0_of_degree(d) == d
         assert theta_h0(ArakelovDivisor.of_degree(d)) == d
+    # exp(1000) overflows a float; the degree, summed in log space, does not.
+    d = D({3: -2}, ScaleValue.from_log(1000.0 + 2 * math.log(3)))
+    assert theta_h0(d) == degree(d) == pytest.approx(1000.0, abs=1e-12)
+    with pytest.raises(OverflowError):
+        exp_degree(d)
     with pytest.raises(ValueError):
         theta_h0_of_degree(math.inf)
 
@@ -319,6 +324,35 @@ def test_degree_where_exp_degree_underflows():
     d = D({2: -1200}, ScaleValue.from_log(0.0))
     assert degree(d) == pytest.approx(-1200 * math.log(2))
     assert theta_h0(d) == 0.0
+
+
+def test_a_purely_archimedean_divisor_answers_as_its_degree():
+    # Bit for bit: the degree of a float scale is summed in log space, never
+    # read back as log(exp(deg)), which misses it at 106 of these degrees.
+    for i in range(-1200, 1201):
+        x = i / 100
+        assert degree(ArakelovDivisor.of_degree(x)) == x
+        assert theta_h0(ArakelovDivisor.of_degree(x)) == theta_h0_of_degree(x)
+
+
+def _mpmath_theta_h0(mpmath, deg):
+    """log theta_3(0, exp(-pi e^(-2 deg))) = log sum over m in Z of exp(-pi t m^2)."""
+    return mpmath.log(mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * mpmath.exp(-2 * deg))))
+
+
+def test_theta_h0_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    finite = {2: 3, 3: -1, 1000003: -1}
+    finite_log = sum(a * math.log(p) for p, a in finite.items())
+    with mpmath.workdps(30):
+        mp_finite_log = sum(a * mpmath.log(p) for p, a in finite.items())
+        for i in range(-40, 81):
+            d = i / 10
+            assert abs(theta_h0_of_degree(d) - _mpmath_theta_h0(mpmath, mpmath.mpf(d))) < 1e-13
+            # A float scale with finite support, at the degree u + sum a_p log p.
+            div = D(finite, ScaleValue.from_log(d - finite_log))
+            deg = mpmath.mpf(div.arch.log) + mp_finite_log
+            assert abs(theta_h0(div) - _mpmath_theta_h0(mpmath, deg)) < 1e-13
 
 
 def _quadrature_per_piece(d, eps):

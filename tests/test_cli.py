@@ -183,7 +183,6 @@ def test_reruns_byte_identical(capsys):
         ("theta", "h0", "--deg", "0", "--eps", "nan"),
         ("theta", "h0", "--deg", "0", "--eps", "inf"),
         ("theta", "mc", "--deg", "nan", "--seed", "1", "--samples", "10"),
-        ("theta", "h0", "--deg", "1000"),
         ("gspace", "pi", "--divisor", "[1]", "--k", "1"),
         ("theta", "h0", "--divisor", '{"finite":[2]}'),
         ("witt", "tau", "--endo", "[0, 1.7]"),
@@ -378,6 +377,25 @@ def test_unbounded_work_is_a_cap_error(argv):
 @pytest.mark.parametrize("source", [("--deg", "-800"), ("--divisor", '{"finite":{"2":-1200},"arch":{"float":0}}')])
 def test_theta_h0_where_a_float_exp_degree_underflows(capsys, source):
     assert run_json(capsys, "theta", "h0", *source)["outputs"]["h0"] == 0.0
+
+
+@pytest.mark.parametrize("source", [("--deg", "1000"), ("--divisor", '{"arch":{"float":1000}}')])
+def test_theta_h0_where_a_float_exp_degree_overflows(capsys, source):
+    assert run_json(capsys, "theta", "h0", *source)["outputs"]["h0"] == 1000.0
+
+
+def test_theta_h0_and_rr_agree_on_a_float_degree(capsys):
+    h0 = run_json(capsys, "theta", "h0", "--deg", "-0.98")["outputs"]["h0"]
+    assert run_json(capsys, "theta", "rr", "--deg", "-0.98")["outputs"]["h0_plus"] == h0
+
+
+@pytest.mark.parametrize("deg", ["40", "700", "1000"])
+def test_gspace_pi_past_a_float_scales_precision_is_a_domain_error(capsys, deg):
+    divisor = '{"finite":{},"arch":{"float":%s}}' % deg
+    for k in ("1", "2"):
+        code, out, err = run(capsys, "gspace", "pi", "--divisor", divisor, "--k", k)
+        assert code == 3 and out == ""
+        assert err.startswith("error: floor(exp(deg)) at degree ") and "past 2^53" in err
 
 
 def test_gspace_pi_k1_where_a_float_exp_degree_underflows(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -264,6 +265,17 @@ def test_pi1_count_on_divisor_with_finite_part():
     assert lattice_of(d).generator == Fraction(1, 4)
     assert pi1_count(d, 2) == delannoy(3, 2)
     assert len(pi1_spherical_enumerate(GSConfig.from_divisor(d), 2)) == 25
+
+
+def test_pi1_count_on_a_float_scale_ends_at_degree_53_log_2():
+    # Up to degree 53 log 2 the radius is the floor of the float exp(deg).
+    assert pi1_count(ArakelovDivisor.of_degree(36.0), 1) == 2 * math.floor(math.exp(36.0)) + 1
+    for deg in (37.0, 40.0, 700.0, 1000.0):
+        with pytest.raises(ValueError, match="past 2\\^53"):
+            pi1_count(ArakelovDivisor.of_degree(deg), 1)
+    # An exact scale carries the floor at any degree: e^40 is near 2.35e17.
+    big = Fraction(235385266837019985, 1) + Fraction(1, 3)
+    assert pi1_count(_exp_divisor(big), 1, cross_check=False) == 2 * 235385266837019985 + 1
 
 
 def test_pi0_cardinality_examples():
