@@ -25,6 +25,7 @@ divisor carries a rational scale.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -154,13 +155,39 @@ def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = 1_000_000) -> list
 CROSS_CHECK_MAX_COORDINATES = 60_000
 
 
+# Digits of the decimal e^u behind a float scale's floor(exp(deg)).  Below
+# 2^53 the bracket of one ulp each way is narrower than 2 10^-13; past 32
+# digits decimal's exp costs about twice as much.
+EXP_FLOOR_DIGITS = 30
+
+
 def pi1_radius(d: ArakelovDivisor) -> int:
     """floor(exp deg).  On a float scale past degree 53 log 2, where exp(deg)
-    is above 2^53 and its floor just its own rounding, a ValueError."""
+    is above 2^53 and its floor just its own rounding, a ValueError.
+
+    Below that the float-scale floor is certified.  exp(deg) = e^u / c, with
+    u the scale's exponent (an exact dyadic rational) and c the exact lattice
+    generator, and decimal's exp rounds e^u correctly, so e^u lies strictly
+    between the neighbours of that rounding; their floors of e^u / c must
+    agree, else a ValueError.
+    """
     ed = degree_scale(d)
-    if not ed.is_exact and ed.log > 53 * math.log(2):
+    if ed.is_exact:
+        return math.floor(ed.exact)
+    if ed.log > 53 * math.log(2):
         raise ValueError(f"floor(exp(deg)) at degree {ed.log!r} is past 2^53, beyond a float scale's precision")
-    return math.floor(ed.value)
+    ctx = decimal.Context(prec=EXP_FLOOR_DIGITS)
+    e = ctx.exp(decimal.Decimal(d.arch.log))
+    # e^u > 0 also where e underflows to 0, and e^0 = 1 is exact
+    ends = (max(ctx.next_minus(e), 0), ctx.next_plus(e)) if ctx.flags[decimal.Inexact] else (e, e)
+    c = lattice_of(d).generator
+    lo, hi = (a * c.denominator // (b * c.numerator) for a, b in (end.as_integer_ratio() for end in ends))
+    if lo != hi:
+        raise ValueError(
+            f"floor(exp(deg)) at degree {ed.log!r} is not certified: exp(deg) is within "
+            f"{EXP_FLOOR_DIGITS}-digit rounding of an integer"
+        )
+    return lo
 
 
 def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> int:

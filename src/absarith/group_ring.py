@@ -1,10 +1,9 @@
 """Exact arithmetic in the integral group ring of Q/Z.
 
-Elements are finite integer combinations of symbols e(g) for g in Q/Z, stored
-with reduced fractions in [0, 1) as keys; the product is convolution,
-e(g) e(h) = e(g + h).  The operator sigma_n sends e(g) to e(n g); its
-one-sided inverse rho_n sends e(g) to the sum of the n preimages of g under
-multiplication by n, so sigma_n rho_n = n.
+Elements are finite integer combinations of symbols e(g) for g in Q/Z; the
+product is convolution, e(g) e(h) = e(g + h).  The operator sigma_n sends
+e(g) to e(n g); its one-sided inverse rho_n sends e(g) to the sum of the n
+preimages of g under multiplication by n, so sigma_n rho_n = n.
 
 The invariant part under all automorphisms of Q/Z (units acting by
 multiplication on torsion) is spanned by the sums rho(n) of primitive
@@ -14,8 +13,11 @@ the Frobenius operator and rho_n the Verschiebung.
 
 GroupRingElt shares witt.Combination with WittElement: the one merge (equal
 keys summed, zero coefficients dropped, sorted by key) and the additive
-methods.  Keys from outside are reduced into [0, 1) once, on the way in;
-the operators below produce reduced keys and merge their pairs directly.
+methods.  Its items keep reduced Fraction keys in [0, 1), but the arithmetic
+runs on integer residues: a symbol a/n is the pair (a, n) with 0 <= a < n and
+gcd(a, n) = 1, the operators map such pairs, and the merge sums coefficients
+under them and builds each Fraction key of the result once.  Keys from
+outside are reduced into [0, 1) once, on the way in.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ from .numth import euler_phi, unit_group_generators
 from .witt import Combination, WittElement, from_primitive_basis, ghost
 
 
-def _reduce_mod_1(q: Fraction) -> Fraction:
-    return q - (q.numerator // q.denominator)
+def _residue(p: int, q: int) -> tuple[int, int]:
+    """The class of p/q in Q/Z (q >= 1) as the reduced residue (a, n)."""
+    p %= q
+    d = gcd(p, q)
+    return p // d, q // d
 
 
 def _fraction(g) -> Fraction:
@@ -43,6 +48,12 @@ def _fraction(g) -> Fraction:
         raise ValueError(f"a symbol of Q/Z needs a nonzero denominator, got {g!r}") from None
 
 
+def _symbol(g) -> tuple[int, int]:
+    """The reduced residue of a symbol g given from outside."""
+    q = _fraction(g)
+    return _residue(q.numerator, q.denominator)
+
+
 @frozen
 class GroupRingElt(Combination):
     """A finitely supported integer function on Q/Z, under convolution."""
@@ -51,23 +62,39 @@ class GroupRingElt(Combination):
 
     @staticmethod
     def from_terms(terms: Mapping[Fraction, int]) -> "GroupRingElt":
-        return GroupRingElt._merged((_reduce_mod_1(_fraction(g)), int(c)) for g, c in terms.items())
+        return GroupRingElt._merged((_symbol(g), int(c)) for g, c in terms.items())
 
     @staticmethod
     def e(g) -> "GroupRingElt":
         """The basis symbol of the class of g in Q/Z."""
-        return GroupRingElt(((_reduce_mod_1(_fraction(g)), 1),))
+        return GroupRingElt(((Fraction(*_symbol(g)), 1),))
 
     @property
     def terms(self) -> dict[Fraction, int]:
         return dict(self.items)
 
     def coefficient(self, g) -> int:
-        return self.terms.get(_reduce_mod_1(_fraction(g)), 0)
+        return dict(self._merge_pairs()).get(_symbol(g), 0)
+
+    def _merge_pairs(self):
+        return (((g.numerator, g.denominator), c) for g, c in self.items)
+
+    @classmethod
+    def _from_sums(cls, sums: dict) -> "GroupRingElt":
+        # a/n < b/m exactly when a (L/n) < b (L/m), for L the lcm of the orders
+        keys = [key for key, c in sums.items() if c]
+        order = lcm(*{n for _, n in keys})
+        keys.sort(key=lambda key: key[0] * (order // key[1]))
+        return cls(tuple((Fraction(a, n), sums[a, n]) for a, n in keys))
 
     def _product(self, other: "GroupRingElt") -> "GroupRingElt":
-        # e(g) e(h) = e(g + h)
-        return self._merged((_reduce_mod_1(g + h), cg * ch) for g, cg in self.items for h, ch in other.items)
+        # e(a/n) e(b/m) = e((a m + b n) / (n m))
+        ys = [(h.numerator, h.denominator, ch) for h, ch in other.items]
+        return self._merged(
+            (_residue(a * m + b * n, n * m), ca * cb)
+            for (a, n), ca in self._merge_pairs()
+            for b, m, cb in ys
+        )
 
     def torsion_lcm(self) -> int:
         """lcm of the orders of the support (1 for the zero element)."""
@@ -93,7 +120,7 @@ def sigma(n: int, x: GroupRingElt) -> GroupRingElt:
     """Ring endomorphism e(g) -> e(n g); colliding images accumulate."""
     if n < 1:
         raise ValueError("sigma index must be >= 1")
-    return GroupRingElt._merged((_reduce_mod_1(n * g), c) for g, c in x.items)
+    return GroupRingElt._merged((_residue(n * a, m), c) for (a, m), c in x._merge_pairs())
 
 
 def rho_tilde(n: int, x: GroupRingElt) -> GroupRingElt:
@@ -102,16 +129,18 @@ def rho_tilde(n: int, x: GroupRingElt) -> GroupRingElt:
         raise ValueError("rho index must be >= 1")
     # The preimages of a/b are (a + j b)/(n b) for j = 0..n-1, all in [0, 1).
     return GroupRingElt._merged(
-        (Fraction(g.numerator + j * g.denominator, n * g.denominator), c) for g, c in x.items for j in range(n)
+        (_residue(a + j * b, n * b), c) for (a, b), c in x._merge_pairs() for j in range(n)
     )
 
 
 def act_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     """Automorphism of Q/Z induced by a unit u: g -> u g (u coprime to all orders)."""
-    for g, _ in x.items:
-        if gcd(u, g.denominator) != 1:
-            raise ValueError(f"{u} is not a unit modulo the order {g.denominator}")
-    return GroupRingElt._merged((Fraction(u * g.numerator % g.denominator, g.denominator), c) for g, c in x.items)
+    pairs = list(x._merge_pairs())
+    for (_, n), _ in pairs:
+        if gcd(u, n) != 1:
+            raise ValueError(f"{u} is not a unit modulo the order {n}")
+    # u a stays prime to n, so no reduction is needed
+    return GroupRingElt._merged(((u * a % n, n), c) for (a, n), c in pairs)
 
 
 def is_invariant(x: GroupRingElt) -> bool:
@@ -120,13 +149,17 @@ def is_invariant(x: GroupRingElt) -> bool:
     On support of bounded torsion N the automorphism group acts through
     (Z/NZ)^x, so it suffices to check a generating set of that unit group.
     """
-    n = x.torsion_lcm()
-    return all(act_unit(u, x) == x for u in unit_group_generators(n))
+    terms = dict(x._merge_pairs())
+    # u fixes x when relabelling its symbols by u leaves the key -> coefficient dict as it was
+    return all(
+        {(u * a % n, n): c for (a, n), c in terms.items()} == terms
+        for u in unit_group_generators(x.torsion_lcm())
+    )
 
 
 def witt_to_groupring(w: WittElement) -> GroupRingElt:
     """C(k) -> sum of all k-torsion symbols, extended additively."""
-    return GroupRingElt._merged((Fraction(j, k), c) for k, c in w.items for j in range(k))
+    return GroupRingElt._merged((_residue(j, k), c) for k, c in w.items for j in range(k))
 
 
 def groupring_to_witt(x: GroupRingElt) -> WittElement:

@@ -38,23 +38,34 @@ class Combination:
     A subclass is a frozen class whose one field, items, holds its (key,
     nonzero coefficient) pairs sorted by key.  It adds only the check or
     reduction of keys given from outside and _product, the product of two
-    elements.
+    elements.  The merge sums coefficients under merge keys: the item keys
+    themselves, unless the subclass lists its pairs under other keys
+    (_merge_pairs) and turns the summed merge keys back into sorted items
+    (_from_sums), as GroupRingElt does with integer residues.
     """
 
     @classmethod
     def _merged(cls, pairs):
-        """The element of the pairs: equal keys summed, zeros dropped, sorted."""
+        """The element of the (merge key, coefficient) pairs: equal keys
+        summed, zeros dropped, sorted."""
         out: dict = {}
         for k, c in pairs:
             out[k] = out.get(k, 0) + c
-        return cls(tuple(sorted((k, c) for k, c in out.items() if c)))
+        return cls._from_sums(out)
+
+    @classmethod
+    def _from_sums(cls, sums: dict):
+        return cls(tuple(sorted((k, c) for k, c in sums.items() if c)))
+
+    def _merge_pairs(self):
+        return self.items
 
     @classmethod
     def zero(cls):
         return cls(())
 
     def __add__(self, other):
-        return self._merged(chain(self.items, other.items))
+        return self._merged(chain(self._merge_pairs(), other._merge_pairs()))
 
     def __neg__(self):
         return self.__class__(tuple((k, -c) for k, c in self.items))
@@ -65,7 +76,8 @@ class Combination:
     def __rmul__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        return self._merged((k, n * c) for k, c in self.items)
+        # a nonzero multiple keeps every key and nonzero coefficient
+        return self.__class__(tuple((k, n * c) for k, c in self.items)) if n else self.zero()
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -1,0 +1,75 @@
+"""The accumulate-then-canonicalize bodies of the group-ring operators, on
+Fraction keys throughout: the oracles for the shared merge of
+witt.Combination and for the integer-residue arithmetic of group_ring.
+
+Imports no pytest, so the plain-script checks can use them too.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from absarith.group_ring import GroupRingElt
+
+
+def _ref_reduce(q):
+    return q - (q.numerator // q.denominator)
+
+
+def _ref_canonical(terms):
+    merged = {}
+    for g, c in terms.items():
+        key = _ref_reduce(Fraction(g))
+        merged[key] = merged.get(key, 0) + int(c)
+    return GroupRingElt(tuple(sorted((g, c) for g, c in merged.items() if c != 0)))
+
+
+def _ref_add(x, y):
+    out = x.terms
+    for g, c in y.items:
+        out[g] = out.get(g, 0) + c
+    return _ref_canonical(out)
+
+
+def _ref_neg(x):
+    return GroupRingElt(tuple((g, -c) for g, c in x.items))
+
+
+def _ref_mul(x, y):
+    out = {}
+    for g, cg in x.items:
+        for h, ch in y.items:
+            key = _ref_reduce(g + h)
+            out[key] = out.get(key, 0) + cg * ch
+    return _ref_canonical(out)
+
+
+def _ref_sigma(n, x):
+    return _ref_canonical({n * g: c for g, c in x.items}) if x.items else x
+
+
+def _ref_rho_tilde(n, x):
+    out = {}
+    for g, c in x.items:
+        base = Fraction(g.numerator, n * g.denominator)
+        for j in range(n):
+            key = _ref_reduce(base + Fraction(j, n))
+            out[key] = out.get(key, 0) + c
+    return _ref_canonical(out)
+
+
+def _ref_act_unit(u, x):
+    out = {}
+    for g, c in x.items:
+        if gcd(u, g.denominator) != 1:
+            raise ValueError(f"{u} is not a unit modulo the order {g.denominator}")
+        key = Fraction(u * g.numerator % g.denominator, g.denominator)
+        out[key] = out.get(key, 0) + c
+    return _ref_canonical(out)
+
+
+def _ref_witt_to_groupring(w):
+    out = {}
+    for k, c in w.items:
+        for j in range(k):
+            out[Fraction(j, k)] = out.get(Fraction(j, k), 0) + c
+    return _ref_canonical(out)

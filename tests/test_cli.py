@@ -398,6 +398,18 @@ def test_gspace_pi_past_a_float_scales_precision_is_a_domain_error(capsys, deg):
         assert err.startswith("error: floor(exp(deg)) at degree ") and "past 2^53" in err
 
 
+@pytest.mark.parametrize(
+    "deg, count",
+    [("0", 3), ("1", 5), ("32.347", 2 * 111718116751215 + 1), ("36.7", 2 * 8681754200535380 + 1)],
+)
+def test_gspace_pi_k1_on_a_float_scale_is_the_certified_floor(capsys, deg, count):
+    # At 32.347 the float exp(deg) rounds up to 111718116751216.0, onto the
+    # integer that e^32.347 = 111718116751215.99... stays below.
+    divisor = '{"finite":{},"arch":{"float":%s}}' % deg
+    outputs = run_json(capsys, "gspace", "pi", "--divisor", divisor, "--k", "1")["outputs"]
+    assert outputs["pi1_count"] == count
+
+
 def test_gspace_pi_k1_where_a_float_exp_degree_underflows(capsys):
     code, out, err = run(capsys, "gspace", "pi", "--divisor", '{"finite":{},"arch":{"float":-800}}', "--k", "1")
     assert code == 3 and err.startswith("error: ")

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from absarith.arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_xi_over_L, lattice_of, principal
+from absarith import gamma_space
+from absarith.arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_xi_over_L, degree_scale, lattice_of, principal
 from absarith.combinat import delannoy, delannoy_table, iter_l1_ball
 from absarith.errors import CapExceeded
 from absarith.gamma_space import (
@@ -25,6 +26,7 @@ from absarith.gamma_space import (
     pi0_cardinality_k1,
     pi0_trivial_predicate,
     pi1_count,
+    pi1_radius,
     pi1_spherical_enumerate,
     zero_element,
 )
@@ -276,6 +278,39 @@ def test_pi1_count_on_a_float_scale_ends_at_degree_53_log_2():
     # An exact scale carries the floor at any degree: e^40 is near 2.35e17.
     big = Fraction(235385266837019985, 1) + Fraction(1, 3)
     assert pi1_count(_exp_divisor(big), 1, cross_check=False) == 2 * 235385266837019985 + 1
+
+
+def test_pi1_radius_on_a_float_scale_against_mpmath():
+    # The certified floor of e^u N / D against 50-digit mpmath, at degrees
+    # where the float exp(deg) rounds across the integer (32.347) and on a
+    # seeded sample of [0, 36.7], also with finite parts.
+    mpmath = pytest.importorskip("mpmath")
+    assert pi1_count(ArakelovDivisor.of_degree(32.347), 1) == 2 * 111718116751215 + 1 == 223436233502431
+    rng = random.Random(281)
+    degrees = [0.0, 32.347, 36.7] + [rng.uniform(0, 36.7) for _ in range(400)]
+    with mpmath.workdps(50):
+        for u in degrees:
+            expected = int(mpmath.floor(mpmath.exp(mpmath.mpf(u))))
+            assert pi1_radius(ArakelovDivisor.of_degree(u)) == expected, u
+        for _ in range(100):
+            finite = {p: rng.randint(-6, 6) for p in rng.sample((2, 3, 5, 7, 1000003), 2)}
+            d = ArakelovDivisor.make(finite, ScaleValue.from_log(rng.uniform(-20, 30)))
+            if degree_scale(d).log > 53 * math.log(2):
+                continue
+            prod = math.prod(mpmath.mpf(p) ** a for p, a in finite.items())
+            assert pi1_radius(d) == int(mpmath.floor(mpmath.exp(mpmath.mpf(d.arch.log)) * prod)), d
+
+
+def test_pi1_radius_refuses_a_floor_its_precision_cannot_certify(monkeypatch):
+    # At 3 digits the neighbours of e^32.347 ~ 1.12e14 are 1e12 apart.
+    monkeypatch.setattr(gamma_space, "EXP_FLOOR_DIGITS", 3)
+    with pytest.raises(ValueError, match="is not certified: exp\\(deg\\) is within 3-digit rounding"):
+        pi1_radius(ArakelovDivisor.of_degree(32.347))
+    # e^0 = 1 is exact: no rounding to bracket
+    assert pi1_radius(ArakelovDivisor.of_degree(0.0)) == 1
+    # e^-1e300 underflows decimal's range to 0, and e^u > 0 bounds it below
+    assert pi1_radius(ArakelovDivisor.of_degree(-1e300)) == 0
+    assert pi1_radius(ArakelovDivisor.make({3: 1}, ScaleValue.from_log(0.0))) == 3
 
 
 def test_pi0_cardinality_examples():
