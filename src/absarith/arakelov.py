@@ -33,10 +33,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat, tee
 from operator import add, mul, sub
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .combinat import delannoy, iter_l1_ball, l1_within
-from .errors import CapExceeded, frozen, json_int, json_key, json_number
+from .errors import DEFAULT_CAP, CapExceeded, frozen, json_int, json_key, json_number
 from .numth import factorize, is_prime
 
 
@@ -231,16 +231,11 @@ def count_xi_over_L(xi_norm, lattice: Lattice1) -> int:
     return 1 + 2 * math.floor(xi_norm / lattice.generator)
 
 
-def e_xi_member(phi: Sequence, xi_norm) -> bool:
-    """Membership in the l1 ball: sum |phi_i| <= xi_norm (inclusive).
-
-    Exact when phi and xi_norm are all rational; otherwise the float sum of
-    the entries is compared with the float bound, with no tolerance.
-    """
-    return l1_within(phi, xi_norm)
+# Membership of phi in E_xi, the l1 ball sum |phi_i| <= xi_norm (inclusive).
+e_xi_member = l1_within
 
 
-def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = 1_000_000) -> list[tuple[Fraction, ...]]:
+def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> list[tuple[Fraction, ...]]:
     """All phi in L^k with sum |phi_i| <= xi_norm, enumerated exactly.
 
     Requires a rational xi_norm (floats cannot settle the inclusive boundary).
@@ -449,32 +444,48 @@ def gaussian_avg_mc(
     independently from (seed, chunk index), so the result does not depend on
     the number of worker threads (at most one per chunk and per CPU core).
     A chunk is computed in place in its array of uniforms, with the same
-    float operations in the same order as the textbook expression.
+    float operations in the same order as the textbook expression.  sigma
+    and c must each be a positive float, else a ValueError names the one
+    that is not.
     """
     import numpy as np
 
     if samples < 1:
         raise ValueError("at least one sample is required")
-    sigma = math.exp(d.arch.log) / math.sqrt(2.0 * math.pi)
-    c = float(lattice_of(d).generator)
+    # Each factor must be a positive float on its own, whatever exp(deg) is.
+    try:
+        sigma = math.exp(d.arch.log) / math.sqrt(2.0 * math.pi)
+    except OverflowError:
+        sigma = math.inf
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma = e^u / sqrt(2 pi) at u = {d.arch.log!r} is out of a float's range")
+    try:
+        c = float(lattice_of(d).generator)
+    except OverflowError:
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise ValueError("the section lattice's generator c = prod p^(-a_p) is out of a float's range")
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
 
     def run_chunk(idx: int) -> tuple[float, float]:
         m = min(_MC_CHUNK, samples - idx * _MC_CHUNK)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(idx,))))
         # vals = 1 + 2 floor(sigma sqrt(-2 log1p(-u)) / c), one ufunc at a time in u.
-        u = rng.random(m)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        np.multiply(-2.0, u, out=u)
-        np.sqrt(u, out=u)
-        np.multiply(sigma, u, out=u)
-        np.divide(u, c, out=u)
-        np.floor(u, out=u)
-        np.multiply(2.0, u, out=u)
-        np.add(1.0, u, out=u)
-        s1 = float(u.sum())
-        return s1, float(np.square(u, out=u).sum())
+        # A sample past the largest float is inf, and so is the answer, which
+        # the caller sees; numpy need not warn about it as well.
+        with np.errstate(over="ignore"):
+            u = rng.random(m)
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            np.multiply(-2.0, u, out=u)
+            np.sqrt(u, out=u)
+            np.multiply(sigma, u, out=u)
+            np.divide(u, c, out=u)
+            np.floor(u, out=u)
+            np.multiply(2.0, u, out=u)
+            np.add(1.0, u, out=u)
+            s1 = float(u.sum())
+            return s1, float(np.square(u, out=u).sum())
 
     workers = min(threads, n_chunks, os.cpu_count() or 1)
     if workers > 1:

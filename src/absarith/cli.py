@@ -19,7 +19,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import CapExceeded, json_int
+from .errors import DEFAULT_CAP, CapExceeded, json_int
 
 # Each handler imports the library modules of its own layer, so that a
 # command loads (and, without cached bytecode, compiles) only those.  All of
@@ -92,44 +92,57 @@ def _fraction_json(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _non_finite(value, path: str = "") -> tuple[str, float] | None:
+    """The key path and value of the first NaN or infinity in an answer, or
+    None: JSON has no such number."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            found = _non_finite(item, f"{path}.{key}" if path else str(key))
+            if found is not None:
+                return found
+    return None
+
+
 def _witt_json(w: WittElement) -> dict:
     return {str(k): c for k, c in w.items}
 
 
-# --- handlers: each returns (inputs, outputs, seed, csv_text) ---------------
+# --- handlers: each returns (inputs, outputs), or the CSV text -------------
 
 
 def _cmd_witt_tau(args):
     from .witt import tau
 
     endo = _parse_endo(args.endo)
-    return {"endo": list(endo.images)}, _witt_json(tau(endo)), None, None
+    return {"endo": list(endo.images)}, _witt_json(tau(endo))
 
 
 def _cmd_witt_ghost(args):
     from .witt import ghost
 
     w = _parse_witt(args.elt)
-    return {"elt": _witt_json(w), "n": args.n}, {"ghost": ghost(w, args.n)}, None, None
+    return {"elt": _witt_json(w), "n": args.n}, {"ghost": ghost(w, args.n)}
 
 
 def _cmd_witt_mul(args):
     a, b = _parse_witt(args.a), _parse_witt(args.b)
-    return {"a": _witt_json(a), "b": _witt_json(b)}, _witt_json(a * b), None, None
+    return {"a": _witt_json(a), "b": _witt_json(b)}, _witt_json(a * b)
 
 
 def _cmd_witt_frob(args):
     from .witt import frobenius
 
     w = _parse_witt(args.elt)
-    return {"elt": _witt_json(w), "n": args.n}, _witt_json(frobenius(args.n, w)), None, None
+    return {"elt": _witt_json(w), "n": args.n}, _witt_json(frobenius(args.n, w))
 
 
 def _cmd_witt_versch(args):
     from .witt import verschiebung
 
     w = _parse_witt(args.elt)
-    return {"elt": _witt_json(w), "n": args.n}, _witt_json(verschiebung(args.n, w)), None, None
+    return {"elt": _witt_json(w), "n": args.n}, _witt_json(verschiebung(args.n, w))
 
 
 def _cmd_witt_basis(args):
@@ -137,7 +150,7 @@ def _cmd_witt_basis(args):
 
     w = _parse_witt(args.elt)
     prim = to_primitive_basis(w)
-    return {"elt": _witt_json(w)}, {str(k): c for k, c in prim.items()}, None, None
+    return {"elt": _witt_json(w)}, {str(k): c for k, c in prim.items()}
 
 
 def _divisor_inputs(args, d: ArakelovDivisor) -> dict:
@@ -149,7 +162,7 @@ def _cmd_theta_h0(args):
 
     d = _parse_divisor(args)
     h0 = theta_h0(d, args.eps)
-    return _divisor_inputs(args, d), {"h0": h0}, None, None
+    return _divisor_inputs(args, d), {"h0": h0}
 
 
 def _cmd_theta_verify(args):
@@ -166,8 +179,6 @@ def _cmd_theta_verify(args):
             "integral": integral,
             "abs_difference": abs(math.exp(h0) - integral),
         },
-        None,
-        None,
     )
 
 
@@ -182,8 +193,6 @@ def _cmd_theta_rr(args):
             "h0_minus": theta_h0_of_degree(-args.deg, args.eps),
             "defect": defect,
         },
-        None,
-        None,
     )
 
 
@@ -193,8 +202,12 @@ def _cmd_theta_mc(args):
     if args.samples > MC_MAX_SAMPLES:
         raise CapExceeded(f"{args.samples} Monte Carlo samples are above the cap of {MC_MAX_SAMPLES}")
     d = _parse_divisor(args)
+    h0 = theta_h0(d, 1e-12)
+    try:
+        expected = math.exp(h0)
+    except OverflowError:
+        raise ValueError(f"exp(h0) at h0 = {h0!r} is above the largest float") from None
     result = gaussian_avg_mc(d, args.samples, args.seed, threads=args.threads)
-    expected = math.exp(theta_h0(d, 1e-12))
     return (
         {"divisor": d.to_json_dict(), "samples": args.samples},
         {
@@ -203,8 +216,6 @@ def _cmd_theta_mc(args):
             "exp_h0": expected,
             "abs_difference": abs(result.mean - expected),
         },
-        args.seed,
-        None,
     )
 
 
@@ -218,13 +229,12 @@ def _cmd_gspace_delannoy(args):
     closed = [[delannoy(n, k) for k in range(args.k + 1)] for n in range(args.n + 1)]
     if table != closed:
         raise ValueError("closed form and recurrence disagree")
-    csv_text = None
     if args.csv or args.format == "csv":
         lines = ["n/k," + ",".join(str(k) for k in range(args.k + 1))]
         for n in range(args.n + 1):
             lines.append(str(n) + "," + ",".join(str(x) for x in table[n]))
-        csv_text = "\n".join(lines) + "\n"
-    return {"n": args.n, "k": args.k}, {"table": table}, None, csv_text
+        return "\n".join(lines) + "\n"
+    return {"n": args.n, "k": args.k}, {"table": table}
 
 
 def _cmd_gspace_pi(args):
@@ -265,9 +275,9 @@ def _cmd_gspace_pi(args):
         for n in range(2, args.n_max + 1):
             cert = higher_pi_trivial(n, cfg, args.k, samples=CERTIFICATE_SAMPLES, seed=0)
             higher.append([n, cert.verified])
-    outputs = {"pi0": pi0, "pi1_count": count, "pi_higher_trivial": higher}
+    outputs = {"pi0": pi0, "pi1_count": count, "pi1_radius": radius, "pi_higher_trivial": higher}
     inputs = {"divisor": d.to_json_dict(), "k": args.k, "exp_degree": exp_degree(d)}
-    return inputs, outputs, None, None
+    return inputs, outputs
 
 
 def _cmd_dk_check(args):
@@ -280,7 +290,7 @@ def _cmd_dk_check(args):
         "pi1": list(groups.pi1),
         "pi_higher_trivial": [[n, flag] for n, flag in groups.higher_trivial],
     }
-    return {"hom": hom.to_json_dict()}, outputs, None, None
+    return {"hom": hom.to_json_dict()}, outputs
 
 
 # --- parser ------------------------------------------------------------------
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = dk.add_parser("check")
     p.add_argument("--hom", required=True)
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(handler=_cmd_dk_check)
 
     return parser
@@ -369,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, outputs, seed, csv_text = args.handler(args)
+        answer = args.handler(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
@@ -378,10 +388,11 @@ def main(argv=None) -> int:
         return DOMAIN_ERROR
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    if csv_text is not None:
-        sys.stdout.write(csv_text)
+    if isinstance(answer, str):
+        sys.stdout.write(answer)
         return 0
 
+    inputs, outputs = answer
     result = {
         "command": f"{args.family} {args.op}",
         "inputs": inputs,
@@ -389,11 +400,15 @@ def main(argv=None) -> int:
         "timing_ms": elapsed_ms,
         "version": __version__,
     }
-    if seed is not None:
-        result["seed"] = seed
+    if getattr(args, "seed", None) is not None:
+        result["seed"] = args.seed
     try:
-        text = json.dumps(result, sort_keys=True, default=_fraction_json)
-    except ValueError:  # an int longer than the interpreter prints as a string
+        text = json.dumps(result, sort_keys=True, default=_fraction_json, allow_nan=False)
+    except ValueError:  # a NaN or infinity, or an int longer than the interpreter prints as a string
+        bad = _non_finite(result)
+        if bad is not None:
+            print(f"error: the answer's {bad[0]} is {bad[1]!r}, not a finite number", file=sys.stderr)
+            return DOMAIN_ERROR
         print(
             f"error: the answer holds an integer of more than {sys.get_int_max_str_digits()} digits, "
             "the limit on printing one",

@@ -25,10 +25,11 @@ the search.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapExceeded, frozen, json_array, json_int
+from .errors import DEFAULT_CAP, CapExceeded, frozen, json_array, json_int
 from .smith import group_divisors_from_table
 
 
@@ -44,10 +45,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
+        return math.prod(self.orders)
 
     @property
     def rank(self) -> int:
@@ -266,26 +264,22 @@ class LevelDescriptor:
         return HPhiElement(self.hom, simplex_pair(self.n), values)
 
     def zero(self) -> HPhiElement:
-        return HPhiElement(self.hom, simplex_pair(self.n), _level_zero(self.hom, self.n))
+        values = (self.hom.domain.zero(),) * self.n + (self.hom.codomain.zero(),)
+        return HPhiElement(self.hom, simplex_pair(self.n), values)
 
-    def elements(self, cap: int = 1_000_000) -> Iterator[HPhiElement]:
+    def elements(self, cap: int = DEFAULT_CAP) -> Iterator[HPhiElement]:
+        """Every element of the level: A-values at points 1..n, then the B-value."""
+        _check_level_cap(self.hom, self.n, cap)
         pair = simplex_pair(self.n)
-        for values in _level_values(self.hom, self.n, cap):
-            yield HPhiElement(self.hom, pair, values)
+        for a_values in itertools.product(self.hom.domain.elements(), repeat=self.n):
+            for b in self.hom.codomain.elements():
+                yield HPhiElement(self.hom, pair, a_values + (b,))
 
 
 def _check_level_cap(hom: GroupHom, n: int, cap: int) -> None:
     size = LevelDescriptor(hom, n).size
     if size > cap:
         raise CapExceeded(f"level {n} has {size} elements, above the cap of {cap}")
-
-
-def _level_values(hom: GroupHom, n: int, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The value tuples of level n: A-values at points 1..n, then the B-value."""
-    _check_level_cap(hom, n, cap)
-    for a_values in itertools.product(hom.domain.elements(), repeat=n):
-        for b in hom.codomain.elements():
-            yield a_values + (b,)
 
 
 def simplicial_level(hom: GroupHom, n: int) -> LevelDescriptor:
@@ -359,14 +353,6 @@ def _quotient_divisors(elements: list, relation: set, add, zero) -> tuple[int, .
     return tuple(group_divisors_from_table(range(len(class_index)), class_add, class_of[zero]))
 
 
-def _level_zero(hom: GroupHom, n: int) -> tuple[tuple[int, ...], ...]:
-    return (hom.domain.zero(),) * n + (hom.codomain.zero(),)
-
-
-def _faces(n: int) -> list[PairMap]:
-    return [dual_pair_map(coface(j, n), n) for j in range(n + 1)]
-
-
 def _add_table(orders: tuple[int, ...]) -> list[list[int]]:
     """Addition of a product of cyclic groups on element indices, the index of
     an element being its position in `elements()` (mixed radix, last
@@ -391,10 +377,10 @@ class _IndexedHom:
 
     Elements of A and B are numbered in `elements()` order, so a level-n
     element is a tuple of n A-indices and one B-index, listed in the order of
-    _level_values (0 is the zero of both groups).  A and B addition and phi
-    are lookup tables, and each face is compiled from its pair map into one
-    plan per target slot: the addition table of that slot and the (source
-    slot, apply phi) pairs summed into it.
+    LevelDescriptor.elements (0 is the zero of both groups).  A and B
+    addition and phi are lookup tables, and each face is compiled from its
+    pair map into one plan per target slot: the addition table of that slot
+    and the (source slot, apply phi) pairs summed into it.
     """
 
     def __init__(self, hom: GroupHom) -> None:
@@ -412,7 +398,7 @@ class _IndexedHom:
     def faces(self, n: int) -> list:
         """The compiled faces d_0..d_n of level n, compiled once per instance."""
         if n not in self._faces:
-            self._faces[n] = [self._compile(f) for f in _faces(n)]
+            self._faces[n] = [self._compile(dual_pair_map(coface(j, n), n)) for j in range(n + 1)]
         return self._faces[n]
 
     def _compile(self, f: PairMap) -> tuple:
@@ -438,18 +424,10 @@ class _IndexedHom:
         return tuple(out)
 
     def vanishes(self, plans, v: tuple[int, ...]) -> bool:
-        """Whether every compiled face in plans sends v to zero, stopping at
-        the first nonzero slot: the per-tuple test of the filter form, which
-        the search in _vanishing is checked against."""
-        phi = self.phi
-        for plan in plans:
-            for add, sources in plan:
-                acc = 0
-                for x, through_phi in sources:
-                    acc = add[acc][phi[v[x]] if through_phi else v[x]]
-                if acc:
-                    return False
-        return True
+        """Whether no compiled face in plans pushes v to a nonzero tuple: the
+        per-tuple test of the filter form, which the search in _vanishing is
+        checked against."""
+        return not any(any(self.push(plan, v)) for plan in plans)
 
     def adder(self, n: int):
         """Addition on level n."""
@@ -523,7 +501,7 @@ def _pi(ix: _IndexedHom, n: int) -> tuple[int, ...]:
     return _quotient_divisors(spherical, relation, ix.adder(n), (0,) * (n + 1))
 
 
-def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = 1_000_000) -> HomotopyGroups:
+def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = DEFAULT_CAP) -> HomotopyGroups:
     """pi_0, pi_1 (as elementary divisors) and triviality flags for 2..n_max.
 
     Levels are searched depth-first on index tuples through the lookup

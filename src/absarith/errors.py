@@ -1,5 +1,6 @@
-"""Shared exception types, the readers of integers, numbers and arrays in JSON
-input, and the `frozen` decorator that makes the library's immutable value classes.
+"""Shared exception types, the default enumeration cap, the readers of
+integers, numbers and arrays in JSON input, and the `frozen` decorator that
+makes the library's immutable value classes.
 
 Every command loads this module, so `frozen` lives here rather than in a
 module of its own.  It stands in for `dataclasses.dataclass(frozen=True)`,
@@ -10,6 +11,12 @@ any small command's own work.
 
 class CapExceeded(RuntimeError):
     """An enumeration would produce more elements than the configured cap."""
+
+
+# The cap an enumeration takes when its caller gives none: the lattice points
+# of count_E_xi and pi1_spherical_enumerate, the elements of a Dold-Kan level,
+# and the level sizes of homotopy_groups and `dk check`.
+DEFAULT_CAP = 1_000_000
 
 
 def json_int(x) -> int:

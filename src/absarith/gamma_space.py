@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, exp_degree, lattice_of
 from .combinat import delannoy, l1_within
-from .errors import frozen
+from .errors import DEFAULT_CAP, frozen
 from .smith import row_reduce
 
 __all__ = [
@@ -141,7 +141,7 @@ def degeneracy(cfg: GSConfig, j: int, e: GSElement) -> GSElement:
     return GSElement(e.k, e.free[:j] + (zero,) + e.free[j:], e.torus)
 
 
-def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = 1_000_000) -> list[tuple[Fraction, ...]]:
+def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = DEFAULT_CAP) -> list[tuple[Fraction, ...]]:
     """All spherical 1-simplices at level k: lattice vectors of l1-norm <= lambda.
 
     Exact mode only; returned in lexicographic order.  The count is the
@@ -217,11 +217,9 @@ def pi0_cardinality_k1(d: ArakelovDivisor) -> int | str:
     ed = exp_degree(d)
     if ed >= Fraction(1, 2):
         return "trivial"
-    if ed == 0:
-        raise ValueError("exp(deg) underflows a float, so exp(-deg) and its packing number are out of range")
-    inv = 1 / ed
-    n = math.floor(inv)
-    return n - 1 if inv == n else n
+    if ed == 0 or 1 / ed == math.inf:
+        raise ValueError("exp(-deg) is above the largest float, so its packing number is out of range")
+    return math.ceil(1 / ed) - 1
 
 
 def pi0_trivial_predicate(d: ArakelovDivisor, k: int) -> bool:

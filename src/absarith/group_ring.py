@@ -98,10 +98,7 @@ class GroupRingElt(Combination):
 
     def torsion_lcm(self) -> int:
         """lcm of the orders of the support (1 for the zero element)."""
-        n = 1
-        for g, _ in self.items:
-            n = lcm(n, g.denominator)
-        return n
+        return lcm(*(g.denominator for g, _ in self.items))
 
     def to_json(self) -> str:
         return _json.dumps(

@@ -9,7 +9,6 @@ uses trial division, which suits the small inputs this package deals with
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -177,6 +176,4 @@ __all__ = [
     "euler_phi",
     "unit_group_generators",
     "padic_valuation",
-    "gcd",
-    "lcm",
 ]

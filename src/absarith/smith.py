@@ -1,7 +1,7 @@
 """Integer Smith normal form and elementary divisors of finite abelian groups.
 
-Three consumers: presenting a cokernel on the codomain generators, presenting
-a kernel as the cokernel of the dual map (by Pontryagin duality), and reading
+Two consumers: presenting a cokernel on the codomain generators (a kernel
+being the cokernel of the dual map, by Pontryagin duality), and reading
 off the isomorphism class of a brute-force group given only by its addition
 table (presented by its sum relations against a generating set, reduced to
 the generators by a search tree).  Matrices here are small, so the classic
@@ -13,6 +13,7 @@ rank of the face equations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .numth import factorize
 
@@ -132,21 +133,16 @@ def elementary_divisors(invariant_factors: list[int]) -> list[int]:
     return sorted(out)
 
 
-def _quotient_divisors(orders, rows) -> list[int]:
-    """Elementary divisors of prod Z/orders_i modulo the span of the rows."""
-    t = len(orders)
-    relations = [[orders[j] if i == j else 0 for j in range(t)] for i in range(t)]
-    relations += [list(r) for r in rows]
-    return elementary_divisors(invariant_factors_of_presentation(relations, t))
-
-
 def cokernel_divisors(codomain_orders: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> list[int]:
     """Elementary divisors of B / im(phi) for phi into B = prod Z/n_j.
 
     Presented on the generators of B: relations are the generator orders plus
     the images of the domain generators (rows of matrix).
     """
-    return _quotient_divisors(codomain_orders, matrix)
+    t = len(codomain_orders)
+    relations = [[codomain_orders[j] if i == j else 0 for j in range(t)] for i in range(t)]
+    relations += [list(r) for r in matrix]
+    return elementary_divisors(invariant_factors_of_presentation(relations, t))
 
 
 def kernel_divisors(
@@ -173,7 +169,7 @@ def kernel_divisors(
                 raise ValueError(f"matrix entry ({i}, {j}) does not give a homomorphism Z/{m} -> Z/{n}")
             row.append(q)
         rows.append(row)
-    return _quotient_divisors(domain_orders, rows)
+    return cokernel_divisors(domain_orders, rows)
 
 
 def row_reduce(rows) -> tuple[list[list[Fraction]], int]:
@@ -250,9 +246,6 @@ def group_divisors_from_table(elements, add, zero) -> list[int]:
             if any(row):
                 rows.add(row)
     factors = invariant_factors_of_presentation([list(row) for row in rows], r)
-    order = 1
-    for f in factors:
-        order *= f
-    if order != len(elems):
+    if prod(factors) != len(elems):
         raise ValueError("presentation order mismatch; the table is not a group")
     return elementary_divisors(factors)

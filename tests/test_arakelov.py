@@ -598,3 +598,31 @@ def test_prime_power_bits_are_capped_before_any_power_is_built():
     for finite in ({2: 800_001}, {2: 400000, 3: -253000}, {3: 10**7}, {2: 10**400}, {5: -(10**400)}):
         with pytest.raises(CapExceeded, match="800000 bits"):
             ArakelovDivisor.make(finite, one)
+
+
+@pytest.mark.parametrize("q", [Fraction(6, 5), Fraction(-10, 21), Fraction(1, 360)])
+def test_linearly_equivalent_divisors_share_theta_and_exp_degree(q):
+    # Adding a principal divisor changes neither exp(deg) nor h0: exactly on
+    # an exact scale, and up to rounding on a float scale, where the scales
+    # combine through their logs.
+    exact = D({2: 3, 5: -1}, ScaleValue.exact_exp(Fraction(2, 7)))
+    shifted = exact + principal(q)
+    assert shifted != exact
+    assert exp_degree(shifted) == exp_degree(exact)
+    assert theta_h0(shifted) == theta_h0(exact)
+    floating = D({3: 1}, ScaleValue.from_log(0.4))
+    shifted = floating + principal(q)
+    assert not shifted.arch.is_exact
+    assert exp_degree(shifted) == pytest.approx(exp_degree(floating), rel=1e-14)
+    assert theta_h0(shifted) == pytest.approx(theta_h0(floating), rel=1e-14)
+
+
+def test_negation_and_difference_of_divisors():
+    for d in (D({2: 3, 5: -1}, ScaleValue.exact_exp(Fraction(2, 7))), D({3: 1, 7: -2}, ScaleValue.from_log(0.4))):
+        assert exp_degree(d - d) == 1
+        assert lattice_of(-d).generator == 1 / lattice_of(d).generator
+        assert -(-d) == d
+    # With no negative exponent, deg f = u + log N and deg(-f) = -u - log N
+    # round alike, so negation is exact on a float scale too.
+    f = D({3: 1}, ScaleValue.from_log(0.4))
+    assert degree(-f) == -degree(f)

@@ -503,3 +503,49 @@ def test_theta_verify_loads_numpy_only_for_long_quadratures(deg, numpy_loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"code": 0, "numpy": numpy_loaded}
+
+
+@pytest.mark.parametrize(
+    "divisor, radius",
+    [('{"finite":{},"arch":{"float":32.347}}', 111718116751215), (_DIVISOR_1_3, 0)],
+)
+def test_gspace_pi_reports_the_radius_it_counts_with(capsys, divisor, radius):
+    # At 32.347 the echoed float exp_degree rounds up to 111718116751216.0;
+    # the certified floor is one less, and pi1_count = 2 radius + 1 at k = 1.
+    outputs = run_json(capsys, "gspace", "pi", "--divisor", divisor, "--k", "1")["outputs"]
+    assert outputs["pi1_radius"] == radius
+    assert outputs["pi1_count"] == 2 * radius + 1
+
+
+@pytest.mark.parametrize(
+    "divisor, cause",
+    [
+        # c = 2^-1100 underflows to 0.0 (degree about 62.5)
+        ('{"finite":{"2":1100},"arch":{"float":-700}}', "generator c"),
+        # sigma = e^-800 underflows to 0.0 (degree about -37.6)
+        ('{"finite":{"2":1100},"arch":{"float":-800}}', "sigma"),
+        # sigma = e^1000 overflows (degree about -39.7)
+        ('{"finite":{"2":-1500},"arch":{"float":1000}}', "sigma"),
+        # c = 2^1100 overflows (degree about -62.5)
+        ('{"finite":{"2":-1100},"arch":{"float":700}}', "generator c"),
+        # exp(h0) = e^1000 overflows
+        ('{"finite":{},"arch":{"float":1000}}', "exp(h0)"),
+        # sigma and c are floats, but samples overflow to inf on the way
+        ('{"finite":{"2":-10},"arch":{"float":709.7}}', "is inf"),
+    ],
+)
+def test_theta_mc_out_of_a_floats_range_is_one_domain_error(divisor, cause):
+    proc = _run_cli("theta", "mc", "--divisor", divisor, "--seed", "1", "--samples", "100000")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and cause in lines[0], proc.stderr
+
+
+def test_a_non_finite_answer_is_named_and_never_printed(capsys):
+    # Three samples near the largest float: their mean is finite, but the
+    # sum of their squares, and so the standard error, is not.
+    argv = ("theta", "mc", "--divisor", '{"finite":{"2":-10},"arch":{"float":709.7}}', "--seed", "1", "--samples", "3")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: the answer's outputs.stderr is nan, not a finite number\n"

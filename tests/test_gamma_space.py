@@ -603,3 +603,12 @@ def test_l1_within_decides_a_rational_boundary_exactly():
     assert not l1_within(tenths, Fraction(3, 10) - Fraction(1, 10**15), tol=1e-12)
     assert l1_within([0.1, -0.1, 0.1], Fraction(3, 10), tol=1e-12)
     assert not l1_within([0.1, -0.1, 0.1], Fraction(3, 10))
+
+
+@pytest.mark.parametrize("deg", [-720.0, -745.0])
+def test_pi0_cardinality_where_exp_minus_degree_overflows(deg):
+    # exp(deg) is a subnormal float here, not 0, but 1 / exp(deg) is inf.
+    ed = degree_scale(ArakelovDivisor.of_degree(deg)).value
+    assert ed > 0 and 1 / ed == math.inf
+    with pytest.raises(ValueError, match=r"exp\(-deg\) is above the largest float"):
+        pi0_cardinality_k1(ArakelovDivisor.of_degree(deg))

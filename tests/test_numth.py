@@ -91,3 +91,28 @@ def test_padic_valuation():
     assert padic_valuation(Fraction(3, 8), 3) == 1
     with pytest.raises(ValueError):
         padic_valuation(0, 2)
+
+
+def test_unit_generator_lifts_a_root_that_is_not_primitive_mod_p_squared():
+    # 5 is the least primitive root mod 40487, and 5^40486 = 1 mod 40487^2,
+    # so the generator mod 40487^2 is the lift 5 + 40487.
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    (g,) = unit_group_generators(p * p)
+    assert g == 40492
+    order = p * (p - 1)
+    assert pow(g, order, p * p) == 1
+    assert all(pow(g, order // q, p * p) != 1 for q in factorize(order))
+
+
+@pytest.mark.parametrize(
+    "least, cofactor",
+    [(43, 77140559643718311301459), (1009, 3287456952110889381557), (1000003, 3317034113577546763)],
+)
+def test_is_prime_past_the_miller_rabin_bound_finds_the_least_factor(least, cofactor):
+    # Above 3.3e24 primality is decided by trial division from 43 on; each of
+    # these composites is a prime times a larger prime, just past that bound.
+    n = least * cofactor
+    assert n > 3_317_044_064_679_887_385_961_981
+    assert is_prime(least) and is_prime(cofactor) and cofactor > least
+    assert not is_prime(n)
