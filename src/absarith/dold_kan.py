@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import getitem
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DEFAULT_CAP, CapExceeded, frozen, json_array, json_int
@@ -325,30 +326,42 @@ class HomotopyGroups:
 
 def _quotient_divisors(elements: list, relation: set, add, zero) -> tuple[int, ...]:
     """Isomorphism class of the quotient of a finite abelian group by a
-    relation, asserted to be an equivalence compatible with addition."""
+    relation, asserted to be an equivalence compatible with addition.
+
+    Once the relation is reflexive, each element e is labelled by the set
+    R(e) of elements related to it, and every related pair (x, y) must carry
+    equal labels.  That is the same test as symmetry plus transitivity:
+    R(x) = R(y) with y in R(y) and x in R(x) gives y ~ x, and z in R(y) gives
+    x ~ z; conversely the labels of an equivalence are its classes.  It costs
+    one pass over the relation, and only after a failure do the pairwise
+    scans run, to name the property that fails.  Compatibility with addition
+    is checked on every pair of elements.
+    """
     related: dict = {e: set() for e in elements}
     for x, y in relation:
         related[x].add(y)
     if any(e not in related[e] for e in elements):
         raise AssertionError("homotopy relation is not reflexive")
-    if any(x not in related[y] for x, ys in related.items() for y in ys):
-        raise AssertionError("homotopy relation is not symmetric")
-    if any(not related[y] <= ys for ys in related.values() for y in ys):
-        raise AssertionError("homotopy relation is not transitive")
-    # In an equivalence relation the class of e is the set related to e.
     class_index: dict = {}
     class_of = {e: class_index.setdefault(frozenset(related[e]), len(class_index)) for e in elements}
-    # Quotient addition, with an exhaustive well-definedness check.
-    table: dict[tuple[int, int], int] = {}
-    for a in elements:
-        for b in elements:
-            key = (class_of[a], class_of[b])
-            value = class_of[add(a, b)]
-            if table.setdefault(key, value) != value:
-                raise AssertionError("homotopy relation is not compatible with addition")
+    if any(class_of[x] != class_of[y] for x, y in relation):
+        if any(x not in related[y] for x, ys in related.items() for y in ys):
+            raise AssertionError("homotopy relation is not symmetric")
+        raise AssertionError("homotopy relation is not transitive")
+    # Quotient addition: table[i][j] is the class of a + b for a in class i
+    # and b in class j, read from one a per class and checked on every pair.
+    labels = [class_of[e] for e in elements]
+    table: list = [None] * len(class_index)
+    for a, i in zip(elements, labels):
+        sums = list(map(class_of.__getitem__, map(add, itertools.repeat(a), elements)))
+        if table[i] is None:
+            row = dict(zip(labels, sums))
+            table[i] = [row[j] for j in range(len(class_index))]
+        if sums != list(map(table[i].__getitem__, labels)):
+            raise AssertionError("homotopy relation is not compatible with addition")
 
     def class_add(i: int, j: int) -> int:
-        return table[(i, j)]
+        return table[i][j]
 
     return tuple(group_divisors_from_table(range(len(class_index)), class_add, class_of[zero]))
 
@@ -432,7 +445,7 @@ class _IndexedHom:
     def adder(self, n: int):
         """Addition on level n."""
         tables = (self.a_add,) * n + (self.b_add,)
-        return lambda x, y: tuple(t[u][w] for t, u, w in zip(tables, x, y))
+        return lambda x, y: tuple(map(getitem, map(getitem, tables, x), y))
 
 
 def _vanishing(ix: _IndexedHom, n: int, plans) -> list[tuple[int, ...]]:

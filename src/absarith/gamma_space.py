@@ -26,6 +26,7 @@ divisor carries a rational scale.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -313,11 +314,14 @@ def higher_pi_trivial(
 
     A sampled member is kept as its integer indices: free entries
     lambda/(4nk) m with m in -2..2 and torus entries c t/7 with t in 0..6.
-    Membership and the vanishing of each face are decided on the indices
-    (_indices_are_member, _index_face_is_zero), the last face through a 5 x 7
-    table of which pairs (m, t) land in cZ, built once per certificate.  The
-    object path, member and face on the GSElement that
-    _random_nonzero_member builds from the same draw, is the oracle.
+    The indices are read from the generator's 32-bit words in blocks
+    (_decoded_nonzero_indices), the same stream that randint draws
+    (_draw_nonzero_indices) give for the seed.  Membership and the vanishing
+    of each face are decided on the indices (_indices_are_member,
+    _index_face_is_zero), the last face through a 5 x 7 table of which pairs
+    (m, t) land in cZ, built once per certificate.  The object path, member
+    and face on the GSElement that _random_nonzero_member builds from the
+    same draw, is the oracle.
     """
     if n < 2:
         raise ValueError("this certificate only applies above degree 1")
@@ -325,11 +329,9 @@ def higher_pi_trivial(
         raise ValueError("the certificate uses exact arithmetic; use an exact scale")
     rank, witnesses, torus_pinned = face_equations(n)
 
-    rng = random.Random(seed)
     last_face_zero = _last_face_table(cfg, n, k)
     violated = 0
-    for _ in range(samples):
-        rows, torus = _draw_nonzero_indices(rng, n, k)
+    for rows, torus in _decoded_nonzero_indices(random.Random(seed), n, k, samples):
         assert _indices_are_member(rows, torus, n, k)
         if not all(_index_face_is_zero(j, rows, torus, last_face_zero) for j in range(n + 1)):
             violated += 1
@@ -356,6 +358,41 @@ def _draw_nonzero_indices(rng: random.Random, n: int, k: int) -> tuple[list[list
         torus = [randint(0, 6) for _ in range(k)]
         if any(map(any, rows)) or any(torus):
             return rows, torus
+
+
+# _TOP_BITS[b]: the top three bits of a byte.
+_TOP_BITS = bytes(b >> 5 for b in range(256))
+# 1 KiB of words, about what 50 samples take at n = 2, k = 1.
+_WORDS_PER_BLOCK = 256
+
+
+def _decoded_nonzero_indices(
+    rng: random.Random, n: int, k: int, samples: int
+) -> list[tuple[list[list[int]], list[int]]]:
+    """The next `samples` draws of _draw_nonzero_indices(rng, n, k), read
+    from the generator's 32-bit words rather than through randint.
+
+    randint(-2, 2) and randint(0, 6) each take getrandbits(3), the top three
+    bits of one word, drawn again while it is 5 or more (7 or more), and
+    getrandbits(32 W) is the next W words, least significant first.  So the
+    top bytes of each block of words, filtered below 5 for free indices and
+    below 7 for torus ones, are the randint stream.  The generator is left up
+    to a block past the last draw.
+    """
+    bits = 32 * _WORDS_PER_BLOCK
+    getrandbits = rng.getrandbits
+    tops = itertools.chain.from_iterable(
+        iter(lambda: getrandbits(bits).to_bytes(bits // 8, "little")[3::4].translate(_TOP_BITS), None)
+    )
+    free_draws, torus_draws = filter((5).__gt__, tops), filter((7).__gt__, tops)
+    islice, nk = itertools.islice, n * k
+    out = []
+    while len(out) < samples:
+        free = list(islice(free_draws, nk))
+        torus = list(islice(torus_draws, k))
+        if free.count(2) < nk or any(torus):  # some free index m = r - 2 is nonzero
+            out.append(([[r - 2 for r in free[i : i + k]] for i in range(0, nk, k)], torus))
+    return out
 
 
 def _indices_are_member(rows: Sequence[Sequence[int]], torus: Sequence[int], n: int, k: int) -> bool:

@@ -549,3 +549,45 @@ def test_a_non_finite_answer_is_named_and_never_printed(capsys):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == "error: the answer's outputs.stderr is nan, not a finite number\n"
+
+
+def _without_timing(stdout):
+    if not stdout:
+        return stdout
+    answer = json.loads(stdout)
+    answer.pop("timing_ms")
+    return answer
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (("theta", "h0", "--deg", "-1e3"), ("theta", "h0", "--deg=-1e3")),
+        (("theta", "h0", "--deg", "-1E2"), ("theta", "h0", "--deg", "-100")),
+        (("theta", "h0", "--deg", "-2.5e1"), ("theta", "h0", "--deg", "-25")),
+        (("theta", "h0", "--deg", "-.5e+1"), ("theta", "h0", "--deg", "-5")),
+        (("theta", "rr", "--deg", "-1e1"), ("theta", "rr", "--deg", "-10")),
+        (("theta", "verify", "--deg", "-5e-1"), ("theta", "verify", "--deg", "-0.5")),
+        (("theta", "mc", "--deg", "-1e1", "--seed", "1", "--samples", "10"), ("theta", "mc", "--deg=-1e1", "--seed", "1", "--samples", "10")),
+        (("theta", "h0", "--deg", "0", "--eps", "-1e-3"), ("theta", "h0", "--deg", "0", "--eps=-1e-3")),
+    ],
+)
+def test_negative_exponent_notation_is_an_option_value(argv, same_as):
+    got, expected = _run_cli(*argv), _run_cli(*same_as)
+    assert got.returncode == expected.returncode and got.returncode in (0, 3), got.stderr
+    assert _without_timing(got.stdout) == _without_timing(expected.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "h0", "--deg", "-inf"),
+        ("theta", "h0", "--deg", "-1."),
+        ("theta", "h0", "--deg", "-e3"),
+        ("theta", "h0", "--deg", "-1e"),
+        ("gspace", "delannoy", "--n", "-1e2", "--k", "2"),
+    ],
+)
+def test_what_is_not_a_negative_number_stays_a_usage_error(argv):
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""

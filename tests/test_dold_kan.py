@@ -11,6 +11,7 @@ import pytest
 from absarith.dold_kan import (
     FiniteAbelianGroup,
     _IndexedHom,
+    _quotient_divisors,
     _vanishing,
     GroupHom,
     HPhiElement,
@@ -460,3 +461,44 @@ def test_homotopy_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+Z4_ELEMENTS = [(0,), (1,), (2,), (3,)]
+
+
+def _z4_add(x, y):
+    return ((x[0] + y[0]) % 4,)
+
+
+def _z4_relation(*pairs):
+    """The diagonal of Z/4 plus the given pairs of residues, as 1-tuples."""
+    return {((x,), (x,)) for x in range(4)} | {((x,), (y,)) for x, y in pairs}
+
+
+@pytest.mark.parametrize(
+    "relation, message",
+    [
+        ({((x,), (x,)) for x in range(3)}, "not reflexive"),
+        (_z4_relation((0, 2)), "not symmetric"),
+        (_z4_relation((0, 1), (1, 2)), "not symmetric"),  # nor transitive: symmetry is named first
+        (_z4_relation((0, 1), (1, 0), (1, 2), (2, 1)), "not transitive"),
+        (_z4_relation((0, 1), (1, 0)), "not compatible with addition"),  # 0 ~ 1 but 0 + 1 = 1, 1 + 1 = 2
+        (_z4_relation((1, 3), (3, 1)), "not compatible with addition"),  # 1 ~ 3 but 1 + 1 = 2, 1 + 3 = 0
+    ],
+)
+def test_quotient_names_the_property_a_relation_lacks(relation, message):
+    with pytest.raises(AssertionError) as info:
+        _quotient_divisors(Z4_ELEMENTS, relation, _z4_add, (0,))
+    assert str(info.value) == f"homotopy relation is {message}"
+
+
+@pytest.mark.parametrize(
+    "relation, divisors",
+    [
+        (_z4_relation(), (4,)),
+        (_z4_relation((0, 2), (2, 0), (1, 3), (3, 1)), (2,)),
+        ({((x,), (y,)) for x in range(4) for y in range(4)}, ()),
+    ],
+)
+def test_quotient_by_a_congruence(relation, divisors):
+    assert _quotient_divisors(Z4_ELEMENTS, relation, _z4_add, (0,)) == divisors
