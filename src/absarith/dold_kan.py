@@ -14,12 +14,14 @@ spherical n-simplices are enumerated, the one-step relation from level n+1 is
 tabulated and checked to be an equivalence, and the isomorphism class of the
 quotient group is read off its addition table.  The expected answers are
 pi_0 = coker phi, pi_1 = ker phi, nothing above.  That enumeration runs on
-element indices, with addition, phi and every face compiled into lookup
-tables once per call, and searches each level depth-first, testing every
-face slot as soon as its sources are assigned; the element objects above
-stay as the small-group oracle the compiled faces are tested against, and
-the filter form (every tuple of the level, then its faces) as the oracle of
-the search.
+element indices, with addition and phi as lookup tables and every face
+compiled once per level, and searches each level column by column: the
+surviving tuples are held as one list per slot, every face slot is tested
+over whole columns as soon as its sources are assigned, and faces and sums
+are evaluated by C-level maps over the columns.  The element objects above
+stay as the small-group oracle the compiled faces are tested against, the
+per-tuple push and adder as the oracles of the column forms, and the filter
+form (every tuple of the level, then its faces) as the oracle of the search.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import getitem
+from itertools import chain, compress, repeat
+from operator import getitem, not_
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DEFAULT_CAP, CapExceeded, frozen, json_array, json_int
@@ -112,6 +115,11 @@ class GroupHom:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "GroupHom":
+        if not isinstance(data, Mapping):
+            raise ValueError("a homomorphism must be a JSON object")
+        for key in ("domain", "codomain", "matrix"):
+            if key not in data:
+                raise ValueError(f"a homomorphism needs a {key!r} key")
         domain = FiniteAbelianGroup(tuple(json_int(m) for m in json_array(data["domain"])))
         codomain = FiniteAbelianGroup(tuple(json_int(n) for n in json_array(data["codomain"])))
         matrix = tuple(tuple(json_int(x) for x in json_array(row)) for row in json_array(data["matrix"]))
@@ -229,8 +237,11 @@ def dual_pair_map(theta: Sequence[int], n: int) -> PairMap:
     _check_monotone(theta, n)
     m = len(theta) - 1
     images = []
+    k = 0
     for i in range(n + 2):
-        k = next((k for k in range(m + 1) if theta[k] >= i), m + 1)
+        # theta is monotone, so the least k only moves up as i does.
+        while k <= m and theta[k] < i:
+            k += 1
         images.append(k)
     return PairMap(simplex_pair(n), simplex_pair(m), tuple(images))
 
@@ -324,18 +335,20 @@ class HomotopyGroups:
         return dict(self.higher_trivial)
 
 
-def _quotient_divisors(elements: list, relation: set, add, zero) -> tuple[int, ...]:
+def _quotient_divisors(elements: list, relation: set, tables: Sequence, zero) -> tuple[int, ...]:
     """Isomorphism class of the quotient of a finite abelian group by a
     relation, asserted to be an equivalence compatible with addition.
 
-    Once the relation is reflexive, each element e is labelled by the set
-    R(e) of elements related to it, and every related pair (x, y) must carry
-    equal labels.  That is the same test as symmetry plus transitivity:
-    R(x) = R(y) with y in R(y) and x in R(x) gives y ~ x, and z in R(y) gives
-    x ~ z; conversely the labels of an equivalence are its classes.  It costs
-    one pass over the relation, and only after a failure do the pairwise
-    scans run, to name the property that fails.  Compatibility with addition
-    is checked on every pair of elements.
+    Elements are index tuples, added slot by slot: tables[k][x][y] is the
+    sum of x and y at slot k.  Once the relation is reflexive, each element e
+    is labelled by the set R(e) of elements related to it, and every related
+    pair (x, y) must carry equal labels.  That is the same test as symmetry
+    plus transitivity: R(x) = R(y) with y in R(y) and x in R(x) gives y ~ x,
+    and z in R(y) gives x ~ z; conversely the labels of an equivalence are
+    its classes.  It costs one pass over the relation, and only after a
+    failure do the pairwise scans run, to name the property that fails.
+    Compatibility with addition is checked on every pair of elements, one
+    row of sums per element, built column by column by _sums.
     """
     related: dict = {e: set() for e in elements}
     for x, y in relation:
@@ -349,14 +362,17 @@ def _quotient_divisors(elements: list, relation: set, add, zero) -> tuple[int, .
             raise AssertionError("homotopy relation is not symmetric")
         raise AssertionError("homotopy relation is not transitive")
     # Quotient addition: table[i][j] is the class of a + b for a in class i
-    # and b in class j, read from one a per class and checked on every pair.
+    # and b in class j, read from the first a of class i and the first b of
+    # class j (labels are numbered in order of first appearance), and checked
+    # on every pair.
     labels = [class_of[e] for e in elements]
+    firsts = [labels.index(j) for j in range(len(class_index))]
+    columns = list(zip(*elements))
     table: list = [None] * len(class_index)
     for a, i in zip(elements, labels):
-        sums = list(map(class_of.__getitem__, map(add, itertools.repeat(a), elements)))
+        sums = list(map(class_of.__getitem__, _sums(tables, a, columns)))
         if table[i] is None:
-            row = dict(zip(labels, sums))
-            table[i] = [row[j] for j in range(len(class_index))]
+            table[i] = list(map(sums.__getitem__, firsts))
         if sums != list(map(table[i].__getitem__, labels)):
             raise AssertionError("homotopy relation is not compatible with addition")
 
@@ -366,14 +382,23 @@ def _quotient_divisors(elements: list, relation: set, add, zero) -> tuple[int, .
     return tuple(group_divisors_from_table(range(len(class_index)), class_add, class_of[zero]))
 
 
+def _sums(tables: Sequence, a: Sequence[int], columns: Sequence) -> Iterator[tuple[int, ...]]:
+    """a + b for every b that columns list (columns[k] holding slot k), in
+    order: slot k of the sums is row a[k] of that slot's table read along
+    columns[k], one C-level map per slot."""
+    return zip(*[map(table[x].__getitem__, column) for table, x, column in zip(tables, a, columns)])
+
+
 def _add_table(orders: tuple[int, ...]) -> list[list[int]]:
     """Addition of a product of cyclic groups on element indices, the index of
     an element being its position in `elements()` (mixed radix, last
     coordinate fastest)."""
     table, size = [[0]], 1
     for m in reversed(orders):
-        # Prepend a factor Z/m: index d * size + i, digits added mod m.
-        table = [[(d + e) % m * size + t for e in range(m) for t in row] for d in range(m) for row in table]
+        # Prepend a factor Z/m: row d * size + i is row i with digit e in
+        # front of each entry, rotated by d blocks so that the digit is d + e.
+        shifted = [list(chain.from_iterable(map((e * size).__add__, row) for e in range(m))) for row in table]
+        table = [row[d * size :] + row[: d * size] for d in range(m) for row in shifted]
         size *= m
     return table
 
@@ -381,8 +406,25 @@ def _add_table(orders: tuple[int, ...]) -> list[list[int]]:
 def _element_index(orders: Sequence[int], value: Sequence[int]) -> int:
     i = 0
     for m, x in zip(orders, value):
-        i = i * m + x
+        i = i * m + x % m
     return i
+
+
+@lru_cache(maxsize=None)
+def _face_slots(n: int) -> tuple:
+    """The faces d_0..d_n of level n compiled from their pair maps, which
+    depend on n alone: per face, one (B slot, sources) pair per target slot,
+    sources being the (source slot, apply phi) pairs summed into it."""
+    plans = []
+    for j in range(n + 1):
+        f = dual_pair_map(coface(j, n), n)
+        sources: list[list] = [[] for _ in range(f.dst.size)]
+        for x in range(1, f.src.size + 1):
+            y = f.images[x]
+            if y:
+                sources[y - 1].append((x - 1, y in f.dst.marked and x not in f.src.marked))
+        plans.append(tuple((y in f.dst.marked, tuple(s)) for y, s in enumerate(sources, start=1)))
+    return tuple(plans)
 
 
 class _IndexedHom:
@@ -391,17 +433,28 @@ class _IndexedHom:
     Elements of A and B are numbered in `elements()` order, so a level-n
     element is a tuple of n A-indices and one B-index, listed in the order of
     LevelDescriptor.elements (0 is the zero of both groups).  A and B
-    addition and phi are lookup tables, and each face is compiled from its
-    pair map into one plan per target slot: the addition table of that slot
-    and the (source slot, apply phi) pairs summed into it.
+    addition and phi are lookup tables, and each face is one plan per target
+    slot: the addition table of that slot and the (source slot, apply phi)
+    pairs summed into it.  A set of level elements is held as columns, one
+    list per slot, and push_columns evaluates a plan over all of them at
+    once; push, vanishes, level and adder are the per-tuple forms that the
+    column forms are tested against.
     """
 
     def __init__(self, hom: GroupHom) -> None:
         self.hom = hom
         self.a_add = _add_table(hom.domain.orders)
         self.b_add = _add_table(hom.codomain.orders)
-        self.phi = [_element_index(hom.codomain.orders, hom.apply(a)) for a in hom.domain.elements()]
-        self._faces: dict[int, list] = {}
+        # phi by rows: the images of the multiples of each generator in turn,
+        # added to the images of every prefix (first coordinate slowest).
+        phi = [0]
+        for m, image in zip(hom.domain.orders, hom.matrix):
+            g = self.b_add[_element_index(hom.codomain.orders, image)]
+            multiples = [0]
+            for _ in range(m - 1):
+                multiples.append(g[multiples[-1]])
+            phi = list(chain.from_iterable(map(self.b_add[v].__getitem__, multiples) for v in phi))
+        self.phi = phi
 
     def level(self, n: int) -> Iterator[tuple[int, ...]]:
         """Every level-n index tuple, in level order.  With vanishes, the
@@ -409,21 +462,9 @@ class _IndexedHom:
         return itertools.product(*[range(self.hom.domain.order)] * n, range(self.hom.codomain.order))
 
     def faces(self, n: int) -> list:
-        """The compiled faces d_0..d_n of level n, compiled once per instance."""
-        if n not in self._faces:
-            self._faces[n] = [self._compile(dual_pair_map(coface(j, n), n)) for j in range(n + 1)]
-        return self._faces[n]
-
-    def _compile(self, f: PairMap) -> tuple:
-        slots = []
-        for y in range(1, f.dst.size + 1):
-            sources = tuple(
-                (x - 1, y in f.dst.marked and x not in f.src.marked)
-                for x in range(1, f.src.size + 1)
-                if f.images[x] == y
-            )
-            slots.append((self.b_add if y in f.dst.marked else self.a_add, sources))
-        return tuple(slots)
+        """The compiled faces d_0..d_n of level n, on this hom's tables."""
+        tables = (self.a_add, self.b_add)
+        return [tuple((tables[on_b], sources) for on_b, sources in plan) for plan in _face_slots(n)]
 
     def push(self, plan, v: tuple[int, ...]) -> tuple[int, ...]:
         """A compiled face applied to a level element."""
@@ -436,28 +477,50 @@ class _IndexedHom:
             out.append(acc)
         return tuple(out)
 
+    def push_columns(self, plan, columns: Sequence[list[int]]) -> list[list[int]]:
+        """A compiled face applied to every level element that columns list:
+        the columns of the images, in the same order."""
+        return [self.slot_column(add, sources, columns) for add, sources in plan]
+
+    def slot_column(self, add, sources, columns: Sequence[list[int]]) -> list[int]:
+        """One target slot of a compiled face over columns: the first source
+        column, then each further one added through the slot's table (0 is
+        the zero, so add[0][x] is x and this is the fold of push)."""
+        if not sources:
+            return [0] * len(columns[0])
+        acc = None
+        for x, through_phi in sources:
+            column = map(self.phi.__getitem__, columns[x]) if through_phi else columns[x]
+            acc = column if acc is None else map(getitem, map(add.__getitem__, acc), column)
+        return list(acc)
+
     def vanishes(self, plans, v: tuple[int, ...]) -> bool:
         """Whether no compiled face in plans pushes v to a nonzero tuple: the
         per-tuple test of the filter form, which the search in _vanishing is
         checked against."""
         return not any(any(self.push(plan, v)) for plan in plans)
 
+    def tables(self, n: int) -> tuple:
+        """The addition tables of the slots of level n."""
+        return (self.a_add,) * n + (self.b_add,)
+
     def adder(self, n: int):
-        """Addition on level n."""
-        tables = (self.a_add,) * n + (self.b_add,)
+        """Addition on level n, pair by pair: the oracle of _sums."""
+        tables = self.tables(n)
         return lambda x, y: tuple(map(getitem, map(getitem, tables, x), y))
 
 
-def _vanishing(ix: _IndexedHom, n: int, plans) -> list[tuple[int, ...]]:
+def _vanishing_columns(ix: _IndexedHom, n: int, plans) -> list[list[int]]:
     """The level-n index tuples on which every compiled face in plans
-    vanishes, in level order: a depth-first search that is the same list as
-    [v for v in ix.level(n) if ix.vanishes(plans, v)].
+    vanishes, in level order, as columns: a search column by column.
 
     Slots 0..n are assigned left to right (the n A-indices, then the
-    B-index), so tuples come out in itertools.product order.  Each face slot
-    is tested once its last source slot is assigned, and a branch is dropped
-    at the first nonzero one; a face slot without sources is always zero and
-    never tested.  An odometer, so that it holds no reference cycle.
+    B-index): every surviving prefix is repeated once per value of the next
+    slot, so rows stay in itertools.product order.  Each face slot is tested
+    once its last source slot is assigned, over the whole column, and the
+    rows where it is nonzero are dropped; a face slot without sources is
+    always zero and never tested.  That is the pruning of a depth-first
+    search, one C-level pass per slot instead of one Python step per tuple.
     """
     sizes = [ix.hom.domain.order] * n + [ix.hom.codomain.order]
     # tests[d]: the face slots whose last source slot is d.
@@ -466,32 +529,26 @@ def _vanishing(ix: _IndexedHom, n: int, plans) -> list[tuple[int, ...]]:
         for add, sources in plan:
             if sources:
                 tests[max(x for x, _ in sources)].append((add, sources))
-    phi = ix.phi
-    out = []
-    v = [0] * (n + 1)
-    d = 0
-    while True:
-        for add, sources in tests[d]:
-            acc = 0
-            for x, through_phi in sources:
-                acc = add[acc][phi[v[x]] if through_phi else v[x]]
-            if acc:
-                break
-        else:
-            if d == n:
-                out.append(tuple(v))
-            else:
-                d += 1
-                v[d] = 0
-                continue
-        # Advance the odometer: the next value at slot d, backing up past
-        # the slots whose values are used up.
-        v[d] += 1
-        while v[d] == sizes[d]:
-            d -= 1
-            if d < 0:
-                return out
-            v[d] += 1
+    # Columns are copied only when rows are added or dropped, so that a slot
+    # of size 1 or a test that drops nothing costs no pass over the prefix.
+    columns: list[list[int]] = []
+    rows = 1
+    for size, slot_tests in zip(sizes, tests):
+        if size > 1:
+            columns = [list(chain.from_iterable(map(repeat, column, repeat(size)))) for column in columns]
+        columns.append(list(range(size)) * rows)
+        for add, sources in slot_tests:
+            keep = list(map(not_, ix.slot_column(add, sources, columns)))
+            if not all(keep):
+                columns = [list(compress(column, keep)) for column in columns]
+        rows = len(columns[-1])
+    return columns
+
+
+def _vanishing(ix: _IndexedHom, n: int, plans) -> list[tuple[int, ...]]:
+    """The rows of _vanishing_columns as tuples, searched column by column:
+    the same list as [v for v in ix.level(n) if ix.vanishes(plans, v)]."""
+    return list(zip(*_vanishing_columns(ix, n, plans)))
 
 
 def _spherical(ix: _IndexedHom, n: int) -> list:
@@ -505,28 +562,29 @@ def _pi(ix: _IndexedHom, n: int) -> tuple[int, ...]:
     spherical = _spherical(ix, n)
     spherical_set = set(spherical)
     faces = ix.faces(n + 1)
-    d_n, d_n1 = faces[n], faces[n + 1]
-    relation: set = set()
-    for z in _vanishing(ix, n + 1, faces[:n]):
-        x, y = ix.push(d_n, z), ix.push(d_n1, z)
-        if x in spherical_set and y in spherical_set:
-            relation.add((x, y))
-    return _quotient_divisors(spherical, relation, ix.adder(n), (0,) * (n + 1))
+    leaves = _vanishing_columns(ix, n + 1, faces[:n])
+    xs = zip(*ix.push_columns(faces[n], leaves))
+    ys = zip(*ix.push_columns(faces[n + 1], leaves))
+    relation = {(x, y) for x, y in zip(xs, ys) if x in spherical_set and y in spherical_set}
+    return _quotient_divisors(spherical, relation, ix.tables(n), (0,) * (n + 1))
 
 
 def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = DEFAULT_CAP) -> HomotopyGroups:
     """pi_0, pi_1 (as elementary divisors) and triviality flags for 2..n_max.
 
-    Levels are searched depth-first on index tuples through the lookup
-    tables of _IndexedHom, each face slot tested as soon as its last source
-    slot is assigned, so a branch ends at its first nonzero face slot; the
-    one-step relation between spherical simplices is tabulated from the
-    level above and asserted to be an equivalence relation before
-    quotienting (it is, for simplicial abelian groups).  The cap bounds the
-    size |B| |A|^n of every level it searches, 0..max(2, n_max), not the
-    number of tuples visited, and is checked before any table is built or
-    level searched.
+    Levels are searched column by column on index tuples through the
+    lookup tables of _IndexedHom, each face slot tested over the surviving
+    rows as soon as its last source slot is assigned, so a row is dropped at
+    its first nonzero face slot; the one-step relation between spherical
+    simplices is tabulated from the level above and asserted to be an
+    equivalence relation before quotienting (it is, for simplicial abelian
+    groups).  n_max must be nonnegative.  The cap bounds the size
+    |B| |A|^n of every level it searches, 0..max(2, n_max), not the number
+    of tuples visited, and is checked before any table is built or level
+    searched.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     for n in range(max(2, n_max) + 1):
         _check_level_cap(hom, n, cap)
     ix = _IndexedHom(hom)

@@ -311,6 +311,29 @@ def test_dk_check_zero_map_on_z64():
     assert outputs["pi0"] == [64] and outputs["pi1"] == [64]
 
 
+@pytest.mark.parametrize(
+    "hom, named",
+    [
+        ('{"domain":[4],"codomain":[4]}', "'matrix'"),
+        ('{"codomain":[4],"matrix":[[1]]}', "'domain'"),
+        ('{"domain":[4],"matrix":[[1]]}', "'codomain'"),
+        ("[]", "JSON object"),
+        ('"4"', "JSON object"),
+    ],
+)
+def test_dk_check_names_what_the_hom_lacks(capsys, hom, named):
+    code, out, err = run(capsys, "dk", "check", "--hom", hom)
+    assert code == 3 and out == ""
+    assert err.startswith("error: a homomorphism") and named in err
+
+
+def test_dk_check_refuses_a_negative_n_max(capsys):
+    hom = '{"domain":[4],"codomain":[4],"matrix":[[1]]}'
+    code, out, err = run(capsys, "dk", "check", "--hom", hom, "--n-max", "-1")
+    assert code == 3 and out == ""
+    assert "n_max" in err
+
+
 _ORDERS = st.lists(st.integers(0, 6), max_size=2)
 _ENTRY = st.one_of(st.integers(-12, 12), st.floats(-3, 3), st.booleans(), st.text(max_size=2))
 

@@ -12,6 +12,8 @@ from absarith.dold_kan import (
     FiniteAbelianGroup,
     _IndexedHom,
     _quotient_divisors,
+    _spherical,
+    _sums,
     _vanishing,
     GroupHom,
     HPhiElement,
@@ -335,19 +337,19 @@ def test_hom_json_roundtrip():
     assert GroupHom.from_json_dict(hom.to_json_dict()) == hom
 
 
-@pytest.mark.parametrize(
-    "hom",
-    [
-        GroupHom.identity(Z2),
-        GroupHom.zero_map(Z2, Z2),
-        GroupHom.identity(Z4),
-        GroupHom.zero_map(Z4, Z4),
-        GroupHom.identity(FiniteAbelianGroup((2, 2))),
-        GroupHom(FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 2)), ((0, 1), (1, 1))),
-        GroupHom(Z4, FiniteAbelianGroup((8,)), ((2,),)),
-        GroupHom(FiniteAbelianGroup((6,)), Z3, ((1,),)),
-    ],
-)
+FACE_HOMS = [
+    GroupHom.identity(Z2),
+    GroupHom.zero_map(Z2, Z2),
+    GroupHom.identity(Z4),
+    GroupHom.zero_map(Z4, Z4),
+    GroupHom.identity(FiniteAbelianGroup((2, 2))),
+    GroupHom(FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 2)), ((0, 1), (1, 1))),
+    GroupHom(Z4, FiniteAbelianGroup((8,)), ((2,),)),
+    GroupHom(FiniteAbelianGroup((6,)), Z3, ((1,),)),
+]
+
+
+@pytest.mark.parametrize("hom", FACE_HOMS)
 def test_compiled_faces_match_the_object_path(hom):
     # The index form behind homotopy_groups against boundary/h_phi_map: the
     # same level order, and every compiled face equal to the object face
@@ -444,6 +446,45 @@ def test_pruned_search_prunes_a_level_of_a_million_tuples():
     assert _vanishing(ix, 4, ix.faces(4)) == [(0,) * 5]
 
 
+@pytest.mark.parametrize("hom", FACE_HOMS)
+def test_column_pushes_match_the_per_tuple_push(hom):
+    # Every face of levels 1-3 over the whole level as columns, against
+    # push on each tuple: the same images in the same order.
+    ix = _IndexedHom(hom)
+    for n in (1, 2, 3):
+        level = list(ix.level(n))
+        columns = [list(column) for column in zip(*level)]
+        for plan in ix.faces(n):
+            assert list(zip(*ix.push_columns(plan, columns))) == [ix.push(plan, v) for v in level]
+
+
+@pytest.mark.parametrize("hom", FACE_HOMS)
+def test_row_sums_match_the_pairwise_adder(hom):
+    # The rows of sums behind the quotient's addition check, against the
+    # level adder pair by pair, on the spherical sets of levels 0-2 and on
+    # the whole of level 1.
+    ix = _IndexedHom(hom)
+    for n, elements in [(n, _spherical(ix, n)) for n in (0, 1, 2)] + [(1, list(ix.level(1)))]:
+        add = ix.adder(n)
+        columns = list(zip(*elements))
+        for a in elements:
+            assert list(_sums(ix.tables(n), a, columns)) == [add(a, b) for b in elements]
+
+
+def test_homotopy_memory_on_the_identity_of_z100():
+    # pi_0 relates all 10^4 edges of level 1; the column search keeps that
+    # pass near the memory of the tuples it must produce.
+    hom = GroupHom.identity(FiniteAbelianGroup((100,)))
+    tracemalloc.start()
+    try:
+        groups = homotopy_groups(hom, n_max=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert groups.pi0 == () and groups.pi1 == ()
+    assert peak < 6 * 2**20
+
+
 def test_homotopy_leaves_no_cyclic_garbage():
     # Whatever homotopy_groups allocates is freed by reference counting, so a
     # caller that runs it in a loop never waits on the cycle collector.
@@ -466,8 +507,8 @@ def test_homotopy_leaves_no_cyclic_garbage():
 Z4_ELEMENTS = [(0,), (1,), (2,), (3,)]
 
 
-def _z4_add(x, y):
-    return ((x[0] + y[0]) % 4,)
+# Addition on Z/4 as the per-slot tables of its 1-tuples: _z4_add[0][x][y] = x + y mod 4.
+_z4_add = ([[(x + y) % 4 for y in range(4)] for x in range(4)],)
 
 
 def _z4_relation(*pairs):
