@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -297,20 +296,27 @@ def _cmd_dk_check(args):
 # --- parser ------------------------------------------------------------------
 
 
-# An argument that looks like a negative number is read as a value, not as an
-# option.  argparse's own pattern (Python 3.11's is the first two alternatives
-# here) differs between versions and may miss exponent notation, so that
-# `--deg -1e3` left --deg without a value; this one is used on every version.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-(\d+\.?\d*|\.\d+)[eE][+-]?\d+$")
+class _NegativeFloat:
+    """The negative-number matcher of _Parser (argparse calls only match()):
+    an argument is a value when it starts with "-" and float() reads it."""
+
+    @staticmethod
+    def match(arg: str) -> bool:
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return arg.startswith("-")
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and the subparsers it makes, that read negative
-    numbers in exponent notation as values."""
+    """An ArgumentParser, and the subparsers it makes, that read every
+    negative float spelling ("-1e3", "-1.", "-1_000", "-inf") as a value,
+    where argparse's own pattern differs between versions and misses some."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = _NegativeFloat
 
 
 def build_parser() -> argparse.ArgumentParser:

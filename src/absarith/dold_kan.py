@@ -348,7 +348,9 @@ def _quotient_divisors(elements: list, relation: set, tables: Sequence, zero) ->
     its classes.  It costs one pass over the relation, and only after a
     failure do the pairwise scans run, to name the property that fails.
     Compatibility with addition is checked on every pair of elements, one
-    row of sums per element, built column by column by _sums.
+    row of sums per element, built column by column by _sums.  The class
+    table is read off its element orders, with no Smith form: that serves
+    only the closed-form oracles, cokernel_divisors and kernel_divisors.
     """
     related: dict = {e: set() for e in elements}
     for x, y in relation:
@@ -578,15 +580,21 @@ def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = DEFAULT_CAP) -> Ho
     its first nonzero face slot; the one-step relation between spherical
     simplices is tabulated from the level above and asserted to be an
     equivalence relation before quotienting (it is, for simplicial abelian
-    groups).  n_max must be nonnegative.  The cap bounds the size
-    |B| |A|^n of every level it searches, 0..max(2, n_max), not the number
-    of tuples visited, and is checked before any table is built or level
-    searched.
+    groups).  n_max must be nonnegative.  Before any table is built, the cap
+    is checked against the size |B| |A|^n of every level searched,
+    0..max(2, n_max) (not the tuples visited), and against the face work the
+    flags add, n (n + 1)^2 column passes at each level n = 3..n_max (n (n + 1)
+    face slots over up to n + 1 columns), which alone grows when A is trivial.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    passes = 0
     for n in range(max(2, n_max) + 1):
         _check_level_cap(hom, n, cap)
+        if n > 2:
+            passes += n * (n + 1) ** 2
+            if passes > cap:
+                raise CapExceeded(f"the faces of levels 3..{n} take {passes} column passes, above the cap of {cap}")
     ix = _IndexedHom(hom)
     pi0 = _pi(ix, 0)
     pi1 = _pi(ix, 1)

@@ -1,10 +1,10 @@
 """Integer Smith normal form and elementary divisors of finite abelian groups.
 
-Two consumers: presenting a cokernel on the codomain generators (a kernel
-being the cokernel of the dual map, by Pontryagin duality), and reading
-off the isomorphism class of a brute-force group given only by its addition
-table (presented by its sum relations against a generating set, reduced to
-the generators by a search tree).  Matrices here are small, so the classic
+The Smith form serves the closed-form route alone: a cokernel presented on
+the codomain generators, and a kernel as the cokernel of the dual map (by
+Pontryagin duality).  A brute-force group given only by its addition table
+is read off its element orders instead, with no matrix built, so the two
+routes never share a Smith form.  Matrices here are small, so the classic
 alternating row/column Euclid with explicit transform tracking is plenty.
 The package's one Gauss-Jordan elimination over Q lives here too, for the
 rank of the face equations.
@@ -13,7 +13,7 @@ rank of the face equations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .numth import factorize
 
@@ -113,8 +113,6 @@ def invariant_factors_of_presentation(rows: Matrix, n_generators: int) -> list[i
     Raises if the quotient is infinite (a zero diagonal slot), since all the
     groups presented here are finite.
     """
-    if not rows:
-        rows = [[0] * n_generators]
     if any(len(r) != n_generators for r in rows):
         raise ValueError("presentation rows must match the number of generators")
     d, _, _ = smith_normal_form(rows)
@@ -194,58 +192,45 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], int]:
 
 
 def group_divisors_from_table(elements, add, zero) -> list[int]:
-    """Elementary divisors of a finite abelian group given by its addition law.
+    """Elementary divisors of a finite abelian group given by its addition
+    law, read off its element orders.
 
-    Presents the group on its m elements with the relations
-    e_g + e_s - e_{g+s} for every g and every s in a generating set S, plus
-    e_0 = 0: every element is a sum of generators, so these imply all m^2 sum
-    relations (Tietze).  S is chosen greedily in list order, an element
-    joining it when the subgroup generated so far misses it.  A search tree
-    from zero along S then writes each e_g as a sum of generators, which
-    eliminates every e_g outside S, and the Smith form of the remaining rows
-    in |S| columns yields the isomorphism class with no structure assumed
-    beyond the table itself.
+    Each cyclic subgroup is walked once, x, 2x, ... until zero, which gives
+    the order of every multiple, ord(jx) = ord(x) / gcd(j, ord(x)).  If the
+    p-part is a product of Z/p^e_i, then c_k = p^(sum_i min(k, e_i)) elements
+    have order dividing p^k, and log_p(c_k / c_(k-1)) factors have order p^k
+    or more; the divisors must reproduce every c_k and multiply to the order.
     """
     elems = list(elements)
     index = {g: i for i, g in enumerate(elems)}
+    if len(index) != len(elems):
+        raise ValueError("an element is listed twice")
     if zero not in index:
         raise ValueError("the zero element must be listed")
-    generators: list[int] = []
-    # coords[i]: e_i as a sum of the generators (trailing zeros omitted);
-    # sums[i][k]: the index of elems[i] + elems[generators[k]].
-    coords: dict[int, list[int]] = {index[zero]: []}
-    sums: dict[int, list[int]] = {index[zero]: []}
-    for s in range(len(elems)):
-        if s in coords:
+    m, z = len(elems), index[zero]
+    orders = [0] * m
+    for i, x in enumerate(elems):
+        if orders[i]:
             continue
-        coords[s] = [0] * len(generators) + [1]
-        sums[s] = []
-        generators.append(s)
-        # Add the new generator to everything spanned so far, and every
-        # generator to what that reaches.
-        frontier = list(coords)
-        while frontier:
-            i = frontier.pop()
-            for k in range(len(sums[i]), len(generators)):
-                total = add(elems[i], elems[generators[k]])
-                if total not in index:
-                    raise ValueError("the element list is not closed under addition")
-                j = index[total]
-                sums[i].append(j)
-                if j not in coords:
-                    coords[j] = coords[i] + [0] * (k + 1 - len(coords[i]))
-                    coords[j][k] += 1
-                    sums[j] = []
-                    frontier.append(j)
-    r = len(generators)
-    vectors = {i: c + [0] * (r - len(c)) for i, c in coords.items()}
-    rows = set()
-    for i, targets in sums.items():
-        for k, j in enumerate(targets):
-            row = tuple(x + (t == k) - y for t, (x, y) in enumerate(zip(vectors[i], vectors[j])))
-            if any(row):
-                rows.add(row)
-    factors = invariant_factors_of_presentation([list(row) for row in rows], r)
-    if prod(factors) != len(elems):
-        raise ValueError("presentation order mismatch; the table is not a group")
-    return elementary_divisors(factors)
+        walk, y = [i], x
+        while walk[-1] != z:
+            if len(walk) == m:
+                raise ValueError("the multiples of an element never return to zero")
+            y = add(y, x)
+            if y not in index:
+                raise ValueError("the element list is not closed under addition")
+            walk.append(index[y])
+        for j, k in enumerate(walk, start=1):
+            orders[k] = len(walk) // gcd(j, len(walk))
+    consistent = not any(m % n for n in orders)
+    divisors: list[int] = []
+    for p, a in factorize(m).items():
+        # counts[k] is c_k; Z/p^e has gcd(p^e, p^k) elements of order dividing p^k.
+        counts = [sum(p**k % n == 0 for n in orders) for k in range(a + 1)]
+        ranks = [factorize(c // b).get(p, 0) for b, c in zip(counts, counts[1:])] + [0]
+        part = [p**k for k in range(1, a + 1) for _ in range(ranks[k - 1] - ranks[k])]
+        consistent &= counts == [prod(gcd(d, p**k) for d in part) for k in range(a + 1)]
+        divisors += part
+    if not consistent or prod(divisors) != m:
+        raise ValueError(f"the element orders match no abelian group of order {m}")
+    return sorted(divisors)

@@ -389,6 +389,7 @@ def test_gspace_pi_beyond_the_recursion_limit():
         ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1e20"}}', "--k", "3000", "--n-max", "1"),
         ("gspace", "pi", "--k", "1", "--divisor", '{"finite":{"2":400000,"3":-252000}}'),
         ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1e200"}}', "--k", "10000", "--n-max", "1"),
+        ("dk", "check", "--hom", '{"domain":[],"codomain":[2],"matrix":[]}', "--n-max", "400"),
     ],
 )
 def test_unbounded_work_is_a_cap_error(argv):
@@ -593,6 +594,10 @@ def _without_timing(stdout):
         (("theta", "verify", "--deg", "-5e-1"), ("theta", "verify", "--deg", "-0.5")),
         (("theta", "mc", "--deg", "-1e1", "--seed", "1", "--samples", "10"), ("theta", "mc", "--deg=-1e1", "--seed", "1", "--samples", "10")),
         (("theta", "h0", "--deg", "0", "--eps", "-1e-3"), ("theta", "h0", "--deg", "0", "--eps=-1e-3")),
+        (("theta", "h0", "--deg", "-inf"), ("theta", "h0", "--deg=-inf")),
+        (("theta", "h0", "--deg", "-1."), ("theta", "h0", "--deg=-1.")),
+        (("theta", "h0", "--deg", "-1_000"), ("theta", "h0", "--deg=-1000")),
+        (("theta", "h0", "--deg", "-nan"), ("theta", "h0", "--deg=-nan")),
     ],
 )
 def test_negative_exponent_notation_is_an_option_value(argv, same_as):
@@ -604,8 +609,6 @@ def test_negative_exponent_notation_is_an_option_value(argv, same_as):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("theta", "h0", "--deg", "-inf"),
-        ("theta", "h0", "--deg", "-1."),
         ("theta", "h0", "--deg", "-e3"),
         ("theta", "h0", "--deg", "-1e"),
         ("gspace", "delannoy", "--n", "-1e2", "--k", "2"),

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from absarith import dold_kan, smith
 from absarith.dold_kan import (
     FiniteAbelianGroup,
     _IndexedHom,
@@ -29,7 +30,7 @@ from absarith.dold_kan import (
     simplicial_map,
 )
 from absarith.errors import CapExceeded
-from absarith.smith import cokernel_divisors, kernel_divisors
+from absarith.smith import cokernel_divisors, elementary_divisors, group_divisors_from_table, kernel_divisors
 from helpers import random_abelian_group, random_hom, small_homs
 
 Z2 = FiniteAbelianGroup((2,))
@@ -332,6 +333,24 @@ def test_homotopy_cap_is_checked_before_enumerating():
     assert peak < 5 * 2**20
 
 
+def test_homotopy_cap_bounds_the_face_work_of_a_trivial_domain(monkeypatch):
+    # Every level of a map out of the trivial group has |B| elements, so only
+    # the face work grows with n_max: n (n + 1)^2 column passes at level n,
+    # 48 at level 3, 950,708 over levels 3..43 and 1,039,808 over 3..44.
+    hom = GroupHom.zero_map(TRIVIAL, Z2)
+    assert homotopy_groups(hom, n_max=2, cap=2).pi0 == (2,)
+    assert homotopy_groups(hom, n_max=3, cap=48).higher == {2: True, 3: True}
+    assert homotopy_groups(hom, n_max=43).higher == {n: True for n in range(2, 44)}
+
+    def no_tables(hom):
+        raise AssertionError("a table was built before the cap check")
+
+    monkeypatch.setattr(dold_kan, "_IndexedHom", no_tables)
+    for n_max, cap in [(3, 47), (44, 10**6), (400, 10**6), (10**9, 10**6)]:
+        with pytest.raises(CapExceeded, match="column passes"):
+            homotopy_groups(hom, n_max=n_max, cap=cap)
+
+
 def test_hom_json_roundtrip():
     hom = GroupHom(Z2, Z4, ((2,),))
     assert GroupHom.from_json_dict(hom.to_json_dict()) == hom
@@ -469,6 +488,32 @@ def test_row_sums_match_the_pairwise_adder(hom):
         columns = list(zip(*elements))
         for a in elements:
             assert list(_sums(ix.tables(n), a, columns)) == [add(a, b) for b in elements]
+
+
+def test_brute_force_route_takes_no_smith_form(monkeypatch):
+    # The closed-form answers are taken first; then Smith normal form is made
+    # to fail, and the brute-force route must reach the same answers without
+    # it, so that a fault in Smith cannot pass both routes.
+    expected = [
+        (
+            tuple(cokernel_divisors(h.codomain.orders, h.matrix)),
+            tuple(kernel_divisors(h.domain.orders, h.codomain.orders, h.matrix)),
+        )
+        for h in FACE_HOMS
+    ]
+    groups = [FiniteAbelianGroup(orders) for orders in [(), (6,), (2, 4), (2, 2, 2), (3, 9), (4, 6, 10)]]
+
+    def no_smith(*args):
+        raise AssertionError("the brute-force route took a Smith form")
+
+    monkeypatch.setattr(smith, "smith_normal_form", no_smith)
+    monkeypatch.setattr(smith, "invariant_factors_of_presentation", no_smith)
+    for hom, (pi0, pi1) in zip(FACE_HOMS, expected):
+        answer = homotopy_groups(hom, n_max=2)
+        assert (answer.pi0, answer.pi1) == (pi0, pi1)
+    for group in groups:
+        elements = list(group.elements())
+        assert group_divisors_from_table(elements, group.add, group.zero()) == elementary_divisors(list(group.orders))
 
 
 def test_homotopy_memory_on_the_identity_of_z100():

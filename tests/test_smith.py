@@ -158,6 +158,28 @@ def test_group_divisors_from_table_edge_cases():
         group_divisors_from_table([(1,), (2,)], add6, (0,))
 
 
+# A closed table on {0, 1, 2} where 1 + 1 = 2 and 2 + 1 = 1: the multiples of
+# 1 cycle without reaching 0.
+_CYCLE = {(0, x): x for x in range(3)} | {(1, 0): 1, (2, 0): 2, (1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 2}
+# A closed table on {0, 1, 2, 3} with element orders 1, 2, 3, 3: 1 + 1 = 0,
+# 2 + 2 = 3, 2 + 3 = 0, 1 + 2 = 3 and 1 + 3 = 2.
+_ORDERS_1233 = {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)}
+_ORDERS_1233 |= {(1, 1): 0, (1, 2): 3, (2, 1): 3, (1, 3): 2, (3, 1): 2, (2, 2): 3, (2, 3): 0, (3, 2): 0, (3, 3): 2}
+
+
+@pytest.mark.parametrize(
+    "elements, add, zero, message",
+    [
+        ([(0,), (1,), (1,)], lambda x, y: ((x[0] + y[0]) % 2,), (0,), "listed twice"),
+        ([0, 1, 2], lambda x, y: _CYCLE[x, y], 0, "never return to zero"),
+        ([0, 1, 2, 3], lambda x, y: _ORDERS_1233[x, y], 0, "no abelian group of order 4"),
+    ],
+)
+def test_group_divisors_from_table_refuses_what_is_not_a_group(elements, add, zero, message):
+    with pytest.raises(ValueError, match=message):
+        group_divisors_from_table(elements, add, zero)
+
+
 def test_kernel_divisors_match_the_enumerated_kernel_on_every_small_hom():
     from absarith.dold_kan import FiniteAbelianGroup, GroupHom
 
