@@ -36,7 +36,7 @@ from operator import add, mul, sub
 from typing import Mapping
 
 from .combinat import delannoy, iter_l1_ball, l1_within
-from .errors import DEFAULT_CAP, CapExceeded, frozen, json_int, json_key, json_number
+from .errors import BUDGETS, DEFAULT_CAP, check_budget, frozen, json_int, json_key, json_number
 from .numth import factorize, is_prime
 
 
@@ -96,14 +96,6 @@ class Lattice1:
             raise ValueError("lattice generator must be positive")
 
 
-# Largest sum over p of |a_p| log2 p, the bits of the exact exp-degree's
-# numerator and denominator together.  Its Fraction arithmetic costs
-# quadratic-time gcds once both are large: the largest accepted `theta h0`,
-# on 2^400000 / 3^252000, takes about 1 s on a 2.1 GHz Xeon core with the
-# interpreter's start, and on 3^504000 about 0.2 s.
-DIVISOR_MAX_BITS = 800_000
-
-
 @frozen
 class ArakelovDivisor:
     """Finite prime support plus an archimedean scale."""
@@ -114,18 +106,15 @@ class ArakelovDivisor:
     @staticmethod
     def make(finite: Mapping[int, int], arch: ScaleValue) -> "ArakelovDivisor":
         items = []
-        bits = 0.0
+        bits, max_bits = 0.0, BUDGETS["divisor_bits"][0]
         for p, a in sorted(finite.items()):
             if not is_prime(p):
                 raise ValueError(f"divisor support must consist of primes, got {p}")
             if a != 0:
                 items.append((int(p), int(a)))
                 # log2 p >= 1, so clamping |a_p| keeps the test and the float finite
-                bits += min(abs(a), DIVISOR_MAX_BITS + 1) * math.log2(p)
-        if bits > DIVISOR_MAX_BITS:
-            raise CapExceeded(
-                f"the divisor's prime powers, sum of |a_p| log2 p, are above the cap of {DIVISOR_MAX_BITS} bits"
-            )
+                bits += min(abs(a), max_bits + 1) * math.log2(p)
+        check_budget("divisor_bits", bits)
         return ArakelovDivisor(tuple(items), arch)
 
     @staticmethod
@@ -248,8 +237,7 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> li
     c = lattice.generator
     radius = math.floor(Fraction(xi_norm) / c)
     count = delannoy(radius, k)
-    if count > cap:
-        raise CapExceeded(f"enumeration of {count} lattice points exceeds cap {cap}")
+    check_budget("lattice_points", count, cap)
     # The multiples c m for m = 0..radius, then -radius..-1, so that a negative
     # coordinate m indexes its own multiple from the end.
     multiples = [c * m for m in range(radius + 1)] + [c * m for m in range(-radius, 0)]
@@ -259,7 +247,6 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> li
 # Past pi s = 746, exp(-pi s m^2) underflows to 0.0 for every m >= 1.
 _DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
 
-QUADRATURE_MAX_PIECES = 2_000_000
 # The quadrature adds its pieces with numpy, in chunks of _QUADRATURE_CHUNK
 # pieces, from one chunk on (about degree 8.45 at eps 1e-12) when numpy is
 # already loaded, and from _QUADRATURE_NUMPY_PIECES on (about degree 11.88)
@@ -352,16 +339,16 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     _QUADRATURE_NUMPY_PIECES on (about degree 11.88) when it is not, where its
     import would cost more than it saves.  This is the direct sum at every
     degree, the independent route to exp(theta_h0); more than
-    QUADRATURE_MAX_PIECES pieces raise CapExceeded.
+    BUDGETS["quadrature_pieces"] pieces are refused with CapExceeded.
     """
     t, _ = _theta_param(d, eps)
     _check_theta_param(t)
     # Piece n can end the sum only if (2n+3) E_{n+1} < eps.  The log of that
     # product is concave in n, so if neither end of the range gets below
-    # log(eps), no piece within the cap does.
-    log_eps = math.log(eps)
-    if all(math.log(2 * n + 3) - math.pi * t * (n + 1) ** 2 >= log_eps for n in (0, QUADRATURE_MAX_PIECES - 1)):
-        raise CapExceeded(f"the quadrature at t = {t!r} needs more than {QUADRATURE_MAX_PIECES} pieces")
+    # log(eps), no piece within the cap does (else the sum takes at least one).
+    log_eps, max_pieces = math.log(eps), BUDGETS["quadrature_pieces"][0]
+    beyond = all(math.log(2 * n + 3) - math.pi * t * (n + 1) ** 2 >= log_eps for n in (0, max_pieces - 1))
+    check_budget("quadrature_pieces", max_pieces + 1 if beyond else 1, t=t)
 
     # E_n = exp(a n n) with a n n the same float as -pi t n n; E_0..E_2 are
     # taken as 1, exp(a) and exp(4 a).
@@ -377,9 +364,8 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     if tail(0) < eps:
         stop = 0
     else:
-        lo, stop = 0, QUADRATURE_MAX_PIECES - 1
-        if tail(stop) >= eps:
-            raise CapExceeded(f"the quadrature at t = {t!r} needs more than {QUADRATURE_MAX_PIECES} pieces")
+        lo, stop = 0, max_pieces - 1
+        check_budget("quadrature_pieces", max_pieces + 1 if tail(stop) >= eps else 1, t=t)
         # tail(lo) >= eps > tail(stop) throughout, so at the end stop = lo + 1
         # is the first piece whose tail is below eps.
         while stop - lo > 1:

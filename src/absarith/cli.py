@@ -5,7 +5,9 @@ stdout and diagnostics on stderr.  Every run is deterministic given its flags
 (stochastic commands require a seed and echo it); re-running a command gives
 byte-identical JSON apart from the timing field.
 
-Exit codes: 0 success, 2 usage or parse error, 3 domain error, 4 resource cap.
+Exit codes: 0 success, 2 usage or parse error, 3 domain error, 4 a budget of
+errors.BUDGETS exceeded, 5 a failed self-check (two routes to one answer
+disagree, a fault in absarith rather than in the input).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import DEFAULT_CAP, CapExceeded, json_int
+from .errors import DEFAULT_CAP, CapExceeded, SelfCheckFailed, check_budget, json_int
 
 # Each handler imports the library modules of its own layer, so that a
 # command loads (and, without cached bytecode, compiles) only those.  All of
@@ -34,24 +36,8 @@ if TYPE_CHECKING:
     from .gamma_core import PointedEndo
     from .witt import WittElement
 
-USAGE_ERROR, DOMAIN_ERROR, CAP_ERROR = 2, 3, 4
-# Largest (n+1)(k+1) that `gspace delannoy` accepts.  The closed form costs
-# about cells * min(n, k) big-integer steps; the 100 x 100 table takes 0.5 s.
-DELANNOY_MAX_CELLS = 10_000
-# Largest work of the `gspace pi` certificates for degrees n = 2..n-max at
-# level k: per degree, (n+1) (samples k + n^2) cells, the coordinates of the
-# sampled members plus about as many as the face equations eliminated hold.
-# The largest accepted commands, level 342 at the default n-max 3 and n-max 24
-# at level 1, each take about 0.25 s on a 2.1 GHz Xeon core with the
-# interpreter's start (a bare start with site packages is about 0.09 s there).
-# The certificates in them take about 22 and 16 ms: the sampled members are
-# read from the generator's words and checked on integer indices, and the
-# face equations of each degree are eliminated once, on their distinct rows.
+USAGE_ERROR, DOMAIN_ERROR, CAP_ERROR, SELF_CHECK_ERROR = 2, 3, 4, 5
 CERTIFICATE_SAMPLES = 50
-CERTIFICATE_MAX_CELLS = 120_000
-# Largest `theta mc --samples`: about 0.13 s on one such core, with the
-# interpreter's start and numpy's import.
-MC_MAX_SAMPLES = 6_000_000
 
 
 def _default_threads() -> int:
@@ -199,8 +185,7 @@ def _cmd_theta_rr(args):
 def _cmd_theta_mc(args):
     from .arakelov import gaussian_avg_mc, theta_h0
 
-    if args.samples > MC_MAX_SAMPLES:
-        raise CapExceeded(f"{args.samples} Monte Carlo samples are above the cap of {MC_MAX_SAMPLES}")
+    check_budget("mc_samples", args.samples)
     d = _parse_divisor(args)
     h0 = theta_h0(d, 1e-12)
     try:
@@ -222,9 +207,8 @@ def _cmd_theta_mc(args):
 def _cmd_gspace_delannoy(args):
     from .combinat import delannoy, delannoy_table
 
-    cells = (args.n + 1) * (args.k + 1)
-    if args.n >= 0 and args.k >= 0 and cells > DELANNOY_MAX_CELLS:
-        raise CapExceeded(f"a delannoy table of {cells} cells is above the cap of {DELANNOY_MAX_CELLS}")
+    cells = max(args.n + 1, 0) * max(args.k + 1, 0)
+    check_budget("delannoy_cells", cells)
     table = delannoy_table(args.n, args.k)
     closed = [[delannoy(n, k) for k in range(args.k + 1)] for n in range(args.n + 1)]
     if table != closed:
@@ -247,21 +231,14 @@ def _cmd_gspace_pi(args):
         cells = 0
         for n in range(2, args.n_max + 1):
             cells += (n + 1) * (CERTIFICATE_SAMPLES * args.k + n * n)
-            if cells > CERTIFICATE_MAX_CELLS:
-                raise CapExceeded(
-                    f"the certificates up to degree {args.n_max} at level {args.k} are above the cap of "
-                    f"{CERTIFICATE_MAX_CELLS} cells"
-                )
+            check_budget("certificate_cells", cells, n_max=args.n_max, k=args.k)
     # pi1_count is D(r, k) >= 2^m C(r, m) C(k, m) >= (2 max(r, k) / m)^m with
-    # radius r = floor(exp deg) and m = min(r, k).  When that bound alone has
-    # more digits than the interpreter prints (a limit of 0 is none), refuse
-    # before computing D; the one digit of slack covers the rounding of the logs.
+    # radius r = floor(exp deg) and m = min(r, k): less one digit of slack for
+    # the rounding of the logs, that bound's digits are checked before D is built.
     radius = pi1_radius(d)
-    m, limit = min(radius, args.k), sys.get_int_max_str_digits()
-    if limit and m > 0 and m * (math.log10(2 * max(radius, args.k)) - math.log10(m)) > limit + 1:
-        raise CapExceeded(
-            f"pi1_count at level {args.k} has more than {limit} digits, the limit on printing one integer"
-        )
+    m = min(radius, args.k)
+    digits = m * (math.log10(2 * max(radius, args.k)) - math.log10(m)) - 1 if m > 0 else 0
+    check_budget("printed_digits", digits, sys.get_int_max_str_digits() or math.inf, k=args.k)
     if args.k == 1:
         pi0 = pi0_cardinality_k1(d)
         if pi0 == "trivial":
@@ -406,6 +383,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
+    except SelfCheckFailed as exc:
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return SELF_CHECK_ERROR
     except (ValueError, KeyError, TypeError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR

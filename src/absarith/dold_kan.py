@@ -33,7 +33,7 @@ from itertools import chain, compress, repeat
 from operator import getitem, not_
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DEFAULT_CAP, CapExceeded, frozen, json_array, json_int
+from .errors import DEFAULT_CAP, SelfCheckFailed, check_budget, frozen, json_array, json_int
 from .smith import group_divisors_from_table
 
 
@@ -281,17 +281,11 @@ class LevelDescriptor:
 
     def elements(self, cap: int = DEFAULT_CAP) -> Iterator[HPhiElement]:
         """Every element of the level: A-values at points 1..n, then the B-value."""
-        _check_level_cap(self.hom, self.n, cap)
+        check_budget("level_elements", self.size, cap, n=self.n)
         pair = simplex_pair(self.n)
         for a_values in itertools.product(self.hom.domain.elements(), repeat=self.n):
             for b in self.hom.codomain.elements():
                 yield HPhiElement(self.hom, pair, a_values + (b,))
-
-
-def _check_level_cap(hom: GroupHom, n: int, cap: int) -> None:
-    size = LevelDescriptor(hom, n).size
-    if size > cap:
-        raise CapExceeded(f"level {n} has {size} elements, above the cap of {cap}")
 
 
 def simplicial_level(hom: GroupHom, n: int) -> LevelDescriptor:
@@ -356,13 +350,13 @@ def _quotient_divisors(elements: list, relation: set, tables: Sequence, zero) ->
     for x, y in relation:
         related[x].add(y)
     if any(e not in related[e] for e in elements):
-        raise AssertionError("homotopy relation is not reflexive")
+        raise SelfCheckFailed("homotopy relation is not reflexive")
     class_index: dict = {}
     class_of = {e: class_index.setdefault(frozenset(related[e]), len(class_index)) for e in elements}
     if any(class_of[x] != class_of[y] for x, y in relation):
         if any(x not in related[y] for x, ys in related.items() for y in ys):
-            raise AssertionError("homotopy relation is not symmetric")
-        raise AssertionError("homotopy relation is not transitive")
+            raise SelfCheckFailed("homotopy relation is not symmetric")
+        raise SelfCheckFailed("homotopy relation is not transitive")
     # Quotient addition: table[i][j] is the class of a + b for a in class i
     # and b in class j, read from the first a of class i and the first b of
     # class j (labels are numbered in order of first appearance), and checked
@@ -376,7 +370,7 @@ def _quotient_divisors(elements: list, relation: set, tables: Sequence, zero) ->
         if table[i] is None:
             table[i] = list(map(sums.__getitem__, firsts))
         if sums != list(map(table[i].__getitem__, labels)):
-            raise AssertionError("homotopy relation is not compatible with addition")
+            raise SelfCheckFailed("homotopy relation is not compatible with addition")
 
     def class_add(i: int, j: int) -> int:
         return table[i][j]
@@ -580,23 +574,22 @@ def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = DEFAULT_CAP) -> Ho
     its first nonzero face slot; the one-step relation between spherical
     simplices is tabulated from the level above and asserted to be an
     equivalence relation before quotienting (it is, for simplicial abelian
-    groups).  n_max must be nonnegative.  Before any table is built, the cap
-    is checked against the size |B| |A|^n of every level searched,
-    0..max(2, n_max) (not the tuples visited), and against the face work the
-    flags add, n (n + 1)^2 column passes at each level n = 3..n_max (n (n + 1)
-    face slots over up to n + 1 columns), which alone grows when A is trivial.
+    groups).  n_max must be nonnegative.  Before any table is built, cap
+    bounds each level's size and the face work, and a fixed budget the cells
+    of the addition tables (errors.BUDGETS).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     passes = 0
     for n in range(max(2, n_max) + 1):
-        _check_level_cap(hom, n, cap)
+        check_budget("level_elements", LevelDescriptor(hom, n).size, cap, n=n)
         if n > 2:
             passes += n * (n + 1) ** 2
-            if passes > cap:
-                raise CapExceeded(f"the faces of levels 3..{n} take {passes} column passes, above the cap of {cap}")
+            check_budget("face_passes", passes, cap, n=n)
+    check_budget("table_cells", hom.domain.order**2 + hom.codomain.order**2)
     ix = _IndexedHom(hom)
     pi0 = _pi(ix, 0)
     pi1 = _pi(ix, 1)
-    higher = tuple((n, len(_spherical(ix, n)) == 1) for n in range(2, n_max + 1))
+    # The flag at n counts the spherical rows, read off the search's last column.
+    higher = tuple((n, len(_vanishing_columns(ix, n, ix.faces(n))[-1]) == 1) for n in range(2, n_max + 1))
     return HomotopyGroups(pi0=pi0, pi1=pi1, higher_trivial=higher)

@@ -1,6 +1,6 @@
-"""Shared exception types, the default enumeration cap, the readers of
-integers, numbers and arrays in JSON input, and the `frozen` decorator that
-makes the library's immutable value classes.
+"""Shared exception types, BUDGETS (each limit past which absarith raises
+CapExceeded) and check_budget, the readers of integers, numbers and arrays in
+JSON input, and the `frozen` decorator that makes the immutable value classes.
 
 Every command loads this module, so `frozen` lives here rather than in a
 module of its own.  It stands in for `dataclasses.dataclass(frozen=True)`,
@@ -10,13 +10,14 @@ any small command's own work.
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration would produce more elements than the configured cap."""
+    """Work or output above one of the limits in BUDGETS."""
 
 
-# The cap an enumeration takes when its caller gives none: the lattice points
-# of count_E_xi and pi1_spherical_enumerate, the elements of a Dold-Kan level,
-# and the level sizes of homotopy_groups and `dk check`.
-DEFAULT_CAP = 1_000_000
+class SelfCheckFailed(AssertionError):
+    """Two routes to one answer disagree: a fault in absarith, not in its
+    input.  It is raised explicitly rather than by `assert`, so that the
+    check survives `python -O`, and it is an AssertionError, so that callers
+    catching those still catch it."""
 
 
 def json_int(x) -> int:
@@ -108,3 +109,62 @@ def frozen(cls):
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     return cls
+
+
+# The cap on count_E_xi's lattice points and on a Dold-Kan level's elements and
+# face work when the caller gives none (`dk check --cap`).
+DEFAULT_CAP = 1_000_000
+
+# Each budget's name, then its limit and the message that reports it exceeded.
+BUDGETS = {
+    # The elements |B| |A|^n of a Dold-Kan level (not the tuples visited), for
+    # every level homotopy_groups searches, 0..max(2, n_max).
+    "level_elements": (DEFAULT_CAP, "level {n} has {amount} elements, above the cap of {limit}"),
+    # The face work of the flags above degree 2, n (n + 1)^2 column passes at
+    # each level n = 3..n_max (n (n + 1) face slots over up to n + 1 columns),
+    # which alone grows when A is trivial.
+    "face_passes": (DEFAULT_CAP, "the faces of levels 3..{n} take {amount} column passes, above the cap of {limit}"),
+    # The cells |A|^2 + |B|^2 of the addition tables homotopy_groups builds
+    # before it searches any level: Z/2000 (4 10^6 cells) answers in about
+    # 1 s on a 2.1 GHz Xeon core, while Z/20000 would take 4 10^8 cells,
+    # gigabytes of lists, though its levels are far under the level cap.
+    "table_cells": (10_000_000, "the addition tables of A and B take {amount} cells, above the cap of {limit}"),
+    "lattice_points": (DEFAULT_CAP, "enumeration of {amount} lattice points exceeds cap {limit}"),
+    # The sum over p of |a_p| log2 p, the bits of the exact exp-degree's
+    # numerator and denominator together.  Its Fraction arithmetic costs
+    # quadratic-time gcds once both are large: the largest accepted `theta
+    # h0`, on 2^400000 / 3^252000, takes about 1 s on a 2.1 GHz Xeon core with
+    # the interpreter's start, and on 3^504000 about 0.2 s.
+    "divisor_bits": (800_000, "the divisor's prime powers, sum of |a_p| log2 p, are above the cap of {limit} bits"),
+    # The pieces of gaussian_avg_quadrature, reached near degree 13.2 at eps 1e-12.
+    "quadrature_pieces": (2_000_000, "the quadrature at t = {t!r} needs more than {limit} pieces"),
+    # The (n+1)(k+1) cells of a `gspace delannoy` table.  The closed form costs
+    # about cells * min(n, k) big-integer steps; the 100 x 100 table takes 0.5 s.
+    "delannoy_cells": (10_000, "a delannoy table of {amount} cells is above the cap of {limit}"),
+    # The work of the `gspace pi` certificates for degrees n = 2..n-max at
+    # level k: per degree, (n+1) (50 k + n^2) cells, the coordinates of the
+    # sampled members (cli.CERTIFICATE_SAMPLES, 50) plus about as many as the
+    # face equations eliminated hold.  The largest accepted commands, level 342
+    # at the default n-max 3 and n-max 24 at level 1, each take about 0.25 s on
+    # a 2.1 GHz Xeon core with the interpreter's start (a bare start with site
+    # packages is about 0.09 s there).  The certificates in them take about 22
+    # and 16 ms: the sampled members are read from the generator's words and
+    # checked on integer indices, and the face equations of each degree are
+    # eliminated once, on their distinct rows.
+    "certificate_cells": (
+        120_000, "the certificates up to degree {n_max} at level {k} are above the cap of {limit} cells"
+    ),
+    # `theta mc --samples`: about 0.13 s on one such core, with the
+    # interpreter's start and numpy's import.
+    "mc_samples": (6_000_000, "{amount} Monte Carlo samples are above the cap of {limit}"),
+    # The digits of one printed integer, sys.get_int_max_str_digits(), passed by the caller.
+    "printed_digits": (None, "pi1_count at level {k} has more than {limit} digits, the limit on printing one integer"),
+}
+
+
+def check_budget(name: str, amount, limit=None, **context) -> None:
+    """Raise CapExceeded with BUDGETS[name]'s message when amount, or a lower bound on it, exceeds limit."""
+    default, message = BUDGETS[name]
+    limit = default if limit is None else limit
+    if amount > limit:
+        raise CapExceeded(message.format(amount=amount, limit=limit, **context))

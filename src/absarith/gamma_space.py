@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, exp_degree, lattice_of
 from .combinat import delannoy, l1_within
-from .errors import DEFAULT_CAP, frozen
+from .errors import DEFAULT_CAP, SelfCheckFailed, frozen
 from .smith import row_reduce
 
 __all__ = [
@@ -208,7 +208,8 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
         if not exact:
             raise ValueError("cross-check enumeration requires an exact scale")
         enumerated = pi1_spherical_enumerate(GSConfig.from_divisor(d), k)
-        assert len(enumerated) == count, "closed form disagrees with enumeration"
+        if len(enumerated) != count:
+            raise SelfCheckFailed(f"pi1_count's closed form gives {count}, its enumeration {len(enumerated)}")
     return count
 
 
@@ -332,7 +333,8 @@ def higher_pi_trivial(
     last_face_zero = _last_face_table(cfg, n, k)
     violated = 0
     for rows, torus in _decoded_nonzero_indices(random.Random(seed), n, k, samples):
-        assert _indices_are_member(rows, torus, n, k)
+        if not _indices_are_member(rows, torus, n, k):
+            raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is not a member")
         if not all(_index_face_is_zero(j, rows, torus, last_face_zero) for j in range(n + 1)):
             violated += 1
     verified = rank == n and torus_pinned and violated == samples
@@ -468,5 +470,6 @@ def _random_nonzero_member(
     """The member of the certificate's next draw (_draw_nonzero_indices),
     built as a GSElement from free_values and torus_values."""
     e = _element_from_indices(k, *_draw_nonzero_indices(rng, n, k), free_values, torus_values)
-    assert member(cfg, e)
+    if not member(cfg, e):
+        raise SelfCheckFailed(f"the certificate draw {e!r} is not a member")
     return e

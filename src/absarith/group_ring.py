@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .errors import frozen, json_int
+from .errors import SelfCheckFailed, frozen, json_int
 from .numth import euler_phi, unit_group_generators
 from .witt import Combination, WittElement, from_primitive_basis, ghost
 
@@ -193,7 +193,8 @@ def primitive_orbit_sum(n: int) -> GroupRingElt:
     if n < 1:
         raise ValueError("torsion order must be >= 1")
     x = GroupRingElt(tuple((Fraction(a, n), 1) for a in range(n) if gcd(a, n) == 1))
-    assert len(x.items) == (euler_phi(n) if n > 1 else 1)
+    if len(x.items) != euler_phi(n):
+        raise SelfCheckFailed(f"rho({n}) has {len(x.items)} terms, but euler_phi({n}) is {euler_phi(n)}")
     return x
 
 

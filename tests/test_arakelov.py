@@ -8,7 +8,6 @@ import pytest
 
 from absarith.arakelov import (
     _MC_CHUNK,
-    QUADRATURE_MAX_PIECES,
     ArakelovDivisor,
     Lattice1,
     ScaleValue,
@@ -28,7 +27,9 @@ from absarith.arakelov import (
     _theta_param,
 )
 from absarith.combinat import delannoy, iter_l1_ball
-from absarith.errors import CapExceeded
+from absarith.errors import BUDGETS, CapExceeded
+
+QUADRATURE_MAX_PIECES = BUDGETS["quadrature_pieces"][0]
 
 
 def D(finite, arch):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -617,3 +618,75 @@ def test_negative_exponent_notation_is_an_option_value(argv, same_as):
 def test_what_is_not_a_negative_number_stays_a_usage_error(argv):
     proc = _run_cli(*argv)
     assert proc.returncode == 2 and proc.stdout == ""
+
+
+def _run_cli_in_512_mb(*argv, timeout):
+    """_run_cli in a child whose address space is capped at 512 MB, so that an
+    unbounded allocation is a MemoryError there rather than a killed run."""
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "absarith.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+        preexec_fn=cap_memory,
+    )
+    return proc, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("order", [20_000, 100_000])
+def test_addition_tables_past_their_budget_are_a_cap_error_within_a_second(order):
+    hom = json.dumps({"domain": [], "codomain": [order], "matrix": []})
+    proc, elapsed = _run_cli_in_512_mb("dk", "check", "--hom", hom, "--n-max", "1", timeout=5)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ") and "addition tables" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert elapsed < 1.0
+
+
+def test_addition_tables_within_their_budget_answer_in_512_mb():
+    # Z/2000 takes 4 10^6 table cells, under the budget of 10^7.
+    hom = json.dumps({"domain": [], "codomain": [2000], "matrix": []})
+    proc, _ = _run_cli_in_512_mb("dk", "check", "--hom", hom, "--n-max", "1", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["pi0"] == [16, 125] and outputs["pi1"] == []
+
+
+PI_COMMAND = ("gspace", "pi", "--divisor", '{"finite":{},"arch":{"exact_exp":"7/2"}}', "--k", "2")
+
+
+def test_a_failed_self_check_is_exit_5_on_one_error_line(capsys, monkeypatch):
+    from absarith import gamma_space
+
+    closed_form = gamma_space.delannoy
+    monkeypatch.setattr(gamma_space, "delannoy", lambda n, k: closed_form(n, k) + 1)
+    code, out, err = run(capsys, *PI_COMMAND)
+    assert code == 5 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "closed form gives 26, its enumeration 25" in err
+
+
+def test_a_self_check_runs_under_python_O():
+    script = (
+        "import sys\n"
+        "from absarith import gamma_space\n"
+        "from absarith.cli import main\n"
+        "closed_form = gamma_space.delannoy\n"
+        "gamma_space.delannoy = lambda n, k: closed_form(n, k) + 1\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, *PI_COMMAND], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1

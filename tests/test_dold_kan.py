@@ -588,3 +588,13 @@ def test_quotient_names_the_property_a_relation_lacks(relation, message):
 )
 def test_quotient_by_a_congruence(relation, divisors):
     assert _quotient_divisors(Z4_ELEMENTS, relation, _z4_add, (0,)) == divisors
+
+
+def test_addition_table_cells_are_checked_before_any_table_is_built(monkeypatch):
+    def no_tables(hom):
+        raise AssertionError("a table was built before the budget check")
+
+    monkeypatch.setattr(dold_kan, "_IndexedHom", no_tables)
+    hom = GroupHom.zero_map(TRIVIAL, FiniteAbelianGroup((20_000,)))
+    with pytest.raises(CapExceeded, match="addition tables of A and B take 400000001 cells"):
+        homotopy_groups(hom, n_max=1)
