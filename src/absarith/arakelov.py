@@ -31,11 +31,11 @@ import os
 import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat, tee
+from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import add, mul, sub
 from typing import Mapping
 
-from .combinat import delannoy, iter_l1_ball, l1_within
+from .combinat import delannoy, l1_within
 from .errors import BUDGETS, DEFAULT_CAP, check_budget, frozen, json_int, json_key, json_number
 from .numth import factorize, is_prime
 
@@ -241,7 +241,51 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> li
     # The multiples c m for m = 0..radius, then -radius..-1, so that a negative
     # coordinate m indexes its own multiple from the end.
     multiples = [c * m for m in range(radius + 1)] + [c * m for m in range(-radius, 0)]
-    return [tuple(map(multiples.__getitem__, vec)) for vec in iter_l1_ball(k, radius)]
+    zero = multiples[0]
+    if radius == 0:
+        return [(zero,) * k]
+    # under[d][l] = delannoy(l, d), the rows below a prefix with norm l left
+    # and d coordinates to go: D(l, d) - D(l-1, d) = D(l, d-1) + D(l-1, d-1).
+    under = [[1] * (radius + 1)]
+    for _ in range(k - 1):
+        under.append(list(accumulate(map(add, under[-1], chain((0,), under[-1])))))
+    # The ball as k columns in lexicographic order, one C-level pass each.
+    # Column k-1-d is read off the prefixes with norm left (norms) and their
+    # first rows (starts): a prefix with norm l spans a block of D(l, d+1)
+    # rows, each value m in -l..l repeated D(l - |m|, d) times, built once per
+    # norm, and the rows between blocks, whose norm is spent, are 0.
+    values_of: dict[int, tuple] = {}
+    left_of: dict[int, tuple[int, ...]] = {}
+    norms, starts = [radius], [0]
+    columns = []
+    for d in range(k - 1, -1, -1):
+        if not norms:
+            columns += [[zero] * count] * (d + 1)
+            break
+        block_of, offsets_of = {}, {}
+        for norm in set(norms):
+            if norm not in values_of:
+                values_of[norm] = tuple(multiples[m] for m in range(-norm, norm + 1))
+                left_of[norm] = tuple(norm - abs(m) for m in range(-norm, norm + 1))
+            if d:
+                sizes = tuple(map(under[d].__getitem__, left_of[norm]))
+                block_of[norm] = tuple(chain.from_iterable(map(repeat, values_of[norm], sizes)))
+                offsets_of[norm] = tuple(islice(accumulate(sizes, initial=0), len(sizes)))
+            else:
+                block_of[norm] = values_of[norm]
+        blocks = list(map(block_of.__getitem__, norms))
+        ends = list(map(add, starts, map(len, blocks)))
+        gaps = map(repeat, repeat(zero), map(sub, starts, chain((0,), ends)))
+        columns.append(list(chain.from_iterable(map(chain, gaps, blocks))) + [zero] * (count - ends[-1]))
+        if d:
+            # The next prefixes: each value m of each block, where norm is left.
+            lefts = list(map(left_of.__getitem__, norms))
+            child_norms = list(chain.from_iterable(lefts))
+            firsts = chain.from_iterable(map(repeat, starts, map(len, lefts)))
+            child_starts = map(add, firsts, chain.from_iterable(map(offsets_of.__getitem__, norms)))
+            starts = list(compress(child_starts, child_norms))
+            norms = list(filter(None, child_norms))
+    return list(zip(*columns))
 
 
 # Past pi s = 746, exp(-pi s m^2) underflows to 0.0 for every m >= 1.
@@ -430,27 +474,27 @@ def gaussian_avg_mc(
     independently from (seed, chunk index), so the result does not depend on
     the number of worker threads (at most one per chunk and per CPU core).
     A chunk is computed in place in its array of uniforms, with the same
-    float operations in the same order as the textbook expression.  sigma
-    and c must each be a positive float, else a ValueError names the one
-    that is not.
+    float operations in the same order as the textbook expression.  Where
+    sigma or c alone is not a positive float, sigma / c = exp(deg) / sqrt(2
+    pi) is taken from the log degree, over c = 1; where that ratio is not a
+    positive float either, a ValueError names it.
     """
     import numpy as np
 
     if samples < 1:
         raise ValueError("at least one sample is required")
-    # Each factor must be a positive float on its own, whatever exp(deg) is.
     try:
-        sigma = math.exp(d.arch.log) / math.sqrt(2.0 * math.pi)
+        sigma, c = math.exp(d.arch.log) / math.sqrt(2.0 * math.pi), float(lattice_of(d).generator)
     except OverflowError:
-        sigma = math.inf
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma = e^u / sqrt(2 pi) at u = {d.arch.log!r} is out of a float's range")
-    try:
-        c = float(lattice_of(d).generator)
-    except OverflowError:
-        c = math.inf
-    if not 0.0 < c < math.inf:
-        raise ValueError("the section lattice's generator c = prod p^(-a_p) is out of a float's range")
+        sigma = c = math.inf
+    if not (0.0 < sigma < math.inf and 0.0 < c < math.inf):
+        deg = degree_scale(d).log
+        try:
+            sigma, c = math.exp(deg) / math.sqrt(2.0 * math.pi), 1.0
+        except OverflowError:
+            sigma = math.inf
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma / c = exp(deg) / sqrt(2 pi) at degree {deg!r} is out of a float's range")
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
 
     def run_chunk(idx: int) -> tuple[float, float]:

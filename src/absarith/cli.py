@@ -223,6 +223,7 @@ def _cmd_gspace_delannoy(args):
 
 def _cmd_gspace_pi(args):
     from .arakelov import exp_degree
+    from .combinat import delannoy_digits
     from .gamma_space import GSConfig, higher_pi_trivial, pi0_cardinality_k1, pi0_trivial_predicate
     from .gamma_space import pi1_count, pi1_radius
 
@@ -232,12 +233,10 @@ def _cmd_gspace_pi(args):
         for n in range(2, args.n_max + 1):
             cells += (n + 1) * (CERTIFICATE_SAMPLES * args.k + n * n)
             check_budget("certificate_cells", cells, n_max=args.n_max, k=args.k)
-    # pi1_count is D(r, k) >= 2^m C(r, m) C(k, m) >= (2 max(r, k) / m)^m with
-    # radius r = floor(exp deg) and m = min(r, k): less one digit of slack for
-    # the rounding of the logs, that bound's digits are checked before D is built.
+    # pi1_count is D(r, k) with radius r = floor(exp deg): a lower bound on its
+    # digits is checked before D is built.
     radius = pi1_radius(d)
-    m = min(radius, args.k)
-    digits = m * (math.log10(2 * max(radius, args.k)) - math.log10(m)) - 1 if m > 0 else 0
+    digits = delannoy_digits(radius, args.k)
     check_budget("printed_digits", digits, sys.get_int_max_str_digits() or math.inf, k=args.k)
     if args.k == 1:
         pi0 = pi0_cardinality_k1(d)

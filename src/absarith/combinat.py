@@ -1,5 +1,5 @@
-"""The l1 norm and the one l1-budget comparison, and counting and enumeration
-of integer vectors in l1 balls.
+"""The l1 norm and the one l1-budget comparison, and counting of integer
+vectors in l1 balls (arakelov.count_E_xi lists them).
 
 delannoy(n, k) counts the points of Z^k with l1-norm at most n; the closed
 form is the terminating hypergeometric sum 1 + sum_m 2^m C(k,m) C(n,m), and
@@ -10,8 +10,10 @@ cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, Sequence
+from math import isqrt, lcm, log10
+from typing import Sequence
+
+from .errors import check_budget
 
 
 def _l1_over_lcm(vec: Sequence) -> tuple[int, int] | None:
@@ -51,13 +53,31 @@ def l1_within(vec: Sequence, bound, tol: float = 0.0) -> bool:
     return sum(abs(float(v)) for v in vec) <= float(bound) + tol
 
 
+def delannoy_digits(n: int, k: int) -> float:
+    """A lower bound on the decimal digits of delannoy(n, k), from logs alone.
+
+    For every 1 <= m <= min(n, k), D >= 2^m C(n,m) C(k,m) >= (2 n k / m^2)^m;
+    the bound is taken at m = min(n, k) and near sqrt(2 n k) / e, where it
+    peaks, less one digit for the rounding of the logs.
+    """
+    top = min(n, k)
+    if top < 1:
+        return 0.0
+    log_2nk = log10(2 * n * k)
+    candidates = {top, max(1, min(top, isqrt(2 * n * k) * 100 // 272))}
+    return max(m * (log_2nk - 2 * log10(m)) for m in candidates) - 1
+
+
 def delannoy(n: int, k: int) -> int:
     """Number of integer vectors in Z^k with |v_1| + ... + |v_k| <= n.
 
     Each term 2^m C(k,m) C(n,m) is the last one times 2 (k-m+1) (n-m+1) / m^2.
+    Its min(n, k) steps each cost about the length of the result, which is
+    bounded first (errors.BUDGETS["delannoy_digits"]).
     """
     if n < 0 or k < 0:
         raise ValueError("delannoy is defined for nonnegative arguments")
+    check_budget("delannoy_digits", delannoy_digits(n, k))
     total = term = 1
     for m in range(1, min(n, k) + 1):
         term = term * 2 * (k - m + 1) * (n - m + 1) // (m * m)
@@ -75,32 +95,3 @@ def delannoy_table(n_max: int, k_max: int) -> list[list[int]]:
         for k in range(1, k_max + 1):
             g[n][k] = g[n - 1][k] + g[n][k - 1] + g[n - 1][k - 1]
     return g
-
-
-def iter_l1_ball(k: int, radius: int) -> Iterator[tuple[int, ...]]:
-    """Yield all integer k-vectors with l1-norm <= radius, in lexicographic order.
-
-    An odometer, so that k may exceed the recursion limit: left[i] is the norm
-    left for coordinates i, i+1, ..., coordinate i runs from -left[i] to
-    left[i], and each step advances the last coordinate below its bound and
-    resets the coordinates after it to their least values (-left, then zeros).
-    """
-    if k < 0 or radius < 0:
-        raise ValueError("iter_l1_ball requires nonnegative arguments")
-    vec = [0] * k
-    left = [radius] + [0] * k
-    i = 0
-    while True:
-        if i < k:
-            vec[i] = -left[i]
-            vec[i + 1 :] = [0] * (k - i - 1)
-            left[i + 1 :] = [0] * (k - i)
-        yield tuple(vec)
-        i = k - 1
-        while i >= 0 and vec[i] == left[i]:
-            i -= 1
-        if i < 0:
-            return
-        vec[i] += 1
-        left[i + 1] = left[i] - abs(vec[i])
-        i += 1

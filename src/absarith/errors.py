@@ -141,15 +141,21 @@ BUDGETS = {
     # The (n+1)(k+1) cells of a `gspace delannoy` table.  The closed form costs
     # about cells * min(n, k) big-integer steps; the 100 x 100 table takes 0.5 s.
     "delannoy_cells": (10_000, "a delannoy table of {amount} cells is above the cap of {limit}"),
+    # A lower bound on the digits of one delannoy(n, k) (combinat.delannoy_digits),
+    # checked before its sum, whose min(n, k) steps each cost about the
+    # result's length: delannoy(22000, 22000), 16,840 digits, is accepted and
+    # takes about 0.5 s on a 2-core Xeon VM, where delannoy(10^200, 3000),
+    # about 590,000 digits, took 5.3 s.
+    "delannoy_digits": (10_000, "a delannoy number of at least {amount:.0f} digits is above the cap of {limit}"),
     # The work of the `gspace pi` certificates for degrees n = 2..n-max at
     # level k: per degree, (n+1) (50 k + n^2) cells, the coordinates of the
     # sampled members (cli.CERTIFICATE_SAMPLES, 50) plus about as many as the
     # face equations eliminated hold.  The largest accepted commands, level 342
-    # at the default n-max 3 and n-max 24 at level 1, each take about 0.25 s on
-    # a 2.1 GHz Xeon core with the interpreter's start (a bare start with site
-    # packages is about 0.09 s there).  The certificates in them take about 22
-    # and 16 ms: the sampled members are read from the generator's words and
-    # checked on integer indices, and the face equations of each degree are
+    # at the default n-max 3 and n-max 24 at level 1, take about 0.23 and 0.3 s
+    # on a 2-core Xeon VM with the interpreter's start (a bare start with site
+    # packages is about 0.16 s there).  The certificates in them take about 7
+    # and 6 ms: the sampled members are cut from the generator's words as bytes
+    # and decided on them, and the face equations of each degree are
     # eliminated once, on their distinct rows.
     "certificate_cells": (
         120_000, "the certificates up to degree {n_max} at level {k} are above the cap of {limit} cells"

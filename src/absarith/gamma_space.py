@@ -26,11 +26,12 @@ divisor carries a rational scale.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import and_
 from typing import Sequence
 
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, exp_degree, lattice_of
@@ -313,16 +314,21 @@ def higher_pi_trivial(
     kills psi_1).  On top of the symbolic proof, randomly sampled nonzero
     members are checked to violate at least one spherical equation.
 
-    A sampled member is kept as its integer indices: free entries
-    lambda/(4nk) m with m in -2..2 and torus entries c t/7 with t in 0..6.
-    The indices are read from the generator's 32-bit words in blocks
-    (_decoded_nonzero_indices), the same stream that randint draws
-    (_draw_nonzero_indices) give for the seed.  Membership and the vanishing
-    of each face are decided on the indices (_indices_are_member,
-    _index_face_is_zero), the last face through a 5 x 7 table of which pairs
-    (m, t) land in cZ, built once per certificate.  The object path, member
-    and face on the GSElement that _random_nonzero_member builds from the
-    same draw, is the oracle.
+    The samples test the face code, not the theorem: where face 0 of a
+    member vanishes, psi_2..psi_n and the torus are zero, so face 1 keeps
+    psi_1 and vanishes only on the zero member, which is never drawn; and a
+    sample's free norm, lambda/(4nk) sum|m| with sum|m| <= 2nk, is at most
+    half the membership budget.
+
+    A sample has free entries lambda/(4nk) m with m in -2..2 and torus
+    entries c t/7 with t in 0..6, the seeded generator's randint stream,
+    which _byte_draws cuts into two byte strings per draw: the free indices
+    r = m + 2 and the torus indices t.  Membership (_members) and face 0
+    (_face0_vanishes) are decided on the bytes of all draws at once; only a
+    draw whose face 0 vanishes has its other faces decided on its indices
+    (_index_face_is_zero), the last face through a 5 x 7 table of which
+    pairs (m, t) land in cZ.  The object path, member and face on the
+    GSElement of the same draw, is the oracle.
     """
     if n < 2:
         raise ValueError("this certificate only applies above degree 1")
@@ -330,13 +336,16 @@ def higher_pi_trivial(
         raise ValueError("the certificate uses exact arithmetic; use an exact scale")
     rank, witnesses, torus_pinned = face_equations(n)
 
-    last_face_zero = _last_face_table(cfg, n, k)
-    violated = 0
-    for rows, torus in _decoded_nonzero_indices(random.Random(seed), n, k, samples):
-        if not _indices_are_member(rows, torus, n, k):
-            raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is not a member")
-        if not all(_index_face_is_zero(j, rows, torus, last_face_zero) for j in range(n + 1)):
-            violated += 1
+    frees, toruses = _byte_draws(random.Random(seed), n, k, samples)
+    if not all(_members(frees, toruses, n, k)):
+        raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is not a member")
+    violated = samples
+    face0_zero = list(compress(zip(frees, toruses), _face0_vanishes(frees, toruses, n, k)))
+    last_face_zero = _last_face_table(cfg, n, k) if face0_zero else None
+    for free, torus in face0_zero:
+        rows = [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
+        if all(_index_face_is_zero(j, rows, torus, last_face_zero) for j in range(1, n + 1)):
+            violated -= 1
     verified = rank == n and torus_pinned and violated == samples
     return TrivialityCertificate(
         n=n,
@@ -350,57 +359,93 @@ def higher_pi_trivial(
     )
 
 
-def _draw_nonzero_indices(rng: random.Random, n: int, k: int) -> tuple[list[list[int]], list[int]]:
-    """The indices of a sampled member: n rows of k free indices randint(-2, 2)
-    and k torus indices randint(0, 6), drawn in that order and redrawn until
-    some index is nonzero."""
-    randint = rng.randint
-    while True:
-        rows = [[randint(-2, 2) for _ in range(k)] for _ in range(n)]
-        torus = [randint(0, 6) for _ in range(k)]
-        if any(map(any, rows)) or any(torus):
-            return rows, torus
-
-
 # _TOP_BITS[b]: the top three bits of a byte.
 _TOP_BITS = bytes(b >> 5 for b in range(256))
-# 1 KiB of words, about what 50 samples take at n = 2, k = 1.
-_WORDS_PER_BLOCK = 256
+# The three-bit values that randint(-2, 2) and randint(0, 6) draw again.
+_FREE_REDRAWN, _TORUS_REDRAWN = bytes((5, 6, 7)), bytes((7,))
+# _ABS_M[r]: |m| for the free index r = m + 2.
+_ABS_M = bytes(abs(r - 2) for r in range(256))
 
 
-def _decoded_nonzero_indices(
-    rng: random.Random, n: int, k: int, samples: int
-) -> list[tuple[list[list[int]], list[int]]]:
-    """The next `samples` draws of _draw_nonzero_indices(rng, n, k), read
-    from the generator's 32-bit words rather than through randint.
+def _byte_draws(rng: random.Random, n: int, k: int, samples: int) -> tuple[list[bytes], list[bytes]]:
+    """The next `samples` draws of the certificate's randint stream, as byte
+    strings: for each draw its n k free indices r = m + 2 (psi_1 first) and
+    its k torus indices t.
 
     randint(-2, 2) and randint(0, 6) each take getrandbits(3), the top three
-    bits of one word, drawn again while it is 5 or more (7 or more), and
-    getrandbits(32 W) is the next W words, least significant first.  So the
-    top bytes of each block of words, filtered below 5 for free indices and
-    below 7 for torus ones, are the randint stream.  The generator is left up
-    to a block past the last draw.
+    bits of one 32-bit word, drawn again while it is 5 or more (7 or more),
+    and getrandbits(32 W) is the next W words, least significant first.  So
+    the words' top bits, one byte each, are the draws in randint's order.  A
+    free string is cut from this stream by slices with 5..7 dropped, each as
+    long as the string still lacks, so no byte past its last is read; then
+    the torus string likewise, with 7 dropped.  An all-zero draw is drawn
+    again.  Words are fetched as many at a time as the draws left are
+    expected to take (8/5 per free index, 8/7 per torus index), or a quarter
+    of those fetched so far if more, so the generator is left past the last
+    draw by the words of the last fetch that no draw read.
     """
-    bits = 32 * _WORDS_PER_BLOCK
-    getrandbits = rng.getrandbits
-    tops = itertools.chain.from_iterable(
-        iter(lambda: getrandbits(bits).to_bytes(bits // 8, "little")[3::4].translate(_TOP_BITS), None)
-    )
-    free_draws, torus_draws = filter((5).__gt__, tops), filter((7).__gt__, tops)
-    islice, nk = itertools.islice, n * k
-    out = []
-    while len(out) < samples:
-        free = list(islice(free_draws, nk))
-        torus = list(islice(torus_draws, k))
-        if free.count(2) < nk or any(torus):  # some free index m = r - 2 is nonzero
-            out.append(([[r - 2 for r in free[i : i + k]] for i in range(0, nk, k)], torus))
-    return out
+    nk = n * k
+    zero_free, zero_torus = b"\x02" * nk, bytes(k)
+    per_draw = 8 * nk // 5 + 8 * k // 7 + 2
+    stream, pos = b"", 0
+    frees: list[bytes] = []
+    toruses: list[bytes] = []
+
+    def grow(end: int) -> None:
+        nonlocal stream
+        words = max(end - len(stream), per_draw * (samples - len(frees)), len(stream) // 4)
+        stream += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(_TOP_BITS)
+
+    def rest(got: bytes, want: int, redrawn: bytes) -> bytes:
+        # The slices after the first, for a string that is still short.
+        nonlocal pos
+        parts = [got]
+        lack = want - len(got)
+        while lack:
+            end = pos + lack
+            if end > len(stream):
+                grow(end)
+            part = stream[pos:end].translate(None, redrawn)
+            pos = end
+            lack -= len(part)
+            parts.append(part)
+        return b"".join(parts)
+
+    while len(frees) < samples:
+        end = pos + nk
+        if end > len(stream):
+            grow(end)
+        free = stream[pos:end].translate(None, _FREE_REDRAWN)
+        pos = end
+        if len(free) < nk:
+            free = rest(free, nk, _FREE_REDRAWN)
+        end = pos + k
+        if end > len(stream):
+            grow(end)
+        torus = stream[pos:end].translate(None, _TORUS_REDRAWN)
+        pos = end
+        if len(torus) < k:
+            torus = rest(torus, k, _TORUS_REDRAWN)
+        if free != zero_free or torus != zero_torus:
+            frees.append(free)
+            toruses.append(torus)
+    return frees, toruses
 
 
-def _indices_are_member(rows: Sequence[Sequence[int]], torus: Sequence[int], n: int, k: int) -> bool:
-    """member() on indices: the free norms lambda/(4nk) sum|m| are at most
-    lambda exactly when sum|m| <= 4nk, and c t/7 lies in [0, c) for t in 0..6."""
-    return sum(sum(map(abs, row)) for row in rows) <= 4 * n * k and 0 <= min(torus) and max(torus) <= 6
+def _members(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:
+    """member() on each draw's bytes: the free norms lambda/(4nk) sum|m| are
+    at most lambda exactly when sum|m| <= 4nk, and c t/7 lies in [0, c)
+    exactly when t <= 6."""
+    norms_fit = map((4 * n * k).__ge__, map(sum, map(bytes.translate, frees, repeat(_ABS_M))))
+    return list(map(and_, norms_fit, map((6).__ge__, map(max, toruses))))
+
+
+def _face0_vanishes(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:
+    """Whether face 0, which keeps psi_2..psi_n and the torus, is zero for
+    each draw: its free bytes after the first k are all 2 (m = 0) and its
+    torus bytes all 0."""
+    tail, zero_torus = b"\x02" * (n * k - k), bytes(k)
+    return list(map(and_, map(bytes.endswith, frees, repeat(tail)), map(zero_torus.__eq__, toruses)))
 
 
 def _last_face_table(cfg: GSConfig, n: int, k: int) -> tuple[tuple[bool, ...], ...]:
@@ -436,40 +481,3 @@ def _index_face_is_zero(
     return not any(map(any, rows[: j - 1] + rows[j + 1 :])) and all(
         a + b == 0 for a, b in zip(rows[j - 1], rows[j])
     )
-
-
-def _coordinate_values(cfg: GSConfig, n: int, k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The values a sampled member's coordinates take: free entries
-    lambda/(4nk) m for m = -2..2, torus entries c j/7 for j = 0..6."""
-    scale = Fraction(cfg.lam) / (4 * n * k)
-    c = cfg.lattice.generator
-    return tuple(scale * m for m in range(-2, 3)), tuple(c * j / 7 for j in range(7))
-
-
-def _element_from_indices(
-    k: int,
-    rows: Sequence[Sequence[int]],
-    torus: Sequence[int],
-    free_values: tuple[Fraction, ...],
-    torus_values: tuple[Fraction, ...],
-) -> GSElement:
-    """The member whose free entries are free_values[m + 2] and torus entries
-    torus_values[t] for the given indices."""
-    free = tuple(tuple(free_values[m + 2] for m in row) for row in rows)
-    return GSElement(k, free, tuple(torus_values[t] for t in torus))
-
-
-def _random_nonzero_member(
-    rng: random.Random,
-    cfg: GSConfig,
-    n: int,
-    k: int,
-    free_values: tuple[Fraction, ...],
-    torus_values: tuple[Fraction, ...],
-) -> GSElement:
-    """The member of the certificate's next draw (_draw_nonzero_indices),
-    built as a GSElement from free_values and torus_values."""
-    e = _element_from_indices(k, *_draw_nonzero_indices(rng, n, k), free_values, torus_values)
-    if not member(cfg, e):
-        raise SelfCheckFailed(f"the certificate draw {e!r} is not a member")
-    return e

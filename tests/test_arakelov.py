@@ -26,8 +26,9 @@ from absarith.arakelov import (
     _check_theta_param,
     _theta_param,
 )
-from absarith.combinat import delannoy, iter_l1_ball
+from absarith.combinat import delannoy
 from absarith.errors import BUDGETS, CapExceeded
+from combinat_oracles import iter_l1_ball
 
 QUADRATURE_MAX_PIECES = BUDGETS["quadrature_pieces"][0]
 
@@ -627,3 +628,35 @@ def test_negation_and_difference_of_divisors():
     # round alike, so negation is exact on a float scale too.
     f = D({3: 1}, ScaleValue.from_log(0.4))
     assert degree(-f) == -degree(f)
+
+
+# e^u or the generator c alone out of a float's range: c = 2^-1100 and
+# e^-800 underflow to 0.0, e^1000 and 2^1100 overflow (degrees about 62.5,
+# -37.6, -39.7 and -62.5).
+ONE_FACTOR_OUT_OF_RANGE = [({2: 1100}, -700.0), ({2: 1100}, -800.0), ({2: -1500}, 1000.0), ({2: -1100}, 700.0)]
+
+
+@pytest.mark.parametrize("finite, u", ONE_FACTOR_OUT_OF_RANGE)
+def test_mc_takes_sigma_over_c_from_the_degree_where_one_factor_leaves_the_float_range(finite, u):
+    d = D(finite, ScaleValue.from_log(u))
+    r = gaussian_avg_mc(d, 100_000, seed=3)
+    expected = math.exp(theta_h0(d, 1e-12))
+    # Far below degree 0 every sample is 1, and so is exp(h0).
+    assert abs(r.mean - expected) <= 4 * r.stderr, (r, expected)
+
+
+def test_mc_ratio_route_matches_the_two_factor_route():
+    # The same degree with c = 1 and with c = 2^1500, whose float overflows:
+    # both routes take the same uniforms, and sigma / c differs at most by
+    # rounding, so no more than one sample of 100,000 may land on the other
+    # side of a floor.
+    for deg in (-1.0, 0.0, 0.5, 1.0, 3.0, 8.0):
+        two_factors = gaussian_avg_mc(D({}, ScaleValue.from_log(deg)), 100_000, seed=4)
+        ratio = gaussian_avg_mc(D({2: -1500}, ScaleValue.from_log(deg + 1500 * math.log(2))), 100_000, seed=4)
+        assert abs(ratio.mean - two_factors.mean) <= 2 / 100_000, deg
+
+
+def test_mc_names_sigma_over_c_where_the_ratio_leaves_the_float_range():
+    # Degree about -760: exp(deg) itself underflows to 0.0.
+    with pytest.raises(ValueError, match=r"sigma / c = exp\(deg\) / sqrt\(2 pi\) at degree -760\."):
+        gaussian_avg_mc(D({2: 1500}, ScaleValue.from_log(-1800.0)), 10, seed=1)

@@ -545,14 +545,8 @@ def test_gspace_pi_reports_the_radius_it_counts_with(capsys, divisor, radius):
 @pytest.mark.parametrize(
     "divisor, cause",
     [
-        # c = 2^-1100 underflows to 0.0 (degree about 62.5)
-        ('{"finite":{"2":1100},"arch":{"float":-700}}', "generator c"),
-        # sigma = e^-800 underflows to 0.0 (degree about -37.6)
-        ('{"finite":{"2":1100},"arch":{"float":-800}}', "sigma"),
-        # sigma = e^1000 overflows (degree about -39.7)
-        ('{"finite":{"2":-1500},"arch":{"float":1000}}', "sigma"),
-        # c = 2^1100 overflows (degree about -62.5)
-        ('{"finite":{"2":-1100},"arch":{"float":700}}', "generator c"),
+        # exp(deg) = e^-1800 2^-1500 underflows to 0.0 (degree about -760)
+        ('{"finite":{"2":1500},"arch":{"float":-1800}}', "sigma / c"),
         # exp(h0) = e^1000 overflows
         ('{"finite":{},"arch":{"float":1000}}', "exp(h0)"),
         # sigma and c are floats, but samples overflow to inf on the way
@@ -565,6 +559,13 @@ def test_theta_mc_out_of_a_floats_range_is_one_domain_error(divisor, cause):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and cause in lines[0], proc.stderr
+
+
+def test_theta_mc_answers_where_one_factor_alone_leaves_a_floats_range(capsys):
+    # sigma = e^1000 overflows at degree about -39.7, where theta h0 is 0.0.
+    argv = ("theta", "mc", "--divisor", '{"finite":{"2":-1500},"arch":{"float":1000}}', "--seed", "1", "--samples", "10")
+    outputs = run_json(capsys, *argv)["outputs"]
+    assert outputs == {"mean": 1.0, "stderr": 0.0, "exp_h0": 1.0, "abs_difference": 0.0}
 
 
 def test_a_non_finite_answer_is_named_and_never_printed(capsys):

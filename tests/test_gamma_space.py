@@ -6,18 +6,12 @@ import pytest
 
 from absarith import gamma_space
 from absarith.arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_xi_over_L, degree_scale, lattice_of, principal
-from absarith.combinat import delannoy, delannoy_table, iter_l1_ball
+from absarith.combinat import delannoy, delannoy_table
 from absarith.errors import CapExceeded
 from absarith.gamma_space import (
     GSConfig,
-    _coordinate_values,
-    _decoded_nonzero_indices,
-    _draw_nonzero_indices,
-    _element_from_indices,
     _index_face_is_zero,
-    _indices_are_member,
     _last_face_table,
-    _random_nonzero_member,
     GSElement,
     degeneracy,
     face,
@@ -32,6 +26,15 @@ from absarith.gamma_space import (
     zero_element,
 )
 from absarith.packing import circle_distance, packing_number
+from combinat_oracles import iter_l1_ball
+from gamma_space_oracles import (
+    _coordinate_values,
+    _decoded_nonzero_indices,
+    _draw_nonzero_indices,
+    _element_from_indices,
+    _indices_are_member,
+    _random_nonzero_member,
+)
 
 
 def _cfg(lam, c=Fraction(1)):
@@ -633,3 +636,59 @@ def test_decoded_draws_are_the_randint_stream():
                 assert _decoded_nonzero_indices(random.Random(seed), n, k, 50) == expected, (seed, n, k)
     assert redraws > 0
     assert _decoded_nonzero_indices(random.Random(0), 2, 1, 0) == []
+
+
+def test_byte_draws_are_the_randint_stream():
+    # The certificate cuts each draw from the top bits of the generator's
+    # words; the randint draws of _draw_nonzero_indices are the oracle, draw
+    # for draw, through the redraws of all-zero indices and through the
+    # fetches that follow when the words first fetched run out.
+    from absarith.gamma_space import _byte_draws
+
+    redraws = refetches = 0
+    for seed in range(60):
+        for n in range(2, 10):
+            for k in (1, 2, 3, 7, 40):
+                rng = random.Random(seed)
+                calls = []
+                randint = rng.randint
+                rng.randint = lambda a, b: calls.append(1) or randint(a, b)
+                expected = [_draw_nonzero_indices(rng, n, k) for _ in range(8)]
+                redraws += len(calls) // (n * k + k) - 8
+                rng = random.Random(seed)
+                fetches = []
+                getrandbits = rng.getrandbits
+                rng.getrandbits = lambda bits: fetches.append(bits) or getrandbits(bits)
+                frees, toruses = _byte_draws(rng, n, k, 8)
+                refetches += len(fetches) - 1
+                got = [
+                    ([[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)], list(torus))
+                    for free, torus in zip(frees, toruses)
+                ]
+                assert got == expected, (seed, n, k)
+    assert redraws > 0 and refetches > 0
+    assert _byte_draws(random.Random(0), 2, 1, 0) == ([], [])
+
+
+def test_delannoy_digits_is_a_lower_bound_on_the_digits():
+    from absarith.combinat import delannoy_digits
+
+    sizes = list(range(40)) + [100, 1000, 5000, 22_000, 10**6, 10**14]
+    for n in sizes:
+        for k in sizes:
+            if delannoy_digits(n, k) <= 10_000:
+                # The digits are floor(log10 D) + 1, and the bound keeps one of slack.
+                assert delannoy_digits(n, k) <= math.log10(delannoy(n, k)), (n, k)
+
+
+def test_a_delannoy_number_past_its_digit_budget_is_refused_before_its_sum():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="at least 1963009 digits"):
+        delannoy(10**200, 10_000)
+    with pytest.raises(CapExceeded):
+        delannoy(23_000, 23_000)
+    assert time.perf_counter() - start < 1.0
+    # The largest square accepted, 16,840 digits, in about 0.5 s.
+    assert math.floor(math.log10(delannoy(22_000, 22_000))) + 1 == 16_840

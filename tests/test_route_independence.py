@@ -5,13 +5,25 @@ permutation that eventual_image returns, and tau goes through eventual_image
 too, so a fault there would pass unseen.  Here the second route is
 trace(t, n) on t itself: it counts the fixed points of t.power(n), and every
 fixed point of T^n lies in the eventual image.
+
+Acceptance criterion 7 samples members of the divisor space and checks that
+each violates a face.  The certificate decides its draws on the generator's
+bytes; the object path draws the same members through randint and decides
+them by member and face on GSElements.  Each route runs with the other's
+private functions patched to raise.  count_E_xi builds the lattice ball by
+columns; the odometer of combinat_oracles lists it vector by vector.
 """
 
 import random
+from fractions import Fraction
 
-from absarith import gamma_core
+from absarith import gamma_core, gamma_space
+from absarith.arakelov import Lattice1, ScaleValue, count_E_xi
 from absarith.gamma_core import PointedEndo, trace
+from absarith.gamma_space import GSConfig, face, member, zero_element
 from absarith.witt import ghost, tau
+from combinat_oracles import iter_l1_ball
+from gamma_space_oracles import _coordinate_values, _random_nonzero_member
 from helpers import random_endo
 
 N_MAX = 12
@@ -45,3 +57,82 @@ def test_the_trace_route_catches_an_eventual_image_of_fixed_points_only(monkeypa
     monkeypatch.setattr(gamma_core, "eventual_image", fixed_points_only)
     maps = _seeded_maps()
     assert _mismatches(maps, [tau(t) for t in maps]) > 0
+
+
+CERT_DRAWS = 10
+
+
+def _cert_config(seed: int, n: int, k: int) -> GSConfig:
+    """A generic scale, or one where lambda/(4nk) is 3c/7 or c, so that the
+    last face vanishes on some nonzero indices."""
+    c = Fraction(1, 2)
+    lam = (Fraction(7, 3), 4 * n * k * 3 * c / 7, 4 * n * k * c)[seed % 3]
+    return GSConfig(Lattice1(Fraction(2, 9) if seed % 3 == 0 else c), ScaleValue.exact_exp(lam))
+
+
+CERT_CASES = [(seed, n, k) for seed in range(100) for n in range(2, 7) for k in (1, 2, 3, 7)] + [(0, 3, 342)]
+
+
+def _raises(name):
+    def poisoned(*args, **kwargs):
+        raise AssertionError(f"the other route called {name}")
+
+    return poisoned
+
+
+def _byte_route(seed, n, k):
+    """Per draw: its indices, then member, face 0 zero and, where face 0
+    vanishes, faces 1..n zero, as the certificate decides them on bytes."""
+    cfg = _cert_config(seed, n, k)
+    frees, toruses = gamma_space._byte_draws(random.Random(seed), n, k, CERT_DRAWS)
+    table = gamma_space._last_face_table(cfg, n, k)
+    out = []
+    for free, torus in zip(frees, toruses):
+        rows = [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
+        face0 = gamma_space._face0_vanishes([free], [torus], n, k)[0]
+        later = tuple(gamma_space._index_face_is_zero(j, rows, torus, table) for j in range(1, n + 1)) if face0 else ()
+        out.append((rows, list(torus), gamma_space._members([free], [torus], n, k)[0], face0, later))
+    return out, gamma_space.higher_pi_trivial(n, cfg, k, samples=CERT_DRAWS, seed=seed).verified
+
+
+def _object_route(seed, n, k):
+    """The same decisions by member and face on the GSElement of each randint draw."""
+    cfg = _cert_config(seed, n, k)
+    values = _coordinate_values(cfg, n, k)
+    free_values, torus_values = values
+    zero = zero_element(cfg, n - 1, k)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(CERT_DRAWS):
+        e = _random_nonzero_member(rng, cfg, n, k, *values)
+        rows = [[free_values.index(v) - 2 for v in vec] for vec in e.free]
+        face0 = face(cfg, 0, e) == zero
+        later = tuple(face(cfg, j, e) == zero for j in range(1, n + 1)) if face0 else ()
+        out.append((rows, [torus_values.index(v) for v in e.torus], member(cfg, e), face0, later))
+    # Every draw violates some face: face 0, or failing that a later one.
+    return out, all(not face0 or not all(later) for _, _, _, face0, later in out)
+
+
+def test_certificate_byte_decisions_are_the_object_paths(monkeypatch):
+    with monkeypatch.context() as m:
+        for name in ("member", "face", "zero_element", "GSElement", "l1_within"):
+            m.setattr(gamma_space, name, _raises(name))
+        m.setattr(random.Random, "randint", _raises("randint"))
+        by_bytes = [_byte_route(*case) for case in CERT_CASES]
+    with monkeypatch.context() as m:
+        for name in ("_byte_draws", "_members", "_face0_vanishes", "_index_face_is_zero", "_last_face_table"):
+            m.setattr(gamma_space, name, _raises(name))
+        by_objects = [_object_route(*case) for case in CERT_CASES]
+    vanished = 0
+    for case, got, expected in zip(CERT_CASES, by_bytes, by_objects):
+        assert got == expected, case
+        vanished += sum(face0 for _, _, _, face0, _ in got[0])
+    assert vanished > 0
+
+
+def test_count_E_xi_columns_list_the_odometers_vectors():
+    unit = Lattice1(Fraction(1))
+    for k in range(1, 7):
+        for radius in range(9):
+            assert count_E_xi(unit, k, radius) == list(iter_l1_ball(k, radius)), (k, radius)
+    assert count_E_xi(unit, 342, 0) == list(iter_l1_ball(342, 0)) == [(0,) * 342]
