@@ -253,14 +253,17 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> li
     # Column k-1-d is read off the prefixes with norm left (norms) and their
     # first rows (starts): a prefix with norm l spans a block of D(l, d+1)
     # rows, each value m in -l..l repeated D(l - |m|, d) times, built once per
-    # norm, and the rows between blocks, whose norm is spent, are 0.
+    # norm, and the rows between blocks, whose norm is spent, are 0.  The
+    # columns are padded to the length of the first, the layout's own count,
+    # so that a layout that miscounts cannot meet the closed form by padding.
     values_of: dict[int, tuple] = {}
     left_of: dict[int, tuple[int, ...]] = {}
     norms, starts = [radius], [0]
     columns = []
+    rows = 0
     for d in range(k - 1, -1, -1):
         if not norms:
-            columns += [[zero] * count] * (d + 1)
+            columns += [[zero] * rows] * (d + 1)
             break
         block_of, offsets_of = {}, {}
         for norm in set(norms):
@@ -276,7 +279,8 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> li
         blocks = list(map(block_of.__getitem__, norms))
         ends = list(map(add, starts, map(len, blocks)))
         gaps = map(repeat, repeat(zero), map(sub, starts, chain((0,), ends)))
-        columns.append(list(chain.from_iterable(map(chain, gaps, blocks))) + [zero] * (count - ends[-1]))
+        rows = rows or ends[-1]
+        columns.append(list(chain.from_iterable(map(chain, gaps, blocks))) + [zero] * (rows - ends[-1]))
         if d:
             # The next prefixes: each value m of each block, where norm is left.
             lefts = list(map(left_of.__getitem__, norms))

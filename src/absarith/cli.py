@@ -258,13 +258,25 @@ def _cmd_gspace_pi(args):
 
 def _cmd_dk_check(args):
     from .dold_kan import GroupHom, homotopy_groups
+    from .smith import cokernel_divisors, kernel_divisors
 
     hom = GroupHom.from_json_dict(json.loads(args.hom))
     groups = homotopy_groups(hom, n_max=args.n_max, cap=args.cap)
+    # The closed-form route, by Smith normal form, which the brute-force
+    # route above never takes: the two must agree.
+    pi0, pi1 = list(groups.pi0), list(groups.pi1)
+    coker = cokernel_divisors(hom.codomain.orders, hom.matrix)
+    ker = kernel_divisors(hom.domain.orders, hom.codomain.orders, hom.matrix)
+    if pi0 != coker or pi1 != ker:
+        raise SelfCheckFailed(f"brute-force pi0 {pi0} and pi1 {pi1}, Smith cokernel {coker} and kernel {ker}")
     outputs = {
-        "pi0": list(groups.pi0),
-        "pi1": list(groups.pi1),
+        "pi0": pi0,
+        "pi1": pi1,
         "pi_higher_trivial": [[n, flag] for n, flag in groups.higher_trivial],
+        "cokernel_divisors": coker,
+        "kernel_divisors": ker,
+        "pi0_is_cokernel": pi0 == coker,
+        "pi1_is_kernel": pi1 == ker,
     }
     return {"hom": hom.to_json_dict()}, outputs
 

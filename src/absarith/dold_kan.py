@@ -18,10 +18,13 @@ element indices, with addition and phi as lookup tables and every face
 compiled once per level, and searches each level column by column: the
 surviving tuples are held as one list per slot, every face slot is tested
 over whole columns as soon as its sources are assigned, and faces and sums
-are evaluated by C-level maps over the columns.  The element objects above
-stay as the small-group oracle the compiled faces are tested against, the
-per-tuple push and adder as the oracles of the column forms, and the filter
-form (every tuple of the level, then its faces) as the oracle of the search.
+are evaluated by C-level maps over the columns.  The quotient runs on
+integer codes of the rows (mixed radix, the row's position in its level),
+so no row tuple is built, and checks addition on generators of the
+spherical group.  The element objects above stay as the small-group oracle
+the compiled faces are tested against, and the per-tuple push and adder as
+the oracles of the column forms; the filter form of the search and the
+quotient checked on every pair live with the tests (tests/dold_kan_oracles.py).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import itertools
 import math
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import getitem, not_
+from operator import add, getitem, mul, not_
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DEFAULT_CAP, SelfCheckFailed, check_budget, frozen, json_array, json_int
@@ -329,22 +332,37 @@ class HomotopyGroups:
         return dict(self.higher_trivial)
 
 
-def _quotient_divisors(elements: list, relation: set, tables: Sequence, zero) -> tuple[int, ...]:
+def _quotient_divisors(elements: list, relation, translate, zero) -> tuple[int, ...]:
     """Isomorphism class of the quotient of a finite abelian group by a
     relation, asserted to be an equivalence compatible with addition.
 
-    Elements are index tuples, added slot by slot: tables[k][x][y] is the
-    sum of x and y at slot k.  Once the relation is reflexive, each element e
-    is labelled by the set R(e) of elements related to it, and every related
-    pair (x, y) must carry equal labels.  That is the same test as symmetry
-    plus transitivity: R(x) = R(y) with y in R(y) and x in R(x) gives y ~ x,
-    and z in R(y) gives x ~ z; conversely the labels of an equivalence are
-    its classes.  It costs one pass over the relation, and only after a
-    failure do the pairwise scans run, to name the property that fails.
-    Compatibility with addition is checked on every pair of elements, one
-    row of sums per element, built column by column by _sums.  The class
-    table is read off its element orders, with no Smith form: that serves
-    only the closed-form oracles, cokernel_divisors and kernel_divisors.
+    Elements are hashable codes (homotopy_groups passes the integer codes of
+    _row_codes), relation a collection of pairs of them, and translate(g) the
+    list of g + e for every element e, in order.  Once the relation is
+    reflexive, each element e is labelled by the set R(e) of elements related
+    to it, and every related pair (x, y) must carry equal labels.  That is
+    the same test as symmetry plus transitivity: R(x) = R(y) with y in R(y)
+    and x in R(x) gives y ~ x, and z in R(y) gives x ~ z; conversely the
+    labels of an equivalence are its classes.  It costs one pass over the
+    relation, and only after a failure do the pairwise scans run, to name the
+    property that fails.
+
+    Compatibility with addition is checked on generators.  They are chosen
+    greedily in element order: an element outside the span of those before
+    it becomes a generator, and the span grows by its translates until they
+    come back into it (the cosets of a subgroup are disjoint).  Each
+    generator g gets one row of sums g + e, which must stay among the
+    elements and must carry every class into one class.  That is the check
+    on every pair, not a weaker one: translation by a sum of generators is
+    the composite of their translations, and every element is such a sum
+    (each ends in the span, and in a finite group -g is a multiple of g), so
+    every translation carries classes into classes, which is a ~ a' =>
+    a + b ~ a' + b; with b ~ b' and commutativity, a + b ~ a' + b'.  The
+    class table is then read lazily: column j is the classes of the first
+    element of class j plus the first of each class, from one row of sums
+    when group_divisors_from_table first asks for it, and the quotient is
+    read off its element orders, with no Smith form: that serves only the
+    closed-form oracles, cokernel_divisors and kernel_divisors.
     """
     related: dict = {e: set() for e in elements}
     for x, y in relation:
@@ -357,32 +375,63 @@ def _quotient_divisors(elements: list, relation: set, tables: Sequence, zero) ->
         if any(x not in related[y] for x, ys in related.items() for y in ys):
             raise SelfCheckFailed("homotopy relation is not symmetric")
         raise SelfCheckFailed("homotopy relation is not transitive")
-    # Quotient addition: table[i][j] is the class of a + b for a in class i
-    # and b in class j, read from the first a of class i and the first b of
-    # class j (labels are numbered in order of first appearance), and checked
-    # on every pair.
-    labels = [class_of[e] for e in elements]
-    firsts = [labels.index(j) for j in range(len(class_index))]
-    columns = list(zip(*elements))
-    table: list = [None] * len(class_index)
-    for a, i in zip(elements, labels):
-        sums = list(map(class_of.__getitem__, _sums(tables, a, columns)))
-        if table[i] is None:
-            table[i] = list(map(sums.__getitem__, firsts))
-        if sums != list(map(table[i].__getitem__, labels)):
+    # Labels are numbered in order of first appearance; firsts[i] is the
+    # position of the first element of class i.
+    labels = list(map(class_of.__getitem__, elements))
+    firsts = list(map(labels.index, range(len(class_index))))
+    position = {e: p for p, e in enumerate(elements)}
+    span = {position[zero]}
+    for p, g in enumerate(elements):
+        if p in span:
+            continue
+        row = translate(g)
+        if not all(map(position.__contains__, row)):
+            raise SelfCheckFailed("homotopy quotient's elements are not closed under addition")
+        steps = list(map(position.__getitem__, row))
+        sums = list(map(labels.__getitem__, steps))
+        image = list(map(sums.__getitem__, firsts))
+        if sums != list(map(image.__getitem__, labels)):
             raise SelfCheckFailed("homotopy relation is not compatible with addition")
+        coset = list(span)
+        while not span.issuperset(coset := list(map(steps.__getitem__, coset))):
+            span.update(coset)
+    table: list = [None] * len(class_index)
 
     def class_add(i: int, j: int) -> int:
-        return table[i][j]
+        if table[j] is None:
+            row = translate(elements[firsts[j]])
+            table[j] = list(map(class_of.__getitem__, map(row.__getitem__, firsts)))
+        return table[j][i]
 
     return tuple(group_divisors_from_table(range(len(class_index)), class_add, class_of[zero]))
 
 
-def _sums(tables: Sequence, a: Sequence[int], columns: Sequence) -> Iterator[tuple[int, ...]]:
-    """a + b for every b that columns list (columns[k] holding slot k), in
-    order: slot k of the sums is row a[k] of that slot's table read along
-    columns[k], one C-level map per slot."""
-    return zip(*[map(table[x].__getitem__, column) for table, x, column in zip(tables, a, columns)])
+def _row_codes(columns: Sequence, sizes: Sequence[int]) -> list[int]:
+    """The integer code of every row that columns list (columns[k] holding
+    slot k), in order: mixed radix over the slot sizes, last slot fastest,
+    which is the row's position in level order.  One C-level map per slot."""
+    codes = columns[0]
+    for size, column in zip(sizes[1:], columns[1:]):
+        codes = map(add, map(mul, codes, repeat(size)), column)
+    return list(codes)
+
+
+def _translations(tables: Sequence, columns: Sequence, sizes: Sequence[int]):
+    """translate(g): the codes of g + b for every row b that columns list,
+    in order.  The slots of g are read off its code; slot k of the sums is
+    row g_k of that slot's table read along columns[k], one C-level map per
+    slot, and the sums are coded by _row_codes."""
+
+    def translate(g: int) -> list[int]:
+        digits = []
+        for size in reversed(sizes):
+            g, digit = divmod(g, size)
+            digits.append(digit)
+        return _row_codes(
+            [map(table[x].__getitem__, column) for table, x, column in zip(tables, reversed(digits), columns)], sizes
+        )
+
+    return translate
 
 
 def _add_table(orders: tuple[int, ...]) -> list[list[int]]:
@@ -454,7 +503,7 @@ class _IndexedHom:
 
     def level(self, n: int) -> Iterator[tuple[int, ...]]:
         """Every level-n index tuple, in level order.  With vanishes, the
-        filter form of the search in _vanishing, kept as its oracle."""
+        filter form of the search in _vanishing_columns, kept as its oracle."""
         return itertools.product(*[range(self.hom.domain.order)] * n, range(self.hom.codomain.order))
 
     def faces(self, n: int) -> list:
@@ -492,16 +541,20 @@ class _IndexedHom:
 
     def vanishes(self, plans, v: tuple[int, ...]) -> bool:
         """Whether no compiled face in plans pushes v to a nonzero tuple: the
-        per-tuple test of the filter form, which the search in _vanishing is
-        checked against."""
+        per-tuple test of the filter form, which the search in
+        _vanishing_columns is checked against."""
         return not any(any(self.push(plan, v)) for plan in plans)
 
     def tables(self, n: int) -> tuple:
         """The addition tables of the slots of level n."""
         return (self.a_add,) * n + (self.b_add,)
 
+    def sizes(self, n: int) -> list[int]:
+        """The sizes of the slots of level n."""
+        return [self.hom.domain.order] * n + [self.hom.codomain.order]
+
     def adder(self, n: int):
-        """Addition on level n, pair by pair: the oracle of _sums."""
+        """Addition on level n, pair by pair: the oracle of _translations."""
         tables = self.tables(n)
         return lambda x, y: tuple(map(getitem, map(getitem, tables, x), y))
 
@@ -518,7 +571,7 @@ def _vanishing_columns(ix: _IndexedHom, n: int, plans) -> list[list[int]]:
     always zero and never tested.  That is the pruning of a depth-first
     search, one C-level pass per slot instead of one Python step per tuple.
     """
-    sizes = [ix.hom.domain.order] * n + [ix.hom.codomain.order]
+    sizes = ix.sizes(n)
     # tests[d]: the face slots whose last source slot is d.
     tests: list[list] = [[] for _ in range(n + 1)]
     for plan in plans:
@@ -541,40 +594,42 @@ def _vanishing_columns(ix: _IndexedHom, n: int, plans) -> list[list[int]]:
     return columns
 
 
-def _vanishing(ix: _IndexedHom, n: int, plans) -> list[tuple[int, ...]]:
-    """The rows of _vanishing_columns as tuples, searched column by column:
-    the same list as [v for v in ix.level(n) if ix.vanishes(plans, v)]."""
-    return list(zip(*_vanishing_columns(ix, n, plans)))
+def _pi(ix: _IndexedHom, n: int, spherical: list[list[int]]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """pi_n as elementary divisors, and the spherical (n+1)-simplices.
 
-
-def _spherical(ix: _IndexedHom, n: int) -> list:
-    """Level-n index tuples whose n+1 faces all vanish (every vertex at n = 0)."""
-    return _vanishing(ix, n, ix.faces(n) if n else ())
-
-
-def _pi(ix: _IndexedHom, n: int) -> tuple[int, ...]:
-    """pi_n as elementary divisors: spherical n-simplices modulo x ~ y whenever
-    x = d_n z and y = d_{n+1} z for an (n+1)-simplex z with d_i z = 0, i < n."""
-    spherical = _spherical(ix, n)
-    spherical_set = set(spherical)
+    spherical holds the spherical n-simplices as columns.  pi_n is their
+    group modulo x ~ y whenever x = d_n z and y = d_{n+1} z for an
+    (n+1)-simplex z with d_i z = 0, i < n: those z are searched once, pushed
+    through d_n and d_{n+1} and coded by _row_codes.  The z whose pushes are
+    both zero are the spherical (n+1)-simplices, returned as columns."""
+    sizes = ix.sizes(n)
+    codes = _row_codes(spherical, sizes)
+    members = set(codes)
     faces = ix.faces(n + 1)
     leaves = _vanishing_columns(ix, n + 1, faces[:n])
-    xs = zip(*ix.push_columns(faces[n], leaves))
-    ys = zip(*ix.push_columns(faces[n + 1], leaves))
-    relation = {(x, y) for x, y in zip(xs, ys) if x in spherical_set and y in spherical_set}
-    return _quotient_divisors(spherical, relation, ix.tables(n), (0,) * (n + 1))
+    xs = _row_codes(ix.push_columns(faces[n], leaves), sizes)
+    ys = _row_codes(ix.push_columns(faces[n + 1], leaves), sizes)
+    # Codes are nonnegative, so x + y is zero exactly when both are.
+    both_zero = list(map(not_, map(add, xs, ys)))
+    above = [list(compress(column, both_zero)) for column in leaves]
+    relation = {(x, y) for x, y in zip(xs, ys) if x in members and y in members}
+    translate = _translations(ix.tables(n), spherical, sizes)
+    return _quotient_divisors(codes, relation, translate, 0), above
 
 
 def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = DEFAULT_CAP) -> HomotopyGroups:
     """pi_0, pi_1 (as elementary divisors) and triviality flags for 2..n_max.
 
-    Levels are searched column by column on index tuples through the
+    Levels are searched column by column on element indices through the
     lookup tables of _IndexedHom, each face slot tested over the surviving
     rows as soon as its last source slot is assigned, so a row is dropped at
     its first nonzero face slot; the one-step relation between spherical
-    simplices is tabulated from the level above and asserted to be an
-    equivalence relation before quotienting (it is, for simplicial abelian
-    groups).  n_max must be nonnegative.  Before any table is built, cap
+    simplices is tabulated from the level above on the integer codes of the
+    rows (_row_codes) and asserted to be an equivalence relation compatible
+    with addition before quotienting (it is, for simplicial abelian groups).
+    Each level up to 2 is searched once: pi_n's search of level n+1 also
+    yields the spherical (n+1)-simplices that pi_{n+1} and the flag at 2
+    need.  n_max must be nonnegative.  Before any table is built, cap
     bounds each level's size and the face work, and a fixed budget the cells
     of the addition tables (errors.BUDGETS).
     """
@@ -588,8 +643,14 @@ def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = DEFAULT_CAP) -> Ho
             check_budget("face_passes", passes, cap, n=n)
     check_budget("table_cells", hom.domain.order**2 + hom.codomain.order**2)
     ix = _IndexedHom(hom)
-    pi0 = _pi(ix, 0)
-    pi1 = _pi(ix, 1)
-    # The flag at n counts the spherical rows, read off the search's last column.
-    higher = tuple((n, len(_vanishing_columns(ix, n, ix.faces(n))[-1]) == 1) for n in range(2, n_max + 1))
-    return HomotopyGroups(pi0=pi0, pi1=pi1, higher_trivial=higher)
+    # Every vertex is spherical.
+    pi0, spherical = _pi(ix, 0, [list(range(hom.codomain.order))])
+    pi1, spherical = _pi(ix, 1, spherical)
+    # The flag at n counts the spherical n-simplices: at n = 2 those that
+    # pi_1's search found, above that a search with every face.
+    higher = []
+    for n in range(2, n_max + 1):
+        if n > 2:
+            spherical = _vanishing_columns(ix, n, ix.faces(n))
+        higher.append((n, len(spherical[-1]) == 1))
+    return HomotopyGroups(pi0=pi0, pi1=pi1, higher_trivial=tuple(higher))

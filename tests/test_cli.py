@@ -139,6 +139,26 @@ def test_dk_check(capsys):
     assert result["outputs"]["pi1"] == []
 
 
+def test_dk_check_prints_both_routes(capsys):
+    hom = '{"domain":[2,4],"codomain":[2,4],"matrix":[[0,0],[0,0]]}'
+    outputs = run_json(capsys, "dk", "check", "--hom", hom)["outputs"]
+    assert outputs["pi0"] == outputs["cokernel_divisors"] == [2, 4]
+    assert outputs["pi1"] == outputs["kernel_divisors"] == [2, 4]
+    assert outputs["pi0_is_cokernel"] is True and outputs["pi1_is_kernel"] is True
+
+
+def test_dk_check_routes_that_disagree_are_a_self_check_failure(capsys, monkeypatch):
+    from absarith import dold_kan
+
+    def wrong_pi0(hom, n_max, cap):
+        return dold_kan.HomotopyGroups(pi0=(4,), pi1=(), higher_trivial=())
+
+    monkeypatch.setattr(dold_kan, "homotopy_groups", wrong_pi0)
+    code, out, err = run(capsys, "dk", "check", "--hom", '{"domain":[2],"codomain":[4],"matrix":[[2]]}')
+    assert code == 5 and out == ""
+    assert err == "error: self-check failed: brute-force pi0 [4] and pi1 [], Smith cokernel [2] and kernel []\n"
+
+
 def test_domain_error_exit_code(capsys):
     code, out, err = run(capsys, "witt", "tau", "--endo", "[1,2,1]")
     assert code == 3 and "error" in err

@@ -12,10 +12,10 @@ from absarith import dold_kan, smith
 from absarith.dold_kan import (
     FiniteAbelianGroup,
     _IndexedHom,
+    _pi,
     _quotient_divisors,
-    _spherical,
-    _sums,
-    _vanishing,
+    _row_codes,
+    _translations,
     GroupHom,
     HPhiElement,
     PairMap,
@@ -29,8 +29,10 @@ from absarith.dold_kan import (
     simplicial_level,
     simplicial_map,
 )
-from absarith.errors import CapExceeded
+from absarith.errors import CapExceeded, SelfCheckFailed
 from absarith.smith import cokernel_divisors, elementary_divisors, group_divisors_from_table, kernel_divisors
+from dold_kan_oracles import _quotient_divisors as _pairwise_quotient_divisors
+from dold_kan_oracles import _spherical, _sums, _vanishing
 from helpers import random_abelian_group, random_hom, small_homs
 
 Z2 = FiniteAbelianGroup((2,))
@@ -552,8 +554,9 @@ def test_homotopy_leaves_no_cyclic_garbage():
 Z4_ELEMENTS = [(0,), (1,), (2,), (3,)]
 
 
-# Addition on Z/4 as the per-slot tables of its 1-tuples: _z4_add[0][x][y] = x + y mod 4.
-_z4_add = ([[(x + y) % 4 for y in range(4)] for x in range(4)],)
+# Addition on Z/4 as translations of its 1-tuples: _z4_add(g) lists g + x for every x in Z4_ELEMENTS.
+def _z4_add(g):
+    return [((g[0] + x) % 4,) for (x,) in Z4_ELEMENTS]
 
 
 def _z4_relation(*pairs):
@@ -588,6 +591,115 @@ def test_quotient_names_the_property_a_relation_lacks(relation, message):
 )
 def test_quotient_by_a_congruence(relation, divisors):
     assert _quotient_divisors(Z4_ELEMENTS, relation, _z4_add, (0,)) == divisors
+
+
+def test_quotient_names_a_sum_outside_its_elements():
+    # {0, 1} in Z/4 is not a subgroup: 1 + 1 = 2 is not listed.
+    elements = [(0,), (1,)]
+    diagonal = {(e, e) for e in elements}
+    with pytest.raises(SelfCheckFailed) as info:
+        _quotient_divisors(elements, diagonal, lambda g: [((g[0] + x) % 4,) for (x,) in elements], (0,))
+    assert str(info.value) == "homotopy quotient's elements are not closed under addition"
+
+
+def _sub(x, y, orders):
+    return tuple((a - b) % m for a, b, m in zip(x, y, orders))
+
+
+def _span(gens, orders):
+    """The subgroup of Z/orders that gens span, as a set of residue tuples."""
+    span = {(0,) * len(orders)}
+    for g in gens:
+        while True:
+            grown = span | {tuple((a + b) % m for a, b, m in zip(h, g, orders)) for h in span}
+            if grown == span:
+                break
+            span = grown
+    return span
+
+
+def _random_relations(rng, elements, orders):
+    """A congruence modulo a random subgroup; the same modulo a subgroup H
+    of the cyclic group C that the first nonzero element spans, on C only,
+    with every element outside C in a class of its own (compatible with
+    translation by that element, but with the others only when C is the
+    group or H is trivial); or a random partition (an equivalence that is
+    rarely compatible).  Sometimes one pair, or one pair and its reverse,
+    is added or removed."""
+    kind = rng.random()
+    if kind < 0.6:
+        cyclic = _span([elements[1]], orders) if kind < 0.3 else set(elements)
+        span = _span(rng.sample(sorted(cyclic), rng.randint(0, 2)), orders)
+        relation = {(x, x) for x in elements}
+        relation |= {(x, y) for x in cyclic for y in cyclic if _sub(x, y, orders) in span}
+    else:
+        label = {e: rng.randrange(rng.randint(1, len(elements))) for e in elements}
+        relation = {(x, y) for x in elements for y in elements if label[x] == label[y]}
+    x, y = rng.choice(elements), rng.choice(elements)
+    change = rng.random()
+    if change < 0.2:
+        relation ^= {(x, y)}
+    elif change < 0.4:
+        relation ^= {(x, y), (y, x)}
+    return relation
+
+
+def _outcome(quotient, *args):
+    try:
+        return quotient(*args)
+    except SelfCheckFailed as exc:
+        return str(exc)
+
+
+def test_generator_check_agrees_with_the_pairwise_oracle():
+    # Random relations on four small groups: the quotient that checks
+    # addition on generators, on integer codes, and the oracle that checks
+    # every pair on index tuples give the same divisors or the same message.
+    rng = random.Random(2323)
+    seen = set()
+    for orders in [(4,), (8,), (2, 4), (3, 3)]:
+        elements = list(itertools.product(*map(range, orders)))
+        tables = [[[(x + y) % m for y in range(m)] for x in range(m)] for m in orders]
+        columns = [list(column) for column in zip(*elements)]
+        codes = _row_codes(columns, orders)
+        code = dict(zip(elements, codes))
+        translate = _translations(tables, columns, orders)
+        for _ in range(150):
+            relation = _random_relations(rng, elements, orders)
+            expected = _outcome(_pairwise_quotient_divisors, elements, relation, tables, elements[0])
+            coded = {(code[x], code[y]) for x, y in relation}
+            assert _outcome(_quotient_divisors, codes, coded, translate, 0) == expected, (orders, relation)
+            seen.add(expected if isinstance(expected, str) else "divisors")
+    lacks = ("not reflexive", "not symmetric", "not transitive", "not compatible with addition")
+    assert seen == {"divisors"} | {f"homotopy relation is {p}" for p in lacks}
+
+
+@pytest.mark.parametrize("hom", FACE_HOMS)
+def test_row_codes_and_translations_match_the_pairwise_adder(hom):
+    # The integer codes are positions in level order, and each translation
+    # lists the codes of the level adder's sums, on the spherical sets of
+    # levels 0-2 and on the whole of level 1.
+    ix = _IndexedHom(hom)
+    for n, elements in [(n, _spherical(ix, n)) for n in (0, 1, 2)] + [(1, list(ix.level(1)))]:
+        add = ix.adder(n)
+        level = list(ix.level(n))
+        columns = [list(column) for column in zip(*elements)]
+        codes = _row_codes(columns, ix.sizes(n))
+        assert [level[c] for c in codes] == elements
+        translate = _translations(ix.tables(n), columns, ix.sizes(n))
+        for a, c in zip(elements, codes):
+            assert [level[s] for s in translate(c)] == [add(a, b) for b in elements]
+
+
+@pytest.mark.parametrize("hom", FACE_HOMS + _index_path_homs())
+def test_each_relation_search_yields_the_spherical_simplices_above(hom):
+    # pi_0's search of level 1 and pi_1's of level 2 return, as columns,
+    # the spherical simplices that the search with every face finds.
+    ix = _IndexedHom(hom)
+    _, above = _pi(ix, 0, [list(range(hom.codomain.order))])
+    assert list(zip(*above)) == _spherical(ix, 1)
+    _, above = _pi(ix, 1, above)
+    assert list(zip(*above)) == _spherical(ix, 2)
 
 
 def test_addition_table_cells_are_checked_before_any_table_is_built(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from absarith import gamma_space
 from absarith.arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_xi_over_L, degree_scale, lattice_of, principal
 from absarith.combinat import delannoy, delannoy_table
-from absarith.errors import CapExceeded
+from absarith.errors import CapExceeded, SelfCheckFailed
 from absarith.gamma_space import (
     GSConfig,
     _index_face_is_zero,
@@ -524,6 +525,22 @@ def test_pi1_count_cross_checks_by_coordinates(monkeypatch):
     assert pi1_count(_exp_divisor(1), 9999) == 19_999
     assert pi1_count(_exp_divisor(Fraction(1, 3)), 10**8) == 1
     assert calls == [1, 1, 2, 3]
+
+
+def test_pi1_count_cross_check_fails_on_a_ball_layout_that_miscounts(monkeypatch):
+    # A mutant of count_E_xi whose block sizes follow a shifted recurrence
+    # lays out too few rows for radius 7 at k = 3.  Padded to the closed
+    # form, it listed 575 rows, only 382 of them distinct, and pi1_count's
+    # cross-check passed; padded to its own first column, it must fail.
+    from absarith import arakelov
+
+    source = inspect.getsource(arakelov.count_E_xi)
+    assert source.count("chain((0,), under[-1])") == 1
+    namespace = dict(vars(arakelov))
+    exec(source.replace("chain((0,), under[-1])", "chain((0, 0), under[-1])"), namespace)
+    monkeypatch.setattr(gamma_space, "count_E_xi", namespace["count_E_xi"])
+    with pytest.raises(SelfCheckFailed, match="closed form gives 575"):
+        pi1_count(_exp_divisor(7), 3)
 
 
 def test_face_rank_from_distinct_rows_matches_all_rows():
