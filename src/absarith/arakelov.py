@@ -298,11 +298,15 @@ _DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
 # The quadrature adds its pieces with numpy, in chunks of _QUADRATURE_CHUNK
 # pieces, from one chunk on (about degree 8.45 at eps 1e-12) when numpy is
 # already loaded, and from _QUADRATURE_NUMPY_PIECES on (about degree 11.88)
-# when it is not.  numpy's import takes about 150 ms on a 2.1 GHz Xeon core,
-# as long as the iterator sum of some 430,000 pieces, so a fresh process
-# breaks even near 590,000 pieces (degree 12).  One that has numpy loaded
-# gains from the first chunk: per piece the chunks take about a 3.5th of the
-# iterator's time (2.0 against 6.7 ms at degree 8.5).
+# when it is not.  On a 2.0 GHz Xeon core a piece takes the iterator about
+# 0.32 us and the chunks about 0.022 us (189 against 13 ms for the 592,451
+# pieces of degree 12), so a process that has numpy loaded gains from the
+# first chunk (5.1 against 0.6 ms at degree 8.5).  numpy's import takes
+# 90-140 ms there, and a fresh `theta verify` breaks even near 360,000
+# pieces (degree 11.5, 272 ms by either route); from there to 2^19 pieces
+# the iterator costs a fresh process up to about 90 ms more than the chunks
+# would (346 against 258 ms at degree 11.88), and below degree 11 it saves
+# about 50 to 115 ms.
 _QUADRATURE_NUMPY_PIECES = 1 << 19
 _QUADRATURE_CHUNK = 1 << 14
 
@@ -384,9 +388,16 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     added in numpy chunks, with the same floats in the same order, so that the
     result is bit for bit the iterator sum's: from _QUADRATURE_CHUNK pieces on
     (about degree 8.45 at eps 1e-12) when numpy is already imported, and from
-    _QUADRATURE_NUMPY_PIECES on (about degree 11.88) when it is not, where its
-    import would cost more than it saves.  This is the direct sum at every
-    degree, the independent route to exp(theta_h0); more than
+    _QUADRATURE_NUMPY_PIECES on (about degree 11.88) when it is not, so that
+    a fresh process spares numpy's import below that.  A chunk takes its E_m
+    as the real part of numpy's complex exp at a m m + 0i, which goes through
+    C cexp: with a zero imaginary part glibc's cexp returns exp(x) * 1 from
+    the libm exp that math.exp calls, without sincos, and numpy's own
+    fallback returns exp(x), so each E_m is math.exp's float, where float64
+    np.exp's SIMD loops differ in the last bit.  Its underflow flag, raised once E_m is subnormal or 0, is
+    ignored inside the chunks whatever np.seterr the caller chose, as the
+    iterator's math.exp raises nothing there either.  This is the direct sum
+    at every degree, the independent route to exp(theta_h0); more than
     BUDGETS["quadrature_pieces"] pieces are refused with CapExceeded.
     """
     t, _ = _theta_param(d, eps)
@@ -435,9 +446,8 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
         return reduce(add, map(mul, range(1, 2 * stop + 2, 2), map(sub, lower, upper)), 0.0)
 
     # The same floats in numpy, chunk by chunk: a m m is (a m) m as above
-    # (exactly 0, a and 4 a at m = 0, 1, 2), each E_m still comes from
-    # math.exp (np.exp's SIMD loops differ from it in the last bit), and
-    # add.accumulate adds in sequence, where add.reduce would add pairwise.
+    # (exactly 0, a and 4 a at m = 0, 1, 2), each E_m is math.exp's float,
+    # and add.accumulate adds in sequence, where add.reduce would add pairwise.
     import numpy as np
 
     total = 0.0
@@ -446,12 +456,22 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
         m = np.arange(start, end + 1, dtype=np.float64)
         x = a * m
         x *= m
-        es = np.fromiter(map(exp, x.tolist()), np.float64, count=end - start + 1)
+        es = _chunk_exps(x)
         diffs = es[:-1] - es[1:]
         diffs *= np.arange(2 * start + 1, 2 * end + 1, 2, dtype=np.float64)
         diffs[0] += total
         total = float(np.add.accumulate(diffs, out=diffs)[-1])
     return total
+
+
+def _chunk_exps(x):
+    """math.exp of each float64 of x, bit for bit, as the real part of the
+    complex exp at x + 0i (see gaussian_avg_quadrature), with underflow
+    unflagged whatever np.seterr says."""
+    import numpy as np
+
+    with np.errstate(under="ignore"):
+        return np.exp(x.astype(np.complex128)).real
 
 
 @frozen

@@ -517,6 +517,59 @@ def test_quadrature_without_numpy_loaded_sums_by_iterator_below_the_cold_thresho
     assert tees == [1] * len(cases)
 
 
+@pytest.mark.parametrize("deg, eps", [(9.0, 5e-324), (10.0, 1e-320), (12.0, 1e-12)])
+def test_numpy_quadrature_under_a_raising_seterr(monkeypatch, deg, eps):
+    # Under seterr(all="raise") the complex exp would raise on its first
+    # subnormal E_m: at degree 9 and eps 5e-324, and at degree 10 and eps
+    # 1e-320, the sum runs on into them.  The chunks ignore underflow and
+    # leave the caller's settings as they found them.
+    import numpy as np
+
+    import absarith.arakelov as ak
+
+    d = ArakelovDivisor.of_degree(deg)
+    expected = repr(_quadrature_per_piece(d, eps))
+    tees = []
+    monkeypatch.setattr(ak, "tee", lambda it: tees.append(1) or tee(it))
+    saved = np.seterr(all="raise")
+    try:
+        got = repr(gaussian_avg_quadrature(d, eps))
+        after = np.geterr()
+    finally:
+        np.seterr(**saved)
+    assert tees == []
+    assert got == expected
+    assert after == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+
+
+def test_chunk_exps_are_math_exps_bit_for_bit(monkeypatch):
+    # Every argument a m m of the chunks at four degrees, seeded arguments
+    # down to where exp underflows to 0, -0.0, and a sweep of the arguments
+    # whose exps are subnormal; the floats are compared as uint64 bit patterns.
+    import numpy as np
+
+    import absarith.arakelov as ak
+
+    chunk_exps = ak._chunk_exps
+    args = []
+    monkeypatch.setattr(ak, "_chunk_exps", lambda x: args.append(x.copy()) or chunk_exps(x))
+    for deg in (8.5, 10.0, 12.0, 13.2):
+        gaussian_avg_quadrature(ArakelovDivisor.of_degree(deg), 1e-12)
+    # 17,113, 78,206, 592,451 and 1,995,483 pieces, in chunks of 2^14.
+    assert len(args) == 2 + 5 + 37 + 122
+    args += list(np.random.default_rng(24).uniform(-745.2, 0.0, (16, 62_500)))
+    args += [np.array([-0.0, 0.0]), np.linspace(-745.2, -708.3, 100_001)]
+    mismatches = subnormal = 0
+    for x in args:
+        expected = np.fromiter(map(math.exp, x.tolist()), np.float64, count=len(x))
+        got = chunk_exps(x)
+        assert got.dtype == np.float64
+        mismatches += int(np.count_nonzero(got.view(np.uint64) != expected.view(np.uint64)))
+        subnormal += int(np.count_nonzero((expected > 0.0) & (expected < 2.0**-1022)))
+    assert mismatches == 0
+    assert subnormal > 10_000
+
+
 def _mc_trig_box_muller(d, samples, seed):
     """gaussian_avg_mc drawing both Box-Muller uniforms and taking |z| from
     the cosine and sine parts: the oracle for drawing the radius alone."""

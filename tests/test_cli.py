@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absarith.arakelov import ScaleValue
+from absarith.arakelov import ArakelovDivisor, ScaleValue
 from absarith.cli import main
 from absarith.smith import cokernel_divisors, kernel_divisors
 
@@ -548,6 +548,17 @@ def test_theta_verify_loads_numpy_only_for_long_quadratures(deg, numpy_loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"code": 0, "numpy": numpy_loaded}
+
+
+def test_cold_theta_verify_sums_by_chunks_to_the_per_piece_loops_integral():
+    # A fresh process imports numpy for the 592,451 pieces of degree 12 and
+    # must print the float that the per-piece loop adds up in process.
+    from test_arakelov import _quadrature_per_piece
+
+    proc = _run_cli("theta", "verify", "--deg", "12")
+    assert proc.returncode == 0, proc.stderr
+    integral = json.loads(proc.stdout)["outputs"]["integral"]
+    assert repr(integral) == repr(_quadrature_per_piece(ArakelovDivisor.of_degree(12.0), 1e-12))
 
 
 @pytest.mark.parametrize(

@@ -12,13 +12,23 @@ bytes; the object path draws the same members through randint and decides
 them by member and face on GSElements.  Each route runs with the other's
 private functions patched to raise.  count_E_xi builds the lattice ball by
 columns; the odometer of combinat_oracles lists it vector by vector.
+
+Acceptance criterion 4 compares exp(theta_h0) with gaussian_avg_quadrature,
+the direct sum of the Gaussian average.  The quadrature runs with theta_h0,
+theta_h0_of_degree and _theta_tail_sum patched to raise, by its iterator
+(numpy hidden from the route check) and by its numpy chunks, which must agree
+by repr; theta_h0 then runs with the quadrature and its chunks patched to
+raise.
 """
 
+import math
 import random
+import types
 from fractions import Fraction
 
-from absarith import gamma_core, gamma_space
-from absarith.arakelov import Lattice1, ScaleValue, count_E_xi
+from absarith import arakelov, gamma_core, gamma_space
+from absarith.arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, gaussian_avg_quadrature, theta_h0
+from absarith.errors import BUDGETS
 from absarith.gamma_core import PointedEndo, trace
 from absarith.gamma_space import GSConfig, face, member, zero_element
 from absarith.witt import ghost, tau
@@ -136,3 +146,39 @@ def test_count_E_xi_columns_list_the_odometers_vectors():
         for radius in range(9):
             assert count_E_xi(unit, k, radius) == list(iter_l1_ball(k, radius)), (k, radius)
     assert count_E_xi(unit, 342, 0) == list(iter_l1_ball(342, 0)) == [(0,) * 342]
+
+
+QUADRATURE_DEGREES = range(-3, 13)
+
+
+def _quadratures(monkeypatch, chunked):
+    """gaussian_avg_quadrature at QUADRATURE_DEGREES with the theta sum's
+    functions patched to raise, every sum by the numpy chunks or every sum by
+    the iterator, the other route patched to raise as well."""
+    with monkeypatch.context() as m:
+        for name in ("theta_h0", "theta_h0_of_degree", "_theta_tail_sum"):
+            m.setattr(arakelov, name, _raises(name))
+        if chunked:
+            import numpy  # noqa: F401
+
+            m.setattr(arakelov, "_QUADRATURE_NUMPY_PIECES", 0)
+            m.setattr(arakelov, "tee", _raises("tee"))
+        else:
+            m.setattr(arakelov, "sys", types.SimpleNamespace(modules={}))
+            m.setattr(arakelov, "_QUADRATURE_NUMPY_PIECES", BUDGETS["quadrature_pieces"][0] + 1)
+            m.setattr(arakelov, "_chunk_exps", _raises("_chunk_exps"))
+        return [gaussian_avg_quadrature(ArakelovDivisor.of_degree(deg), 1e-12) for deg in QUADRATURE_DEGREES]
+
+
+def test_gaussian_average_quadrature_and_theta_share_no_code(monkeypatch):
+    by_iterator = _quadratures(monkeypatch, chunked=False)
+    by_chunks = _quadratures(monkeypatch, chunked=True)
+    assert list(map(repr, by_chunks)) == list(map(repr, by_iterator))
+    with monkeypatch.context() as m:
+        for name in ("gaussian_avg_quadrature", "_chunk_exps"):
+            m.setattr(arakelov, name, _raises(name))
+        thetas = [math.exp(theta_h0(ArakelovDivisor.of_degree(deg), 1e-12)) for deg in QUADRATURE_DEGREES]
+    # Both sums stop within eps = 1e-12; the rest is rounding over up to
+    # 592,451 pieces at degree 12, about 5e-13 of the value there.
+    for deg, quadrature, theta in zip(QUADRATURE_DEGREES, by_iterator, thetas):
+        assert math.isclose(quadrature, theta, rel_tol=1e-11, abs_tol=2e-12), deg
