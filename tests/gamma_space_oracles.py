@@ -1,22 +1,15 @@
 """The per-draw route of the divisor-space certificate, the oracle of its
 byte route in absarith.gamma_space: randint draws of each sampled member's
-indices, the same draws decoded from the generator's 32-bit words in blocks,
-membership on the indices, and the GSElement of each draw for the object
-path's member and face.
+indices, membership on the indices, and the GSElement of each draw for the
+object path's member and face.
 """
 
-import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
 
 from absarith.errors import SelfCheckFailed
 from absarith.gamma_space import GSConfig, GSElement, member
-
-# _TOP_BITS[b]: the top three bits of a byte.
-_TOP_BITS = bytes(b >> 5 for b in range(256))
-# 1 KiB of words, about what 50 samples take at n = 2, k = 1.
-_WORDS_PER_BLOCK = 256
 
 
 def _draw_nonzero_indices(rng: random.Random, n: int, k: int) -> tuple[list[list[int]], list[int]]:
@@ -29,36 +22,6 @@ def _draw_nonzero_indices(rng: random.Random, n: int, k: int) -> tuple[list[list
         torus = [randint(0, 6) for _ in range(k)]
         if any(map(any, rows)) or any(torus):
             return rows, torus
-
-
-def _decoded_nonzero_indices(
-    rng: random.Random, n: int, k: int, samples: int
-) -> list[tuple[list[list[int]], list[int]]]:
-    """The next `samples` draws of _draw_nonzero_indices(rng, n, k), read
-    from the generator's 32-bit words rather than through randint.
-
-    randint(-2, 2) and randint(0, 6) each take getrandbits(3), the top three
-    bits of one word, drawn again while it is 5 or more (7 or more), and
-    getrandbits(32 W) is the next W words, least significant first.  So the
-    top bytes of each block of words, filtered below 5 for free indices and
-    below 7 for torus ones, are the randint stream.  The generator is left
-    past the last draw by the unread words of the last block, fewer than
-    _WORDS_PER_BLOCK.
-    """
-    bits = 32 * _WORDS_PER_BLOCK
-    getrandbits = rng.getrandbits
-    tops = itertools.chain.from_iterable(
-        iter(lambda: getrandbits(bits).to_bytes(bits // 8, "little")[3::4].translate(_TOP_BITS), None)
-    )
-    free_draws, torus_draws = filter((5).__gt__, tops), filter((7).__gt__, tops)
-    islice, nk = itertools.islice, n * k
-    out = []
-    while len(out) < samples:
-        free = list(islice(free_draws, nk))
-        torus = list(islice(torus_draws, k))
-        if free.count(2) < nk or any(torus):  # some free index m = r - 2 is nonzero
-            out.append(([[r - 2 for r in free[i : i + k]] for i in range(0, nk, k)], torus))
-    return out
 
 
 def _indices_are_member(rows: Sequence[Sequence[int]], torus: Sequence[int], n: int, k: int) -> bool:

@@ -6,6 +6,7 @@ from itertools import tee
 
 import pytest
 
+import absarith.arakelov as ak
 from absarith.arakelov import (
     _MC_CHUNK,
     ArakelovDivisor,
@@ -713,3 +714,121 @@ def test_mc_names_sigma_over_c_where_the_ratio_leaves_the_float_range():
     # Degree about -760: exp(deg) itself underflows to 0.0.
     with pytest.raises(ValueError, match=r"sigma / c = exp\(deg\) / sqrt\(2 pi\) at degree -760\."):
         gaussian_avg_mc(D({2: 1500}, ScaleValue.from_log(-1800.0)), 10, seed=1)
+
+
+# The Monte Carlo count route: its premises, its thresholds and its fallback.
+MC_ENTROPIES = (0, 7, 42, 2**40 + 3, 10**30)
+MC_SPAWN_KEYS = ((0,), (1,), (15,), (1000,))
+
+
+def test_generator_random_is_the_top_53_bits_of_the_raw_words():
+    # The count route compares raw words where the float route reads
+    # random(): u = (w >> 11) 2^-53, compared bit for bit.
+    import numpy as np
+
+    for entropy in MC_ENTROPIES:
+        for key in MC_SPAWN_KEYS:
+            for m in (_MC_CHUNK, 12_345, 1):
+                ss = np.random.SeedSequence(entropy=entropy, spawn_key=key)
+                floats = np.random.Generator(np.random.PCG64(ss)).random(m)
+                words = np.random.PCG64(ss).random_raw(m)
+                expected = (words >> np.uint64(11)) * 2.0**-53
+                assert np.array_equal(floats.view(np.uint64), expected.view(np.uint64)), (entropy, key, m)
+
+
+def _mc_call(monkeypatch, d):
+    """(sigma, c) and the thresholds of gaussian_avg_mc(d, 1, 0), seen by a
+    spy on _mc_thresholds."""
+    seen = []
+
+    def spy(sigma, c):
+        seen.append((sigma, c, original(sigma, c)))
+        return seen[-1][2]
+
+    original = ak._mc_thresholds
+    with monkeypatch.context() as m:
+        m.setattr(ak, "_mc_thresholds", spy)
+        gaussian_avg_mc(d, 1, 0)
+    return seen[0]
+
+
+def test_log1p_is_well_inside_the_windows_error_bound(monkeypatch):
+    # _MC_WINDOW covers a radius error of about 125 ulps of log1p; numpy's
+    # float64 log1p must stay within 4, on seeded draws and on every input
+    # of the threshold search at degrees 0 and 1, against mpmath at 120 bits.
+    import numpy as np
+
+    mpmath = pytest.importorskip("mpmath")
+    inputs = [np.random.default_rng(25).random(100_000)]
+    original = ak._mc_counts
+    with monkeypatch.context() as m:
+        m.setattr(ak, "_mc_counts", lambda u, sigma, c: inputs.append(u.ravel().copy()) or original(u, sigma, c))
+        for deg in (0.0, 1.0):
+            assert _mc_call(monkeypatch, ArakelovDivisor.of_degree(deg))[2]
+    # The largest draw, then K + 1 = 4 and 10 windows.
+    assert sum(map(len, inputs[1:])) == 2 + (4 + 10) * (2 * ak._MC_WINDOW + 1)
+    worst = 0.0
+    with mpmath.workprec(120):
+        for u in inputs:
+            for x, got in zip((-u).tolist(), np.log1p(-u).tolist()):
+                exact = mpmath.log1p(x)
+                if exact == 0:
+                    assert got == 0.0
+                else:
+                    worst = max(worst, float(abs(got - exact)) / math.ulp(float(exact)))
+    assert worst <= 4.0
+
+
+def _mc_threshold_divisors():
+    for deg in (-1.0, 0.0, 0.5, 1.0, 1.5):
+        yield ArakelovDivisor.of_degree(deg)
+        yield D({}, ScaleValue.exact_exp(Fraction(math.exp(deg)).limit_denominator(1000)))
+    yield D({3: -1}, ScaleValue.from_log(1.2 - math.log(3)))
+
+
+def test_mc_thresholds_are_the_steps_of_the_float_counts(monkeypatch):
+    # At T_j - 1 the count is below j, at T_j it is j or more, each taken as
+    # a single draw; K is the count of the largest draw.
+    import numpy as np
+
+    def count(sigma, c, i):
+        return ak._mc_counts(np.array([i * 2.0**-53]), sigma, c)[0]
+
+    for d in _mc_threshold_divisors():
+        sigma, c, thresholds = _mc_call(monkeypatch, d)
+        assert thresholds and len(thresholds) == count(sigma, c, 2**53 - 1), d
+        for j, t in enumerate(thresholds, 1):
+            assert isinstance(t, np.uint64) and int(t) % 2048 == 0
+            step = int(t) >> 11
+            assert count(sigma, c, step - 1) < j <= count(sigma, c, step), (d, j)
+
+
+@pytest.mark.parametrize("shift", [10**6, -(10**6)])
+def test_mc_refuses_an_estimate_off_by_a_million_and_counts_by_floats(monkeypatch, shift):
+    estimate = ak._mc_threshold_estimate
+    for deg in (0.0, 1.0):
+        d = ArakelovDivisor.of_degree(deg)
+        with monkeypatch.context() as m:
+            m.setattr(ak, "_mc_thresholds", lambda sigma, c: None)
+            by_floats = gaussian_avg_mc(d, 150_001, 9)
+        assert _mc_call(monkeypatch, d)[2]
+        with monkeypatch.context() as m:
+            m.setattr(ak, "_mc_threshold_estimate", lambda j, sigma, c: estimate(j, sigma, c) + shift)
+            assert _mc_call(monkeypatch, d)[2] is None
+            r = gaussian_avg_mc(d, 150_001, 9)
+        assert (repr(r.mean), repr(r.stderr)) == (repr(by_floats.mean), repr(by_floats.stderr)), deg
+
+
+def test_mc_below_one_threshold_counts_one_without_a_draw(monkeypatch):
+    import numpy as np
+
+    d = ArakelovDivisor.of_degree(-3.0)
+    assert _mc_call(monkeypatch, d)[2] == []
+    with monkeypatch.context() as m:
+        m.setattr(ak, "_mc_thresholds", lambda sigma, c: None)
+        by_floats = gaussian_avg_mc(d, 150_001, 5)
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "PCG64", None)
+        for threads in (1, 2):
+            r = gaussian_avg_mc(d, 150_001, 5, threads=threads)
+            assert (repr(r.mean), repr(r.stderr)) == (repr(by_floats.mean), repr(by_floats.stderr)) == ("1.0", "0.0")

@@ -30,7 +30,6 @@ from absarith.packing import circle_distance, packing_number
 from combinat_oracles import iter_l1_ball
 from gamma_space_oracles import (
     _coordinate_values,
-    _decoded_nonzero_indices,
     _draw_nonzero_indices,
     _element_from_indices,
     _indices_are_member,
@@ -633,26 +632,6 @@ def test_pi0_cardinality_where_exp_minus_degree_overflows(deg):
     assert ed > 0 and 1 / ed == math.inf
     with pytest.raises(ValueError, match=r"exp\(-deg\) is above the largest float"):
         pi0_cardinality_k1(ArakelovDivisor.of_degree(deg))
-
-
-def test_decoded_draws_are_the_randint_stream():
-    # The certificate reads its indices from the generator's words; the
-    # randint draws of _draw_nonzero_indices are the oracle, sample for
-    # sample, across block boundaries (n = 6, k = 4 reads about 2,000 words
-    # for 50 samples) and through the redraws of all-zero indices.
-    redraws = 0
-    for seed in range(50):
-        for n in (2, 3, 4, 6):
-            for k in (1, 2, 3, 4):
-                rng = random.Random(seed)
-                calls = []
-                randint = rng.randint
-                rng.randint = lambda a, b: calls.append(1) or randint(a, b)
-                expected = [_draw_nonzero_indices(rng, n, k) for _ in range(50)]
-                redraws += len(calls) // (n * k + k) - 50
-                assert _decoded_nonzero_indices(random.Random(seed), n, k, 50) == expected, (seed, n, k)
-    assert redraws > 0
-    assert _decoded_nonzero_indices(random.Random(0), 2, 1, 0) == []
 
 
 def test_byte_draws_are_the_randint_stream():

@@ -18,7 +18,10 @@ the direct sum of the Gaussian average.  The quadrature runs with theta_h0,
 theta_h0_of_degree and _theta_tail_sum patched to raise, by its iterator
 (numpy hidden from the route check) and by its numpy chunks, which must agree
 by repr; theta_h0 then runs with the quadrature and its chunks patched to
-raise.
+raise.  Its Monte Carlo half, gaussian_avg_mc, runs with the theta sum's
+functions and the quadrature patched to raise, by its raw-word counts and by
+its float counts (the threshold search patched to find none), which must
+agree by repr, and each lies within 4 stderr of exp(theta_h0).
 """
 
 import math
@@ -27,7 +30,15 @@ import types
 from fractions import Fraction
 
 from absarith import arakelov, gamma_core, gamma_space
-from absarith.arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, gaussian_avg_quadrature, theta_h0
+from absarith.arakelov import (
+    ArakelovDivisor,
+    Lattice1,
+    ScaleValue,
+    count_E_xi,
+    gaussian_avg_mc,
+    gaussian_avg_quadrature,
+    theta_h0,
+)
 from absarith.errors import BUDGETS
 from absarith.gamma_core import PointedEndo, trace
 from absarith.gamma_space import GSConfig, face, member, zero_element
@@ -182,3 +193,38 @@ def test_gaussian_average_quadrature_and_theta_share_no_code(monkeypatch):
     # 592,451 pieces at degree 12, about 5e-13 of the value there.
     for deg, quadrature, theta in zip(QUADRATURE_DEGREES, by_iterator, thetas):
         assert math.isclose(quadrature, theta, rel_tol=1e-11, abs_tol=2e-12), deg
+
+
+MC_DEGREES = (-1.0, 0.0, 0.5, 1.0, 1.5)
+MC_SAMPLES = 200_003
+
+
+def _monte_carlo(monkeypatch, by_counts):
+    """gaussian_avg_mc at MC_DEGREES, MC_SAMPLES each, with the theta sum and
+    the quadrature patched to raise, by the raw-word counts (every call must
+    find its thresholds) or by the float counts (the search finds none)."""
+    with monkeypatch.context() as m:
+        names = ("theta_h0", "theta_h0_of_degree", "_theta_tail_sum", "gaussian_avg_quadrature", "_chunk_exps")
+        for name in names:
+            m.setattr(arakelov, name, _raises(name))
+        search = arakelov._mc_thresholds
+
+        def thresholds_found(sigma, c):
+            thresholds = search(sigma, c)
+            assert thresholds is not None, "the count route fell back to floats"
+            return thresholds
+
+        m.setattr(arakelov, "_mc_thresholds", thresholds_found if by_counts else lambda sigma, c: None)
+        return [gaussian_avg_mc(ArakelovDivisor.of_degree(deg), MC_SAMPLES, 17) for deg in MC_DEGREES]
+
+
+def test_gaussian_average_monte_carlo_and_theta_share_no_code(monkeypatch):
+    by_counts = _monte_carlo(monkeypatch, by_counts=True)
+    by_floats = _monte_carlo(monkeypatch, by_counts=False)
+    assert [(repr(r.mean), repr(r.stderr)) for r in by_counts] == [(repr(r.mean), repr(r.stderr)) for r in by_floats]
+    # At degree -1 a count above 1 has probability 8e-11, so no draw sees
+    # one and the stderr is 0; exp(h0) - 1 must then be below what one such
+    # draw would add to the mean.
+    for deg, r in zip(MC_DEGREES, by_counts):
+        expected = math.exp(theta_h0(ArakelovDivisor.of_degree(deg), 1e-12))
+        assert abs(r.mean - expected) <= 4 * r.stderr + 2 / MC_SAMPLES, deg
