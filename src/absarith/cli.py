@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -38,13 +37,6 @@ if TYPE_CHECKING:
 
 USAGE_ERROR, DOMAIN_ERROR, CAP_ERROR, SELF_CHECK_ERROR = 2, 3, 4, 5
 CERTIFICATE_SAMPLES = 50
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ABSARITH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_endo(text: str) -> PointedEndo:
@@ -192,7 +184,7 @@ def _cmd_theta_mc(args):
         expected = math.exp(h0)
     except OverflowError:
         raise ValueError(f"exp(h0) at h0 = {h0!r} is above the largest float") from None
-    result = gaussian_avg_mc(d, args.samples, args.seed, threads=args.threads)
+    result = gaussian_avg_mc(d, args.samples, args.seed)
     return (
         {"divisor": d.to_json_dict(), "samples": args.samples},
         {
@@ -213,7 +205,7 @@ def _cmd_gspace_delannoy(args):
     closed = [[delannoy(n, k) for k in range(args.k + 1)] for n in range(args.n + 1)]
     if table != closed:
         raise ValueError("closed form and recurrence disagree")
-    if args.csv or args.format == "csv":
+    if args.csv:
         lines = ["n/k," + ",".join(str(k) for k in range(args.k + 1))]
         for n in range(args.n + 1):
             lines.append(str(n) + "," + ",".join(str(x) for x in table[n]))
@@ -309,7 +301,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="absarith")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="family", required=True)
 
     witt = sub.add_parser("witt", help="Witt ring computations").add_subparsers(
@@ -356,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deg", type=float)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(handler=_cmd_theta_mc)
 
     gspace = sub.add_parser("gspace", help="divisor space homotopy").add_subparsers(

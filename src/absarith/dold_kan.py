@@ -22,8 +22,8 @@ are evaluated by C-level maps over the columns.  The quotient runs on
 integer codes of the rows (mixed radix, the row's position in its level),
 so no row tuple is built, and checks addition on generators of the
 spherical group.  The element objects above stay as the small-group oracle
-the compiled faces are tested against, and the per-tuple push and adder as
-the oracles of the column forms; the filter form of the search and the
+the compiled faces are tested against; the per-tuple push and adder (the
+oracles of the column forms), the filter form of the search and the
 quotient checked on every pair live with the tests (tests/dold_kan_oracles.py).
 """
 
@@ -482,8 +482,8 @@ class _IndexedHom:
     slot: the addition table of that slot and the (source slot, apply phi)
     pairs summed into it.  A set of level elements is held as columns, one
     list per slot, and push_columns evaluates a plan over all of them at
-    once; push, vanishes, level and adder are the per-tuple forms that the
-    column forms are tested against.
+    once.  The per-tuple forms that the column forms are tested against live
+    with the tests (tests/dold_kan_oracles.py).
     """
 
     def __init__(self, hom: GroupHom) -> None:
@@ -501,26 +501,10 @@ class _IndexedHom:
             phi = list(chain.from_iterable(map(self.b_add[v].__getitem__, multiples) for v in phi))
         self.phi = phi
 
-    def level(self, n: int) -> Iterator[tuple[int, ...]]:
-        """Every level-n index tuple, in level order.  With vanishes, the
-        filter form of the search in _vanishing_columns, kept as its oracle."""
-        return itertools.product(*[range(self.hom.domain.order)] * n, range(self.hom.codomain.order))
-
     def faces(self, n: int) -> list:
         """The compiled faces d_0..d_n of level n, on this hom's tables."""
         tables = (self.a_add, self.b_add)
         return [tuple((tables[on_b], sources) for on_b, sources in plan) for plan in _face_slots(n)]
-
-    def push(self, plan, v: tuple[int, ...]) -> tuple[int, ...]:
-        """A compiled face applied to a level element."""
-        phi = self.phi
-        out = []
-        for add, sources in plan:
-            acc = 0
-            for x, through_phi in sources:
-                acc = add[acc][phi[v[x]] if through_phi else v[x]]
-            out.append(acc)
-        return tuple(out)
 
     def push_columns(self, plan, columns: Sequence[list[int]]) -> list[list[int]]:
         """A compiled face applied to every level element that columns list:
@@ -539,12 +523,6 @@ class _IndexedHom:
             acc = column if acc is None else map(getitem, map(add.__getitem__, acc), column)
         return list(acc)
 
-    def vanishes(self, plans, v: tuple[int, ...]) -> bool:
-        """Whether no compiled face in plans pushes v to a nonzero tuple: the
-        per-tuple test of the filter form, which the search in
-        _vanishing_columns is checked against."""
-        return not any(any(self.push(plan, v)) for plan in plans)
-
     def tables(self, n: int) -> tuple:
         """The addition tables of the slots of level n."""
         return (self.a_add,) * n + (self.b_add,)
@@ -552,11 +530,6 @@ class _IndexedHom:
     def sizes(self, n: int) -> list[int]:
         """The sizes of the slots of level n."""
         return [self.hom.domain.order] * n + [self.hom.codomain.order]
-
-    def adder(self, n: int):
-        """Addition on level n, pair by pair: the oracle of _translations."""
-        tables = self.tables(n)
-        return lambda x, y: tuple(map(getitem, map(getitem, tables, x), y))
 
 
 def _vanishing_columns(ix: _IndexedHom, n: int, plans) -> list[list[int]]:

@@ -20,7 +20,9 @@ Homotopy is concrete:
 
 Boundary cases (norm exactly lambda, exp(deg) an exact integer or exactly
 1/2) follow the inclusive <= convention throughout, decided exactly when the
-divisor carries a rational scale.
+divisor carries a rational scale.  On a float scale the floor of exp(deg)
+and the pi_0 thresholds are decided on a correctly rounded decimal bracket
+of exp(deg), and refused where it straddles them.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from __future__ import annotations
 import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import and_
+from operator import and_, floordiv
 from typing import Sequence
 
-from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, exp_degree, lattice_of
+from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, lattice_of
 from .combinat import delannoy, l1_within
 from .errors import DEFAULT_CAP, SelfCheckFailed, frozen
 from .smith import row_reduce
@@ -157,39 +160,65 @@ def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = DEFAULT_CAP) -> li
 CROSS_CHECK_MAX_COORDINATES = 60_000
 
 
-# Digits of the decimal e^u behind a float scale's floor(exp(deg)).  Below
-# 2^53 the bracket of one ulp each way is narrower than 2 10^-13; past 32
-# digits decimal's exp costs about twice as much.
+# Digits of the decimal e^u behind a float scale's exp(deg).  Below 2^53
+# the bracket of one ulp each way is narrower than 2 10^-13; past 32 digits
+# decimal's exp costs about twice as much.
 EXP_FLOOR_DIGITS = 30
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+@lru_cache(maxsize=128)
+def _exp_degree_bracket(d: ArakelovDivisor, digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Two fractions n/m, each as (n, m), around exp(deg) on a float scale,
+    once per divisor: a pi query decides three thresholds on one bracket.
+
+    exp(deg) = e^u / c, with u the scale's exponent (an exact dyadic
+    rational) and c the exact lattice generator, and decimal's exp rounds e^u
+    correctly to digits, so e^u lies strictly between the neighbours of that
+    rounding (e^0 = 1 is exact), and those over c bracket exp(deg).  A
+    ValueError where exp(deg) is above the largest float.
+    """
+    u = degree_scale(d).log
+    if u > _LOG_FLOAT_MAX:
+        raise ValueError(f"exp(deg) at degree {u!r} is above the largest float")
+    ctx = decimal.Context(prec=digits)
+    e = ctx.exp(decimal.Decimal(d.arch.log))
+    # e^u > 0 also where e underflows to 0, and e^0 = 1 is exact
+    ends = (max(ctx.next_minus(e), 0), ctx.next_plus(e)) if ctx.flags[decimal.Inexact] else (e, e)
+    c = lattice_of(d).generator
+    return tuple((a * c.denominator, b * c.numerator) for a, b in (end.as_integer_ratio() for end in ends))
+
+
+def _certified(d: ArakelovDivisor, rule, what: str, near: str):
+    """rule(n, m) at exp(deg) = n/m: exactly on an exact scale, else at both
+    ends of _exp_degree_bracket, which must agree (else a ValueError that
+    what is not certified, exp(deg) being near)."""
+    if d.arch.is_exact:
+        e = degree_scale(d).exact
+        return rule(e.numerator, e.denominator)
+    lo, hi = _exp_degree_bracket(d, EXP_FLOOR_DIGITS)
+    answer = rule(*lo)
+    if rule(*hi) != answer:
+        raise ValueError(
+            f"{what} at degree {degree_scale(d).log!r} is not certified: exp(deg) is within "
+            f"{EXP_FLOOR_DIGITS}-digit rounding of {near}"
+        )
+    return answer
 
 
 def pi1_radius(d: ArakelovDivisor) -> int:
     """floor(exp deg).  On a float scale past degree 53 log 2, where exp(deg)
     is above 2^53 and its floor just its own rounding, a ValueError.
 
-    Below that the float-scale floor is certified.  exp(deg) = e^u / c, with
-    u the scale's exponent (an exact dyadic rational) and c the exact lattice
-    generator, and decimal's exp rounds e^u correctly, so e^u lies strictly
-    between the neighbours of that rounding; their floors of e^u / c must
-    agree, else a ValueError.
+    Below that the float-scale floor is certified by _certified.
     """
     ed = degree_scale(d)
     if ed.is_exact:
         return math.floor(ed.exact)
     if ed.log > 53 * math.log(2):
         raise ValueError(f"floor(exp(deg)) at degree {ed.log!r} is past 2^53, beyond a float scale's precision")
-    ctx = decimal.Context(prec=EXP_FLOOR_DIGITS)
-    e = ctx.exp(decimal.Decimal(d.arch.log))
-    # e^u > 0 also where e underflows to 0, and e^0 = 1 is exact
-    ends = (max(ctx.next_minus(e), 0), ctx.next_plus(e)) if ctx.flags[decimal.Inexact] else (e, e)
-    c = lattice_of(d).generator
-    lo, hi = (a * c.denominator // (b * c.numerator) for a, b in (end.as_integer_ratio() for end in ends))
-    if lo != hi:
-        raise ValueError(
-            f"floor(exp(deg)) at degree {ed.log!r} is not certified: exp(deg) is within "
-            f"{EXP_FLOOR_DIGITS}-digit rounding of an integer"
-        )
-    return lo
+    return _certified(d, floordiv, "floor(exp(deg))", "an integer")
 
 
 def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> int:
@@ -214,22 +243,28 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
     return count
 
 
+def _packing_k1(n: int, m: int) -> int | str:
+    """pi_0 at level 1 where exp(deg) = n/m."""
+    return "trivial" if 2 * n >= m else (m - 1) // n
+
+
 def pi0_cardinality_k1(d: ArakelovDivisor) -> int | str:
     """pi_0 at level 1: 'trivial' when exp(deg) >= 1/2, else the largest
-    integer strictly below exp(-deg) (a circle packing number)."""
-    ed = exp_degree(d)
-    if ed >= Fraction(1, 2):
-        return "trivial"
-    if ed == 0 or 1 / ed == math.inf:
-        raise ValueError("exp(-deg) is above the largest float, so its packing number is out of range")
-    return math.ceil(1 / ed) - 1
+    integer strictly below exp(-deg) (a circle packing number), certified on
+    a float scale."""
+    if not d.arch.is_exact:
+        (n, m), _ = _exp_degree_bracket(d, EXP_FLOOR_DIGITS)
+        if m > _FLOAT_MAX * n:
+            raise ValueError("exp(-deg) is above the largest float, so its packing number is out of range")
+    return _certified(d, _packing_k1, "pi_0 at level 1", "1/2 or the reciprocal of an integer")
 
 
 def pi0_trivial_predicate(d: ArakelovDivisor, k: int) -> bool:
-    """pi_0 at level k is a point exactly when k <= 2 exp(deg) (inclusive)."""
+    """pi_0 at level k is a point exactly when k <= 2 exp(deg) (inclusive),
+    certified on a float scale."""
     if k < 1:
         raise ValueError("level must be >= 1")
-    return k <= 2 * exp_degree(d)
+    return _certified(d, lambda n, m: k * m <= 2 * n, f"pi_0 at level {k}", f"{k}/2")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,50 @@
 """Oracles of the Dold-Kan quotient and search, moved out of dold_kan when
 the routes that replaced them took their place: the quotient with its
 addition checked on every pair of elements (the generator check's oracle),
-the rows of sums behind it, and the spherical sets as index tuples."""
+the rows of sums behind it, the spherical sets as index tuples, and the
+per-tuple forms of the index path's faces and addition."""
 
 from __future__ import annotations
 
+import itertools
+from operator import getitem
 from typing import Iterator, Sequence
 
 from absarith.dold_kan import _IndexedHom, _vanishing_columns
 from absarith.errors import SelfCheckFailed
 from absarith.smith import group_divisors_from_table
+
+
+class _PerTupleIndexedHom(_IndexedHom):
+    """_IndexedHom with the per-tuple forms that its column forms are tested
+    against: level, push, vanishes and adder."""
+
+    def level(self, n: int) -> Iterator[tuple[int, ...]]:
+        """Every level-n index tuple, in level order.  With vanishes, the
+        filter form of the search in _vanishing_columns, kept as its oracle."""
+        return itertools.product(*[range(self.hom.domain.order)] * n, range(self.hom.codomain.order))
+
+    def push(self, plan, v: tuple[int, ...]) -> tuple[int, ...]:
+        """A compiled face applied to a level element."""
+        phi = self.phi
+        out = []
+        for add, sources in plan:
+            acc = 0
+            for x, through_phi in sources:
+                acc = add[acc][phi[v[x]] if through_phi else v[x]]
+            out.append(acc)
+        return tuple(out)
+
+    def vanishes(self, plans, v: tuple[int, ...]) -> bool:
+        """Whether no compiled face in plans pushes v to a nonzero tuple: the
+        per-tuple test of the filter form, which the search in
+        _vanishing_columns is checked against."""
+        return not any(any(self.push(plan, v)) for plan in plans)
+
+    def adder(self, n: int):
+        """Addition on level n, pair by pair: the oracle of _translations."""
+        tables = self.tables(n)
+        return lambda x, y: tuple(map(getitem, map(getitem, tables, x), y))
 
 
 def _quotient_divisors(elements: list, relation: set, tables: Sequence, zero) -> tuple[int, ...]:

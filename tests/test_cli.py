@@ -124,13 +124,6 @@ def test_gspace_pi_trivial_prints_one(capsys):
     assert at_k3["outputs"]["pi0"] == "nontrivial"
 
 
-def test_global_csv_format_flag(capsys):
-    code, out, err = run(capsys, "--format", "csv", "gspace", "delannoy", "--n", "2", "--k", "2")
-    assert code == 0
-    assert out.splitlines()[0] == "n/k,0,1,2"
-    assert out.splitlines()[-1] == "2,1,5,13"
-
-
 def test_dk_check(capsys):
     result = run_json(
         capsys, "dk", "check", "--hom", '{"domain":[2],"codomain":[4],"matrix":[[2]]}'
@@ -571,6 +564,31 @@ def test_gspace_pi_reports_the_radius_it_counts_with(capsys, divisor, radius):
     outputs = run_json(capsys, "gspace", "pi", "--divisor", divisor, "--k", "1")["outputs"]
     assert outputs["pi1_radius"] == radius
     assert outputs["pi1_count"] == 2 * radius + 1
+
+
+@pytest.mark.parametrize(
+    "divisor, k, pi0",
+    [
+        # 2 exp(deg) = 3.99999999999999990... < 4, where the float exp(deg) is 2.0
+        ('{"arch":{"float":0.6931471805599453}}', "4", "nontrivial"),
+        # exp(-deg) = 3.00000000000000027..., where the float exp(deg) is 1/3 rounded
+        ('{"arch":{"float":-1.0986122886681098}}', "1", 3),
+    ],
+)
+def test_gspace_pi0_on_a_float_scale_is_decided_on_the_certified_bracket(capsys, divisor, k, pi0):
+    assert run_json(capsys, "gspace", "pi", "--divisor", divisor, "--k", k)["outputs"]["pi0"] == pi0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--format", "csv", "gspace", "delannoy", "--n", "2", "--k", "2"),
+        ("theta", "mc", "--deg", "0", "--seed", "1", "--threads", "2"),
+    ],
+)
+def test_options_that_change_no_answer_are_not_accepted(argv):
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("usage: absarith")
 
 
 @pytest.mark.parametrize(

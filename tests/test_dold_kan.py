@@ -32,7 +32,7 @@ from absarith.dold_kan import (
 from absarith.errors import CapExceeded, SelfCheckFailed
 from absarith.smith import cokernel_divisors, elementary_divisors, group_divisors_from_table, kernel_divisors
 from dold_kan_oracles import _quotient_divisors as _pairwise_quotient_divisors
-from dold_kan_oracles import _spherical, _sums, _vanishing
+from dold_kan_oracles import _PerTupleIndexedHom, _spherical, _sums, _vanishing
 from helpers import random_abelian_group, random_hom, small_homs
 
 Z2 = FiniteAbelianGroup((2,))
@@ -375,7 +375,7 @@ def test_compiled_faces_match_the_object_path(hom):
     # The index form behind homotopy_groups against boundary/h_phi_map: the
     # same level order, and every compiled face equal to the object face
     # read through the element index.
-    ix = _IndexedHom(hom)
+    ix = _PerTupleIndexedHom(hom)
     a_index = {a: i for i, a in enumerate(hom.domain.elements())}
     b_index = {b: i for i, b in enumerate(hom.codomain.elements())}
 
@@ -415,7 +415,7 @@ def test_compiled_faces_satisfy_the_simplicial_identities(hom):
     # on the index path that homotopy_groups runs, at every level n <= 3; and
     # each compiled face equal to the object path's boundary, read through
     # element indices.
-    ix = _IndexedHom(hom)
+    ix = _PerTupleIndexedHom(hom)
     a_index = {a: i for i, a in enumerate(hom.domain.elements())}
     b_index = {b: i for i, b in enumerate(hom.codomain.elements())}
 
@@ -453,7 +453,7 @@ def test_pruned_search_equals_the_filter_form_on_every_small_hom():
         homs = list(small_homs(max_order))
         assert len(homs) == count
         for hom in homs:
-            ix = _IndexedHom(hom)
+            ix = _PerTupleIndexedHom(hom)
             for n in levels:
                 faces = ix.faces(n)
                 for plans in (faces, faces[:n], []):
@@ -471,7 +471,7 @@ def test_pruned_search_prunes_a_level_of_a_million_tuples():
 def test_column_pushes_match_the_per_tuple_push(hom):
     # Every face of levels 1-3 over the whole level as columns, against
     # push on each tuple: the same images in the same order.
-    ix = _IndexedHom(hom)
+    ix = _PerTupleIndexedHom(hom)
     for n in (1, 2, 3):
         level = list(ix.level(n))
         columns = [list(column) for column in zip(*level)]
@@ -484,7 +484,7 @@ def test_row_sums_match_the_pairwise_adder(hom):
     # The rows of sums behind the quotient's addition check, against the
     # level adder pair by pair, on the spherical sets of levels 0-2 and on
     # the whole of level 1.
-    ix = _IndexedHom(hom)
+    ix = _PerTupleIndexedHom(hom)
     for n, elements in [(n, _spherical(ix, n)) for n in (0, 1, 2)] + [(1, list(ix.level(1)))]:
         add = ix.adder(n)
         columns = list(zip(*elements))
@@ -679,7 +679,7 @@ def test_row_codes_and_translations_match_the_pairwise_adder(hom):
     # The integer codes are positions in level order, and each translation
     # lists the codes of the level adder's sums, on the spherical sets of
     # levels 0-2 and on the whole of level 1.
-    ix = _IndexedHom(hom)
+    ix = _PerTupleIndexedHom(hom)
     for n, elements in [(n, _spherical(ix, n)) for n in (0, 1, 2)] + [(1, list(ix.level(1)))]:
         add = ix.adder(n)
         level = list(ix.level(n))

@@ -317,6 +317,61 @@ def test_pi1_radius_refuses_a_floor_its_precision_cannot_certify(monkeypatch):
     assert pi1_radius(ArakelovDivisor.make({3: 1}, ScaleValue.from_log(0.0))) == 3
 
 
+def _threshold_degrees(threshold):
+    """The float nearest log threshold and its two float neighbours."""
+    u = math.log(threshold)
+    return math.nextafter(u, -math.inf), u, math.nextafter(u, math.inf)
+
+
+def test_pi0_on_a_float_scale_against_mpmath():
+    # pi_0 at degrees u where exp(u) rounds to a threshold: 1/N for the packing
+    # number at level 1, k/2 for the predicate at level k.  Every answer must
+    # be 50-digit mpmath's, or a ValueError only where exp(u) is within the
+    # bracket's 30-digit rounding of the threshold; the float exp(u) answers
+    # some of them wrongly.
+    mpmath = pytest.importorskip("mpmath")
+    float_wrong = 0
+    with mpmath.workdps(50):
+
+        def near(x, threshold):
+            return abs(x / threshold - 1) < mpmath.mpf(10) ** -28
+
+        for n in range(2, 1500):
+            for u in _threshold_degrees(Fraction(1, n)):
+                x = mpmath.exp(mpmath.mpf(u))
+                expected = "trivial" if x >= 0.5 else int(mpmath.ceil(1 / x)) - 1
+                ed = math.exp(u)
+                float_wrong += expected != ("trivial" if ed >= 0.5 else math.ceil(1 / ed) - 1)
+                try:
+                    assert pi0_cardinality_k1(ArakelovDivisor.of_degree(u)) == expected, u
+                except ValueError:
+                    assert near(x, Fraction(1, n)) or near(x, Fraction(1, n - 1)), u
+        for k in range(1, 1500):
+            for u in _threshold_degrees(Fraction(k, 2)):
+                x = mpmath.exp(mpmath.mpf(u))
+                expected = k <= 2 * x
+                float_wrong += expected != (k <= 2 * math.exp(u))
+                try:
+                    assert pi0_trivial_predicate(ArakelovDivisor.of_degree(u), k) == expected, (u, k)
+                except ValueError:
+                    assert near(x, Fraction(k, 2)), (u, k)
+    assert float_wrong > 100
+
+
+def test_pi0_refuses_a_threshold_its_precision_cannot_certify(monkeypatch):
+    # e^(5e-324) is 1 to 30 digits: its bracket straddles k/2 = 1.
+    with pytest.raises(ValueError, match="pi_0 at level 2 at degree 5e-324 is not certified: .* rounding of 2/2"):
+        pi0_trivial_predicate(ArakelovDivisor.of_degree(5e-324), 2)
+    monkeypatch.setattr(gamma_space, "EXP_FLOOR_DIGITS", 3)
+    with pytest.raises(ValueError, match="pi_0 at level 1 at .* within 3-digit rounding of 1/2 or"):
+        pi0_cardinality_k1(ArakelovDivisor.of_degree(math.log(0.5) + 1e-5))
+    # e^0 = 1 is exact at any precision
+    assert pi0_trivial_predicate(ArakelovDivisor.of_degree(0.0), 2)
+    with pytest.raises(ValueError, match="exp\\(deg\\) at degree 710.0 is above the largest float"):
+        pi0_trivial_predicate(ArakelovDivisor.of_degree(710.0), 1)
+    assert pi0_cardinality_k1(ArakelovDivisor.make({3: -1}, ScaleValue.from_log(0.0))) == 2
+
+
 def test_pi0_cardinality_examples():
     assert pi0_cardinality_k1(_exp_divisor(1)) == "trivial"
     assert pi0_cardinality_k1(_exp_divisor(Fraction(1, 2))) == "trivial"

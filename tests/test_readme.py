@@ -1,7 +1,9 @@
-"""README.md against the code: the budget table against errors.BUDGETS, and
-the command block under "## Command line" run as written.  CI reads the same
-block and runs it through the installed entry point."""
+"""README.md against the code: the budget table against errors.BUDGETS, the
+command line's options against the parser, and the command block under
+"## Command line" run as written.  CI reads the same block and runs it
+through the installed entry point."""
 
+import argparse
 import json
 import os
 import re
@@ -9,6 +11,7 @@ import shlex
 import subprocess
 import sys
 
+from absarith.cli import build_parser
 from absarith.errors import BUDGETS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,3 +72,46 @@ def test_readme_commands_answer_byte_identically_under_two_hash_seeds():
     for out in first:
         if out.startswith("{"):
             json.loads(out, parse_constant=_reject_non_finite)
+
+
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    return {
+        option
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parser_options() -> dict[tuple[str, ...], set[str]]:
+    """The long options of build_parser(), help aside: () -> the global ones,
+    (family, op) -> those of each subcommand."""
+    parser = build_parser()
+    options = {(): _long_options(parser)}
+    for family, family_parser in _subparsers(parser).items():
+        for op, op_parser in _subparsers(family_parser).items():
+            options[(family, op)] = _long_options(op_parser)
+    return options
+
+
+def test_readme_names_every_option_of_the_parser():
+    for command, options in _parser_options().items():
+        for option in options:
+            assert re.search(rf"(?<![\w-]){option}(?![\w-])", README), (command, option)
+
+
+def test_every_option_on_a_readme_command_line_is_the_parsers():
+    options = _parser_options()
+    lines = re.findall(r"(?:^|`)absarith ([^`\n]*)", README, flags=re.MULTILINE)
+    assert len(lines) >= len(_readme_commands())
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        accepted = options[()] | options.get(tuple(argv[:2]), set())
+        for arg in argv:
+            if arg.startswith("--"):
+                assert arg.split("=")[0] in accepted, line
