@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from .witt import WittElement
 
 USAGE_ERROR, DOMAIN_ERROR, CAP_ERROR, SELF_CHECK_ERROR = 2, 3, 4, 5
-CERTIFICATE_SAMPLES = 50
 
 
 def _parse_endo(text: str) -> PointedEndo:
@@ -204,7 +203,7 @@ def _cmd_gspace_delannoy(args):
     table = delannoy_table(args.n, args.k)
     closed = [[delannoy(n, k) for k in range(args.k + 1)] for n in range(args.n + 1)]
     if table != closed:
-        raise ValueError("closed form and recurrence disagree")
+        raise SelfCheckFailed("the Delannoy closed form and recurrence disagree")
     if args.csv:
         lines = ["n/k," + ",".join(str(k) for k in range(args.k + 1))]
         for n in range(args.n + 1):
@@ -223,8 +222,8 @@ def _cmd_gspace_pi(args):
     if d.arch.is_exact:
         cells = 0
         for n in range(2, args.n_max + 1):
-            cells += (n + 1) * (CERTIFICATE_SAMPLES * args.k + n * n)
-            check_budget("certificate_cells", cells, n_max=args.n_max, k=args.k)
+            cells += (n + 1) * n * n
+            check_budget("certificate_cells", cells, n_max=args.n_max)
     # pi1_count is D(r, k) with radius r = floor(exp deg): a lower bound on its
     # digits is checked before D is built.
     radius = pi1_radius(d)
@@ -241,7 +240,7 @@ def _cmd_gspace_pi(args):
     if d.arch.is_exact:
         cfg = GSConfig.from_divisor(d)
         for n in range(2, args.n_max + 1):
-            cert = higher_pi_trivial(n, cfg, args.k, samples=CERTIFICATE_SAMPLES, seed=0)
+            cert = higher_pi_trivial(n, cfg, args.k, samples=0)
             higher.append([n, cert.verified])
     outputs = {"pi0": pi0, "pi1_count": count, "pi1_radius": radius, "pi_higher_trivial": higher}
     inputs = {"divisor": d.to_json_dict(), "k": args.k, "exp_degree": exp_degree(d)}

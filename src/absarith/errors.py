@@ -147,18 +147,14 @@ BUDGETS = {
     # takes about 0.5 s on a 2-core Xeon VM, where delannoy(10^200, 3000),
     # about 590,000 digits, took 5.3 s.
     "delannoy_digits": (10_000, "a delannoy number of at least {amount:.0f} digits is above the cap of {limit}"),
-    # The work of the `gspace pi` certificates for degrees n = 2..n-max at
-    # level k: per degree, (n+1) (50 k + n^2) cells, the coordinates of the
-    # sampled members (cli.CERTIFICATE_SAMPLES, 50) plus about as many as the
-    # face equations eliminated hold.  The largest accepted commands, level 342
-    # at the default n-max 3 and n-max 24 at level 1, take about 0.23 and 0.3 s
-    # on a 2-core Xeon VM with the interpreter's start (a bare start with site
-    # packages is about 0.16 s there).  The certificates in them take about 7
-    # and 6 ms: the sampled members are cut from the generator's words as bytes
-    # and decided on them, and the face equations of each degree are
-    # eliminated once, on their distinct rows.
+    # The work of the `gspace pi` certificates for degrees n = 2..n-max, which
+    # rest on the rank of the face equations alone and so do not depend on the
+    # level: per degree, (n+1) n^2 cells, about as many as the face equations
+    # eliminated hold.  The largest accepted, n-max 25, takes about 0.2 s on a
+    # 2-core Xeon VM with the interpreter's start, most of the rest in that
+    # elimination; 26 is refused.
     "certificate_cells": (
-        120_000, "the certificates up to degree {n_max} at level {k} are above the cap of {limit} cells"
+        120_000, "the certificates up to degree {n_max} take {amount} cells, above the cap of {limit}"
     ),
     # `theta mc --samples`: about 0.13 s on one such core, with the
     # interpreter's start and numpy's import.

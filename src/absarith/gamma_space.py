@@ -16,7 +16,8 @@ Homotopy is concrete:
   otherwise the largest integer below exp(-deg);
 * at level k, pi_0 is trivial exactly when k <= 2 exp(deg);
 * above degree 1 the face equations force spherical simplices to vanish,
-  which higher_pi_trivial certifies by exact linear algebra plus sampling.
+  which higher_pi_trivial certifies by their rank over Q, drawing sampled
+  members to test the face code only when asked to.
 
 Boundary cases (norm exactly lambda, exp(deg) an exact integer or exactly
 1/2) follow the inclusive <= convention throughout, decided exactly when the
@@ -160,9 +161,10 @@ def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = DEFAULT_CAP) -> li
 CROSS_CHECK_MAX_COORDINATES = 60_000
 
 
-# Digits of the decimal e^u behind a float scale's exp(deg).  Below 2^53
-# the bracket of one ulp each way is narrower than 2 10^-13; past 32 digits
-# decimal's exp costs about twice as much.
+# Digits of the decimal e^u behind a float scale's exp(deg).  One unit of
+# the last digit each way tells the floor apart up to about degree 66
+# (e^66 is near 4.6 10^28); past 32 digits decimal's exp costs about twice
+# as much.
 EXP_FLOOR_DIGITS = 30
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _FLOAT_MAX = int(sys.float_info.max)
@@ -184,8 +186,12 @@ def _exp_degree_bracket(d: ArakelovDivisor, digits: int) -> tuple[tuple[int, int
         raise ValueError(f"exp(deg) at degree {u!r} is above the largest float")
     ctx = decimal.Context(prec=digits)
     e = ctx.exp(decimal.Decimal(d.arch.log))
-    # e^u > 0 also where e underflows to 0, and e^0 = 1 is exact
-    ends = (max(ctx.next_minus(e), 0), ctx.next_plus(e)) if ctx.flags[decimal.Inexact] else (e, e)
+    if not e:
+        # e^u underflows: e^u < 10^-1000028, and c > 2^-800001 by the
+        # divisor_bits budget, so exp(deg) = e^u / c < 1/4.
+        return (0, 1), (1, 4)
+    # e^0 = 1 is exact
+    ends = (ctx.next_minus(e), ctx.next_plus(e)) if ctx.flags[decimal.Inexact] else (e, e)
     c = lattice_of(d).generator
     return tuple((a * c.denominator, b * c.numerator) for a, b in (end.as_integer_ratio() for end in ends))
 
@@ -208,16 +214,8 @@ def _certified(d: ArakelovDivisor, rule, what: str, near: str):
 
 
 def pi1_radius(d: ArakelovDivisor) -> int:
-    """floor(exp deg).  On a float scale past degree 53 log 2, where exp(deg)
-    is above 2^53 and its floor just its own rounding, a ValueError.
-
-    Below that the float-scale floor is certified by _certified.
-    """
-    ed = degree_scale(d)
-    if ed.is_exact:
-        return math.floor(ed.exact)
-    if ed.log > 53 * math.log(2):
-        raise ValueError(f"floor(exp(deg)) at degree {ed.log!r} is past 2^53, beyond a float scale's precision")
+    """floor(exp deg), certified on a float scale by _certified: a ValueError
+    where the bracket straddles an integer, as a rule from about degree 66."""
     return _certified(d, floordiv, "floor(exp(deg))", "an integer")
 
 
@@ -346,8 +344,10 @@ def higher_pi_trivial(
     elimination over Q of the face equations must have full rank n, the
     0-th face pins the torus coordinate directly, and a singleton-equation
     certificate is extracted (face 0 kills psi_2..psi_n and the torus, face 2
-    kills psi_1).  On top of the symbolic proof, randomly sampled nonzero
-    members are checked to violate at least one spherical equation.
+    kills psi_1).  On top of the symbolic proof, `samples` randomly sampled
+    nonzero members are checked to violate at least one spherical equation;
+    with samples=0 the certificate is the rank alone, and nothing is drawn or
+    built whose size grows with k.
 
     The samples test the face code, not the theorem: where face 0 of a
     member vanishes, psi_2..psi_n and the torus are zero, so face 1 keeps
@@ -370,17 +370,17 @@ def higher_pi_trivial(
     if not cfg.exact:
         raise ValueError("the certificate uses exact arithmetic; use an exact scale")
     rank, witnesses, torus_pinned = face_equations(n)
-
-    frees, toruses = _byte_draws(random.Random(seed), n, k, samples)
-    if not all(_members(frees, toruses, n, k)):
-        raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is not a member")
     violated = samples
-    face0_zero = list(compress(zip(frees, toruses), _face0_vanishes(frees, toruses, n, k)))
-    last_face_zero = _last_face_table(cfg, n, k) if face0_zero else None
-    for free, torus in face0_zero:
-        rows = [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
-        if all(_index_face_is_zero(j, rows, torus, last_face_zero) for j in range(1, n + 1)):
-            violated -= 1
+    if samples:
+        frees, toruses = _byte_draws(random.Random(seed), n, k, samples)
+        if not all(_members(frees, toruses, n, k)):
+            raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is not a member")
+        face0_zero = list(compress(zip(frees, toruses), _face0_vanishes(frees, toruses, n, k)))
+        last_face_zero = _last_face_table(cfg, n, k) if face0_zero else None
+        for free, torus in face0_zero:
+            rows = [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
+            if all(_index_face_is_zero(j, rows, torus, last_face_zero) for j in range(1, n + 1)):
+                violated -= 1
     verified = rank == n and torus_pinned and violated == samples
     return TrivialityCertificate(
         n=n,

@@ -391,11 +391,33 @@ def test_gspace_pi_beyond_the_recursion_limit():
     assert outputs["pi1_count"] == 1 and outputs["pi_higher_trivial"] == []
 
 
+def test_gspace_pi_certificate_work_does_not_grow_with_the_level(capsys):
+    divisor = '{"finite":{},"arch":{"exact_exp":"1/3"}}'
+    result = run_json(capsys, "gspace", "pi", "--divisor", divisor, "--k", str(10**9))
+    assert result["outputs"]["pi_higher_trivial"] == [[2, True], [3, True]]
+    assert result["timing_ms"] < 100
+    for k in ("1", "1000"):
+        outputs = run_json(capsys, "gspace", "pi", "--divisor", divisor, "--k", k, "--n-max", "25")["outputs"]
+        assert outputs["pi_higher_trivial"] == [[n, True] for n in range(2, 26)]
+        code, out, err = run(capsys, "gspace", "pi", "--divisor", divisor, "--k", k, "--n-max", "26")
+        assert code == 4 and out == ""
+        assert err == "error: the certificates up to degree 26 take 129400 cells, above the cap of 120000\n"
+
+
+def test_gspace_delannoy_routes_that_disagree_are_a_failed_self_check(capsys, monkeypatch):
+    from absarith import combinat
+
+    closed_form = combinat.delannoy
+    monkeypatch.setattr(combinat, "delannoy", lambda n, k: closed_form(n, k) + 1)
+    code, out, err = run(capsys, "gspace", "delannoy", "--n", "2", "--k", "2")
+    assert code == 5 and out == ""
+    assert err.startswith("error: self-check failed: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("theta", "mc", "--deg", "0", "--samples", str(10**12), "--seed", "1"),
-        ("gspace", "pi", "--divisor", '{"finite":{},"arch":{"exact_exp":"1/3"}}', "--k", "100000"),
         ("gspace", "pi", "--divisor", '{"finite":{},"arch":{"exact_exp":"1/3"}}', "--k", "1", "--n-max", str(10**9)),
         ("gspace", "pi", "--divisor", '{"arch":{"exact_exp":"1e20"}}', "--k", "300", "--n-max", "1"),
         ("witt", "mul", "--a", '{"1": %s}' % ("9" * 2200), "--b", '{"1": %s}' % ("9" * 2200)),
@@ -427,18 +449,30 @@ def test_theta_h0_and_rr_agree_on_a_float_degree(capsys):
     assert run_json(capsys, "theta", "rr", "--deg", "-0.98")["outputs"]["h0_plus"] == h0
 
 
-@pytest.mark.parametrize("deg", ["40", "700", "1000"])
-def test_gspace_pi_past_a_float_scales_precision_is_a_domain_error(capsys, deg):
+@pytest.mark.parametrize(
+    "deg, cause",
+    [
+        ("700", "is not certified: exp(deg) is within 30-digit rounding of an integer"),
+        ("1000", "is above the largest float"),
+    ],
+)
+def test_gspace_pi_past_a_float_scales_precision_is_a_domain_error(capsys, deg, cause):
     divisor = '{"finite":{},"arch":{"float":%s}}' % deg
     for k in ("1", "2"):
         code, out, err = run(capsys, "gspace", "pi", "--divisor", divisor, "--k", k)
         assert code == 3 and out == ""
-        assert err.startswith("error: floor(exp(deg)) at degree ") and "past 2^53" in err
+        assert err.startswith("error: ") and cause in err, err
 
 
 @pytest.mark.parametrize(
     "deg, count",
-    [("0", 3), ("1", 5), ("32.347", 2 * 111718116751215 + 1), ("36.7", 2 * 8681754200535380 + 1)],
+    [
+        ("0", 3),
+        ("1", 5),
+        ("32.347", 2 * 111718116751215 + 1),
+        ("36.7", 2 * 8681754200535380 + 1),
+        ("40", 2 * 235385266837019985 + 1),
+    ],
 )
 def test_gspace_pi_k1_on_a_float_scale_is_the_certified_floor(capsys, deg, count):
     # At 32.347 the float exp(deg) rounds up to 111718116751216.0, onto the

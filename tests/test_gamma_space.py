@@ -273,12 +273,15 @@ def test_pi1_count_on_divisor_with_finite_part():
     assert len(pi1_spherical_enumerate(GSConfig.from_divisor(d), 2)) == 25
 
 
-def test_pi1_count_on_a_float_scale_ends_at_degree_53_log_2():
-    # Up to degree 53 log 2 the radius is the floor of the float exp(deg).
+def test_pi1_count_on_a_float_scale_ends_where_its_bracket_does():
+    # Up to degree 53 log 2 the radius is the floor of the float exp(deg);
+    # past it the 30-digit bracket still certifies the floor, to about degree 66.
     assert pi1_count(ArakelovDivisor.of_degree(36.0), 1) == 2 * math.floor(math.exp(36.0)) + 1
-    for deg in (37.0, 40.0, 700.0, 1000.0):
-        with pytest.raises(ValueError, match="past 2\\^53"):
-            pi1_count(ArakelovDivisor.of_degree(deg), 1)
+    assert pi1_count(ArakelovDivisor.of_degree(40.0), 1) == 2 * 235385266837019985 + 1
+    with pytest.raises(ValueError, match="is not certified: exp\\(deg\\) is within 30-digit rounding of an integer"):
+        pi1_count(ArakelovDivisor.of_degree(700.0), 1)
+    with pytest.raises(ValueError, match="is above the largest float"):
+        pi1_count(ArakelovDivisor.of_degree(1000.0), 1)
     # An exact scale carries the floor at any degree: e^40 is near 2.35e17.
     big = Fraction(235385266837019985, 1) + Fraction(1, 3)
     assert pi1_count(_exp_divisor(big), 1, cross_check=False) == 2 * 235385266837019985 + 1
@@ -315,6 +318,38 @@ def test_pi1_radius_refuses_a_floor_its_precision_cannot_certify(monkeypatch):
     # e^-1e300 underflows decimal's range to 0, and e^u > 0 bounds it below
     assert pi1_radius(ArakelovDivisor.of_degree(-1e300)) == 0
     assert pi1_radius(ArakelovDivisor.make({3: 1}, ScaleValue.from_log(0.0))) == 3
+
+
+def test_pi1_radius_past_degree_53_log_2_against_mpmath():
+    # From degree 36.7 to 66 the 30-digit bracket still certifies the floor:
+    # every answer is 60-digit mpmath's, and a ValueError only where e^u is
+    # within 10^-28 relative of an integer, as near 66 it often is.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(327)
+    degrees = [36.7, 40.0, 50.0, 66.0] + [rng.uniform(36.7, 66) for _ in range(400)]
+    answered = 0
+    with mpmath.workdps(60):
+        for u in degrees:
+            x = mpmath.exp(mpmath.mpf(u))
+            try:
+                radius = pi1_radius(ArakelovDivisor.of_degree(u))
+            except ValueError:
+                assert abs(x - mpmath.nint(x)) < x * mpmath.mpf(10) ** -28, u
+                continue
+            assert radius == int(mpmath.floor(x)), u
+            answered += 1
+    assert answered > len(degrees) // 2
+
+
+def test_exp_degree_bracket_where_e_to_the_u_underflows():
+    # decimal's exp of -1e300 rounds to 0, and e^u / c is then below 1/4 for
+    # every c the divisor_bits budget admits: a short bracket, not one whose
+    # upper end is next_plus(0) = 1E-1000028 over c.
+    for d in (ArakelovDivisor.of_degree(-1e300), ArakelovDivisor.make({2: -3, 5: 1}, ScaleValue.from_log(-1e300))):
+        assert gamma_space._exp_degree_bracket(d, gamma_space.EXP_FLOOR_DIGITS) == ((0, 1), (1, 4))
+        assert pi1_radius(d) == 0 and not pi0_trivial_predicate(d, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            pi0_cardinality_k1(d)
 
 
 def _threshold_degrees(threshold):
@@ -407,6 +442,17 @@ def test_pi0_matches_circle_packing():
         result = packing_number(points, float(r), metric=circle_distance, exact=False)
         assert result.size == expected
         assert result.exact is False
+
+
+def test_a_certificate_without_samples_is_the_rank_alone(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a certificate with samples=0 draws nothing")
+
+    monkeypatch.setattr(gamma_space, "_byte_draws", drawn)
+    cfg = _cfg(Fraction(3, 2), Fraction(1, 2))
+    for n in (2, 3, 7):
+        cert = higher_pi_trivial(n, cfg, 10**9, samples=0)
+        assert cert.verified and cert.samples_checked == 0 and cert.rank == n
 
 
 def test_higher_pi_trivial_certificates():
