@@ -236,20 +236,27 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> li
         raise ValueError("exact enumeration requires a rational norm bound")
     c = lattice.generator
     radius = math.floor(Fraction(xi_norm) / c)
-    count = delannoy(radius, k)
-    check_budget("lattice_points", count, cap)
-    # The multiples c m for m = 0..radius, then -radius..-1, so that a negative
-    # coordinate m indexes its own multiple from the end.
+    check_budget("lattice_points", delannoy(radius, k), cap)
     multiples = [c * m for m in range(radius + 1)] + [c * m for m in range(-radius, 0)]
+    return list(zip(*_ball_columns(multiples, k)))
+
+
+def _ball_columns(multiples: list, k: int) -> list[list]:
+    """The l1 ball of radius r at level k as k columns, rows in lexicographic
+    order, one C-level pass each, on the multiples of any step c > 0 listed
+    as c m for m = 0..r, then -r..-1, so that a negative coordinate m indexes
+    its own multiple from the end: Fractions for count_E_xi, the ints m
+    themselves for pi1_count's cross-check.
+    """
+    radius = len(multiples) // 2
     zero = multiples[0]
     if radius == 0:
-        return [(zero,) * k]
+        return [[zero]] * k
     # under[d][l] = delannoy(l, d), the rows below a prefix with norm l left
     # and d coordinates to go: D(l, d) - D(l-1, d) = D(l, d-1) + D(l-1, d-1).
     under = [[1] * (radius + 1)]
     for _ in range(k - 1):
         under.append(list(accumulate(map(add, under[-1], chain((0,), under[-1])))))
-    # The ball as k columns in lexicographic order, one C-level pass each.
     # Column k-1-d is read off the prefixes with norm left (norms) and their
     # first rows (starts): a prefix with norm l spans a block of D(l, d+1)
     # rows, each value m in -l..l repeated D(l - |m|, d) times, built once per
@@ -289,25 +296,41 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> li
             child_starts = map(add, firsts, chain.from_iterable(map(offsets_of.__getitem__, norms)))
             starts = list(compress(child_starts, child_norms))
             norms = list(filter(None, child_norms))
-    return list(zip(*columns))
+    return columns
 
 
 # Past pi s = 746, exp(-pi s m^2) underflows to 0.0 for every m >= 1.
 _DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
 
 # The quadrature adds its pieces with numpy, in chunks of _QUADRATURE_CHUNK
-# pieces, from one chunk on (about degree 8.45 at eps 1e-12) when numpy is
-# already loaded, and from _QUADRATURE_NUMPY_PIECES on (about degree 11.88)
-# when it is not.  On a 2.0 GHz Xeon core a piece takes the iterator about
+# pieces, from _QUADRATURE_LOADED_PIECES on (about degree 4.36 at eps
+# 1e-12) when numpy is already loaded, and from _QUADRATURE_NUMPY_PIECES on
+# (about degree 11.88) when it is not.  With numpy loaded, a whole call
+# (bisection included) takes, in ms on a 2-core 2.0 GHz Xeon VM with numpy
+# 2.4.6, called back to back (best of 7 x 200 calls) and between the queries
+# of the benchmark's divisor pass (median of 20 passes, seeds 1 and 2):
+#
+#     stopping piece        64    128    192    256    384    512   1024
+#     back to back
+#       iterator         0.064  0.098  0.118  0.147  0.211  0.254  0.484
+#       chunks           0.059  0.060  0.068  0.066  0.068  0.074  0.093
+#     between queries
+#       iterator         0.140  0.154  0.155  0.184  0.244  0.321  0.528
+#                        0.133  0.139  0.146  0.203  0.230  0.315  0.523
+#       chunks           0.256  0.239  0.230  0.209  0.203  0.239  0.160
+#                        0.244  0.199  0.210  0.249  0.153  0.262  0.132
+#
+# Called back to back the chunks win from 2^6 pieces on, but between other
+# work numpy's fixed cost per call is about 0.2 ms and they break even near
+# 300 pieces, so they start at 2^8.  A piece takes the iterator about
 # 0.32 us and the chunks about 0.022 us (189 against 13 ms for the 592,451
-# pieces of degree 12), so a process that has numpy loaded gains from the
-# first chunk (5.1 against 0.6 ms at degree 8.5).  numpy's import takes
-# 90-140 ms there, and a fresh `theta verify` breaks even near 360,000
-# pieces (degree 11.5, 272 ms by either route); from there to 2^19 pieces
-# the iterator costs a fresh process up to about 90 ms more than the chunks
-# would (346 against 258 ms at degree 11.88), and below degree 11 it saves
-# about 50 to 115 ms.
+# pieces of degree 12).  numpy's import takes 90-140 ms there, and a fresh
+# `theta verify` breaks even near 360,000 pieces (degree 11.5, 272 ms by
+# either route); from there to 2^19 pieces the iterator costs a fresh
+# process up to about 90 ms more than the chunks would (346 against 258 ms
+# at degree 11.88), and below degree 11 it saves about 50 to 115 ms.
 _QUADRATURE_NUMPY_PIECES = 1 << 19
+_QUADRATURE_LOADED_PIECES = 1 << 8
 _QUADRATURE_CHUNK = 1 << 14
 
 
@@ -386,12 +409,15 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     N = 0 the stopping piece is where it crosses eps after the peak, found by
     bisection; the pieces up to it are then added left to right.  They are
     added in numpy chunks, with the same floats in the same order, so that the
-    result is bit for bit the iterator sum's: from _QUADRATURE_CHUNK pieces on
-    (about degree 8.45 at eps 1e-12) when numpy is already imported, and from
-    _QUADRATURE_NUMPY_PIECES on (about degree 11.88) when it is not, so that
-    a fresh process spares numpy's import below that.  A chunk takes its E_m
-    as the real part of numpy's complex exp at a m m + 0i, which goes through
-    C cexp: with a zero imaginary part glibc's cexp returns exp(x) * 1 from
+    result is bit for bit the iterator sum's: from _QUADRATURE_LOADED_PIECES
+    = 2^8 pieces on (about degree 4.36 at eps 1e-12) when numpy is already
+    imported, near where the chunks catch up with the iterator between other
+    work (0.21-0.25 against 0.18-0.20 ms a call at 256 pieces, 0.24-0.26
+    against 0.32 ms at 512; the table above _QUADRATURE_NUMPY_PIECES has
+    more), and from _QUADRATURE_NUMPY_PIECES on (about degree 11.88) when it
+    is not, so that a fresh process spares numpy's import below that.  A
+    chunk takes its E_m as the real part of numpy's complex exp at a m m +
+    0i, which goes through C cexp: with a zero imaginary part glibc's cexp returns exp(x) * 1 from
     the libm exp that math.exp calls, without sincos, and numpy's own
     fallback returns exp(x), so each E_m is math.exp's float, where float64
     np.exp's SIMD loops differ in the last bit.  Its underflow flag, raised once E_m is subnormal or 0, is
@@ -438,7 +464,7 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     # sum, which compensates float sums from Python 3.12 on).  The route
     # depends on the piece count and on whether numpy is already imported;
     # both add the same floats.
-    if stop < _QUADRATURE_NUMPY_PIECES and (stop < _QUADRATURE_CHUNK or "numpy" not in sys.modules):
+    if stop < _QUADRATURE_NUMPY_PIECES and (stop < _QUADRATURE_LOADED_PIECES or "numpy" not in sys.modules):
         ms = range(3, stop + 2)
         es = chain((1.0, exp(a), exp(4 * a)), map(exp, map(mul, map(mul, repeat(a), ms), ms)))
         lower, upper = tee(es)
@@ -506,6 +532,14 @@ def _mc_counts(u, sigma: float, c: float):
         np.multiply(sigma, u, out=u)
         np.divide(u, c, out=u)
         return np.floor(u, out=u)
+
+
+def _mc_search_pays(samples: int, sigma: float, c: float) -> bool:
+    """Whether a call draws more samples than the threshold search evaluates
+    floats, 2 _MC_WINDOW + 1 in each of its K + 1 windows, with K the count
+    of the largest draw 1 - 2^-53, radius sigma sqrt(-2 log 2^-53) over c,
+    before its floor."""
+    return samples > (sigma * math.sqrt(106.0 * math.log(2.0)) / c + 1.0) * (2 * _MC_WINDOW + 1)
 
 
 def _mc_threshold_estimate(j: int, sigma: float, c: float) -> int:
@@ -589,7 +623,10 @@ def gaussian_avg_mc(
     K = 24: 1.10, 1.11.  Where the largest draw's count exceeds
     _MC_MAX_THRESHOLDS = 16 (from about degree 1.60), or where a window is
     refused, each chunk takes the float route: _mc_counts on its uniforms,
-    then 1 + 2k and its square summed.
+    then 1 + 2k and its square summed.  So does a call of no more samples
+    than the search would evaluate floats, (K + 1)(2 _MC_WINDOW + 1), which
+    skips the search (_mc_search_pays): drawing those floats costs less than
+    searching, and both routes sum the same integers.
     """
     import numpy as np
 
@@ -608,7 +645,7 @@ def gaussian_avg_mc(
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"sigma / c = exp(deg) / sqrt(2 pi) at degree {deg!r} is out of a float's range")
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
-    thresholds = _mc_thresholds(sigma, c)
+    thresholds = _mc_thresholds(sigma, c) if _mc_search_pays(samples, sigma, c) else None
 
     def run_chunk(idx: int) -> tuple[float, float]:
         m = min(_MC_CHUNK, samples - idx * _MC_CHUNK)

@@ -34,14 +34,14 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import and_, floordiv
+from itertools import compress, islice, repeat
+from operator import add, and_, floordiv, lt
 from typing import Sequence
 
-from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, lattice_of
+from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, _ball_columns, count_E_xi, degree_scale, lattice_of
 from .combinat import delannoy, l1_within
-from .errors import DEFAULT_CAP, SelfCheckFailed, frozen
-from .smith import row_reduce
+from .errors import DEFAULT_CAP, SelfCheckFailed, check_budget, frozen
+from .smith import smith_normal_form
 
 __all__ = [
     "GSConfig",
@@ -224,7 +224,14 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
 
     With cross_check the closed form is verified against the explicit
     enumeration.  It defaults to on for exact scales whose enumeration builds
-    at most CROSS_CHECK_MAX_COORDINATES coordinates (count times k).
+    at most CROSS_CHECK_MAX_COORDINATES coordinates (count times k).  The
+    enumeration is count_E_xi's column layout on the integer multipliers
+    -r..r of c, with r = floor(lambda / c) taken from the exact config rather
+    than from pi1_radius, so the two floors stay separate computations.  Its
+    rows must be as many as the closed form gives, strictly increasing in
+    lexicographic order (so distinct) and each of l1 norm at most r, so that
+    they are exactly the lattice points of the ball; each test is one C-level
+    pass over the rows.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -235,9 +242,21 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
     if cross_check:
         if not exact:
             raise ValueError("cross-check enumeration requires an exact scale")
-        enumerated = pi1_spherical_enumerate(GSConfig.from_divisor(d), k)
-        if len(enumerated) != count:
-            raise SelfCheckFailed(f"pi1_count's closed form gives {count}, its enumeration {len(enumerated)}")
+        cfg = GSConfig.from_divisor(d)
+        r = math.floor(cfg.lam / cfg.lattice.generator)
+        check_budget("lattice_points", delannoy(r, k))
+        columns = _ball_columns(list(range(r + 1)) + list(range(-r, 0)), k)
+        rows = list(zip(*columns))
+        if len(rows) != count:
+            raise SelfCheckFailed(f"pi1_count's closed form gives {count}, its enumeration {len(rows)}")
+        # The rows' l1 norms, summed column by column in one lazy pass.
+        norms = map(abs, columns[0])
+        for column in columns[1:]:
+            norms = map(add, norms, map(abs, column))
+        if len(columns) != k or not all(map(lt, rows, islice(rows, 1, None))) or max(norms) > r:
+            raise SelfCheckFailed(
+                f"pi1_count's enumeration at level {k} is not {count} distinct rows in order within l1 norm {r}"
+            )
     return count
 
 
@@ -300,7 +319,9 @@ def face_equations(n: int) -> tuple[int, tuple[str, ...], bool]:
     Each face j gives one 0/1 row per output free coordinate, over the n input
     free coordinates; they depend on n alone.  Of the (n+1)(n-1) rows at most
     2n - 1 are distinct, and repeats do not change the rank, so only the
-    distinct ones (in first-seen order) are eliminated over Q.
+    distinct ones (in first-seen order) are taken, and the rank over Q is the
+    number of nonzero entries on the diagonal of their Smith normal form,
+    found on ints (smith.row_reduce, over Fractions, is the tests' oracle).
     """
     rows: list[tuple[int, ...]] = []
     witnesses: list[str] = []
@@ -316,7 +337,8 @@ def face_equations(n: int) -> tuple[int, tuple[str, ...], bool]:
                 witnesses.append(f"face {j}, coordinate {i}: psi_{sources[0]} = 0")
         if not torus_merge:
             torus_pinned = True  # the torus output is the torus input itself
-    _, rank = row_reduce(list(dict.fromkeys(rows)))
+    diagonal, _, _ = smith_normal_form(list(dict.fromkeys(rows)))
+    rank = sum(1 for i, row in enumerate(diagonal[:n]) if row[i])
     witnesses.append("face 0, torus coordinate: torus part = 0")
     return rank, tuple(witnesses), torus_pinned
 
@@ -340,8 +362,8 @@ def higher_pi_trivial(
 ) -> TrivialityCertificate:
     """Certify that pi_n is trivial for n >= 2.
 
-    The spherical conditions are linear in the free coordinates; Gaussian
-    elimination over Q of the face equations must have full rank n, the
+    The spherical conditions are linear in the free coordinates; the face
+    equations must have full rank n over Q (face_equations), the
     0-th face pins the torus coordinate directly, and a singleton-equation
     certificate is extracted (face 0 kills psi_2..psi_n and the torus, face 2
     kills psi_1).  On top of the symbolic proof, `samples` randomly sampled

@@ -4,10 +4,11 @@ The Smith form serves the closed-form route alone: a cokernel presented on
 the codomain generators, and a kernel as the cokernel of the dual map (by
 Pontryagin duality).  A brute-force group given only by its addition table
 is read off its element orders instead, with no matrix built, so the two
-routes never share a Smith form.  Matrices here are small, so the classic
+routes never share a Smith form.  Its diagonal also gives the rank of the
+face equations of gamma_space.  Matrices here are small, so the classic
 alternating row/column Euclid with explicit transform tracking is plenty.
-The package's one Gauss-Jordan elimination over Q lives here too, for the
-rank of the face equations.
+The package's one Gauss-Jordan elimination over Q lives here too, as the
+oracle for that rank.
 """
 
 from __future__ import annotations

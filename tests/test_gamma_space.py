@@ -614,8 +614,8 @@ def test_pi1_count_cross_checks_by_coordinates(monkeypatch):
     import absarith.gamma_space as gs
 
     calls = []
-    enumerate_ = gs.pi1_spherical_enumerate
-    monkeypatch.setattr(gs, "pi1_spherical_enumerate", lambda cfg, k: calls.append(k) or enumerate_(cfg, k))
+    columns = gs._ball_columns
+    monkeypatch.setattr(gs, "_ball_columns", lambda multiples, k: calls.append(k) or columns(multiples, k))
     # Counts up to 20,000 at levels up to 3 are still enumerated ...
     for r, k in ((Fraction(7, 2), 1), (Fraction(9999), 1), (Fraction(99), 2), (Fraction(24), 3)):
         assert delannoy(int(r), k) <= 20_000
@@ -628,19 +628,44 @@ def test_pi1_count_cross_checks_by_coordinates(monkeypatch):
 
 
 def test_pi1_count_cross_check_fails_on_a_ball_layout_that_miscounts(monkeypatch):
-    # A mutant of count_E_xi whose block sizes follow a shifted recurrence
-    # lays out too few rows for radius 7 at k = 3.  Padded to the closed
-    # form, it listed 575 rows, only 382 of them distinct, and pi1_count's
-    # cross-check passed; padded to its own first column, it must fail.
+    # A mutant of count_E_xi's column layout whose block sizes follow a
+    # shifted recurrence lays out too few rows for radius 7 at k = 3.  Padded
+    # to the closed form, it listed 575 rows, only 382 of them distinct, and
+    # pi1_count's cross-check passed; padded to its own first column, it must fail.
     from absarith import arakelov
 
-    source = inspect.getsource(arakelov.count_E_xi)
+    source = inspect.getsource(arakelov._ball_columns)
     assert source.count("chain((0,), under[-1])") == 1
     namespace = dict(vars(arakelov))
     exec(source.replace("chain((0,), under[-1])", "chain((0, 0), under[-1])"), namespace)
-    monkeypatch.setattr(gamma_space, "count_E_xi", namespace["count_E_xi"])
+    monkeypatch.setattr(gamma_space, "_ball_columns", namespace["_ball_columns"])
     with pytest.raises(SelfCheckFailed, match="closed form gives 575"):
         pi1_count(_exp_divisor(7), 3)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        # The last row repeats the one before it, so the count still matches.
+        (lambda col, r: col.__setitem__(-1, col[-2]), "distinct rows in order"),
+        # The last row, (r, 0, ..., 0), becomes (r + 1, 0, ..., 0): still in
+        # order and distinct, but outside the ball.
+        (lambda col, r: col.__setitem__(-1, r + 1) if col[-1] == r else None, "within l1 norm"),
+    ],
+)
+def test_pi1_count_cross_check_fails_on_a_layout_of_the_right_count_that_is_not_the_ball(monkeypatch, mutate, message):
+    columns = gamma_space._ball_columns
+
+    def mutant(multiples, k):
+        out = [list(col) for col in columns(multiples, k)]
+        for col in out:
+            mutate(col, len(multiples) // 2)
+        return out
+
+    monkeypatch.setattr(gamma_space, "_ball_columns", mutant)
+    for r, k in ((7, 3), (Fraction(9, 2), 1), (2, 5)):
+        with pytest.raises(SelfCheckFailed, match=message):
+            pi1_count(_exp_divisor(r), k)
 
 
 def test_face_rank_from_distinct_rows_matches_all_rows():

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import struct
+import types
 from fractions import Fraction
 
 from absarith.arakelov import ArakelovDivisor, Lattice1
@@ -75,6 +76,33 @@ def test_library_answers_are_the_golden_ones():
         if got != e["repr"]:
             mismatches.append(f"{e['id']}: {difference(e['repr'], got)}")
     assert not mismatches, _report(mismatches)
+
+
+def test_quadrature_answers_are_the_golden_ones_by_both_routes(monkeypatch):
+    # The entries above replay in file order, so whether a quadrature takes
+    # the iterator or the numpy chunks depends on whether an earlier entry
+    # imported numpy.  Each is replayed here with numpy hidden from the route
+    # check, as in a fresh process, and with numpy imported.
+    import numpy  # noqa: F401
+
+    from absarith import arakelov
+
+    entries = [e for e in ENTRIES if e.get("function") == "absarith.arakelov.gaussian_avg_quadrature"]
+    assert entries and all(not e["kwargs"] for e in entries)
+    mismatches, iterated = [], []
+    tee = arakelov.tee
+    for route in ("cold", "numpy loaded"):
+        with monkeypatch.context() as m:
+            # The iterator route is the only user of tee.
+            m.setattr(arakelov, "tee", lambda it: iterated.append(route) or tee(it))
+            if route == "cold":
+                m.setattr(arakelov, "sys", types.SimpleNamespace(modules={}))
+            for e in entries:
+                got = repr(arakelov.gaussian_avg_quadrature(*map(decode, e["args"])))
+                if got != e["repr"]:
+                    mismatches.append(f"{e['id']} ({route}): {difference(e['repr'], got)}")
+    assert not mismatches, _report(mismatches)
+    assert iterated.count("cold") > iterated.count("numpy loaded")
 
 
 def test_command_outputs_are_the_golden_ones(capsys):
