@@ -303,7 +303,7 @@ def _ball_columns(multiples: list, k: int) -> list[list]:
 _DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
 
 # The quadrature adds its pieces with numpy, in chunks of _QUADRATURE_CHUNK
-# pieces, from _QUADRATURE_LOADED_PIECES on (about degree 4.36 at eps
+# pieces, from _QUADRATURE_LOADED_PIECES on (about degree 3.0 at eps
 # 1e-12) when numpy is already loaded, and from _QUADRATURE_NUMPY_PIECES on
 # (about degree 11.88) when it is not.  With numpy loaded, a whole call
 # (bisection included) takes, in ms on a 2-core 2.0 GHz Xeon VM with numpy
@@ -320,9 +320,13 @@ _DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
 #       chunks           0.256  0.239  0.230  0.209  0.203  0.239  0.160
 #                        0.244  0.199  0.210  0.249  0.153  0.262  0.132
 #
-# Called back to back the chunks win from 2^6 pieces on, but between other
-# work numpy's fixed cost per call is about 0.2 ms and they break even near
-# 300 pieces, so they start at 2^8.  A piece takes the iterator about
+# Called back to back the chunks win from 2^6 pieces on, so they start
+# there.  Between other work numpy's fixed cost per call is about 0.2 ms and
+# they catch up with the iterator only near 300 pieces, so a divisor-pass
+# call of 2^6 to 2^8 pieces costs about 0.03-0.11 ms more than it would by
+# the iterator; the pass's slow queries gain more, and its query_p90_ms is
+# lower than with the chunks from 2^8 (1.30 against 1.33 ms on seed 1), at
+# the price of about 4% on the seed-2 median.  A piece takes the iterator about
 # 0.32 us and the chunks about 0.022 us (189 against 13 ms for the 592,451
 # pieces of degree 12).  numpy's import takes 90-140 ms there, and a fresh
 # `theta verify` breaks even near 360,000 pieces (degree 11.5, 272 ms by
@@ -330,7 +334,7 @@ _DUAL_LOG_CUTOFF = math.log(746.0 / math.pi)
 # process up to about 90 ms more than the chunks would (346 against 258 ms
 # at degree 11.88), and below degree 11 it saves about 50 to 115 ms.
 _QUADRATURE_NUMPY_PIECES = 1 << 19
-_QUADRATURE_LOADED_PIECES = 1 << 8
+_QUADRATURE_LOADED_PIECES = 1 << 6
 _QUADRATURE_CHUNK = 1 << 14
 
 
@@ -410,14 +414,14 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     bisection; the pieces up to it are then added left to right.  They are
     added in numpy chunks, with the same floats in the same order, so that the
     result is bit for bit the iterator sum's: from _QUADRATURE_LOADED_PIECES
-    = 2^8 pieces on (about degree 4.36 at eps 1e-12) when numpy is already
-    imported, near where the chunks catch up with the iterator between other
-    work (0.21-0.25 against 0.18-0.20 ms a call at 256 pieces, 0.24-0.26
-    against 0.32 ms at 512; the table above _QUADRATURE_NUMPY_PIECES has
-    more), and from _QUADRATURE_NUMPY_PIECES on (about degree 11.88) when it
-    is not, so that a fresh process spares numpy's import below that.  A
-    chunk takes its E_m as the real part of numpy's complex exp at a m m +
-    0i, which goes through C cexp: with a zero imaginary part glibc's cexp returns exp(x) * 1 from
+    = 2^6 pieces on (about degree 3.0 at eps 1e-12) when numpy is already
+    imported, where the chunks overtake the iterator called back to back
+    (0.059 against 0.064 ms a call at 64 pieces, 0.066 against 0.147 at 256;
+    the table above _QUADRATURE_NUMPY_PIECES has more), and from
+    _QUADRATURE_NUMPY_PIECES on (about degree 11.88) when it is not, so that
+    a fresh process spares numpy's import below that.  A chunk takes its E_m
+    as the real part of numpy's complex exp at a m m + 0i, which goes through
+    C cexp: with a zero imaginary part glibc's cexp returns exp(x) * 1 from
     the libm exp that math.exp calls, without sincos, and numpy's own
     fallback returns exp(x), so each E_m is math.exp's float, where float64
     np.exp's SIMD loops differ in the last bit.  Its underflow flag, raised once E_m is subnormal or 0, is
@@ -534,14 +538,6 @@ def _mc_counts(u, sigma: float, c: float):
         return np.floor(u, out=u)
 
 
-def _mc_search_pays(samples: int, sigma: float, c: float) -> bool:
-    """Whether a call draws more samples than the threshold search evaluates
-    floats, 2 _MC_WINDOW + 1 in each of its K + 1 windows, with K the count
-    of the largest draw 1 - 2^-53, radius sigma sqrt(-2 log 2^-53) over c,
-    before its floor."""
-    return samples > (sigma * math.sqrt(106.0 * math.log(2.0)) / c + 1.0) * (2 * _MC_WINDOW + 1)
-
-
 def _mc_threshold_estimate(j: int, sigma: float, c: float) -> int:
     """The least 53-bit integer i whose u = i 2^-53 has exact radius count at
     least j, up to a few integers: 2^53 (1 - exp(-(j c / sigma)^2 / 2))."""
@@ -623,10 +619,7 @@ def gaussian_avg_mc(
     K = 24: 1.10, 1.11.  Where the largest draw's count exceeds
     _MC_MAX_THRESHOLDS = 16 (from about degree 1.60), or where a window is
     refused, each chunk takes the float route: _mc_counts on its uniforms,
-    then 1 + 2k and its square summed.  So does a call of no more samples
-    than the search would evaluate floats, (K + 1)(2 _MC_WINDOW + 1), which
-    skips the search (_mc_search_pays): drawing those floats costs less than
-    searching, and both routes sum the same integers.
+    then 1 + 2k and its square summed.
     """
     import numpy as np
 
@@ -645,7 +638,7 @@ def gaussian_avg_mc(
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"sigma / c = exp(deg) / sqrt(2 pi) at degree {deg!r} is out of a float's range")
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
-    thresholds = _mc_thresholds(sigma, c) if _mc_search_pays(samples, sigma, c) else None
+    thresholds = _mc_thresholds(sigma, c)
 
     def run_chunk(idx: int) -> tuple[float, float]:
         m = min(_MC_CHUNK, samples - idx * _MC_CHUNK)

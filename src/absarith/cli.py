@@ -27,7 +27,7 @@ from .errors import DEFAULT_CAP, CapExceeded, SelfCheckFailed, check_budget, jso
 # them together take about 27 ms to compile and import on a 2.1 GHz Xeon
 # core, or 8 ms from cached bytecode; numpy, which only `theta mc` and a
 # `theta verify` from about degree 11.88 load, takes about 150 ms more.  The
-# quadrature sums in numpy from about degree 4.36 when numpy is already
+# quadrature sums in numpy from about degree 3.0 when numpy is already
 # loaded, which in a fresh command process it never is, so no command loads
 # numpy below degree 11.88.
 if TYPE_CHECKING:

@@ -230,8 +230,8 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
     than from pi1_radius, so the two floors stay separate computations.  Its
     rows must be as many as the closed form gives, strictly increasing in
     lexicographic order (so distinct) and each of l1 norm at most r, so that
-    they are exactly the lattice points of the ball; each test is one C-level
-    pass over the rows.
+    they are exactly the lattice points of the ball; the order is one C-level
+    pass over the rows, the norms one per column.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -249,10 +249,11 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
         rows = list(zip(*columns))
         if len(rows) != count:
             raise SelfCheckFailed(f"pi1_count's closed form gives {count}, its enumeration {len(rows)}")
-        # The rows' l1 norms, summed column by column in one lazy pass.
-        norms = map(abs, columns[0])
+        # The rows' l1 norms, summed column by column, one list per column, so
+        # that no chain of k lazy maps is ever nested (k can be 10^5 at r = 0).
+        norms = list(map(abs, columns[0]))
         for column in columns[1:]:
-            norms = map(add, norms, map(abs, column))
+            norms = list(map(add, norms, map(abs, column)))
         if len(columns) != k or not all(map(lt, rows, islice(rows, 1, None))) or max(norms) > r:
             raise SelfCheckFailed(
                 f"pi1_count's enumeration at level {k} is not {count} distinct rows in order within l1 norm {r}"

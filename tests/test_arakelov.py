@@ -447,12 +447,13 @@ def test_numpy_quadrature_at_the_chunk_edges(monkeypatch, stop):
 @pytest.mark.parametrize(
     "deg, eps, chunked",
     [
-        (3.0, 1e-12, False),
-        (4.35, 1e-12, False),
-        (4.36, 1e-12, True),
-        (4.25, 1e-15, False),
-        (4.3, 1e-15, True),
-        (4.4, 1e-9, False),
+        (2.0, 1e-12, False),
+        (2.99, 1e-12, False),
+        (3.0, 1e-12, True),
+        (2.89, 1e-15, False),
+        (2.9, 1e-15, True),
+        (3.11, 1e-9, False),
+        (3.12, 1e-9, True),
         (8.4, 1e-12, True),
         (9.0, 1e-15, True),
         (11.87, 1e-12, True),
@@ -460,10 +461,10 @@ def test_numpy_quadrature_at_the_chunk_edges(monkeypatch, stop):
 )
 def test_quadrature_with_numpy_loaded_sums_in_chunks_from_the_break_even(monkeypatch, deg, eps, chunked):
     # With numpy imported, every sum of _QUADRATURE_LOADED_PIECES pieces or
-    # more (degree 4.36 on at eps 1e-12) takes the numpy chunks; at eps 1e-12
-    # 3.0 stops at piece 64, 4.35 at 254 and 4.36 at 257, at eps 1e-15 4.25
-    # at 252 and 4.3 at 265, and 4.4 at eps 1e-9 at 238.  The iterator route
-    # is the only user of tee, so spying on it names the route.
+    # more (degree 3.0 on at eps 1e-12) takes the numpy chunks; at eps 1e-12
+    # 2.0 stops at piece 23, 2.99 at 63 and 3.0 at 64, at eps 1e-15 2.89 at
+    # 63 and 2.9 at 64, and at eps 1e-9 3.11 at 63 and 3.12 at 64.  The
+    # iterator route is the only user of tee, so spying on it names the route.
     import numpy  # noqa: F401
 
     import absarith.arakelov as ak
@@ -492,7 +493,7 @@ def _divisor_stopping_at(stop):
     return d, tail(stop - 1)
 
 
-@pytest.mark.parametrize("stop", [(1 << 8) - 1, 1 << 8, (1 << 8) + 1])
+@pytest.mark.parametrize("stop", [(1 << 6) - 1, 1 << 6, (1 << 6) + 1])
 def test_quadrature_with_numpy_loaded_turns_to_the_chunks_at_the_break_even(monkeypatch, stop):
     # Stopping pieces either side of _QUADRATURE_LOADED_PIECES, each by the
     # route its size picks, and the same floats as the per-piece loop.
@@ -500,18 +501,18 @@ def test_quadrature_with_numpy_loaded_turns_to_the_chunks_at_the_break_even(monk
 
     import absarith.arakelov as ak
 
-    assert ak._QUADRATURE_LOADED_PIECES == 1 << 8
+    assert ak._QUADRATURE_LOADED_PIECES == 1 << 6
     d, eps = _divisor_stopping_at(stop)
     tees = []
     monkeypatch.setattr(ak, "tee", lambda it: tees.append(1) or tee(it))
     assert repr(gaussian_avg_quadrature(d, eps)) == repr(_quadrature_per_piece(d, eps))
-    assert tees == ([1] if stop < 1 << 8 else [])
+    assert tees == ([1] if stop < 1 << 6 else [])
 
 
 def test_quadrature_with_numpy_loaded_matches_the_per_piece_loop_from_the_break_even_to_one_chunk():
     # Degrees 3.5 to 8.4 at eps 1e-9 and 1e-12 stop at pieces 95 to 15,463,
-    # on both sides of the break-even: with numpy loaded, those from 2^8
-    # pieces on took the iterator before and take the chunks now.
+    # between the break-even and one chunk: with numpy loaded, they took the
+    # iterator before and take the chunks now.
     import numpy  # noqa: F401
 
     for deg in [3.5 + i / 10 for i in range(50)]:
@@ -767,9 +768,8 @@ def test_generator_random_is_the_top_53_bits_of_the_raw_words():
 
 
 def _mc_call(monkeypatch, d):
-    """(sigma, c) and the thresholds of gaussian_avg_mc(d, _MC_CHUNK, 0), seen
-    by a spy on _mc_thresholds; a call of fewer samples than the search
-    evaluates floats would skip it."""
+    """(sigma, c) and the thresholds of gaussian_avg_mc(d, 1, 0), seen by a
+    spy on _mc_thresholds."""
     seen = []
 
     def spy(sigma, c):
@@ -779,7 +779,7 @@ def _mc_call(monkeypatch, d):
     original = ak._mc_thresholds
     with monkeypatch.context() as m:
         m.setattr(ak, "_mc_thresholds", spy)
-        gaussian_avg_mc(d, ak._MC_CHUNK, 0)
+        gaussian_avg_mc(d, 1, 0)
     return seen[0]
 
 
@@ -848,29 +848,6 @@ def test_mc_refuses_an_estimate_off_by_a_million_and_counts_by_floats(monkeypatc
             assert _mc_call(monkeypatch, d)[2] is None
             r = gaussian_avg_mc(d, 150_001, 9)
         assert (repr(r.mean), repr(r.stderr)) == (repr(by_floats.mean), repr(by_floats.stderr)), deg
-
-
-def test_mc_below_the_search_size_draws_floats_without_a_search(monkeypatch):
-    # Up to (K + 1)(2 _MC_WINDOW + 1) samples, the floats the threshold search
-    # would evaluate, a call takes the float route and never searches; its
-    # answer is the forced count route's, by repr.  The benchmark's and
-    # `theta mc`'s 10^6 samples are far above that up to K = 16.
-    for deg, k_max in ((-3.0, 0), (0.0, 3), (1.0, 9), (1.55, 16)):
-        d = ArakelovDivisor.of_degree(deg)
-        sigma, c, thresholds = _mc_call(monkeypatch, d)
-        assert len(thresholds) == k_max
-        bound = (k_max + 1) * (2 * ak._MC_WINDOW + 1)
-        assert not ak._mc_search_pays(bound, sigma, c) and ak._mc_search_pays(10**6, sigma, c)
-        for samples in (1, 7, bound):
-            searched = []
-            with monkeypatch.context() as m:
-                m.setattr(ak, "_mc_thresholds", lambda sigma, c: searched.append(1))
-                tiny = gaussian_avg_mc(d, samples, 3)
-            assert searched == []
-            with monkeypatch.context() as m:
-                m.setattr(ak, "_mc_search_pays", lambda samples, sigma, c: True)
-                forced = gaussian_avg_mc(d, samples, 3)
-            assert (repr(tiny.mean), repr(tiny.stderr)) == (repr(forced.mean), repr(forced.stderr)), (deg, samples)
 
 
 def test_mc_below_one_threshold_counts_one_without_a_draw(monkeypatch):

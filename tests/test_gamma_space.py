@@ -668,6 +668,20 @@ def test_pi1_count_cross_check_fails_on_a_layout_of_the_right_count_that_is_not_
             pi1_count(_exp_divisor(r), k)
 
 
+def test_pi1_count_cross_checks_a_radius_zero_ball_at_a_huge_level(monkeypatch):
+    # At exact scale 1/3 the radius is 0 and the count 1, so the cross-check
+    # is on by default up to level CROSS_CHECK_MAX_COORDINATES = 60,000, and
+    # on request beyond it: its checks must not nest one lazy pass per
+    # coordinate, which at level 200,000 overflowed the C stack.
+    calls = []
+    columns = gamma_space._ball_columns
+    monkeypatch.setattr(gamma_space, "_ball_columns", lambda multiples, k: calls.append(k) or columns(multiples, k))
+    d = _exp_divisor(Fraction(1, 3))
+    assert pi1_count(d, gamma_space.CROSS_CHECK_MAX_COORDINATES) == 1
+    assert pi1_count(d, 200_000, cross_check=True) == 1
+    assert calls == [gamma_space.CROSS_CHECK_MAX_COORDINATES, 200_000]
+
+
 def test_face_rank_from_distinct_rows_matches_all_rows():
     from absarith.gamma_space import face_equations
     from absarith.smith import row_reduce
