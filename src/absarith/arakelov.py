@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import add, mul, sub
-from typing import Mapping
 
 from .combinat import delannoy, l1_within
 from .errors import BUDGETS, DEFAULT_CAP, check_budget, frozen, json_int, json_key, json_number
@@ -105,11 +105,18 @@ class ArakelovDivisor:
 
     @staticmethod
     def make(finite: Mapping[int, int], arch: ScaleValue) -> "ArakelovDivisor":
+        for p in sorted(finite):
+            if not is_prime(p):
+                raise ValueError(f"divisor support must consist of primes, got {p}")
+        return ArakelovDivisor._of_primes(finite, arch)
+
+    @staticmethod
+    def _of_primes(finite: Mapping[int, int], arch: ScaleValue) -> "ArakelovDivisor":
+        """make for a support already proven prime: the nonzero exponents in
+        order, within the divisor_bits budget."""
         items = []
         bits, max_bits = 0.0, BUDGETS["divisor_bits"][0]
         for p, a in sorted(finite.items()):
-            if not is_prime(p):
-                raise ValueError(f"divisor support must consist of primes, got {p}")
             if a != 0:
                 items.append((int(p), int(a)))
                 # log2 p >= 1, so clamping |a_p| keeps the test and the float finite
@@ -134,7 +141,7 @@ class ArakelovDivisor:
         out = self.finite_part
         for p, a in other.finite:
             out[p] = out.get(p, 0) + a
-        return ArakelovDivisor.make(out, self.arch.combined(other.arch))
+        return ArakelovDivisor._of_primes(out, self.arch.combined(other.arch))
 
     def __neg__(self) -> "ArakelovDivisor":
         return ArakelovDivisor(tuple((p, -a) for p, a in self.finite), self.arch.inverted())
@@ -176,7 +183,7 @@ def principal(q) -> ArakelovDivisor:
     absq = abs(q)
     support = factorize(absq.numerator)
     support.update((p, -a) for p, a in factorize(absq.denominator).items())
-    return ArakelovDivisor.make(support, ScaleValue.exact_exp(1 / absq))
+    return ArakelovDivisor._of_primes(support, ScaleValue.exact_exp(1 / absq))
 
 
 def _finite_exp(d: ArakelovDivisor) -> Fraction:

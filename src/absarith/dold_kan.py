@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, getitem, mul, not_
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DEFAULT_CAP, SelfCheckFailed, check_budget, frozen, json_array, json_int
 from .smith import group_divisors_from_table

@@ -136,6 +136,13 @@ BUDGETS = {
     # h0`, on 2^400000 / 3^252000, takes about 1 s on a 2.1 GHz Xeon core with
     # the interpreter's start, and on 3^504000 about 0.2 s.
     "divisor_bits": (800_000, "the divisor's prime powers, sum of |a_p| log2 p, are above the cap of {limit} bits"),
+    # The work of one factorization or primality proof past the deterministic
+    # Miller-Rabin tiers: Pollard-Brent rho steps and certificate squarings,
+    # each weighted by 1 + (bits / 256)^2 (numth._spend), about its cost
+    # relative to one below 256 bits, which takes 0.4-0.8 us on a 2-core Xeon
+    # VM: the cap is about 1-1.5 s.  Rho found a prime factor p in 0.1 to 4.2
+    # sqrt(p) steps in seeded trials, so factors below about 10^11 fit.
+    "factor_steps": (2_000_000, "factoring or proving a prime takes more than {limit} modular steps"),
     # The pieces of gaussian_avg_quadrature, reached near degree 13.2 at eps 1e-12.
     "quadrature_pieces": (2_000_000, "the quadrature at t = {t!r} needs more than {limit} pieces"),
     # The (n+1)(k+1) cells of a `gspace delannoy` table.  The closed form costs

@@ -1,44 +1,65 @@
 """Elementary number theory helpers: factorization, divisors, Mobius, unit groups.
 
-Everything here is exact integer arithmetic.  Primality is decided by
-deterministic Miller-Rabin below 3.3e24 and by trial division above; factoring
-uses trial division, which suits the small inputs this package deals with
-(cycle lengths, torsion orders, divisor supports).
+Everything here is exact integer arithmetic, and no answer rests on a probable
+prime.  Below 3.3e24, is_prime is a Miller-Rabin test to the smallest base set
+known to be deterministic in n's range (Jaeschke 1993; Sorenson and Webster
+2015), three or four modular powers below 1.1e12 instead of thirteen.  Above,
+the 13 prime bases up to 41 only witness compositeness, and a prime is
+accepted with an n-1 certificate: Pocklington's once the proven part F of n-1
+exceeds sqrt(n), Brillhart-Lehmer-Selfridge's (1975) once F^3 >= n.
+
+factorize divides by 2, 3 and 6k+-1 below _TRIAL_BELOW, which finishes every
+n below 2^20 (the cycle lengths, torsion orders and indices this package
+mostly meets) as plain trial division would; a larger cofactor is split by
+Pollard's rho in Brent's form (1980), each factor proven prime.  The rho
+steps and certificate squarings of one call are bounded by the factor_steps
+budget, so a factor rho cannot find in time, or a prime whose n-1 it cannot
+split far enough, raises CapExceeded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
+
+from .errors import check_budget
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Strong probable primes to all of _MR_BASES are prime below this bound
-# (Sorenson and Webster, 2015).
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# (bound, bases): below bound, a strong probable prime to every one of bases
+# is prime, and bound itself is a composite one (Jaeschke 1993; Sorenson and
+# Webster 2015 for the last two).  1662803 is prime and meets only n above
+# the first bound, so no base is a multiple of the n it tests.
+_MR_TIERS = (
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1662803)),
+    (2_152_302_898_747, _MR_BASES[:5]),
+    (3_474_749_660_383, _MR_BASES[:6]),
+    (341_550_071_728_321, _MR_BASES[:7]),
+    (3_825_123_056_546_413_051, _MR_BASES[:9]),
+    (318_665_857_834_031_151_167_461, _MR_BASES[:12]),
+    (3_317_044_064_679_887_385_961_981, _MR_BASES),
+)
+# factorize's trial divisors stop here, so a cofactor below its square is 1 or prime.
+_TRIAL_BELOW = 1 << 10
+# Pollard-Brent takes one gcd per this many rho steps.
+_RHO_BATCH = 128
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test: Miller-Rabin to the 13 prime bases up to
-    41 below 3.3e24, trial division above."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n < 43 * 43:
-        return True
-    if n >= _MR_EXACT_BELOW:
-        d = 43
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
+def _spend(work: list[int], steps: int, n: int) -> None:
+    """Count steps modular squarings mod n against the factor_steps budget,
+    each weighted by 1 + (bits of n / 256)^2, about its cost relative to a
+    squaring of machine words."""
+    work[0] += steps * (1 + (n.bit_length() >> 8) ** 2)
+    check_budget("factor_steps", work[0])
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin: whether odd n > max(bases) passes the strong test to every base."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -51,25 +72,146 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n <= 0:
-        raise ValueError(f"factorize requires a positive integer, got {n}")
-    out: dict[int, int] = {}
+def is_prime(n: int) -> bool:
+    """Deterministic primality: Miller-Rabin to the smallest deterministic
+    base set for n's range below 3.3e24, an n-1 certificate above."""
+    return _is_prime(n, [0])
+
+
+def _is_prime(n: int, work: list[int]) -> bool:
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            return _strong_probable_prime(n, bases)
+    _spend(work, len(_MR_BASES) * n.bit_length(), n)
+    return _strong_probable_prime(n, _MR_BASES) and _n_minus_1_certified(n, work)
+
+
+def _n_minus_1_certified(n: int, work: list[int]) -> bool:
+    """Whether n is prime, for n above the last tier, from primes q proven
+    to divide n - 1 whose full powers multiply to F with F^3 >= n.
+
+    If some a has a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 for each q,
+    every prime factor of n is 1 mod F (Pocklington).  So n is prime if
+    F^2 > n; and if F^3 >= n, n has at most two prime factors aF + 1 and
+    bF + 1, and n = c2 F^2 + c1 F + 1 in base F gives c2 = ab and c1 = a + b,
+    so n is prime exactly when c1^2 - 4 c2 is not a square (Brillhart,
+    Lehmer and Selfridge 1975).  n - 1 is split only until F is that large.
+    """
+    small: dict[int, int] = {}
+    rest = _trial_division(n - 1, small)
+    f = (n - 1) // rest
+    primes = list(small)
+    found = _prime_factors(rest, work)
+    while f**3 < n:
+        q = next(found)
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+                f *= q
+    for q in primes:
+        a = 2
+        while True:
+            _spend(work, 2 * n.bit_length(), n)
+            if pow(a, n - 1, n) != 1:
+                return False
+            g = gcd(pow(a, (n - 1) // q, n) - 1, n)
+            if g == 1:
+                break
+            if g != n:
+                return False
+            a += 1
+    if f * f > n:
+        return True
+    c2, c1 = divmod((n - 1) // f, f)
+    disc = c1 * c1 - 4 * c2
+    return disc < 0 or isqrt(disc) ** 2 != disc
+
+
+def _trial_division(n: int, out: dict[int, int]) -> int:
+    """Divide n by 2, 3 and 6k+-1 below _TRIAL_BELOW, counting each prime
+    found in out; the cofactor left, whose prime factors are all larger."""
     for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BELOW:
         for p in (d, d + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         d += 6
+    return n
+
+
+def _rho(n: int, work: list[int]) -> int:
+    """A proper divisor of a composite n with no prime factor below
+    _TRIAL_BELOW: Pollard's rho in Brent's form (1980), iterating
+    x -> x^2 + c from 2 for c = 1, 2, ..., with one gcd per _RHO_BATCH steps."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            _spend(work, r, n)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                _spend(work, min(_RHO_BATCH, r - k), n)
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # The batch overshot: retrace it one gcd at a time.
+            _spend(work, _RHO_BATCH, n)
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}, in increasing order."""
+    if n <= 0:
+        raise ValueError(f"factorize requires a positive integer, got {n}")
+    out: dict[int, int] = {}
+    n = _trial_division(n, out)
+    if n >= _TRIAL_BELOW**2:
+        for p in _prime_factors(n, [0]):
+            out[p] = out.get(p, 0) + 1
+        return dict(sorted(out.items()))
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _prime_factors(n: int, work: list[int]):
+    """The prime factors of n > 1, with multiplicity, each proven prime, for
+    n with no prime factor below _TRIAL_BELOW."""
+    cofactors = [n]
+    while cofactors:
+        m = cofactors.pop()
+        if _is_prime(m, work):
+            yield m
+        else:
+            d = _rho(m, work)
+            cofactors += (d, m // d)
 
 
 def divisors(n: int) -> list[int]:

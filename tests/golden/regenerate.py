@@ -10,9 +10,11 @@ Two kinds of entry:
   imports.  Each holds the function's module and name, its arguments as
   JSON and the repr of its result;
 * a command: the README's commands, `gspace pi` on three exact divisors at
-  levels 1-3 and n-max 1-5, and `gspace pi` where a float scale's e^u
-  underflows, each run as a fresh `python -m absarith.cli`, with its exit
-  code and its stdout minus timing_ms.
+  levels 1-3 and n-max 1-5, `gspace pi` where a float scale's e^u
+  underflows, and a Witt basis and a theta invariant that need a composite
+  factored by rho and a prime above 3.3e24 proven, each run as a fresh
+  `python -m absarith.cli`, with its exit code and its stdout minus
+  timing_ms.
 
 Regenerate only when an answer changes on purpose, and list the entries that
 changed; never to make a failing replay pass.
@@ -96,6 +98,8 @@ def command_entries() -> list[dict]:
             for n_max in range(1, 6):
                 argvs.append(["gspace", "pi", "--divisor", divisor, "--k", str(k), "--n-max", str(n_max)])
     argvs.append(["gspace", "pi", "--divisor", '{"arch":{"float":-1e300}}', "--k", "2"])
+    argvs.append(["witt", "basis", "--elt", '{"1000000016000000063":1}'])
+    argvs.append(["theta", "h0", "--divisor", '{"finite":{"10000000000000000000000013":1}}'])
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     entries = []
     for argv in argvs:

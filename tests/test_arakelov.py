@@ -863,3 +863,24 @@ def test_mc_below_one_threshold_counts_one_without_a_draw(monkeypatch):
         for threads in (1, 2):
             r = gaussian_avg_mc(d, 150_001, 5, threads=threads)
             assert (repr(r.mean), repr(r.stderr)) == (repr(by_floats.mean), repr(by_floats.stderr)) == ("1.0", "0.0")
+
+
+def test_sums_and_principal_divisors_do_not_reprove_their_primes(monkeypatch):
+    # The summands' supports were proven prime when they were made, and
+    # factorize proves every factor it returns; the divisor_bits check stays.
+    p = 999999999989
+    d1 = D({2: 1, p: 1}, ScaleValue.exact_exp(Fraction(3, 2)))
+    d2 = D({3: -1, p: 1}, ScaleValue.from_log(0.5))
+    big = D({2: 400_001}, ScaleValue.exact_exp(1))
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called again")
+
+    monkeypatch.setattr(ak, "is_prime", refuse)
+    assert (d1 + d2).finite == ((2, 1), (3, -1), (p, 2))
+    assert (d1 - d1).finite == ()
+    assert principal(Fraction(-12 * p, 35)).finite == ((2, 2), (3, 1), (5, -1), (7, -1), (p, 1))
+    with pytest.raises(CapExceeded, match="800000 bits"):
+        big + big
+    with pytest.raises(AssertionError, match="called again"):
+        D({5: 1}, ScaleValue.exact_exp(1))

@@ -774,3 +774,30 @@ def test_a_self_check_runs_under_python_O():
     )
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_factoring_past_its_budget_is_a_cap_error():
+    # Two 21-digit prime factors: rho would need about 10^10 steps, and
+    # factor_steps stops it within about a second.
+    n = 100000000000000000039 * 100000000000000000129
+    proc = _run_cli("witt", "basis", "--elt", json.dumps({str(n): 1}))
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: factoring or proving a prime takes more than 2000000 modular steps\n"
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (
+            ("witt", "basis", "--elt", '{"1000000016000000063":1}'),
+            {"1": 1, "1000000007": 1, "1000000009": 1, "1000000016000000063": 1},
+        ),
+        (("theta", "h0", "--divisor", '{"finite":{"10000000000000000000000013":1}}'), {"h0": 57.564627324851145}),
+    ],
+)
+def test_large_primes_answer_in_a_fresh_process(argv, outputs):
+    # 1000000016000000063 = 1000000007 * 1000000009, split by rho; 10^25 + 13
+    # is proven prime by its n - 1 = 4 * 11 * 23 * 9881422924901185770751.
+    proc = _run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"] == outputs

@@ -202,3 +202,17 @@ def test_kernel_divisors_match_the_enumerated_kernel_on_every_small_hom():
 def test_kernel_divisors_reject_a_matrix_that_is_not_a_homomorphism():
     with pytest.raises(ValueError):
         kernel_divisors((2,), (3,), ((1,),))
+
+
+def test_group_divisors_from_table_refuses_a_count_ratio_that_is_no_power_of_p():
+    # The walks z1 -> a1 -> b1 -> 0, z2 -> a2 -> b2 -> 0 and z3 -> a1 -> z1 -> 0
+    # give the eight elements orders 1, 4, 4, 4, 2, 2, 4, 4, so three have
+    # order dividing 2 and c_1 / c_0 = 3 is no power of 2.
+    walks = {"z1": ["z1", "a1", "b1", "0"], "z2": ["z2", "a2", "b2", "0"], "z3": ["z3", "a1", "z1", "0"]}
+
+    def add(y, x):
+        return walks[x][walks[x].index(y) + 1]
+
+    elements = ["0", "z1", "z2", "z3", "a1", "a2", "b1", "b2"]
+    with pytest.raises(ValueError, match="no abelian group of order 8"):
+        group_divisors_from_table(elements, add, "0")
