@@ -379,17 +379,22 @@ def higher_pi_trivial(
     half the membership budget.
 
     A sample has free entries lambda/(4nk) m with m in -2..2 and torus
-    entries c t/7 with t in 0..6, the seeded generator's randint stream,
-    which _byte_draws cuts into two byte strings per draw: the free indices
-    r = m + 2 and the torus indices t.  Membership (_members) and face 0
-    (_face0_vanishes) are decided on the bytes of all draws at once; only a
-    draw whose face 0 vanishes has its other faces decided on its indices
-    (_index_face_is_zero), the last face through a 5 x 7 table of which
-    pairs (m, t) land in cZ.  The object path, member and face on the
-    GSElement of the same draw, is the oracle.
+    entries c t/7 with t in 0..6, each index a uniform draw from the seeded
+    generator's bytes, the same for the same seed.  _byte_draws gives each
+    draw as two byte strings: the free indices r = m + 2 and the torus
+    indices t.  Membership (_members) and face 0 (_face0_vanishes) are
+    decided on the bytes of all draws at once; only a draw whose face 0
+    vanishes has its other faces decided on its indices (_index_face_is_zero),
+    the last face through a 5 x 7 table of which pairs (m, t) land in cZ.
+    The object path, member and face on the GSElement of the same draw, is
+    the oracle.
     """
     if n < 2:
         raise ValueError("this certificate only applies above degree 1")
+    if k < 1:
+        raise ValueError("level must be >= 1")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     if not cfg.exact:
         raise ValueError("the certificate uses exact arithmetic; use an exact scale")
     rank, witnesses, torus_pinned = face_equations(n)
@@ -419,75 +424,46 @@ def higher_pi_trivial(
 
 # _TOP_BITS[b]: the top three bits of a byte.
 _TOP_BITS = bytes(b >> 5 for b in range(256))
-# The three-bit values that randint(-2, 2) and randint(0, 6) draw again.
-_FREE_REDRAWN, _TORUS_REDRAWN = bytes((5, 6, 7)), bytes((7,))
+# The bytes whose top three bits are 5..7 (free indices) and 7 (torus indices).
+_FREE_REDRAWN, _TORUS_REDRAWN = bytes(range(5 << 5, 256)), bytes(range(7 << 5, 256))
 # _ABS_M[r]: |m| for the free index r = m + 2.
 _ABS_M = bytes(abs(r - 2) for r in range(256))
 
 
 def _byte_draws(rng: random.Random, n: int, k: int, samples: int) -> tuple[list[bytes], list[bytes]]:
-    """The next `samples` draws of the certificate's randint stream, as byte
-    strings: for each draw its n k free indices r = m + 2 (psi_1 first) and
-    its k torus indices t.
+    """`samples` nonzero draws as byte strings: for each draw its n k free
+    indices r = m + 2 (psi_1 first) and its k torus indices t.
 
-    randint(-2, 2) and randint(0, 6) each take getrandbits(3), the top three
-    bits of one 32-bit word, drawn again while it is 5 or more (7 or more),
-    and getrandbits(32 W) is the next W words, least significant first.  So
-    the words' top bits, one byte each, are the draws in randint's order.  A
-    free string is cut from this stream by slices with 5..7 dropped, each as
-    long as the string still lacks, so no byte past its last is read; then
-    the torus string likewise, with 7 dropped.  An all-zero draw is drawn
-    again.  Words are fetched as many at a time as the draws left are
-    expected to take (8/5 per free index, 8/7 per torus index), or a quarter
-    of those fetched so far if more, so the generator is left past the last
-    draw by the words of the last fetch that no draw read.
+    The free indices of all draws still wanted come from one block, then
+    their torus indices from a second (_uniform_block), each index uniform;
+    the blocks are cut into one string per draw, the all-zero draw is
+    dropped, and blocks are drawn again until `samples` draws are in hand.
     """
     nk = n * k
     zero_free, zero_torus = b"\x02" * nk, bytes(k)
-    per_draw = 8 * nk // 5 + 8 * k // 7 + 2
-    stream, pos = b"", 0
     frees: list[bytes] = []
     toruses: list[bytes] = []
-
-    def grow(end: int) -> None:
-        nonlocal stream
-        words = max(end - len(stream), per_draw * (samples - len(frees)), len(stream) // 4)
-        stream += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(_TOP_BITS)
-
-    def rest(got: bytes, want: int, redrawn: bytes) -> bytes:
-        # The slices after the first, for a string that is still short.
-        nonlocal pos
-        parts = [got]
-        lack = want - len(got)
-        while lack:
-            end = pos + lack
-            if end > len(stream):
-                grow(end)
-            part = stream[pos:end].translate(None, redrawn)
-            pos = end
-            lack -= len(part)
-            parts.append(part)
-        return b"".join(parts)
-
     while len(frees) < samples:
-        end = pos + nk
-        if end > len(stream):
-            grow(end)
-        free = stream[pos:end].translate(None, _FREE_REDRAWN)
-        pos = end
-        if len(free) < nk:
-            free = rest(free, nk, _FREE_REDRAWN)
-        end = pos + k
-        if end > len(stream):
-            grow(end)
-        torus = stream[pos:end].translate(None, _TORUS_REDRAWN)
-        pos = end
-        if len(torus) < k:
-            torus = rest(torus, k, _TORUS_REDRAWN)
-        if free != zero_free or torus != zero_torus:
-            frees.append(free)
-            toruses.append(torus)
+        want = samples - len(frees)
+        free_block = _uniform_block(rng, want * nk, _FREE_REDRAWN)
+        torus_block = _uniform_block(rng, want * k, _TORUS_REDRAWN)
+        for i in range(want):
+            free, torus = free_block[i * nk : (i + 1) * nk], torus_block[i * k : (i + 1) * k]
+            if free != zero_free or torus != zero_torus:
+                frees.append(free)
+                toruses.append(torus)
     return frees, toruses
+
+
+def _uniform_block(rng: random.Random, size: int, redrawn: bytes) -> bytes:
+    """`size` indices, the top three bits of the generator's bytes with the
+    bytes in `redrawn` dropped, so uniform on the values left.  Each fetch is
+    twice the indices still lacking, which a fetch fills more often than not."""
+    block = b""
+    while len(block) < size:
+        fetch = 2 * (size - len(block))
+        block += rng.getrandbits(8 * fetch).to_bytes(fetch, "little").translate(_TOP_BITS, redrawn)
+    return block[:size]
 
 
 def _members(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:

@@ -1,7 +1,10 @@
 """The per-draw route of the divisor-space certificate, the oracle of its
-byte route in absarith.gamma_space: randint draws of each sampled member's
-indices, membership on the indices, and the GSElement of each draw for the
-object path's member and face.
+byte route in absarith.gamma_space: membership on a sampled member's indices,
+and the GSElement of given indices for the object path's member and face.
+The certificate draws each index uniformly from the seeded generator's bytes,
+the same for the same seed; here randint draws indices of the same form, so
+that the index route can be checked on members of its own.  The samples test
+the face code, not the theorem.
 """
 
 import random
@@ -59,8 +62,8 @@ def _random_nonzero_member(
     free_values: tuple[Fraction, ...],
     torus_values: tuple[Fraction, ...],
 ) -> GSElement:
-    """The member of the certificate's next draw (_draw_nonzero_indices),
-    built as a GSElement from free_values and torus_values."""
+    """The member of the next draw of _draw_nonzero_indices, built as a
+    GSElement from free_values and torus_values."""
     e = _element_from_indices(k, *_draw_nonzero_indices(rng, n, k), free_values, torus_values)
     if not member(cfg, e):
         raise SelfCheckFailed(f"the certificate draw {e!r} is not a member")

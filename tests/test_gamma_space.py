@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import random
@@ -774,36 +775,58 @@ def test_pi0_cardinality_where_exp_minus_degree_overflows(deg):
         pi0_cardinality_k1(ArakelovDivisor.of_degree(deg))
 
 
-def test_byte_draws_are_the_randint_stream():
-    # The certificate cuts each draw from the top bits of the generator's
-    # words; the randint draws of _draw_nonzero_indices are the oracle, draw
-    # for draw, through the redraws of all-zero indices and through the
-    # fetches that follow when the words first fetched run out.
+def test_byte_draws_are_seeded_uniform_and_nonzero(monkeypatch):
+    # The draws' contract: reproducible per seed, indices in range, no
+    # all-zero draw, each value as frequent as a uniform draw makes it, and
+    # the redraws of both loops reached.
     from absarith.gamma_space import _byte_draws
 
-    redraws = refetches = 0
-    for seed in range(60):
-        for n in range(2, 10):
-            for k in (1, 2, 3, 7, 40):
-                rng = random.Random(seed)
-                calls = []
-                randint = rng.randint
-                rng.randint = lambda a, b: calls.append(1) or randint(a, b)
-                expected = [_draw_nonzero_indices(rng, n, k) for _ in range(8)]
-                redraws += len(calls) // (n * k + k) - 8
-                rng = random.Random(seed)
-                fetches = []
-                getrandbits = rng.getrandbits
-                rng.getrandbits = lambda bits: fetches.append(bits) or getrandbits(bits)
-                frees, toruses = _byte_draws(rng, n, k, 8)
-                refetches += len(fetches) - 1
-                got = [
-                    ([[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)], list(torus))
-                    for free, torus in zip(frees, toruses)
-                ]
-                assert got == expected, (seed, n, k)
-    assert redraws > 0 and refetches > 0
+    for n, k in ((2, 1), (3, 2), (5, 7)):
+        for seed in range(20):
+            frees, toruses = _byte_draws(random.Random(seed), n, k, 30)
+            assert (frees, toruses) == _byte_draws(random.Random(seed), n, k, 30)
+            assert len(frees) == len(toruses) == 30
+            assert all(len(free) == n * k and max(free) <= 4 for free in frees)
+            assert all(len(torus) == k and max(torus) <= 6 for torus in toruses)
+            assert all(free != b"\x02" * (n * k) or any(torus) for free, torus in zip(frees, toruses))
     assert _byte_draws(random.Random(0), 2, 1, 0) == ([], [])
+
+    # 200,000 free and 100,000 torus indices: a share's standard deviation
+    # is below 0.0012, so the bound 0.005 is over four of them.
+    frees, toruses = _byte_draws(random.Random(3), 2, 40, 2500)
+    for block, values in ((b"".join(frees), 5), (b"".join(toruses), 7)):
+        assert len(block) >= 10**5
+        for value in range(values):
+            assert abs(block.count(value) / len(block) - 1 / values) < 0.005, (values, value)
+
+    # Some seed drops an all-zero draw and draws both blocks again, and some
+    # block lacks indices after its first fetch and fetches again.
+    blocks = []
+    uniform_block = gamma_space._uniform_block
+    monkeypatch.setattr(gamma_space, "_uniform_block", lambda *a: blocks.append(1) or uniform_block(*a))
+    second_blocks = second_fetches = 0
+    for seed in range(200):
+        blocks.clear()
+        fetches = []
+        rng = random.Random(seed)
+        getrandbits = rng.getrandbits
+        rng.getrandbits = lambda bits: fetches.append(bits) or getrandbits(bits)
+        _byte_draws(rng, 2, 1, 8)
+        second_blocks += len(blocks) > 2
+        second_fetches += len(fetches) > len(blocks)
+    assert second_blocks > 0 and second_fetches > 0
+
+    # Pinned, so that a Python whose generator gives other bytes fails here.
+    frees, toruses = _byte_draws(random.Random(0), 3, 2, 200)
+    digest = hashlib.sha256(b"".join(frees) + b"".join(toruses)).hexdigest()
+    assert digest == "a882ad7244d767ef9cfa3e2d581126e2133bfe58e05fc690521790c022dfc508"
+
+
+def test_higher_pi_trivial_rejects_a_level_below_1_and_negative_samples():
+    cfg = _cfg(Fraction(3, 2), Fraction(1, 2))
+    for k, samples in ((0, 1), (1, -5), (-3, 0)):
+        with pytest.raises(ValueError):
+            higher_pi_trivial(2, cfg, k, samples=samples)
 
 
 def test_delannoy_digits_is_a_lower_bound_on_the_digits():

@@ -7,10 +7,10 @@ trace(t, n) on t itself: it counts the fixed points of t.power(n), and every
 fixed point of T^n lies in the eventual image.
 
 Acceptance criterion 7 samples members of the divisor space and checks that
-each violates a face.  The certificate decides its draws on the generator's
-bytes; the object path draws the same members through randint and decides
-them by member and face on GSElements.  Each route runs with the other's
-private functions patched to raise.  count_E_xi builds the lattice ball by
+each violates a face.  The draws are taken once, by _byte_draws, and then
+decided twice: on their bytes, as the certificate decides them, and by member
+and face on the GSElements built from their indices.  Each route runs with
+the other's functions patched to raise.  count_E_xi builds the lattice ball by
 columns; the odometer of combinat_oracles lists it vector by vector.
 
 Acceptance criterion 4 compares exp(theta_h0) with gaussian_avg_quadrature,
@@ -44,7 +44,7 @@ from absarith.gamma_core import PointedEndo, trace
 from absarith.gamma_space import GSConfig, face, member, zero_element
 from absarith.witt import ghost, tau
 from combinat_oracles import iter_l1_ball
-from gamma_space_oracles import _coordinate_values, _random_nonzero_member
+from gamma_space_oracles import _coordinate_values, _element_from_indices
 from helpers import random_endo
 
 N_MAX = 12
@@ -101,31 +101,34 @@ def _raises(name):
     return poisoned
 
 
-def _byte_route(seed, n, k):
+def _rows(free, n, k):
+    return [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
+
+
+def _byte_route(seed, n, k, frees, toruses):
     """Per draw: its indices, then member, face 0 zero and, where face 0
     vanishes, faces 1..n zero, as the certificate decides them on bytes."""
     cfg = _cert_config(seed, n, k)
-    frees, toruses = gamma_space._byte_draws(random.Random(seed), n, k, CERT_DRAWS)
     table = gamma_space._last_face_table(cfg, n, k)
     out = []
     for free, torus in zip(frees, toruses):
-        rows = [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
+        rows = _rows(free, n, k)
         face0 = gamma_space._face0_vanishes([free], [torus], n, k)[0]
         later = tuple(gamma_space._index_face_is_zero(j, rows, torus, table) for j in range(1, n + 1)) if face0 else ()
         out.append((rows, list(torus), gamma_space._members([free], [torus], n, k)[0], face0, later))
     return out, gamma_space.higher_pi_trivial(n, cfg, k, samples=CERT_DRAWS, seed=seed).verified
 
 
-def _object_route(seed, n, k):
-    """The same decisions by member and face on the GSElement of each randint draw."""
+def _object_route(seed, n, k, frees, toruses):
+    """The same decisions by member and face on the GSElement built from the
+    indices of each draw."""
     cfg = _cert_config(seed, n, k)
     values = _coordinate_values(cfg, n, k)
     free_values, torus_values = values
     zero = zero_element(cfg, n - 1, k)
-    rng = random.Random(seed)
     out = []
-    for _ in range(CERT_DRAWS):
-        e = _random_nonzero_member(rng, cfg, n, k, *values)
+    for free, torus in zip(frees, toruses):
+        e = _element_from_indices(k, _rows(free, n, k), torus, *values)
         rows = [[free_values.index(v) - 2 for v in vec] for vec in e.free]
         face0 = face(cfg, 0, e) == zero
         later = tuple(face(cfg, j, e) == zero for j in range(1, n + 1)) if face0 else ()
@@ -135,15 +138,17 @@ def _object_route(seed, n, k):
 
 
 def test_certificate_byte_decisions_are_the_object_paths(monkeypatch):
+    draws = [gamma_space._byte_draws(random.Random(seed), n, k, CERT_DRAWS) for seed, n, k in CERT_CASES]
     with monkeypatch.context() as m:
         for name in ("member", "face", "zero_element", "GSElement", "l1_within"):
             m.setattr(gamma_space, name, _raises(name))
-        m.setattr(random.Random, "randint", _raises("randint"))
-        by_bytes = [_byte_route(*case) for case in CERT_CASES]
+        by_bytes = [_byte_route(*case, *drawn) for case, drawn in zip(CERT_CASES, draws)]
     with monkeypatch.context() as m:
-        for name in ("_byte_draws", "_members", "_face0_vanishes", "_index_face_is_zero", "_last_face_table"):
+        for name in (
+            "_byte_draws", "_uniform_block", "_members", "_face0_vanishes", "_index_face_is_zero", "_last_face_table"
+        ):
             m.setattr(gamma_space, name, _raises(name))
-        by_objects = [_object_route(*case) for case in CERT_CASES]
+        by_objects = [_object_route(*case, *drawn) for case, drawn in zip(CERT_CASES, draws)]
     vanished = 0
     for case, got, expected in zip(CERT_CASES, by_bytes, by_objects):
         assert got == expected, case
