@@ -181,14 +181,29 @@ def principal(q) -> ArakelovDivisor:
     if q == 0:
         raise ValueError("the zero rational has no divisor")
     absq = abs(q)
+    # N = prod p^(a_p) has sum a_p log2 p >= N.bit_length() - 1, so this
+    # refuses, before any factoring, only what _of_primes would refuse after.
+    check_budget("divisor_bits", absq.numerator.bit_length() + absq.denominator.bit_length() - 2)
     support = factorize(absq.numerator)
     support.update((p, -a) for p, a in factorize(absq.denominator).items())
     return ArakelovDivisor._of_primes(support, ScaleValue.exact_exp(1 / absq))
 
 
+# _finite_exp and degree_scale keep their value in the divisor's __dict__,
+# so each is computed once per divisor object: a query reads them several
+# times.  The frozen __eq__, __hash__ and __repr__ read only the fields, so
+# equal divisors stay equal whether or not their memos are filled.  A cache
+# keyed on the value would outlive the object and make a query's cost depend
+# on the queries before it.
+
+
 def _finite_exp(d: ArakelovDivisor) -> Fraction:
-    """prod p^(a_p), the exp of the finite part's degree."""
-    return math.prod((Fraction(p) ** a for p, a in d.finite), start=Fraction(1))
+    """prod p^(a_p), the exp of the finite part's degree, once per object."""
+    memo = d.__dict__
+    prod = memo.get("_finite_exp")
+    if prod is None:
+        prod = memo["_finite_exp"] = math.prod((Fraction(p) ** a for p, a in d.finite), start=Fraction(1))
+    return prod
 
 
 def lattice_of(d: ArakelovDivisor) -> Lattice1:
@@ -198,12 +213,19 @@ def lattice_of(d: ArakelovDivisor) -> Lattice1:
 
 def degree_scale(d: ArakelovDivisor) -> ScaleValue:
     """exp(deg d) = e^u prod p^(a_p), exact on an exact scale, with the degree
-    as its log.  On a float scale that log is u + log N - log D for
-    prod p^(a_p) = N/D, finite where its exp overflows or underflows."""
-    prod = _finite_exp(d)
-    if d.arch.is_exact:
-        return ScaleValue.exact_exp(d.arch.exact * prod)
-    return ScaleValue.from_log(d.arch.log + math.log(prod.numerator) - math.log(prod.denominator))
+    as its log, once per object.  On a float scale that log is
+    u + log N - log D for prod p^(a_p) = N/D, finite where its exp
+    overflows or underflows."""
+    memo = d.__dict__
+    scale = memo.get("_degree_scale")
+    if scale is None:
+        prod = _finite_exp(d)
+        if d.arch.is_exact:
+            scale = ScaleValue.exact_exp(d.arch.exact * prod)
+        else:
+            scale = ScaleValue.from_log(d.arch.log + math.log(prod.numerator) - math.log(prod.denominator))
+        memo["_degree_scale"] = scale
+    return scale
 
 
 def exp_degree(d: ArakelovDivisor) -> Fraction | float:

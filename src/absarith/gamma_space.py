@@ -382,12 +382,17 @@ def higher_pi_trivial(
     entries c t/7 with t in 0..6, each index a uniform draw from the seeded
     generator's bytes, the same for the same seed.  _byte_draws gives each
     draw as two byte strings: the free indices r = m + 2 and the torus
-    indices t.  Membership (_members) and face 0 (_face0_vanishes) are
-    decided on the bytes of all draws at once; only a draw whose face 0
-    vanishes has its other faces decided on its indices (_index_face_is_zero),
-    the last face through a 5 x 7 table of which pairs (m, t) land in cZ.
-    The object path, member and face on the GSElement of the same draw, is
-    the oracle.
+    indices t.  Membership (_members) is decided by one bound on the bytes
+    of all draws together, and face 0 (_face0_vanishes) on the torus bytes
+    first, then the free bytes of the draws whose torus is zero.  Only a
+    draw whose face 0 vanishes has its other faces decided on its indices
+    (_index_face_is_zero), and only one whose faces 0..n-1 all vanish
+    reaches face n, which builds the 5 x 7 table of which pairs (m, t) land
+    in cZ (_last_face_table) the first time.  No nonzero draw gets that far,
+    by the argument above.  The object path, member and face on the
+    GSElement of the same draw, is the oracle; tests/gamma_space_oracles.py
+    decides each draw on its own bytes, with the table built up front, as
+    another.
     """
     if n < 2:
         raise ValueError("this certificate only applies above degree 1")
@@ -403,12 +408,14 @@ def higher_pi_trivial(
         frees, toruses = _byte_draws(random.Random(seed), n, k, samples)
         if not all(_members(frees, toruses, n, k)):
             raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is not a member")
-        face0_zero = list(compress(zip(frees, toruses), _face0_vanishes(frees, toruses, n, k)))
-        last_face_zero = _last_face_table(cfg, n, k) if face0_zero else None
-        for free, torus in face0_zero:
+        last_face_zero = None
+        for free, torus in compress(zip(frees, toruses), _face0_vanishes(frees, toruses, n, k)):
             rows = [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
-            if all(_index_face_is_zero(j, rows, torus, last_face_zero) for j in range(1, n + 1)):
-                violated -= 1
+            if all(_index_face_is_zero(j, rows, torus, None) for j in range(1, n)):
+                if last_face_zero is None:
+                    last_face_zero = _last_face_table(cfg, n, k)
+                if _index_face_is_zero(n, rows, torus, last_face_zero):
+                    violated -= 1
     verified = rank == n and torus_pinned and violated == samples
     return TrivialityCertificate(
         n=n,
@@ -426,6 +433,8 @@ def higher_pi_trivial(
 _TOP_BITS = bytes(b >> 5 for b in range(256))
 # The bytes whose top three bits are 5..7 (free indices) and 7 (torus indices).
 _FREE_REDRAWN, _TORUS_REDRAWN = bytes(range(5 << 5, 256)), bytes(range(7 << 5, 256))
+# The values of the free indices r = m + 2 and of the torus indices t.
+_FREE_INDICES, _TORUS_INDICES = bytes(range(5)), bytes(range(7))
 # _ABS_M[r]: |m| for the free index r = m + 2.
 _ABS_M = bytes(abs(r - 2) for r in range(256))
 
@@ -469,21 +478,31 @@ def _uniform_block(rng: random.Random, size: int, redrawn: bytes) -> bytes:
 def _members(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:
     """member() on each draw's bytes: the free norms lambda/(4nk) sum|m| are
     at most lambda exactly when sum|m| <= 4nk, and c t/7 lies in [0, c)
-    exactly when t <= 6."""
+    exactly when t <= 6.  One bound decides the whole block: free bytes all
+    in 0..4 give sum|m| <= 2nk, and torus bytes all in 0..6 fit, which every
+    block of _byte_draws meets (each tested by deleting those values from
+    the joined bytes); only where it fails is each draw's sum taken."""
+    if not b"".join(frees).translate(None, _FREE_INDICES) and not b"".join(toruses).translate(None, _TORUS_INDICES):
+        return [True] * len(frees)
     norms_fit = map((4 * n * k).__ge__, map(sum, map(bytes.translate, frees, repeat(_ABS_M))))
     return list(map(and_, norms_fit, map((6).__ge__, map(max, toruses))))
 
 
 def _face0_vanishes(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:
     """Whether face 0, which keeps psi_2..psi_n and the torus, is zero for
-    each draw: its free bytes after the first k are all 2 (m = 0) and its
-    torus bytes all 0."""
-    tail, zero_torus = b"\x02" * (n * k - k), bytes(k)
-    return list(map(and_, map(bytes.endswith, frees, repeat(tail)), map(zero_torus.__eq__, toruses)))
+    each draw: its torus bytes all 0 and its free bytes after the first k
+    all 2 (m = 0).  The torus is compared first, and the free bytes only of
+    the draws whose torus is zero."""
+    tail = b"\x02" * (n * k - k)
+    vanishes = list(map(bytes(k).__eq__, toruses))
+    for i in compress(range(len(vanishes)), vanishes):
+        vanishes[i] = frees[i].endswith(tail)
+    return vanishes
 
 
 def _last_face_table(cfg: GSConfig, n: int, k: int) -> tuple[tuple[bool, ...], ...]:
-    """table[m + 2][t]: whether lambda/(4nk) m + c t/7 lies in cZ.
+    """table[m + 2][t]: whether lambda/(4nk) m + c t/7 lies in cZ, built by
+    higher_pi_trivial only when a draw reaches face n.
 
     With lambda = a/b and c = p/q this is whether 7 a q m + 4nk b p t is a
     multiple of 7 b p 4nk, decided on ints.

@@ -137,18 +137,50 @@ def _n_minus_1_certified(n: int, work: list[int]) -> bool:
 
 def _trial_division(n: int, out: dict[int, int]) -> int:
     """Divide n by 2, 3 and 6k+-1 below _TRIAL_BELOW, counting each prime
-    found in out; the cofactor left, whose prime factors are all larger."""
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    found in out; the cofactor left, whose prime factors are all larger.
+    The 2s go by one shift and every other prime by _divide_out, so a high
+    power costs a few big divisions, not one per factor."""
+    if not n & 1:
+        twos = (n & -n).bit_length() - 1
+        out[2] = out.get(2, 0) + twos
+        n >>= twos
+    if n % 3 == 0:
+        n = _divide_out(n, 3, out)
     d = 5
     while d * d <= n and d < _TRIAL_BELOW:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
+        if n % d == 0:
+            n = _divide_out(n, d, out)
+        if n % (d + 2) == 0:
+            n = _divide_out(n, d + 2, out)
         d += 6
+    return n
+
+
+def _divide_out(n: int, p: int, out: dict[int, int]) -> int:
+    """n, divisible by p, with every factor p taken out and counted in out:
+    divided by p, p^2, p^4, ... while each divides what is left, then by the
+    same powers, largest first, where each still divides (the bits of the
+    rest of the exponent), so a factor p^e costs about 2 log2 e divisions.
+    The common p^1 takes one test and one division."""
+    if n % (p * p):
+        out[p] = out.get(p, 0) + 1
+        return n // p
+    powers, exponent = [], 0
+    power = p
+    while True:
+        q, r = divmod(n, power)
+        if r:
+            break
+        n = q
+        exponent += 1 << len(powers)
+        powers.append(power)
+        power *= power
+    for i in reversed(range(len(powers))):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n = q
+            exponent += 1 << i
+    out[p] = out.get(p, 0) + exponent
     return n
 
 

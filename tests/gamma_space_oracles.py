@@ -1,18 +1,72 @@
-"""The per-draw route of the divisor-space certificate, the oracle of its
-byte route in absarith.gamma_space: membership on a sampled member's indices,
-and the GSElement of given indices for the object path's member and face.
-The certificate draws each index uniformly from the seeded generator's bytes,
-the same for the same seed; here randint draws indices of the same form, so
-that the index route can be checked on members of its own.  The samples test
-the face code, not the theorem.
+"""The per-draw routes of the divisor-space certificate, the oracles of its
+byte route in absarith.gamma_space: the certificate deciding membership and
+face 0 draw by draw, with the last face's table built up front; membership
+on a sampled member's indices; and the GSElement of given indices for the
+object path's member and face.  The certificate draws each index uniformly
+from the seeded generator's bytes, the same for the same seed; here randint
+draws indices of the same form, so that the index route can be checked on
+members of its own.  The samples test the face code, not the theorem.
 """
 
 import random
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import and_
 from typing import Sequence
 
 from absarith.errors import SelfCheckFailed
-from absarith.gamma_space import GSConfig, GSElement, member
+from absarith.gamma_space import (
+    _ABS_M,
+    GSConfig,
+    GSElement,
+    TrivialityCertificate,
+    _byte_draws,
+    _index_face_is_zero,
+    _last_face_table,
+    face_equations,
+)
+
+
+def _members_per_draw(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:
+    """member() on each draw's bytes, one sum per draw: sum|m| <= 4nk and
+    every torus index at most 6."""
+    norms_fit = map((4 * n * k).__ge__, map(sum, map(bytes.translate, frees, repeat(_ABS_M))))
+    return list(map(and_, norms_fit, map((6).__ge__, map(max, toruses))))
+
+
+def _face0_vanishes_per_draw(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:
+    """Whether face 0 is zero for each draw, the free and torus bytes tested
+    on every draw."""
+    tail, zero_torus = b"\x02" * (n * k - k), bytes(k)
+    return list(map(and_, map(bytes.endswith, frees, repeat(tail)), map(zero_torus.__eq__, toruses)))
+
+
+def _certificate_per_draw(n: int, cfg: GSConfig, k: int, samples: int, seed: int) -> TrivialityCertificate:
+    """higher_pi_trivial by the per-draw route on the same draws: membership
+    and face 0 decided draw by draw, and the last face's table built as soon
+    as any face 0 vanishes."""
+    rank, witnesses, torus_pinned = face_equations(n)
+    violated = samples
+    if samples:
+        frees, toruses = _byte_draws(random.Random(seed), n, k, samples)
+        if not all(_members_per_draw(frees, toruses, n, k)):
+            raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is not a member")
+        face0_zero = list(compress(zip(frees, toruses), _face0_vanishes_per_draw(frees, toruses, n, k)))
+        table = _last_face_table(cfg, n, k) if face0_zero else None
+        for free, torus in face0_zero:
+            rows = [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
+            if all(_index_face_is_zero(j, rows, torus, table) for j in range(1, n + 1)):
+                violated -= 1
+    return TrivialityCertificate(
+        n=n,
+        k=k,
+        free_dimension=n,
+        rank=rank,
+        torus_pinned=torus_pinned,
+        witness_equations=witnesses,
+        samples_checked=samples,
+        verified=rank == n and torus_pinned and violated == samples,
+    )
 
 
 def _draw_nonzero_indices(rng: random.Random, n: int, k: int) -> tuple[list[list[int]], list[int]]:
@@ -52,19 +106,3 @@ def _element_from_indices(
     torus_values[t] for the given indices."""
     free = tuple(tuple(free_values[m + 2] for m in row) for row in rows)
     return GSElement(k, free, tuple(torus_values[t] for t in torus))
-
-
-def _random_nonzero_member(
-    rng: random.Random,
-    cfg: GSConfig,
-    n: int,
-    k: int,
-    free_values: tuple[Fraction, ...],
-    torus_values: tuple[Fraction, ...],
-) -> GSElement:
-    """The member of the next draw of _draw_nonzero_indices, built as a
-    GSElement from free_values and torus_values."""
-    e = _element_from_indices(k, *_draw_nonzero_indices(rng, n, k), free_values, torus_values)
-    if not member(cfg, e):
-        raise SelfCheckFailed(f"the certificate draw {e!r} is not a member")
-    return e

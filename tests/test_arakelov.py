@@ -884,3 +884,87 @@ def test_sums_and_principal_divisors_do_not_reprove_their_primes(monkeypatch):
         big + big
     with pytest.raises(AssertionError, match="called again"):
         D({5: 1}, ScaleValue.exact_exp(1))
+
+
+def _memo_grid() -> list:
+    """Seeded exact and float divisors, with sums, negatives and principal
+    shifts of them, each a new object."""
+    rng = random.Random(4711)
+    primes = (2, 3, 5, 7, 11, 13, 999999999989)
+    out = []
+    for _ in range(40):
+        parts = []
+        for _ in range(2):
+            finite = {p: rng.randint(-3, 3) for p in rng.sample(primes, rng.randint(0, 3))}
+            if rng.random() < 0.5:
+                arch = ScaleValue.exact_exp(Fraction(rng.randint(1, 60), rng.randint(1, 60)))
+            else:
+                arch = ScaleValue.from_log(rng.uniform(-6.0, 6.0))
+            parts.append(D(finite, arch))
+        d, e = parts
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 90), rng.randint(1, 90))
+        out += [d, d + e, -d, d - e, d + principal(q)]
+    return out
+
+
+def _fresh_scale(d) -> ScaleValue:
+    prod = Fraction(1)
+    for p, a in d.finite:
+        prod *= Fraction(p) ** a
+    if d.arch.is_exact:
+        return ScaleValue.exact_exp(d.arch.exact * prod)
+    return ScaleValue.from_log(d.arch.log + math.log(prod.numerator) - math.log(prod.denominator))
+
+
+def test_the_degree_memo_equals_a_fresh_computation_and_leaves_equality_alone():
+    grid = _memo_grid()
+    assert any(d.arch.is_exact for d in grid) and any(not d.arch.is_exact for d in grid)
+    for d in grid:
+        twin = ArakelovDivisor(d.finite, d.arch)
+        scale = ak.degree_scale(d)
+        assert ak.degree_scale(d) is scale and scale == _fresh_scale(d)
+        assert (exp_degree(d), degree(d)) == (scale.value, scale.log)
+        assert lattice_of(d) == Lattice1(1 / math.prod((Fraction(p) ** a for p, a in d.finite), start=Fraction(1)))
+        # d's memo is filled and twin's is not; neither shows in ==, hash or repr.
+        assert set(vars(d)) - set(vars(twin)) == {"_finite_exp", "_degree_scale"}
+        assert d == twin and twin == d and hash(d) == hash(twin) and repr(d) == repr(twin)
+        assert {twin: 1}[d] == 1
+        assert ak.degree_scale(twin) == scale and lattice_of(twin) == lattice_of(d)
+
+
+def test_each_divisor_computes_its_degree_once(monkeypatch):
+    from absarith import gamma_space as gs
+
+    grid = _memo_grid()
+    products, scales = [], []
+    prod = math.prod
+    monkeypatch.setattr(math, "prod", lambda *args, **kwargs: products.append(1) or prod(*args, **kwargs))
+    for name in ("exact_exp", "from_log"):
+        make = getattr(ScaleValue, name)
+        monkeypatch.setattr(ScaleValue, name, staticmethod(lambda r, make=make: scales.append(1) or make(r)))
+    for d in grid:
+        for _ in range(3):
+            ak.degree_scale(d), exp_degree(d), degree(d), lattice_of(d), theta_h0(d)
+            gs.GSConfig.from_divisor(d), gs.pi0_trivial_predicate(d, 2)
+            if d.arch.is_exact:
+                gs.pi0_cardinality_k1(d), gs.pi1_count(d, 2)
+    assert len(products) == len(scales) == len(grid)
+
+
+def test_principal_refuses_past_divisor_bits_before_it_factors(monkeypatch):
+    import time
+
+    def factored(n):
+        raise AssertionError("principal factored a rational past the cap")
+
+    start = time.perf_counter()
+    with monkeypatch.context() as m:
+        m.setattr(ak, "factorize", factored)
+        for q in (Fraction(2**800_001), Fraction(1, 2**800_001), Fraction(2**800_000 * 3, 5)):
+            with pytest.raises(CapExceeded, match="800000 bits"):
+                principal(q)
+    # The bound is inclusive, as in _of_primes: 2^800000 has exactly the cap.
+    assert principal(Fraction(1, 2**800_000)).finite == ((2, -800_000),)
+    assert time.perf_counter() - start < 0.5
+    d = principal(Fraction(2**5000 * 3, 7))
+    assert d == ArakelovDivisor(((2, 5000), (3, 1), (7, -1)), ScaleValue.exact_exp(Fraction(7, 2**5000 * 3)))

@@ -30,11 +30,13 @@ from absarith.gamma_space import (
 from absarith.packing import circle_distance, packing_number
 from combinat_oracles import iter_l1_ball
 from gamma_space_oracles import (
+    _certificate_per_draw,
     _coordinate_values,
     _draw_nonzero_indices,
     _element_from_indices,
+    _face0_vanishes_per_draw,
     _indices_are_member,
-    _random_nonzero_member,
+    _members_per_draw,
 )
 
 
@@ -507,32 +509,6 @@ def test_pi0_cardinality_where_exp_degree_underflows():
         pi0_cardinality_k1(ArakelovDivisor.of_degree(-800.0))
 
 
-def _fraction_member(rng, cfg, n, k):
-    """A sampled certificate member built entry by entry as new Fractions:
-    the oracle for the coordinate values higher_pi_trivial builds once."""
-    lam = Fraction(cfg.lam)
-    c = cfg.lattice.generator
-    while True:
-        scale = lam / (4 * n * k)
-        free = tuple(tuple(scale * rng.randint(-2, 2) for _ in range(k)) for _ in range(n))
-        torus = tuple(c * rng.randint(0, 6) / 7 for _ in range(k))
-        e = GSElement(k, free, torus)
-        if any(v != 0 for vec in free for v in vec) or any(t != 0 for t in torus):
-            return e
-
-
-def test_certificate_members_match_the_per_entry_builder():
-    cases = ((2, 1, _cfg(1)), (3, 2, _cfg(Fraction(3, 2), Fraction(1, 2))), (4, 3, _cfg(Fraction(7, 3), Fraction(2, 9))))
-    for n, k, cfg in cases:
-        values = _coordinate_values(cfg, n, k)
-        for seed in (0, 5, 301):
-            fresh, shared = random.Random(seed), random.Random(seed)
-            for _ in range(60):
-                expected = _fraction_member(fresh, cfg, n, k)
-                got = _random_nonzero_member(shared, cfg, n, k, *values)
-                assert got == expected and repr(got) == repr(expected)
-
-
 def _index_route_configs(n, k):
     """A generic scale, then lambda/(4nk) = 3c/7 and lambda/(4nk) = c, where
     the last face vanishes on nonzero indices."""
@@ -567,13 +543,11 @@ def test_index_faces_and_membership_match_the_object_path():
                 table = _last_face_table(cfg, n, k)
                 zero = zero_element(cfg, n - 1, k)
                 for seed in range(3):
-                    drawn, built = random.Random(seed), random.Random(seed)
+                    drawn = random.Random(seed)
                     members = []
                     for _ in range(30):
                         rows, torus = _draw_nonzero_indices(drawn, n, k)
-                        e = _random_nonzero_member(built, cfg, n, k, *values)
-                        assert e == _element_from_indices(k, rows, torus, *values)
-                        members.append((rows, torus, e))
+                        members.append((rows, torus, _element_from_indices(k, rows, torus, *values)))
                     rng = random.Random(1000 + seed)
                     for _ in range(60):
                         rows, torus = _vanishing_indices(rng, cfg, n, k)
@@ -851,3 +825,66 @@ def test_a_delannoy_number_past_its_digit_budget_is_refused_before_its_sum():
     assert time.perf_counter() - start < 1.0
     # The largest square accepted, 16,840 digits, in about 0.5 s.
     assert math.floor(math.log10(delannoy(22_000, 22_000))) + 1 == 16_840
+
+
+def test_certificates_equal_the_per_draw_route():
+    for n in range(2, 7):
+        for k in range(1, 5):
+            configs = _index_route_configs(n, k)
+            for seed in range(50):
+                cfg = configs[seed % 3]
+                for samples in (50, 1000):
+                    got = higher_pi_trivial(n, cfg, k, samples=samples, seed=seed)
+                    assert got == _certificate_per_draw(n, cfg, k, samples, seed), (n, k, seed, samples)
+
+
+def test_block_membership_and_face0_equal_the_per_draw_route():
+    # The draws of the certificate, then the same with some draws moved out
+    # of range (free indices up to 12, torus indices up to 9) or onto face 0
+    # vanishing, so that the block bound fails and the per-draw sums decide.
+    rng = random.Random(77)
+    seen = set()
+    for n in range(2, 7):
+        for k in range(1, 5):
+            for seed in range(10):
+                frees, toruses = gamma_space._byte_draws(random.Random(seed), n, k, 50)
+                cases = [(frees, toruses)]
+                frees, toruses = list(frees), list(toruses)
+                for i in rng.sample(range(50), 10):
+                    shape = rng.randrange(3)
+                    if shape == 0:
+                        frees[i] = bytes(rng.randint(0, 12) for _ in range(n * k))
+                    elif shape == 1:
+                        toruses[i] = bytes(rng.randint(0, 9) for _ in range(k))
+                    else:
+                        frees[i] = frees[i][:k] + b"\x02" * (n * k - k)
+                        toruses[i] = bytes(k)
+                cases.append((frees, toruses))
+                for fs, ts in cases:
+                    members = gamma_space._members(fs, ts, n, k)
+                    face0 = gamma_space._face0_vanishes(fs, ts, n, k)
+                    assert members == _members_per_draw(fs, ts, n, k)
+                    assert face0 == _face0_vanishes_per_draw(fs, ts, n, k)
+                    seen.update(zip(members, face0))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_a_sampled_run_that_never_reaches_face_n_builds_no_last_face_table(monkeypatch):
+    built, face0_zero = [], []
+    last_face_table, face0_vanishes = gamma_space._last_face_table, gamma_space._face0_vanishes
+    monkeypatch.setattr(gamma_space, "_last_face_table", lambda *a: built.append(a) or last_face_table(*a))
+    monkeypatch.setattr(
+        gamma_space, "_face0_vanishes", lambda *a: face0_zero.append(sum(got := face0_vanishes(*a))) or got
+    )
+    for n, k in ((2, 1), (3, 1), (2, 2)):
+        for cfg in _index_route_configs(n, k):
+            for seed in range(5):
+                assert higher_pi_trivial(n, cfg, k, samples=1000, seed=seed).verified
+    # Draws whose face 0 vanished went on to face 1, which each failed.
+    assert sum(face0_zero) > 0 and built == []
+    # The zero draw, which _byte_draws never gives, reaches face n: the
+    # table is built once for all of its copies, and the certificate fails.
+    monkeypatch.setattr(gamma_space, "_byte_draws", lambda rng, n, k, m: ([b"\x02" * (n * k)] * m, [bytes(k)] * m))
+    cfg = _index_route_configs(3, 2)[0]
+    assert not higher_pi_trivial(3, cfg, 2, samples=5).verified
+    assert built == [(cfg, 3, 2)]

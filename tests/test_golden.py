@@ -4,7 +4,8 @@ Library entries are called through absarith's public API and compared with
 their recorded repr; command entries are run through cli.main and compared
 by exit code and stdout, timing_ms left out.  A mismatch names the entry,
 and where only floats differ, the largest distance between them in ulps.
-tests/golden/regenerate.py writes the file.
+tests/golden/regenerate.py writes the file, and tests/golden/replay.py
+replays the entries that need no numpy with the standard library alone.
 """
 
 import importlib
@@ -12,6 +13,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -122,3 +125,12 @@ def test_command_outputs_are_the_golden_ones(capsys):
 def test_a_float_mismatch_is_reported_in_ulps():
     assert difference("(1.0, 2)", "(1.0000000000000002, 2)").startswith("a float is 1 ulps off")
     assert difference("(1.0, 2)", "(1.0, 3)") == "expected (1.0, 2), got (1.0, 3)"
+
+
+def test_the_stdlib_replay_matches_every_entry_that_needs_no_numpy():
+    replay = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "replay.py")
+    result = subprocess.run([sys.executable, replay], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    counts = re.findall(r" (library|command): (\d+) replayed, 0 mismatched, \d+ skipped", result.stdout)
+    assert [kind for kind, _ in counts] == ["library", "command"], result.stdout
+    assert int(counts[0][1]) > 1000 and int(counts[1][1]) > 40, result.stdout

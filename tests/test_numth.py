@@ -267,3 +267,17 @@ def test_factor_steps_budget_raises_cap_exceeded_when_exhausted(monkeypatch):
     # Below the deterministic bound nothing is counted, and the count is per call.
     assert is_prime(999999999989) and factorize(2**20 * 3) == {2: 20, 3: 1}
     assert all(factorize(1031 * 1033) == {1031: 1, 1033: 1} for _ in range(3))
+
+
+def test_factorize_takes_out_high_powers_by_valuation():
+    import time
+
+    rng = random.Random(33)
+    ns = [2**e * m for e in (1, 63, 64, 1000) for m in (1, 3, 1031)]
+    ns += [p**e * m for p in (3, 5, 1021) for e in (1, 2, 3, 31, 32, 33, 255, 256) for m in (1, 2, 7 * 11)]
+    ns += [math.prod(rng.choice((2, 3, 5, 7, 11, 997)) ** rng.randint(0, 200) for _ in range(4)) for _ in range(40)]
+    for n in ns:
+        assert factorize(n) == oracle_factorize(n), n
+    start = time.perf_counter()
+    assert factorize(3**100_000 * 5**1000 * 2**300_000) == {2: 300_000, 3: 100_000, 5: 1000}
+    assert time.perf_counter() - start < 0.5

@@ -13,6 +13,13 @@ and face on the GSElements built from their indices.  Each route runs with
 the other's functions patched to raise.  count_E_xi builds the lattice ball by
 columns; the odometer of combinat_oracles lists it vector by vector.
 
+Acceptance criterion 10 compares invariants of a divisor and of its shifts
+by principal divisors, and every one of them reads the degree through the
+divisor's memo (degree_scale).  Here the degree of each shift is summed by
+hand, sum a_p log p plus the archimedean log, in mpmath, with degree_scale
+and _finite_exp, which fill the memo, patched to raise, and compared with
+the memoized degree of the divisor it was shifted from.
+
 Acceptance criterion 4 compares exp(theta_h0) with gaussian_avg_quadrature,
 the direct sum of the Gaussian average.  The quadrature runs with theta_h0,
 theta_h0_of_degree and _theta_tail_sum patched to raise, by its iterator
@@ -35,8 +42,10 @@ from absarith.arakelov import (
     Lattice1,
     ScaleValue,
     count_E_xi,
+    degree,
     gaussian_avg_mc,
     gaussian_avg_quadrature,
+    principal,
     theta_h0,
 )
 from absarith.errors import BUDGETS
@@ -162,6 +171,37 @@ def test_count_E_xi_columns_list_the_odometers_vectors():
         for radius in range(9):
             assert count_E_xi(unit, k, radius) == list(iter_l1_ball(k, radius)), (k, radius)
     assert count_E_xi(unit, 342, 0) == list(iter_l1_ball(342, 0)) == [(0,) * 342]
+
+
+def _degree_by_hand(d: ArakelovDivisor):
+    """sum a_p log p + u in mpmath at 50 digits, u the archimedean log: of
+    the exact scale's numerator and denominator, or the float scale's own."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        if d.arch.is_exact:
+            u = mpmath.log(d.arch.exact.numerator) - mpmath.log(d.arch.exact.denominator)
+        else:
+            u = mpmath.mpf(d.arch.log)
+        return mpmath.fsum([u] + [a * mpmath.log(p) for p, a in d.finite])
+
+
+def test_the_degree_of_a_principal_shift_summed_by_hand(monkeypatch):
+    rng = random.Random(10)
+    bases = [ArakelovDivisor.make({2: 1, 5: -1}, ScaleValue.exact_exp(Fraction(4, 3)))]
+    for _ in range(20):
+        finite = {p: rng.randint(-3, 3) for p in rng.sample((2, 3, 5, 7, 11, 999999999989), rng.randint(0, 3))}
+        exact = ScaleValue.exact_exp(Fraction(rng.randint(1, 99), rng.randint(1, 99)))
+        bases.append(ArakelovDivisor.make(finite, rng.choice((exact, ScaleValue.from_log(rng.uniform(-9, 9))))))
+    shifts = [Fraction(2), Fraction(3, 5), Fraction(7), Fraction(-12, 35), Fraction(999999999989, 2**40)]
+    memoized = [degree(base) for base in bases]
+    with monkeypatch.context() as m:
+        for name in ("degree_scale", "_finite_exp"):
+            m.setattr(arakelov, name, _raises(name))
+        by_hand = [[_degree_by_hand(base + principal(q)) for q in shifts] for base in bases]
+    for base, expected, shifted in zip(bases, memoized, by_hand):
+        # Both sides round a few logs of at most about 40 to doubles.
+        assert all(abs(d - expected) < 1e-13 for d in shifted), (base, expected, shifted)
 
 
 QUADRATURE_DEGREES = range(-3, 13)
