@@ -298,14 +298,12 @@ def _ball_columns(multiples: list, k: int) -> list[list]:
     columns = []
     rows = 0
     for d in range(k - 1, -1, -1):
-        if not norms:
-            columns += [[zero] * rows] * (d + 1)
-            break
         block_of, offsets_of = {}, {}
         for norm in set(norms):
             if norm not in values_of:
-                values_of[norm] = tuple(multiples[m] for m in range(-norm, norm + 1))
-                left_of[norm] = tuple(norm - abs(m) for m in range(-norm, norm + 1))
+                values_of[norm] = tuple(map(multiples.__getitem__, range(-norm, norm + 1)))
+                # norm - |m| for m = -norm..norm.
+                left_of[norm] = tuple(chain(range(norm), range(norm, -1, -1)))
             if d:
                 sizes = tuple(map(under[d].__getitem__, left_of[norm]))
                 block_of[norm] = tuple(chain.from_iterable(map(repeat, values_of[norm], sizes)))
@@ -319,6 +317,7 @@ def _ball_columns(multiples: list, k: int) -> list[list]:
         columns.append(list(chain.from_iterable(map(chain, gaps, blocks))) + [zero] * (rows - ends[-1]))
         if d:
             # The next prefixes: each value m of each block, where norm is left.
+            # The value 0 keeps its prefix's norm, so norms never runs out.
             lefts = list(map(left_of.__getitem__, norms))
             child_norms = list(chain.from_iterable(lefts))
             firsts = chain.from_iterable(map(repeat, starts, map(len, lefts)))

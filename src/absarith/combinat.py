@@ -38,6 +38,10 @@ def l1_norm(vec: Sequence) -> Fraction | float:
     return sum(abs(float(v)) for v in vec)
 
 
+# The float tolerance that gamma_space.member and the norm filtration allow.
+FLOAT_TOL = 1e-12
+
+
 def l1_within(vec: Sequence, bound, tol: float = 0.0) -> bool:
     """sum |v_i| <= bound, inclusive: the package's one l1-budget comparison.
 

@@ -515,9 +515,8 @@ class _IndexedHom:
     def slot_column(self, add, sources, columns: Sequence[list[int]]) -> list[int]:
         """One target slot of a compiled face over columns: the first source
         column, then each further one added through the slot's table (0 is
-        the zero, so add[0][x] is x and this is the fold of push)."""
-        if not sources:
-            return [0] * len(columns[0])
+        the zero, so add[0][x] is x and this is the fold of push).  A face is
+        dual to an injective coface, so onto its pairs: every slot has a source."""
         acc = None
         for x, through_phi in sources:
             column = map(self.phi.__getitem__, columns[x]) if through_phi else columns[x]
@@ -541,8 +540,7 @@ def _vanishing_columns(ix: _IndexedHom, n: int, plans) -> list[list[int]]:
     B-index): every surviving prefix is repeated once per value of the next
     slot, so rows stay in itertools.product order.  Each face slot is tested
     once its last source slot is assigned, over the whole column, and the
-    rows where it is nonzero are dropped; a face slot without sources is
-    always zero and never tested.  That is the pruning of a depth-first
+    rows where it is nonzero are dropped.  That is the pruning of a depth-first
     search, one C-level pass per slot instead of one Python step per tuple.
     """
     sizes = ix.sizes(n)
@@ -550,8 +548,7 @@ def _vanishing_columns(ix: _IndexedHom, n: int, plans) -> list[list[int]]:
     tests: list[list] = [[] for _ in range(n + 1)]
     for plan in plans:
         for add, sources in plan:
-            if sources:
-                tests[max(x for x, _ in sources)].append((add, sources))
+            tests[max(x for x, _ in sources)].append((add, sources))
     # Columns are copied only when rows are added or dropped, so that a slot
     # of size 1 or a test that drops nothing costs no pass over the prefix.
     columns: list[list[int]] = []

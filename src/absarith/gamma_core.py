@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .combinat import l1_within
+from .combinat import FLOAT_TOL, l1_within
 from .errors import frozen
 
 
@@ -222,13 +222,12 @@ class NormedVectorConfig:
     0 < alpha <= 1 is required for the filtration to be closed under
     push-forward; alpha > 1 is only admitted with allow_expanding=True, for
     demonstrating the failure of closure.  With alpha == 1 and rational data
-    the membership test is exact; otherwise floats are compared with the
-    given tolerance.
+    the membership test is exact; otherwise floats are compared within
+    combinat.FLOAT_TOL.
     """
 
     alpha: float | Fraction = 1
     lam: float | Fraction = 1
-    tol: float = 1e-12
     allow_expanding: bool = False
 
     def __post_init__(self) -> None:
@@ -246,9 +245,9 @@ def norm_filtered_member(phi: Sequence, cfg: NormedVectorConfig) -> bool:
     phi lists the values on the non-base points only.
     """
     if cfg.alpha == 1:
-        return l1_within(phi, cfg.lam, cfg.tol)
+        return l1_within(phi, cfg.lam, FLOAT_TOL)
     total_f = sum(abs(float(v)) ** float(cfg.alpha) for v in phi)
-    return total_f <= float(cfg.lam) + cfg.tol
+    return total_f <= float(cfg.lam) + FLOAT_TOL
 
 
 def push_forward(phi: Sequence, f: PointedMap) -> tuple:

@@ -39,7 +39,7 @@ from operator import add, and_, floordiv, lt
 from typing import Sequence
 
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, _ball_columns, count_E_xi, degree_scale, lattice_of
-from .combinat import delannoy, l1_within
+from .combinat import FLOAT_TOL, delannoy, l1_within
 from .errors import DEFAULT_CAP, SelfCheckFailed, check_budget, frozen
 from .smith import smith_normal_form
 
@@ -109,11 +109,11 @@ def zero_element(cfg: GSConfig, n: int, k: int) -> GSElement:
     return GSElement(k, (zero,) * n, zero)
 
 
-def member(cfg: GSConfig, e: GSElement, tol: float = 1e-12) -> bool:
+def member(cfg: GSConfig, e: GSElement) -> bool:
     """Whether the free norms sum to at most lambda (exactly for rational data,
-    else within tol) and the torus entries are reduced representatives in [0, c)."""
+    else within FLOAT_TOL) and the torus entries are reduced, in [0, c)."""
     c = cfg.lattice.generator
-    return l1_within([v for vec in e.free for v in vec], cfg.lam, tol) and all(0 <= t < c for t in e.torus)
+    return l1_within([v for vec in e.free for v in vec], cfg.lam, FLOAT_TOL) and all(0 <= t < c for t in e.torus)
 
 
 def _vec_add(v1: Sequence, v2: Sequence) -> tuple:
@@ -301,9 +301,7 @@ def face_incidence(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], tuple[i
         raise ValueError("face index out of range")
     rows: list[tuple[int, ...]] = []
     for i in range(1, n):
-        if j == 0:
-            rows.append((i + 1,))
-        elif i < j:
+        if i < j:
             rows.append((i,))
         elif i == j:
             rows.append((j, j + 1))

@@ -136,37 +136,39 @@ def _n_minus_1_certified(n: int, work: list[int]) -> bool:
 
 
 def _trial_division(n: int, out: dict[int, int]) -> int:
-    """Divide n by 2, 3 and 6k+-1 below _TRIAL_BELOW, counting each prime
-    found in out; the cofactor left, whose prime factors are all larger.
-    The 2s go by one shift and every other prime by _divide_out, so a high
-    power costs a few big divisions, not one per factor."""
+    """Divide n by 2, 3 and 6k+-1 below _TRIAL_BELOW, recording each prime
+    found in out, which starts empty; the cofactor left, whose prime factors
+    are all larger.  The 2s go by one shift and every other prime by
+    divide_out, so a high power costs a few big divisions, not one per factor."""
     if not n & 1:
         twos = (n & -n).bit_length() - 1
-        out[2] = out.get(2, 0) + twos
+        out[2] = twos
         n >>= twos
     if n % 3 == 0:
-        n = _divide_out(n, 3, out)
+        out[3], n = divide_out(n, 3)
     d = 5
     while d * d <= n and d < _TRIAL_BELOW:
         if n % d == 0:
-            n = _divide_out(n, d, out)
+            out[d], n = divide_out(n, d)
         if n % (d + 2) == 0:
-            n = _divide_out(n, d + 2, out)
+            out[d + 2], n = divide_out(n, d + 2)
         d += 6
     return n
 
 
-def _divide_out(n: int, p: int, out: dict[int, int]) -> int:
-    """n, divisible by p, with every factor p taken out and counted in out:
-    divided by p, p^2, p^4, ... while each divides what is left, then by the
-    same powers, largest first, where each still divides (the bits of the
-    rest of the exponent), so a factor p^e costs about 2 log2 e divisions.
-    The common p^1 takes one test and one division."""
-    if n % (p * p):
-        out[p] = out.get(p, 0) + 1
-        return n // p
-    powers, exponent = [], 0
-    power = p
+def divide_out(n: int, p: int) -> tuple[int, int]:
+    """(e, n // p^e) for p^e the highest power of p >= 2 dividing n != 0: the
+    package's one p-adic valuation.  n is divided by p, p^2, p^4, ... while
+    each divides what is left, then by the same powers, largest first, where
+    each still divides (the bits of the rest of the exponent), so a factor
+    p^e costs about 2 log2 e divisions.  The common e = 0 and e = 1 take one
+    and two tests."""
+    if n % p:
+        return 0, n
+    q = n // p
+    if q % p:
+        return 1, q
+    powers, exponent, power, n = [p], 1, p * p, q
     while True:
         q, r = divmod(n, power)
         if r:
@@ -180,8 +182,7 @@ def _divide_out(n: int, p: int, out: dict[int, int]) -> int:
         if not r:
             n = q
             exponent += 1 << i
-    out[p] = out.get(p, 0) + exponent
-    return n
+    return exponent, n
 
 
 def _rho(n: int, work: list[int]) -> int:
@@ -317,29 +318,19 @@ def unit_group_generators(n: int) -> list[int]:
         else:
             local = [_primitive_root_mod_prime_power(p, e)]
         for g in local:
-            # CRT lift: g mod q, 1 mod n/q.
-            if rest == 1:
-                gens.append(g % n)
-            else:
-                inv = pow(q, -1, rest)
-                gens.append((g * rest * pow(rest, -1, q) + 1 * q * inv) % n)
+            # CRT lift: g mod q, 1 mod n/q (at rest = 1, pow(q, -1, 1) is 0).
+            gens.append((g * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % n)
     return gens
 
 
 def padic_valuation(q: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+    """p-adic valuation of a nonzero rational, for an integer p >= 2."""
+    if p < 2:
+        raise ValueError(f"padic_valuation requires p >= 2, got {p}")
     q = Fraction(q)
     if q == 0:
         raise ValueError("the zero rational has no p-adic valuation")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return divide_out(q.numerator, p)[0] - divide_out(q.denominator, p)[0]
 
 
 __all__ = [

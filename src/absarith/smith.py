@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from .numth import factorize
+from .numth import divide_out, factorize
 
 Matrix = list[list[int]]
 
@@ -192,16 +192,6 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], int]:
     return matrix, rank
 
 
-def _p_exponent(r: int, p: int) -> int:
-    """The exponent of the prime p in r >= 1, by exact division: no
-    factorization, and no Fraction as numth.padic_valuation builds."""
-    e = 0
-    while r % p == 0:
-        r //= p
-        e += 1
-    return e
-
-
 def group_divisors_from_table(elements, add, zero) -> list[int]:
     """Elementary divisors of a finite abelian group given by its addition
     law, read off its element orders.
@@ -238,7 +228,7 @@ def group_divisors_from_table(elements, add, zero) -> list[int]:
     for p, a in factorize(m).items():
         # counts[k] is c_k; Z/p^e has gcd(p^e, p^k) elements of order dividing p^k.
         counts = [sum(p**k % n == 0 for n in orders) for k in range(a + 1)]
-        ranks = [_p_exponent(c // b, p) for b, c in zip(counts, counts[1:])] + [0]
+        ranks = [divide_out(c // b, p)[0] for b, c in zip(counts, counts[1:])] + [0]
         part = [p**k for k in range(1, a + 1) for _ in range(ranks[k - 1] - ranks[k])]
         consistent &= counts == [prod(gcd(d, p**k) for d in part) for k in range(a + 1)]
         divisors += part

@@ -123,9 +123,6 @@ class WittElement(Combination):
     def is_effective(self) -> bool:
         return all(c >= 0 for _, c in self.items)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.items)
-
     def _product(self, other: "WittElement") -> "WittElement":
         # C(a) C(b) = gcd(a, b) C(lcm(a, b)), and lcm(a, b) = a // gcd(a, b) * b.
         return self._merged(

@@ -1,7 +1,8 @@
-"""The primality test and factorizer that numth.is_prime and numth.factorize
-replaced, kept as their oracles: Miller-Rabin to all 13 prime bases up to 41
-below 3.3e24 and trial division above, and trial division by 2, 3 and 6k+-1
-up to the square root."""
+"""The primality test, factorizer and valuation that numth.is_prime,
+numth.factorize and numth.divide_out replaced, kept as their oracles:
+Miller-Rabin to all 13 prime bases up to 41 below 3.3e24 and trial division
+above, trial division by 2, 3 and 6k+-1 up to the square root, and one
+division per factor p."""
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Strong probable primes to all of _MR_BASES are prime below this bound
@@ -62,3 +63,13 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def divide_out(n: int, p: int) -> tuple[int, int]:
+    """(e, n // p^e) for p^e the highest power of p >= 2 dividing n != 0, by
+    one division per factor p."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n

@@ -395,6 +395,16 @@ def test_compiled_faces_match_the_object_path(hom):
                 assert ix.vanishes([plan], v) == (pushed == (0,) * n)
 
 
+def test_every_face_slot_has_a_source():
+    # slot_column and _vanishing_columns read a source of every target slot:
+    # each face is dual to an injective coface, so onto the target's pairs.
+    for n in range(1, 41):
+        plans = dold_kan._face_slots(n)
+        assert len(plans) == n + 1
+        for plan in plans:
+            assert len(plan) == n and all(sources for _, sources in plan), n
+
+
 def _index_path_homs():
     """The identity on Z/2 and four distinct seeded nonzero maps between
     nontrivial groups of order at most 6."""

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from absarith.numth import (
+    divide_out,
     divisors,
     euler_phi,
     factorize,
@@ -14,6 +15,7 @@ from absarith.numth import (
 )
 from fractions import Fraction
 from math import gcd, isqrt
+from numth_oracles import divide_out as oracle_divide_out
 from numth_oracles import factorize as oracle_factorize
 from numth_oracles import is_prime as oracle_is_prime
 
@@ -96,6 +98,31 @@ def test_padic_valuation():
     assert padic_valuation(Fraction(3, 8), 3) == 1
     with pytest.raises(ValueError):
         padic_valuation(0, 2)
+
+
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_padic_valuation_refuses_p_below_2(p):
+    # With p = 1 the division loop never ended, and p = 0 divided by zero.
+    with pytest.raises(ValueError, match="p >= 2"):
+        padic_valuation(Fraction(3, 8), p)
+
+
+def test_divide_out_matches_the_repeated_division_loop():
+    rng = random.Random(32)
+    ps = (2, 3, 4, 7, 10, 1021)
+    # e = 0 and e = 1, including negative n.
+    cases = [(n, p) for p in ps for n in (1, -1, p + 1, p, -p, p * (p * p + 1))]
+    # Exponents at 2^i - 1, 2^i and 2^i + 1, where the powers p^(2^i) turn.
+    cases += [(p**e * m, p) for p in ps for i in range(1, 9) for e in (2**i - 1, 2**i, 2**i + 1) for m in (1, 11, -13)]
+    cases += [(rng.randrange(1, 10 ** rng.randint(1, 40)), rng.randint(2, 50)) for _ in range(300)]
+    cases += [(rng.choice(ps) ** rng.randint(0, 300) * rng.randrange(1, 10**9), rng.choice(ps)) for _ in range(300)]
+    cases.append((3**50_000 * 5, 3))
+    for n, p in cases:
+        assert divide_out(n, p) == oracle_divide_out(n, p), (n, p)
+    for _ in range(200):
+        q = Fraction(rng.choice(ps) ** rng.randint(0, 70) * rng.randint(1, 999), rng.choice(ps) ** rng.randint(0, 70))
+        p = rng.choice(ps)
+        assert padic_valuation(-q, p) == oracle_divide_out(q.numerator, p)[0] - oracle_divide_out(q.denominator, p)[0]
 
 
 def test_unit_generator_lifts_a_root_that_is_not_primitive_mod_p_squared():

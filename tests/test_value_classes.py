@@ -44,7 +44,7 @@ def _cases():
         (gamma_core.PointedMap, [((0, 2, 1), 2), ((0, 0), 3)], [((1,), 0), ((0, 3), 1)]),
         (
             gamma_core.NormedVectorConfig,
-            [(), (half,), (1, 2, 1e-9), (2, 1, 1e-12, True)],
+            [(), (half,), (1, 2), (2, 1, True)],
             [(0,), (2,), (1, -1)],
         ),
         (packing.PackingResult, [(3, True), (3, False)], []),
