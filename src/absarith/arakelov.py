@@ -375,18 +375,18 @@ def _theta_tail_sum(t: float, eps: float) -> float:
     """sum_{m>=1} exp(-pi t m^2) with absolute error below eps/2.
 
     Terms from M on are bounded by the geometric estimate
-    exp(-pi t M^2) / (1 - exp(-pi t (2M + 1))).
+    exp(-pi t M^2) / (1 - exp(-pi t (2M + 1))); theta_h0 passes 0 < t <= 746/pi.
     """
-    _check_theta_param(t)
     total = 0.0
     m = 1
     while True:
-        bound = math.exp(-math.pi * t * m * m) / (1.0 - math.exp(-math.pi * t * (2 * m + 1)))
+        term = math.exp(-math.pi * t * m * m)
+        bound = term / (1.0 - math.exp(-math.pi * t * (2 * m + 1)))
         # A bound of 0.0 means every term from m on is 0.0 as well; it ends
         # the sum where eps / 2 rounds to 0.0 (eps the least subnormal).
         if 2.0 * bound < eps / 2.0 or bound == 0.0:
             return total
-        total += math.exp(-math.pi * t * m * m)
+        total += term
         m += 1
 
 
@@ -719,6 +719,4 @@ def riemann_roch_defect(d: float, eps: float = 1e-12) -> float:
     dual series, so the defect is zero up to rounding by construction.  The
     identity itself is checked by gaussian_avg_quadrature, a direct sum.
     """
-    if d == 0:
-        return 0.0
     return theta_h0_of_degree(d, eps) - theta_h0_of_degree(-d, eps) - d

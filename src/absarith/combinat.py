@@ -1,4 +1,4 @@
-"""The l1 norm and the one l1-budget comparison, and counting of integer
+"""The one l1 comparison, sum |v_i| <= bound, and counting of integer
 vectors in l1 balls (arakelov.count_E_xi lists them).
 
 delannoy(n, k) counts the points of Z^k with l1-norm at most n; the closed
@@ -16,44 +16,23 @@ from typing import Sequence
 from .errors import check_budget
 
 
-def _l1_over_lcm(vec: Sequence) -> tuple[int, int] | None:
-    """(sum |a_i| (L / b_i), L) for rational entries a_i / b_i, L the lcm of
-    the denominators, so that the l1 norm is the first over the second;
-    None when some entry is not rational (int or Fraction)."""
-    if not all(isinstance(v, (int, Fraction)) for v in vec):
-        return None
-    common = lcm(*[v.denominator for v in vec])
-    return sum(abs(v.numerator) * (common // v.denominator) for v in vec), common
-
-
-def l1_norm(vec: Sequence) -> Fraction | float:
-    """sum |v_i|: an exact Fraction when every entry is rational, else a float.
-
-    The exact sum is taken on integer numerators over the lcm L of the
-    denominators, sum |a_i| (L / b_i), and divided by L once.
-    """
-    exact = _l1_over_lcm(vec)
-    if exact is not None:
-        return Fraction(*exact)
-    return sum(abs(float(v)) for v in vec)
-
-
 # The float tolerance that gamma_space.member and the norm filtration allow.
 FLOAT_TOL = 1e-12
 
 
 def l1_within(vec: Sequence, bound, tol: float = 0.0) -> bool:
-    """sum |v_i| <= bound, inclusive: the package's one l1-budget comparison.
+    """sum |v_i| <= bound, inclusive: the package's one l1 comparison.
 
-    Exact when the bound and every entry are rational (int or Fraction): with
-    the norm as s / L, s / L <= p / q is decided as s q <= p L on ints.
-    Otherwise the float sum of the entries is compared with float(bound) + tol.
+    Exact when the bound and every entry are rational (int or Fraction): the
+    norm is s / L on integer numerators over the lcm L of the denominators,
+    s = sum |a_i| (L / b_i), and s / L <= p / q is decided as s q <= p L on
+    ints. Otherwise the float sum of the entries is compared with
+    float(bound) + tol.
     """
-    if isinstance(bound, (int, Fraction)):
-        exact = _l1_over_lcm(vec)
-        if exact is not None:
-            total, common = exact
-            return total * bound.denominator <= bound.numerator * common
+    if isinstance(bound, (int, Fraction)) and all(isinstance(v, (int, Fraction)) for v in vec):
+        common = lcm(*[v.denominator for v in vec])
+        total = sum(abs(v.numerator) * (common // v.denominator) for v in vec)
+        return total * bound.denominator <= bound.numerator * common
     return sum(abs(float(v)) for v in vec) <= float(bound) + tol
 
 

@@ -171,20 +171,21 @@ _FLOAT_MAX = int(sys.float_info.max)
 
 
 @lru_cache(maxsize=128)
-def _exp_degree_bracket(d: ArakelovDivisor, digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def _exp_degree_bracket(d: ArakelovDivisor) -> tuple[tuple[int, int], tuple[int, int]]:
     """Two fractions n/m, each as (n, m), around exp(deg) on a float scale,
     once per divisor: a pi query decides three thresholds on one bracket.
 
     exp(deg) = e^u / c, with u the scale's exponent (an exact dyadic
     rational) and c the exact lattice generator, and decimal's exp rounds e^u
-    correctly to digits, so e^u lies strictly between the neighbours of that
-    rounding (e^0 = 1 is exact), and those over c bracket exp(deg).  A
-    ValueError where exp(deg) is above the largest float.
+    correctly to EXP_FLOOR_DIGITS digits, so e^u lies strictly between the
+    neighbours of that rounding (e^0 = 1 is exact), and those over c bracket
+    exp(deg).  The cache is keyed on the divisor alone.  A ValueError where
+    exp(deg) is above the largest float.
     """
     u = degree_scale(d).log
     if u > _LOG_FLOAT_MAX:
         raise ValueError(f"exp(deg) at degree {u!r} is above the largest float")
-    ctx = decimal.Context(prec=digits)
+    ctx = decimal.Context(prec=EXP_FLOOR_DIGITS)
     e = ctx.exp(decimal.Decimal(d.arch.log))
     if not e:
         # e^u underflows: e^u < 10^-1000028, and c > 2^-800001 by the
@@ -203,7 +204,7 @@ def _certified(d: ArakelovDivisor, rule, what: str, near: str):
     if d.arch.is_exact:
         e = degree_scale(d).exact
         return rule(e.numerator, e.denominator)
-    lo, hi = _exp_degree_bracket(d, EXP_FLOOR_DIGITS)
+    lo, hi = _exp_degree_bracket(d)
     answer = rule(*lo)
     if rule(*hi) != answer:
         raise ValueError(
@@ -271,7 +272,7 @@ def pi0_cardinality_k1(d: ArakelovDivisor) -> int | str:
     integer strictly below exp(-deg) (a circle packing number), certified on
     a float scale."""
     if not d.arch.is_exact:
-        (n, m), _ = _exp_degree_bracket(d, EXP_FLOOR_DIGITS)
+        (n, m), _ = _exp_degree_bracket(d)
         if m > _FLOAT_MAX * n:
             raise ValueError("exp(-deg) is above the largest float, so its packing number is out of range")
     return _certified(d, _packing_k1, "pi_0 at level 1", "1/2 or the reciprocal of an integer")

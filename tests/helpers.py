@@ -33,6 +33,19 @@ def random_groupring(rng: random.Random, max_den: int = 8, max_coeff: int = 3, t
     return GroupRingElt.from_terms(out)
 
 
+# Face checks and both routes of criterion 8 run on these maps.
+FACE_HOMS = [
+    GroupHom.identity(FiniteAbelianGroup((2,))),
+    GroupHom.zero_map(FiniteAbelianGroup((2,)), FiniteAbelianGroup((2,))),
+    GroupHom.identity(FiniteAbelianGroup((4,))),
+    GroupHom.zero_map(FiniteAbelianGroup((4,)), FiniteAbelianGroup((4,))),
+    GroupHom.identity(FiniteAbelianGroup((2, 2))),
+    GroupHom(FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 2)), ((0, 1), (1, 1))),
+    GroupHom(FiniteAbelianGroup((4,)), FiniteAbelianGroup((8,)), ((2,),)),
+    GroupHom(FiniteAbelianGroup((6,)), FiniteAbelianGroup((3,)), ((1,),)),
+]
+
+
 def random_abelian_group(rng: random.Random, max_order: int = 16) -> FiniteAbelianGroup:
     """A random product of cyclic groups with total order <= max_order."""
     orders: list[int] = []

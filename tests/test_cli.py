@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -774,6 +775,19 @@ def test_a_self_check_runs_under_python_O():
     )
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips assert statements, so a self-check written as one
+    # would stop running there; the package raises SelfCheckFailed instead.
+    package = os.path.join(ROOT, "src", "absarith")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_factoring_past_its_budget_is_a_cap_error():

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from absarith import dold_kan, smith
+from absarith import dold_kan
 from absarith.dold_kan import (
     FiniteAbelianGroup,
     _IndexedHom,
@@ -30,10 +30,10 @@ from absarith.dold_kan import (
     simplicial_map,
 )
 from absarith.errors import CapExceeded, SelfCheckFailed
-from absarith.smith import cokernel_divisors, elementary_divisors, group_divisors_from_table, kernel_divisors
+from absarith.smith import cokernel_divisors, kernel_divisors
 from dold_kan_oracles import _quotient_divisors as _pairwise_quotient_divisors
 from dold_kan_oracles import _PerTupleIndexedHom, _spherical, _sums, _vanishing
-from helpers import random_abelian_group, random_hom, small_homs
+from helpers import FACE_HOMS, random_abelian_group, random_hom, small_homs
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -358,18 +358,6 @@ def test_hom_json_roundtrip():
     assert GroupHom.from_json_dict(hom.to_json_dict()) == hom
 
 
-FACE_HOMS = [
-    GroupHom.identity(Z2),
-    GroupHom.zero_map(Z2, Z2),
-    GroupHom.identity(Z4),
-    GroupHom.zero_map(Z4, Z4),
-    GroupHom.identity(FiniteAbelianGroup((2, 2))),
-    GroupHom(FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 2)), ((0, 1), (1, 1))),
-    GroupHom(Z4, FiniteAbelianGroup((8,)), ((2,),)),
-    GroupHom(FiniteAbelianGroup((6,)), Z3, ((1,),)),
-]
-
-
 @pytest.mark.parametrize("hom", FACE_HOMS)
 def test_compiled_faces_match_the_object_path(hom):
     # The index form behind homotopy_groups against boundary/h_phi_map: the
@@ -500,32 +488,6 @@ def test_row_sums_match_the_pairwise_adder(hom):
         columns = list(zip(*elements))
         for a in elements:
             assert list(_sums(ix.tables(n), a, columns)) == [add(a, b) for b in elements]
-
-
-def test_brute_force_route_takes_no_smith_form(monkeypatch):
-    # The closed-form answers are taken first; then Smith normal form is made
-    # to fail, and the brute-force route must reach the same answers without
-    # it, so that a fault in Smith cannot pass both routes.
-    expected = [
-        (
-            tuple(cokernel_divisors(h.codomain.orders, h.matrix)),
-            tuple(kernel_divisors(h.domain.orders, h.codomain.orders, h.matrix)),
-        )
-        for h in FACE_HOMS
-    ]
-    groups = [FiniteAbelianGroup(orders) for orders in [(), (6,), (2, 4), (2, 2, 2), (3, 9), (4, 6, 10)]]
-
-    def no_smith(*args):
-        raise AssertionError("the brute-force route took a Smith form")
-
-    monkeypatch.setattr(smith, "smith_normal_form", no_smith)
-    monkeypatch.setattr(smith, "invariant_factors_of_presentation", no_smith)
-    for hom, (pi0, pi1) in zip(FACE_HOMS, expected):
-        answer = homotopy_groups(hom, n_max=2)
-        assert (answer.pi0, answer.pi1) == (pi0, pi1)
-    for group in groups:
-        elements = list(group.elements())
-        assert group_divisors_from_table(elements, group.add, group.zero()) == elementary_divisors(list(group.orders))
 
 
 def test_homotopy_memory_on_the_identity_of_z100():

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from absarith import group_ring
 from absarith.group_ring import (
     GroupRingElt,
     act_unit,
@@ -118,6 +119,46 @@ def test_witt_to_groupring_is_ring_map():
 def test_groupring_to_witt_rejects_noninvariant():
     with pytest.raises(ValueError):
         groupring_to_witt(E(Fraction(1, 3)))
+
+
+INVARIANCE_MESSAGE = "only invariant group-ring elements correspond to Witt elements"
+
+
+def _must_not_call(name):
+    def poisoned(*args):
+        raise AssertionError(f"groupring_to_witt called {name}")
+
+    return poisoned
+
+
+def test_groupring_to_witt_decides_invariance_by_its_round_trip_alone(monkeypatch):
+    # Seeded elements, sorted by is_invariant before it is patched to raise:
+    # the conversion inverts the invariant ones and refuses the others by
+    # the same message as ever.
+    rng = random.Random(47)
+    elements = [random_groupring(rng, max_den=12, terms=6) for _ in range(300)]
+    elements += [witt_to_groupring(random_witt(rng)) for _ in range(60)]
+    invariant = [is_invariant(x) for x in elements]
+    assert 60 <= sum(invariant) < len(elements) - 100
+    monkeypatch.setattr(group_ring, "is_invariant", _must_not_call("is_invariant"))
+    for x, fixed in zip(elements, invariant):
+        if fixed:
+            assert witt_to_groupring(groupring_to_witt(x)) == x
+        else:
+            with pytest.raises(ValueError) as refused:
+                groupring_to_witt(x)
+            assert str(refused.value) == INVARIANCE_MESSAGE
+
+
+def test_a_symbol_count_off_euler_phi_is_refused_unexpanded(monkeypatch):
+    # An invariant element has euler_phi(n) symbols of each order n; e(1/N)
+    # alone is refused before the round trip would list the d symbols of
+    # each C(d), d | N, 2.3 10^6 of them at N = 720720.
+    monkeypatch.setattr(group_ring, "witt_to_groupring", _must_not_call("witt_to_groupring"))
+    for x in (E(Fraction(1, 720720)), E(0) + E(Fraction(1, 5)), primitive_orbit_sum(9) + E(Fraction(1, 7))):
+        with pytest.raises(ValueError) as refused:
+            groupring_to_witt(x)
+        assert str(refused.value) == INVARIANCE_MESSAGE
 
 
 def test_operators_correspond():

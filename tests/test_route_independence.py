@@ -29,14 +29,27 @@ raise.  Its Monte Carlo half, gaussian_avg_mc, runs with the theta sum's
 functions and the quadrature patched to raise, by its raw-word counts and by
 its float counts (the threshold search patched to find none), which must
 agree by repr, and each lies within 4 stderr of exp(theta_h0).
+
+Acceptance criterion 8 compares pi_0 and pi_1 of homotopy_groups, a search
+of the simplicial levels, with the Smith closed form, coker and ker.  The
+search runs with Smith normal form patched to raise, and the closed form
+with the level search (_vanishing_columns) patched to raise.
+
+Acceptance criterion 9 pushes vectors forward and decides membership in the
+norm filtration: by push_forward and norm_filtered_member, whose l1 case is
+l1_within, and by a dict sum over the fibres and one left-to-right sum of
+the norm, each route with the other's functions patched to raise.  The cases
+are the acceptance suite's seeded float ones and rational ones with the
+bound at, just above and just below the exact norm of the pushed vector.
 """
 
 import math
 import random
+import sys
 import types
 from fractions import Fraction
 
-from absarith import arakelov, gamma_core, gamma_space
+from absarith import arakelov, combinat, dold_kan, gamma_core, gamma_space, smith
 from absarith.arakelov import (
     ArakelovDivisor,
     Lattice1,
@@ -48,13 +61,15 @@ from absarith.arakelov import (
     principal,
     theta_h0,
 )
+from absarith.dold_kan import FiniteAbelianGroup, homotopy_groups
 from absarith.errors import BUDGETS
-from absarith.gamma_core import PointedEndo, trace
+from absarith.gamma_core import NormedVectorConfig, PointedEndo, PointedMap, trace
 from absarith.gamma_space import GSConfig, face, member, zero_element
+from absarith.smith import cokernel_divisors, elementary_divisors, group_divisors_from_table, kernel_divisors
 from absarith.witt import ghost, tau
 from combinat_oracles import iter_l1_ball
 from gamma_space_oracles import _coordinate_values, _element_from_indices
-from helpers import random_endo
+from helpers import FACE_HOMS, random_abelian_group, random_endo, random_hom
 
 N_MAX = 12
 
@@ -273,3 +288,115 @@ def test_gaussian_average_monte_carlo_and_theta_share_no_code(monkeypatch):
     for deg, r in zip(MC_DEGREES, by_counts):
         expected = math.exp(theta_h0(ArakelovDivisor.of_degree(deg), 1e-12))
         assert abs(r.mean - expected) <= 4 * r.stderr + 2 / MC_SAMPLES, deg
+
+
+def test_brute_force_route_takes_no_smith_form(monkeypatch):
+    # The closed-form answers are taken first; then Smith normal form is made
+    # to fail, and the brute-force route must reach the same answers without
+    # it, so that a fault in Smith cannot pass both routes.
+    expected = [
+        (
+            tuple(cokernel_divisors(h.codomain.orders, h.matrix)),
+            tuple(kernel_divisors(h.domain.orders, h.codomain.orders, h.matrix)),
+        )
+        for h in FACE_HOMS
+    ]
+    groups = [FiniteAbelianGroup(orders) for orders in [(), (6,), (2, 4), (2, 2, 2), (3, 9), (4, 6, 10)]]
+
+    def no_smith(*args):
+        raise AssertionError("the brute-force route took a Smith form")
+
+    monkeypatch.setattr(smith, "smith_normal_form", no_smith)
+    monkeypatch.setattr(smith, "invariant_factors_of_presentation", no_smith)
+    for hom, (pi0, pi1) in zip(FACE_HOMS, expected):
+        answer = homotopy_groups(hom, n_max=2)
+        assert (answer.pi0, answer.pi1) == (pi0, pi1)
+    for group in groups:
+        elements = list(group.elements())
+        assert group_divisors_from_table(elements, group.add, group.zero()) == elementary_divisors(list(group.orders))
+
+
+def test_smith_closed_form_takes_no_level_search(monkeypatch):
+    # The converse: the level search's answers are taken first, on the face
+    # maps and the acceptance suite's 30 seeded ones; then the search is made
+    # to fail, and the Smith closed form must reach the same answers without it.
+    rng = random.Random(1008)
+    homs = list(FACE_HOMS)
+    for _ in range(30):
+        a, b = random_abelian_group(rng, 16), random_abelian_group(rng, 16)
+        homs.append(random_hom(rng, a, b))
+    searched = [homotopy_groups(hom, n_max=1) for hom in homs]
+    monkeypatch.setattr(dold_kan, "_vanishing_columns", _raises("_vanishing_columns"))
+    for hom, answer in zip(homs, searched):
+        assert tuple(cokernel_divisors(hom.codomain.orders, hom.matrix)) == answer.pi0, hom
+        assert tuple(kernel_divisors(hom.domain.orders, hom.codomain.orders, hom.matrix)) == answer.pi1, hom
+
+
+def _filtration_cases() -> list:
+    """(phi, f, cfg, expected): the draws of the acceptance suite's criterion
+    9, each phi and its push-forward members, and its alpha = 2 fold, whose
+    push-forward is not; then rational vectors with the bound at, just above
+    and just below the exact norm of the push-forward, whose membership is
+    known for the push-forward alone (None for phi)."""
+    rng = random.Random(1009)
+    cases = []
+    for _ in range(10_000):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        f = PointedMap((0,) + tuple(rng.randint(0, m) for _ in range(n)), m)
+        alpha = rng.choice([1, rng.uniform(0.05, 1.0)])
+        phi = tuple(rng.uniform(-2, 2) for _ in range(n))
+        lam = sum(abs(v) ** float(alpha) for v in phi) * (1.0 + rng.random())
+        cases.append((phi, f, NormedVectorConfig(alpha=alpha, lam=lam), (True, True)))
+    cases.append(((1, 1), PointedMap((0, 1, 1), 1), NormedVectorConfig(alpha=2, lam=2, allow_expanding=True), (True, False)))
+    rng = random.Random(909)
+    for _ in range(300):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        f = PointedMap((0,) + tuple(rng.randint(0, m) for _ in range(n)), m)
+        phi = tuple(
+            rng.randint(-20, 20) if rng.random() < 0.25 else Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            for _ in range(n)
+        )
+        fibres = [sum((Fraction(phi[x - 1]) for x in f.points() if x and f(x) == y), Fraction(0)) for y in range(1, m + 1)]
+        norm = sum(map(abs, fibres), Fraction(0))
+        for delta in (0, Fraction(1, 10**30), -Fraction(1, 10**30), Fraction(1, 3), -Fraction(1, 3)):
+            if norm + delta >= 0:
+                cases.append((phi, f, NormedVectorConfig(alpha=1, lam=norm + delta), (None, delta >= 0)))
+    return cases
+
+
+def _push_by_hand(phi, f: PointedMap) -> list:
+    """The fibre sums of phi over the non-base points of the codomain, added
+    in a dict in the order of the domain."""
+    sums = {}
+    for x, v in enumerate(phi, 1):
+        if f(x):
+            sums[f(x)] = sums.get(f(x), 0) + v
+    return [sums.get(y, 0) for y in range(1, f.codomain_size + 1)]
+
+
+def _within_by_hand(vec, cfg: NormedVectorConfig) -> bool:
+    """sum |v|^alpha <= lam by one left-to-right sum: exact at alpha 1 on
+    rationals, else in floats with the filtration's tolerance, 1e-12."""
+    exact = cfg.alpha == 1 and all(isinstance(v, (int, Fraction)) for v in (*vec, cfg.lam))
+    total = 0
+    for v in vec:
+        total += abs(v) if exact else abs(float(v)) ** float(cfg.alpha)
+    return total <= cfg.lam if exact else total <= float(cfg.lam) + 1e-12
+
+
+def test_norm_filtration_push_forward_by_hand(monkeypatch):
+    cases = _filtration_cases()
+    with monkeypatch.context() as m:
+        for name in ("_push_by_hand", "_within_by_hand"):
+            m.setattr(sys.modules[__name__], name, _raises(name))
+        within = gamma_core.norm_filtered_member
+        by_library = [(within(phi, cfg), within(gamma_core.push_forward(phi, f), cfg)) for phi, f, cfg, _ in cases]
+    with monkeypatch.context() as m:
+        for name in ("push_forward", "norm_filtered_member", "l1_within"):
+            m.setattr(gamma_core, name, _raises(name))
+        m.setattr(combinat, "l1_within", _raises("l1_within"))
+        by_hand = [(_within_by_hand(phi, cfg), _within_by_hand(_push_by_hand(phi, f), cfg)) for phi, f, cfg, _ in cases]
+    assert len(cases) > 11_000
+    for (phi, f, cfg, expected), got, hand in zip(cases, by_library, by_hand):
+        assert got == hand, (phi, f, cfg)
+        assert expected[0] in (None, got[0]) and got[1] == expected[1], (phi, f, cfg)
