@@ -218,6 +218,8 @@ def _cmd_gspace_pi(args):
     from .gamma_space import GSConfig, higher_pi_trivial, pi0_cardinality_k1, pi0_trivial_predicate
     from .gamma_space import pi1_count, pi1_radius
 
+    if args.n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {args.n_max}")
     d = _parse_divisor(args)
     if d.arch.is_exact:
         cells = 0

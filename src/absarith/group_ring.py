@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .errors import SelfCheckFailed, frozen, json_int
-from .numth import euler_phi, unit_group_generators
+from .numth import euler_phi
 from .witt import Combination, WittElement, from_primitive_basis, ghost
 
 
@@ -140,18 +140,26 @@ def act_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     return GroupRingElt._merged(((u * a % n, n), c) for (a, n), c in pairs)
 
 
-def is_invariant(x: GroupRingElt) -> bool:
-    """Whether x is fixed by every automorphism of Q/Z.
+def _orbit_coefficients(x: GroupRingElt) -> dict[int, int] | None:
+    """x in the basis of orbit sums rho(n), as {n: c_n}, or None if x is not
+    invariant.  The units of Z/n permute the euler_phi(n) symbols of order n
+    transitively, so each order n in the support must carry all of them
+    under one coefficient c_n.  As 2 euler_phi(n)^2 >= n, n is factored only
+    when its count k has 2 k^2 >= n, so e(1/N) alone is refused unfactored."""
+    prim: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for g, c in x.items:
+        n = g.denominator
+        if prim.setdefault(n, c) != c:
+            return None
+        counts[n] = counts.get(n, 0) + 1
+    return prim if all(2 * k * k >= n and k == euler_phi(n) for n, k in counts.items()) else None
 
-    On support of bounded torsion N the automorphism group acts through
-    (Z/NZ)^x, so it suffices to check a generating set of that unit group.
-    """
-    terms = dict(x._merge_pairs())
-    # u fixes x when relabelling its symbols by u leaves the key -> coefficient dict as it was
-    return all(
-        {(u * a % n, n): c for (a, n), c in terms.items()} == terms
-        for u in unit_group_generators(x.torsion_lcm())
-    )
+
+def is_invariant(x: GroupRingElt) -> bool:
+    """Whether x is fixed by every automorphism of Q/Z, that is, whether x
+    is a combination of the orbit sums rho(n)."""
+    return _orbit_coefficients(x) is not None
 
 
 def witt_to_groupring(w: WittElement) -> GroupRingElt:
@@ -160,22 +168,15 @@ def witt_to_groupring(w: WittElement) -> GroupRingElt:
 
 
 def groupring_to_witt(x: GroupRingElt) -> WittElement:
-    """Inverse identification, defined on invariant elements only.
-
-    The coefficient of the primitive basis element rho(n) is read off the
-    symbol e(1/n) (e(0) for n = 1); invariance makes that well defined.
-    Every value of witt_to_groupring is invariant, so the round trip alone
-    decides invariance; a count of symbols other than the sum of euler_phi(n)
-    over the orders n of prim fails first, so e(1/N) alone is not expanded.
-    """
-    prim: dict[int, int] = {}
-    for g, c in x.items:
-        n = g.denominator
-        if n == 1 or g.numerator == 1:
-            prim[n] = c
-    w = from_primitive_basis(prim)
-    if len(x.items) != sum(map(euler_phi, prim)) or witt_to_groupring(w) != x:
+    """Inverse identification, defined on invariant elements only: x is read
+    in the basis rho(n) by the pass that decides is_invariant, which refuses
+    any other x before anything is expanded; the round trip is a self-check."""
+    prim = _orbit_coefficients(x)
+    if prim is None:
         raise ValueError("only invariant group-ring elements correspond to Witt elements")
+    w = from_primitive_basis(prim)
+    if witt_to_groupring(w) != x:
+        raise SelfCheckFailed(f"the Witt element {w!r} does not map back to the invariant element it came from")
     return w
 
 

@@ -1,4 +1,4 @@
-"""Elementary number theory helpers: factorization, divisors, Mobius, unit groups.
+"""Elementary number theory helpers: factorization, divisors, Mobius, Euler phi.
 
 Everything here is exact integer arithmetic, and no answer rests on a probable
 prime.  Below 3.3e24, is_prime is a Miller-Rabin test to the smallest base set
@@ -279,50 +279,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def _primitive_root_mod_prime_power(p: int, e: int) -> int:
-    """A generator of (Z/p^e)^x for odd prime p."""
-    # Find a primitive root mod p by testing against the maximal subgroup orders.
-    phi_p = p - 1
-    prime_factors = list(factorize(phi_p))
-    g = 2
-    while True:
-        if all(pow(g, phi_p // q, p) != 1 for q in prime_factors):
-            break
-        g += 1
-    if e == 1:
-        return g
-    # g lifts to a generator mod p^e unless g^(p-1) = 1 mod p^2, in which case g+p does.
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
-
-
-def unit_group_generators(n: int) -> list[int]:
-    """Generators of the multiplicative group (Z/nZ)^x.
-
-    Returned as residues in [1, n) via the Chinese remainder theorem; for the
-    factor 2^e with e >= 3 the two generators -1 and 5 are used.
-    """
-    if n <= 0:
-        raise ValueError(f"unit_group_generators requires a positive integer, got {n}")
-    if n <= 2:
-        return []
-    gens: list[int] = []
-    for p, e in factorize(n).items():
-        q = p**e
-        rest = n // q
-        if p == 2:
-            local = [q - 1] if e >= 2 else []
-            if e >= 3:
-                local.append(5)
-        else:
-            local = [_primitive_root_mod_prime_power(p, e)]
-        for g in local:
-            # CRT lift: g mod q, 1 mod n/q (at rest = 1, pow(q, -1, 1) is 0).
-            gens.append((g * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % n)
-    return gens
-
-
 def padic_valuation(q: Fraction | int, p: int) -> int:
     """p-adic valuation of a nonzero rational, for an integer p >= 2."""
     if p < 2:
@@ -339,6 +295,5 @@ __all__ = [
     "divisors",
     "mobius",
     "euler_phi",
-    "unit_group_generators",
     "padic_valuation",
 ]

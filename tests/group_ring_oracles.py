@@ -1,14 +1,17 @@
 """The accumulate-then-canonicalize bodies of the group-ring operators, on
 Fraction keys throughout: the oracles for the shared merge of
-witt.Combination and for the integer-residue arithmetic of group_ring.
+witt.Combination and for the integer-residue arithmetic of group_ring.  And
+the generator route to invariance that group_ring.is_invariant took before
+it counted orbits: act with generators of (Z/N)^x, N the lcm of the orders.
 
 Imports no pytest, so the plain-script checks can use them too.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from absarith.group_ring import GroupRingElt
+from numth_oracles import unit_group_generators
 
 
 def _ref_reduce(q):
@@ -73,3 +76,17 @@ def _ref_witt_to_groupring(w):
         for j in range(k):
             out[Fraction(j, k)] = out.get(Fraction(j, k), 0) + c
     return _ref_canonical(out)
+
+
+def is_invariant(x):
+    """Whether x is fixed by every automorphism of Q/Z.
+
+    On support of bounded torsion N the automorphism group acts through
+    (Z/NZ)^x, so it suffices to check a generating set of that unit group.
+    """
+    terms = {(g.numerator, g.denominator): c for g, c in x.items}
+    # u fixes x when relabelling its symbols by u leaves the key -> coefficient dict as it was
+    return all(
+        {(u * a % n, n): c for (a, n), c in terms.items()} == terms
+        for u in unit_group_generators(lcm(*(n for _, n in terms)))
+    )

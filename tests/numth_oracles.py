@@ -2,7 +2,9 @@
 numth.factorize and numth.divide_out replaced, kept as their oracles:
 Miller-Rabin to all 13 prime bases up to 41 below 3.3e24 and trial division
 above, trial division by 2, 3 and 6k+-1 up to the square root, and one
-division per factor p."""
+division per factor p.  Also the generators of (Z/n)^x (primitive roots and
+their CRT lifts) that group_ring.is_invariant acted with before it counted
+orbits, kept for the generator route of group_ring_oracles.is_invariant."""
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Strong probable primes to all of _MR_BASES are prime below this bound
@@ -73,3 +75,47 @@ def divide_out(n: int, p: int) -> tuple[int, int]:
         n //= p
         e += 1
     return e, n
+
+
+def _primitive_root_mod_prime_power(p: int, e: int) -> int:
+    """A generator of (Z/p^e)^x for odd prime p."""
+    # Find a primitive root mod p by testing against the maximal subgroup orders.
+    phi_p = p - 1
+    prime_factors = list(factorize(phi_p))
+    g = 2
+    while True:
+        if all(pow(g, phi_p // q, p) != 1 for q in prime_factors):
+            break
+        g += 1
+    if e == 1:
+        return g
+    # g lifts to a generator mod p^e unless g^(p-1) = 1 mod p^2, in which case g+p does.
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def unit_group_generators(n: int) -> list[int]:
+    """Generators of the multiplicative group (Z/nZ)^x.
+
+    Returned as residues in [1, n) via the Chinese remainder theorem; for the
+    factor 2^e with e >= 3 the two generators -1 and 5 are used.
+    """
+    if n <= 0:
+        raise ValueError(f"unit_group_generators requires a positive integer, got {n}")
+    if n <= 2:
+        return []
+    gens: list[int] = []
+    for p, e in factorize(n).items():
+        q = p**e
+        rest = n // q
+        if p == 2:
+            local = [q - 1] if e >= 2 else []
+            if e >= 3:
+                local.append(5)
+        else:
+            local = [_primitive_root_mod_prime_power(p, e)]
+        for g in local:
+            # CRT lift: g mod q, 1 mod n/q (at rest = 1, pow(q, -1, 1) is 0).
+            gens.append((g * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % n)
+    return gens

@@ -349,6 +349,15 @@ def test_dk_check_refuses_a_negative_n_max(capsys):
     assert "n_max" in err
 
 
+@pytest.mark.parametrize("divisor", ['{"finite":{},"arch":{"exact_exp":"1/3"}}', '{"finite":{},"arch":{"float":2.5}}'])
+def test_gspace_pi_refuses_a_negative_n_max_as_dk_check_does(capsys, divisor):
+    hom = '{"domain":[4],"codomain":[4],"matrix":[[1]]}'
+    _, _, dk_err = run(capsys, "dk", "check", "--hom", hom, "--n-max", "-5")
+    code, out, err = run(capsys, "gspace", "pi", "--divisor", divisor, "--k", "2", "--n-max", "-5")
+    assert code == 3 and out == ""
+    assert err == dk_err == "error: n_max must be nonnegative, got -5\n"
+
+
 _ORDERS = st.lists(st.integers(0, 6), max_size=2)
 _ENTRY = st.one_of(st.integers(-12, 12), st.floats(-3, 3), st.booleans(), st.text(max_size=2))
 

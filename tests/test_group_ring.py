@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -159,6 +160,25 @@ def test_a_symbol_count_off_euler_phi_is_refused_unexpanded(monkeypatch):
         with pytest.raises(ValueError) as refused:
             groupring_to_witt(x)
         assert str(refused.value) == INVARIANCE_MESSAGE
+
+
+def test_a_symbol_of_huge_order_is_refused_unfactored(monkeypatch):
+    # e(1/N) is one symbol where an orbit has euler_phi(N) >= sqrt(N / 2) of
+    # them, so it is refused without factoring N, which at (2^89 - 1)(2^61 - 1)
+    # would exhaust the factor_steps budget; 10^40 + 121 is prime.
+    for name in ("absarith.numth.euler_phi", "absarith.numth.factorize", "absarith.group_ring.euler_phi"):
+        monkeypatch.setattr(name, _must_not_call(name))
+    for n in ((2**89 - 1) * (2**61 - 1), 10**40 + 121):
+        x = E(Fraction(1, n))
+        seconds = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert is_invariant(x) is False
+            with pytest.raises(ValueError) as refused:
+                groupring_to_witt(x)
+            seconds.append(time.perf_counter() - started)
+            assert str(refused.value) == INVARIANCE_MESSAGE
+        assert min(seconds) < 0.01, (n, seconds)
 
 
 def test_operators_correspond():

@@ -23,7 +23,6 @@ from absarith.group_ring import (
     sigma,
     witt_to_groupring,
 )
-from absarith.numth import unit_group_generators
 from absarith.witt import WittElement
 from group_ring_oracles import (
     _ref_act_unit,
@@ -35,6 +34,7 @@ from group_ring_oracles import (
     _ref_sigma,
     _ref_witt_to_groupring,
 )
+from numth_oracles import unit_group_generators
 
 # Cyclic supports of the two factors of the benchmark's group-ring queries.
 SUPPORTS = (

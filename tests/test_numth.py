@@ -11,13 +11,13 @@ from absarith.numth import (
     is_prime,
     mobius,
     padic_valuation,
-    unit_group_generators,
 )
 from fractions import Fraction
 from math import gcd, isqrt
 from numth_oracles import divide_out as oracle_divide_out
 from numth_oracles import factorize as oracle_factorize
 from numth_oracles import is_prime as oracle_is_prime
+from numth_oracles import unit_group_generators
 
 
 def test_mobius_values():

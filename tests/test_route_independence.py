@@ -41,6 +41,15 @@ l1_within, and by a dict sum over the fibres and one left-to-right sum of
 the norm, each route with the other's functions patched to raise.  The cases
 are the acceptance suite's seeded float ones and rational ones with the
 bound at, just above and just below the exact norm of the pushed vector.
+
+Acceptance criterion 3 asks whether images of Witt elements are invariant
+under the automorphisms of Q/Z, and is_invariant decides that by counting
+orbits: each order n must carry all euler_phi(n) primitive symbols under one
+coefficient.  The second route acts on the element with generators of
+(Z/N)^x, primitive roots and their CRT lifts, and compares.  The cases are
+images of seeded Witt elements, the same with one symbol dropped, added or
+given another coefficient, and elements that exactly one generator moves;
+each route runs with the other's helpers patched to raise.
 """
 
 import math
@@ -49,7 +58,9 @@ import sys
 import types
 from fractions import Fraction
 
-from absarith import arakelov, combinat, dold_kan, gamma_core, gamma_space, smith
+import group_ring_oracles
+import numth_oracles
+from absarith import arakelov, combinat, dold_kan, gamma_core, gamma_space, group_ring, numth, smith
 from absarith.arakelov import (
     ArakelovDivisor,
     Lattice1,
@@ -65,11 +76,12 @@ from absarith.dold_kan import FiniteAbelianGroup, homotopy_groups
 from absarith.errors import BUDGETS
 from absarith.gamma_core import NormedVectorConfig, PointedEndo, PointedMap, trace
 from absarith.gamma_space import GSConfig, face, member, zero_element
+from absarith.group_ring import GroupRingElt, groupring_to_witt, witt_to_groupring
 from absarith.smith import cokernel_divisors, elementary_divisors, group_divisors_from_table, kernel_divisors
 from absarith.witt import ghost, tau
 from combinat_oracles import iter_l1_ball
 from gamma_space_oracles import _coordinate_values, _element_from_indices
-from helpers import FACE_HOMS, random_abelian_group, random_endo, random_hom
+from helpers import FACE_HOMS, random_abelian_group, random_endo, random_hom, random_witt
 
 N_MAX = 12
 
@@ -400,3 +412,83 @@ def test_norm_filtration_push_forward_by_hand(monkeypatch):
     for (phi, f, cfg, expected), got, hand in zip(cases, by_library, by_hand):
         assert got == hand, (phi, f, cfg)
         assert expected[0] in (None, got[0]) and got[1] == expected[1], (phi, f, cfg)
+
+
+# Orders whose unit groups need two or more generators.
+MOVED_ORDERS = (8, 12, 15, 16, 20, 21, 24, 28, 63, 360, 840, 1260)
+
+
+def _generated(gens, n):
+    """The residues mod n of the group that gens generate in (Z/n)^x."""
+    group, frontier = {1}, [1]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = a * g % n
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
+
+
+def _invariance_cases() -> list[GroupRingElt]:
+    rng = random.Random(1003)
+    images = [witt_to_groupring(random_witt(rng, max_k=30, terms=5)) for _ in range(160)]
+    cases = [GroupRingElt.zero(), GroupRingElt.e(0), *images]
+    for x in images:
+        terms = x.terms
+        n = rng.randint(1, 30)
+        added = dict(terms)
+        key = Fraction(rng.randrange(n), n)
+        added[key] = added.get(key, 0) + rng.choice((-1, 1))
+        cases.append(GroupRingElt.from_terms(added))
+        if terms:
+            g = rng.choice(list(terms))
+            dropped, other = dict(terms), dict(terms)
+            del dropped[g]
+            other[g] += rng.choice((-2, -1, 1, 2))
+            cases += [GroupRingElt.from_terms(dropped), GroupRingElt.from_terms(other)]
+    for n in MOVED_ORDERS:
+        gens = numth_oracles.unit_group_generators(n)
+        for i, moving in enumerate(gens):
+            # an orbit under the other generators, which the moving one leaves,
+            # with or without an invariant part
+            fixed_by_rest = _generated(gens[:i] + gens[i + 1 :], n)
+            assert moving not in fixed_by_rest
+            c = rng.choice((-3, -1, 2, 3))
+            x = GroupRingElt.from_terms({Fraction(a, n): c for a in fixed_by_rest})
+            cases += [x, x - 2 * witt_to_groupring(random_witt(rng, max_k=12))]
+    return cases
+
+
+def _no_generator_route(m):
+    for name in ("unit_group_generators", "_primitive_root_mod_prime_power"):
+        m.setattr(numth_oracles, name, _raises(name))
+    m.setattr(group_ring_oracles, "unit_group_generators", _raises("unit_group_generators"))
+
+
+def test_invariance_by_orbit_counts_and_by_unit_generators(monkeypatch):
+    cases = _invariance_cases()
+    with monkeypatch.context() as m:
+        _no_generator_route(m)
+        by_orbits = [group_ring.is_invariant(x) for x in cases]
+    with monkeypatch.context() as m:
+        for name in ("_orbit_coefficients", "euler_phi"):
+            m.setattr(group_ring, name, _raises(name))
+        for name in ("euler_phi", "factorize"):
+            m.setattr(numth, name, _raises(name))
+        m.setattr(GroupRingElt, "_merge_pairs", _raises("_merge_pairs"))
+        by_generators = [group_ring_oracles.is_invariant(x) for x in cases]
+    assert len(cases) >= 500 and 150 <= sum(by_orbits) <= len(cases) - 150
+    for x, orbits, generators in zip(cases, by_orbits, by_generators):
+        assert orbits == generators, x
+    # groupring_to_witt inverts exactly the invariant elements
+    with monkeypatch.context() as m:
+        _no_generator_route(m)
+        for x, fixed in zip(cases, by_orbits):
+            try:
+                back = witt_to_groupring(groupring_to_witt(x))
+            except ValueError as exc:
+                assert not fixed and str(exc) == "only invariant group-ring elements correspond to Witt elements"
+            else:
+                assert fixed and back == x, x
