@@ -36,7 +36,7 @@ from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import add, mul, sub
 
 from .combinat import delannoy, l1_within
-from .errors import BUDGETS, DEFAULT_CAP, check_budget, frozen, json_int, json_key, json_number
+from .errors import BUDGETS, check_budget, frozen, json_int, json_key, json_number, json_object
 from .numth import factorize, is_prime
 
 
@@ -159,19 +159,18 @@ class ArakelovDivisor:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "ArakelovDivisor":
-        if not isinstance(data, Mapping):
-            raise ValueError("a divisor must be a JSON object")
-        finite_data = data.get("finite", {})
-        arch_data = data.get("arch", {"exact_exp": "1"})
-        if not isinstance(finite_data, Mapping) or not isinstance(arch_data, Mapping):
-            raise ValueError("divisor 'finite' and 'arch' parts must be JSON objects")
+        data = json_object(data, ("finite", "arch"), "a divisor")
+        finite_data, arch_data = data.get("finite", {}), data.get("arch", {"exact_exp": "1"})
+        if not isinstance(finite_data, Mapping):
+            raise ValueError("a divisor's 'finite' part must be a JSON object")
         finite = {json_key(p): json_int(a) for p, a in finite_data.items()}
+        arch_data = json_object(arch_data, ("exact_exp", "float"), "a divisor's 'arch' part")
+        if len(arch_data) != 1:
+            raise ValueError("a divisor's 'arch' part must carry exactly one of 'exact_exp' and 'float'")
         if "exact_exp" in arch_data:
             arch = ScaleValue.exact_exp(Fraction(str(arch_data["exact_exp"])))
-        elif "float" in arch_data:
-            arch = ScaleValue.from_log(json_number(arch_data["float"]))
         else:
-            raise ValueError("divisor arch part must carry 'exact_exp' or 'float'")
+            arch = ScaleValue.from_log(json_number(arch_data["float"]))
         return ArakelovDivisor.make(finite, arch)
 
 
@@ -253,7 +252,7 @@ def count_xi_over_L(xi_norm, lattice: Lattice1) -> int:
 e_xi_member = l1_within
 
 
-def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> list[tuple[Fraction, ...]]:
+def count_E_xi(lattice: Lattice1, k: int, xi_norm) -> list[tuple[Fraction, ...]]:
     """All phi in L^k with sum |phi_i| <= xi_norm, enumerated exactly.
 
     Requires a rational xi_norm (floats cannot settle the inclusive boundary).
@@ -265,7 +264,7 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm, cap: int = DEFAULT_CAP) -> li
         raise ValueError("exact enumeration requires a rational norm bound")
     c = lattice.generator
     radius = math.floor(Fraction(xi_norm) / c)
-    check_budget("lattice_points", delannoy(radius, k), cap)
+    check_budget("lattice_points", delannoy(radius, k))
     multiples = [c * m for m in range(radius + 1)] + [c * m for m in range(-radius, 0)]
     return list(zip(*_ball_columns(multiples, k)))
 
@@ -467,12 +466,12 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     beyond = all(math.log(2 * n + 3) - math.pi * t * (n + 1) ** 2 >= log_eps for n in (0, max_pieces - 1))
     check_budget("quadrature_pieces", max_pieces + 1 if beyond else 1, t=t)
 
-    # E_n = exp(a n n) with a n n the same float as -pi t n n; E_0..E_2 are
-    # taken as 1, exp(a) and exp(4 a).
+    # E_n = exp(a n n) with a n n the same float as -pi t n n (exactly -0.0,
+    # a and 4 a at n = 0, 1, 2).
     exp, a = math.exp, -math.pi * t
 
     def e(m: int) -> float:
-        return 1.0 if m == 0 else exp(a) if m == 1 else exp(4 * a) if m == 2 else exp(a * m * m)
+        return exp(a * m * m)
 
     def tail(n: int) -> float:
         # What pieces n+1, n+2, ... can still add: (2n+3) E_{n+1} + 2 sum_{m >= n+2} E_m.
@@ -497,14 +496,14 @@ def gaussian_avg_quadrature(d: ArakelovDivisor, eps: float = 1e-12) -> float:
     # depends on the piece count and on whether numpy is already imported;
     # both add the same floats.
     if stop < _QUADRATURE_NUMPY_PIECES and (stop < _QUADRATURE_LOADED_PIECES or "numpy" not in sys.modules):
-        ms = range(3, stop + 2)
-        es = chain((1.0, exp(a), exp(4 * a)), map(exp, map(mul, map(mul, repeat(a), ms), ms)))
+        ms = range(stop + 2)
+        es = map(exp, map(mul, map(mul, repeat(a), ms), ms))
         lower, upper = tee(es)
         next(upper)
         return reduce(add, map(mul, range(1, 2 * stop + 2, 2), map(sub, lower, upper)), 0.0)
 
     # The same floats in numpy, chunk by chunk: a m m is (a m) m as above
-    # (exactly 0, a and 4 a at m = 0, 1, 2), each E_m is math.exp's float,
+    # (exactly -0.0, a and 4 a at m = 0, 1, 2), each E_m is math.exp's float,
     # and add.accumulate adds in sequence, where add.reduce would add pairwise.
     import numpy as np
 

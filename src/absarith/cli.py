@@ -20,7 +20,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import DEFAULT_CAP, CapExceeded, SelfCheckFailed, check_budget, json_int
+from .errors import DEFAULT_CAP, CapExceeded, SelfCheckFailed, check_budget, json_array, json_int
 
 # Each handler imports the library modules of its own layer, so that a
 # command loads (and, without cached bytecode, compiles) only those.  All of
@@ -32,19 +32,9 @@ from .errors import DEFAULT_CAP, CapExceeded, SelfCheckFailed, check_budget, jso
 # numpy below degree 11.88.
 if TYPE_CHECKING:
     from .arakelov import ArakelovDivisor
-    from .gamma_core import PointedEndo
     from .witt import WittElement
 
 USAGE_ERROR, DOMAIN_ERROR, CAP_ERROR, SELF_CHECK_ERROR = 2, 3, 4, 5
-
-
-def _parse_endo(text: str) -> PointedEndo:
-    from .gamma_core import PointedEndo
-
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("an endomorphism is a JSON array of images, index 0 first")
-    return PointedEndo(tuple(json_int(x) for x in data))
 
 
 def _parse_witt(text: str) -> WittElement:
@@ -90,9 +80,10 @@ def _witt_json(w: WittElement) -> dict:
 
 
 def _cmd_witt_tau(args):
+    from .gamma_core import PointedEndo
     from .witt import tau
 
-    endo = _parse_endo(args.endo)
+    endo = PointedEndo(tuple(json_int(x) for x in json_array(json.loads(args.endo))))
     return {"endo": list(endo.images)}, _witt_json(tau(endo))
 
 
@@ -108,18 +99,12 @@ def _cmd_witt_mul(args):
     return {"a": _witt_json(a), "b": _witt_json(b)}, _witt_json(a * b)
 
 
-def _cmd_witt_frob(args):
-    from .witt import frobenius
+def _cmd_witt_frob_versch(args):
+    from .witt import frobenius, verschiebung
 
     w = _parse_witt(args.elt)
-    return {"elt": _witt_json(w), "n": args.n}, _witt_json(frobenius(args.n, w))
-
-
-def _cmd_witt_versch(args):
-    from .witt import verschiebung
-
-    w = _parse_witt(args.elt)
-    return {"elt": _witt_json(w), "n": args.n}, _witt_json(verschiebung(args.n, w))
+    operator = frobenius if args.op == "frob" else verschiebung
+    return {"elt": _witt_json(w), "n": args.n}, _witt_json(operator(args.n, w))
 
 
 def _cmd_witt_basis(args):
@@ -318,14 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(handler=_cmd_witt_mul)
-    p = witt.add_parser("frob")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--elt", required=True)
-    p.set_defaults(handler=_cmd_witt_frob)
-    p = witt.add_parser("versch")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--elt", required=True)
-    p.set_defaults(handler=_cmd_witt_versch)
+    for name in ("frob", "versch"):
+        p = witt.add_parser(name)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--elt", required=True)
+        p.set_defaults(handler=_cmd_witt_frob_versch)
     p = witt.add_parser("basis")
     p.add_argument("--elt", required=True)
     p.set_defaults(handler=_cmd_witt_basis)

@@ -37,7 +37,7 @@ from itertools import chain, compress, repeat
 from operator import add, getitem, mul, not_
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_CAP, SelfCheckFailed, check_budget, frozen, json_array, json_int
+from .errors import DEFAULT_CAP, SelfCheckFailed, check_budget, frozen, json_array, json_int, json_object
 from .smith import group_divisors_from_table
 
 
@@ -64,9 +64,6 @@ class FiniteAbelianGroup:
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
-
-    def scalar(self, n: int, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple((n * x) % m for x, m in zip(a, self.orders))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(m) for m in self.orders))
@@ -96,7 +93,7 @@ class GroupHom:
     def apply(self, a: Sequence[int]) -> tuple[int, ...]:
         out = self.codomain.zero()
         for coeff, row in zip(a, self.matrix):
-            out = self.codomain.add(out, self.codomain.scalar(coeff, row))
+            out = self.codomain.add(out, tuple(coeff * x for x in row))
         return out
 
     @staticmethod
@@ -119,8 +116,7 @@ class GroupHom:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "GroupHom":
-        if not isinstance(data, Mapping):
-            raise ValueError("a homomorphism must be a JSON object")
+        data = json_object(data, ("domain", "codomain", "matrix"), "a homomorphism")
         for key in ("domain", "codomain", "matrix"):
             if key not in data:
                 raise ValueError(f"a homomorphism needs a {key!r} key")
@@ -283,9 +279,9 @@ class LevelDescriptor:
         values = (self.hom.domain.zero(),) * self.n + (self.hom.codomain.zero(),)
         return HPhiElement(self.hom, simplex_pair(self.n), values)
 
-    def elements(self, cap: int = DEFAULT_CAP) -> Iterator[HPhiElement]:
+    def elements(self) -> Iterator[HPhiElement]:
         """Every element of the level: A-values at points 1..n, then the B-value."""
-        check_budget("level_elements", self.size, cap, n=self.n)
+        check_budget("level_elements", self.size, n=self.n)
         pair = simplex_pair(self.n)
         for a_values in itertools.product(self.hom.domain.elements(), repeat=self.n):
             for b in self.hom.codomain.elements():

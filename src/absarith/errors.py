@@ -1,12 +1,15 @@
 """Shared exception types, BUDGETS (each limit past which absarith raises
-CapExceeded) and check_budget, the readers of integers, numbers and arrays in
-JSON input, and the `frozen` decorator that makes the immutable value classes.
+CapExceeded) and check_budget, the readers of integers, numbers, arrays and
+objects in JSON input, and the `frozen` decorator that makes the immutable
+value classes.
 
 Every command loads this module, so `frozen` lives here rather than in a
 module of its own.  It stands in for `dataclasses.dataclass(frozen=True)`,
 whose import (with `inspect`) and per-class code generation cost more than
 any small command's own work.
 """
+
+from collections.abc import Mapping
 
 
 class CapExceeded(RuntimeError):
@@ -54,6 +57,17 @@ def json_array(x) -> list:
     one by one, or any other value raises ValueError."""
     if not isinstance(x, list):
         raise ValueError(f"expected a JSON array, got {x!r}")
+    return x
+
+
+def json_object(x, keys: tuple[str, ...], what: str) -> Mapping:
+    """x for a JSON object with no key outside keys, where a misspelt key would
+    be ignored for a default; anything else raises ValueError naming what."""
+    if not isinstance(x, Mapping):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = [key for key in x if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} takes only the keys {', '.join(map(repr, keys))}, not {unknown[0]!r}")
     return x
 
 
@@ -111,8 +125,8 @@ def frozen(cls):
     return cls
 
 
-# The cap on count_E_xi's lattice points and on a Dold-Kan level's elements and
-# face work when the caller gives none (`dk check --cap`).
+# The cap on count_E_xi's lattice points, and on a Dold-Kan level's elements
+# and face work unless homotopy_groups is given another (`dk check --cap`).
 DEFAULT_CAP = 1_000_000
 
 # Each budget's name, then its limit and the message that reports it exceeded.

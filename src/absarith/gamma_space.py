@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, _ball_columns, count_E_xi, degree_scale, lattice_of
 from .combinat import FLOAT_TOL, delannoy, l1_within
-from .errors import DEFAULT_CAP, SelfCheckFailed, check_budget, frozen
+from .errors import SelfCheckFailed, check_budget, frozen
 from .smith import smith_normal_form
 
 __all__ = [
@@ -147,13 +147,13 @@ def degeneracy(cfg: GSConfig, j: int, e: GSElement) -> GSElement:
     return GSElement(e.k, e.free[:j] + (zero,) + e.free[j:], e.torus)
 
 
-def pi1_spherical_enumerate(cfg: GSConfig, k: int, cap: int = DEFAULT_CAP) -> list[tuple[Fraction, ...]]:
+def pi1_spherical_enumerate(cfg: GSConfig, k: int) -> list[tuple[Fraction, ...]]:
     """All spherical 1-simplices at level k: lattice vectors of l1-norm <= lambda.
 
     Exact mode only; returned in lexicographic order.  The count is the
     Delannoy number of (floor(lambda/c), k).
     """
-    return count_E_xi(cfg.lattice, k, cfg.lam, cap)
+    return count_E_xi(cfg.lattice, k, cfg.lam)
 
 
 # The default cross-check of pi1_count enumerates count vectors of k
@@ -517,19 +517,13 @@ def _last_face_table(cfg: GSConfig, n: int, k: int) -> tuple[tuple[bool, ...], .
 def _index_face_is_zero(
     j: int, rows: Sequence[Sequence[int]], torus: Sequence[int], last_face_zero: Sequence[Sequence[bool]]
 ) -> bool:
-    """Whether face(cfg, j, e) is zero for the member e with these indices.
-
-    Face 0 keeps psi_2..psi_n and the torus; face j < n keeps the other rows
-    and the torus and merges psi_j + psi_{j+1}; face n keeps psi_1..psi_{n-1}
-    and reduces each pair (m, t) of psi_n and the torus mod cZ.
-    """
-    n = len(rows)
-    if j == n:
-        return not any(map(any, rows[:-1])) and all(last_face_zero[m + 2][t] for m, t in zip(rows[-1], torus))
-    if any(torus):
+    """Whether face(cfg, j, e) is zero for the member e with these indices:
+    each output free coordinate sums its face_incidence sources, and the torus
+    is kept, but for face n, which reduces each pair (m, t) of psi_n and the
+    torus mod cZ."""
+    free_rows, torus_merge = face_incidence(len(rows), j)
+    if any(any(map(sum, zip(*(rows[s - 1] for s in sources)))) for sources in free_rows):
         return False
-    if j == 0:
-        return not any(map(any, rows[1:]))
-    return not any(map(any, rows[: j - 1] + rows[j + 1 :])) and all(
-        a + b == 0 for a, b in zip(rows[j - 1], rows[j])
-    )
+    if torus_merge:
+        return all(last_face_zero[m + 2][t] for m, t in zip(rows[-1], torus))
+    return not any(torus)

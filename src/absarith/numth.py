@@ -111,11 +111,10 @@ def _n_minus_1_certified(n: int, work: list[int]) -> bool:
     found = _prime_factors(rest, work)
     while f**3 < n:
         q = next(found)
-        if rest % q == 0:
+        e, rest = divide_out(rest, q)
+        if e:
             primes.append(q)
-            while rest % q == 0:
-                rest //= q
-                f *= q
+            f *= q**e
     for q in primes:
         a = 2
         while True:

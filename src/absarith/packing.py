@@ -19,10 +19,10 @@ class PackingResult:
     exact: bool
 
 
-def circle_distance(x, y, circumference=1):
-    """Quotient metric on R modulo the circumference."""
-    d = abs(x - y) % circumference
-    return min(d, circumference - d)
+def circle_distance(x, y):
+    """Quotient metric on the circle R/Z of circumference 1."""
+    d = abs(x - y) % 1
+    return min(d, 1 - d)
 
 
 def _default_metric(x, y):

@@ -154,8 +154,8 @@ def test_count_E_xi_matches_the_per_coordinate_multiples():
 
 
 def test_count_E_xi_cap_names_the_count():
-    with pytest.raises(CapExceeded, match=f"enumeration of {delannoy(30, 4)} lattice points exceeds cap 1000"):
-        count_E_xi(Lattice1(Fraction(1)), 4, 30, cap=1000)
+    with pytest.raises(CapExceeded, match=f"enumeration of {delannoy(40, 4)} lattice points exceeds cap 1000000"):
+        count_E_xi(Lattice1(Fraction(1)), 4, 40)
 
 
 def test_theta_h0_direct_summation_oracle():

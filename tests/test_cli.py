@@ -342,6 +342,24 @@ def test_dk_check_names_what_the_hom_lacks(capsys, hom, named):
     assert err.startswith("error: a homomorphism") and named in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # A misspelt or misplaced key is refused rather than ignored for a
+        # default, under which the first two would answer for the zero divisor.
+        (("theta", "h0", "--divisor", '{"float": 40, "finit": {"2": 3}}'), "'float'"),
+        (("gspace", "pi", "--divisor", '{"float":2.5}', "--k", "2"), "'float'"),
+        (("theta", "h0", "--divisor", '{"arch":{"exact_exp":"1/2","float":0.5}}'), "exactly one"),
+        (("theta", "h0", "--divisor", '{"arch":{"exact_exp":"1/2","flaot":0.5}}'), "'flaot'"),
+        (("dk", "check", "--hom", '{"domain":[2],"codomain":[4],"matrix":[[2]],"n_max":1}'), "'n_max'"),
+    ],
+)
+def test_unknown_or_conflicting_keys_are_a_domain_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_dk_check_refuses_a_negative_n_max(capsys):
     hom = '{"domain":[4],"codomain":[4],"matrix":[[1]]}'
     code, out, err = run(capsys, "dk", "check", "--hom", hom, "--n-max", "-1")

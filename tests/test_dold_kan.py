@@ -130,8 +130,8 @@ def test_level_sizes():
 
 def test_level_cap():
     hom = GroupHom.zero_map(FiniteAbelianGroup((16,)), FiniteAbelianGroup((16,)))
-    with pytest.raises(CapExceeded):
-        list(simplicial_level(hom, 4).elements(cap=1000))
+    with pytest.raises(CapExceeded, match="level 5 has 16777216 elements, above the cap of 1000000"):
+        list(simplicial_level(hom, 5).elements())
 
 
 def test_level1_faces():

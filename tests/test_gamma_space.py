@@ -236,8 +236,8 @@ def test_spherical_enumeration_examples():
     assert pi1_spherical_enumerate(half, 1) == [(Fraction(-1, 3),), (Fraction(0),), (Fraction(1, 3),)]
     with pytest.raises(ValueError):
         pi1_spherical_enumerate(GSConfig(Lattice1(Fraction(1)), ScaleValue.from_log(0.0)), 1)
-    with pytest.raises(CapExceeded):
-        pi1_spherical_enumerate(_cfg(50), 6, cap=100)
+    with pytest.raises(CapExceeded, match="exceeds cap 1000000"):
+        pi1_spherical_enumerate(_cfg(50), 8)
 
 
 def test_spherical_homotopy_relation_is_trivial():
