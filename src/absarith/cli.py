@@ -206,11 +206,8 @@ def _cmd_gspace_pi(args):
     if args.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {args.n_max}")
     d = _parse_divisor(args)
-    if d.arch.is_exact:
-        cells = 0
-        for n in range(2, args.n_max + 1):
-            cells += (n + 1) * n * n
-            check_budget("certificate_cells", cells, n_max=args.n_max)
+    # Faces 0 and 2 have n - 1 rows each at degree n: n_max (n_max - 1) for 2..n_max.
+    check_budget("certificate_rows", args.n_max * (args.n_max - 1), n_max=args.n_max)
     # pi1_count is D(r, k) with radius r = floor(exp deg): a lower bound on its
     # digits is checked before D is built.
     radius = pi1_radius(d)
@@ -223,12 +220,8 @@ def _cmd_gspace_pi(args):
     else:
         pi0 = "trivial" if pi0_trivial_predicate(d, args.k) else "nontrivial"
     count = pi1_count(d, args.k)
-    higher = []
-    if d.arch.is_exact:
-        cfg = GSConfig.from_divisor(d)
-        for n in range(2, args.n_max + 1):
-            cert = higher_pi_trivial(n, cfg, args.k, samples=0)
-            higher.append([n, cert.verified])
+    cfg = GSConfig.from_divisor(d)
+    higher = [[n, higher_pi_trivial(n, cfg, args.k, samples=0).verified] for n in range(2, args.n_max + 1)]
     outputs = {"pi0": pi0, "pi1_count": count, "pi1_radius": radius, "pi_higher_trivial": higher}
     inputs = {"divisor": d.to_json_dict(), "k": args.k, "exp_degree": exp_degree(d)}
     return inputs, outputs

@@ -168,14 +168,14 @@ BUDGETS = {
     # takes about 0.5 s on a 2-core Xeon VM, where delannoy(10^200, 3000),
     # about 590,000 digits, took 5.3 s.
     "delannoy_digits": (10_000, "a delannoy number of at least {amount:.0f} digits is above the cap of {limit}"),
-    # The work of the `gspace pi` certificates for degrees n = 2..n-max, which
-    # rest on the rank of the face equations alone and so do not depend on the
-    # level: per degree, (n+1) n^2 cells, about as many as the face equations
-    # eliminated hold.  The largest accepted, n-max 25, takes about 0.2 s on a
-    # 2-core Xeon VM with the interpreter's start, most of the rest in that
-    # elimination; 26 is refused.
-    "certificate_cells": (
-        120_000, "the certificates up to degree {n_max} take {amount} cells, above the cap of {limit}"
+    # The face rows the `gspace pi` certificates read, n - 1 of face 0 and as
+    # many of face 2 at each degree n = 2..n-max, n-max (n-max - 1) in all,
+    # the same at every level and scale; the witnesses built and the answer
+    # grow with them.  The largest accepted, n-max 1000, takes about 0.6 s
+    # and 40 MB on a 2-core Xeon VM with the interpreter's start, and n-max
+    # 200 about 0.1 s; 1001 is refused.
+    "certificate_rows": (
+        1_000_000, "the certificates up to degree {n_max} read {amount} face rows, above the cap of {limit}"
     ),
     # `theta mc --samples`: about 0.13 s on one such core, with the
     # interpreter's start and numpy's import.

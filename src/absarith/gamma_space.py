@@ -16,8 +16,8 @@ Homotopy is concrete:
   otherwise the largest integer below exp(-deg);
 * at level k, pi_0 is trivial exactly when k <= 2 exp(deg);
 * above degree 1 the face equations force spherical simplices to vanish,
-  which higher_pi_trivial certifies by their rank over Q, drawing sampled
-  members to test the face code only when asked to.
+  which higher_pi_trivial certifies from the witnesses of faces 0 and 2,
+  drawing sampled members to test the face code only when asked to.
 
 Boundary cases (norm exactly lambda, exp(deg) an exact integer or exactly
 1/2) follow the inclusive <= convention throughout, decided exactly when the
@@ -41,7 +41,6 @@ from typing import Sequence
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, _ball_columns, count_E_xi, degree_scale, lattice_of
 from .combinat import FLOAT_TOL, delannoy, l1_within
 from .errors import SelfCheckFailed, check_budget, frozen
-from .smith import smith_normal_form
 
 __all__ = [
     "GSConfig",
@@ -314,33 +313,31 @@ def face_incidence(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], tuple[i
 
 @lru_cache(maxsize=128)
 def face_equations(n: int) -> tuple[int, tuple[str, ...], bool]:
-    """(rank, witnesses, torus_pinned) of the face equations at degree n.
+    """(rank, witnesses, torus_pinned) of the face equations at degree
+    n >= 2, read from faces 0 and 2 alone.
 
-    Each face j gives one 0/1 row per output free coordinate, over the n input
-    free coordinates; they depend on n alone.  Of the (n+1)(n-1) rows at most
-    2n - 1 are distinct, and repeats do not change the rank, so only the
-    distinct ones (in first-seen order) are taken, and the rank over Q is the
-    number of nonzero entries on the diagonal of their Smith normal form,
-    found on ints (smith.row_reduce, over Fractions, is the tests' oracle).
+    Each output free coordinate of a face that one input psi_s feeds gives
+    the equation psi_s = 0 on a spherical simplex: a witness.  Face 0 keeps
+    psi_2..psi_n and face 2 keeps psi_1, so their witnesses name all n free
+    coordinates.  A witness is a unit row of Q^n, so the rank of all
+    (n+1)(n-1) face rows, which lie in Q^n, is at least the number of
+    distinct coordinates the witnesses name, and that number, n, is full
+    rank (the tests' oracle eliminates every row over Q).  Face 0 reduces
+    nothing into the torus, so it keeps the torus as it is and pins it.
+    The work is the 2(n-1) rows of the two faces; no matrix is built.
     """
-    rows: list[tuple[int, ...]] = []
     witnesses: list[str] = []
-    torus_pinned = False
-    for j in range(n + 1):
+    named: set[int] = set()
+    for j in (0, 2):
         free_rows, torus_merge = face_incidence(n, j)
         for i, sources in enumerate(free_rows, start=1):
-            row = [0] * n
-            for s in sources:
-                row[s - 1] += 1
-            rows.append(tuple(row))
-            if len(sources) == 1 and (j == 0 or j == 2):
+            if len(sources) == 1:
                 witnesses.append(f"face {j}, coordinate {i}: psi_{sources[0]} = 0")
-        if not torus_merge:
-            torus_pinned = True  # the torus output is the torus input itself
-    diagonal, _, _ = smith_normal_form(list(dict.fromkeys(rows)))
-    rank = sum(1 for i, row in enumerate(diagonal[:n]) if row[i])
+                named.add(sources[0])
+        if j == 0:
+            torus_pinned = not torus_merge
     witnesses.append("face 0, torus coordinate: torus part = 0")
-    return rank, tuple(witnesses), torus_pinned
+    return len(named), tuple(witnesses), torus_pinned
 
 
 @frozen
@@ -362,14 +359,16 @@ def higher_pi_trivial(
 ) -> TrivialityCertificate:
     """Certify that pi_n is trivial for n >= 2.
 
-    The spherical conditions are linear in the free coordinates; the face
-    equations must have full rank n over Q (face_equations), the
-    0-th face pins the torus coordinate directly, and a singleton-equation
-    certificate is extracted (face 0 kills psi_2..psi_n and the torus, face 2
-    kills psi_1).  On top of the symbolic proof, `samples` randomly sampled
-    nonzero members are checked to violate at least one spherical equation;
-    with samples=0 the certificate is the rank alone, and nothing is drawn or
-    built whose size grows with k.
+    The spherical conditions are linear in the free coordinates.  The proof
+    is the witnesses of faces 0 and 2 (face_equations): face 0 kills
+    psi_2..psi_n and the torus, face 2 kills psi_1, so the face equations
+    have full rank n over Q, counted as the coordinates the witnesses name,
+    and the torus is pinned.  That depends on n alone, in O(n) work.  On top
+    of the symbolic proof, `samples` randomly sampled nonzero members are
+    checked to violate at least one spherical equation; with samples=0 the
+    certificate is the witnesses alone, nothing is drawn or built whose size
+    grows with k, and a float scale is accepted (the samples use exact
+    arithmetic, so samples > 0 needs an exact scale).
 
     The samples test the face code, not the theorem: where face 0 of a
     member vanishes, psi_2..psi_n and the torus are zero, so face 1 keeps
@@ -399,8 +398,8 @@ def higher_pi_trivial(
         raise ValueError("level must be >= 1")
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    if not cfg.exact:
-        raise ValueError("the certificate uses exact arithmetic; use an exact scale")
+    if samples and not cfg.exact:
+        raise ValueError("the sampled certificate uses exact arithmetic; use an exact scale or samples=0")
     rank, witnesses, torus_pinned = face_equations(n)
     violated = samples
     if samples:

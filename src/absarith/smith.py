@@ -4,16 +4,14 @@ The Smith form serves the closed-form route alone: a cokernel presented on
 the codomain generators, and a kernel as the cokernel of the dual map (by
 Pontryagin duality).  A brute-force group given only by its addition table
 is read off its element orders instead, with no matrix built, so the two
-routes never share a Smith form.  Its diagonal also gives the rank of the
-face equations of gamma_space.  Matrices here are small, so the classic
-alternating row/column Euclid with explicit transform tracking is plenty.
-The package's one Gauss-Jordan elimination over Q lives here too, as the
-oracle for that rank.
+routes never share a Smith form.  Every caller reads only the diagonal, so
+only the diagonal is computed, by the classic alternating row/column Euclid
+with no transforms kept; the tests check it against the determinantal
+divisors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, prod
 
 from .numth import divide_out, factorize
@@ -21,91 +19,47 @@ from .numth import divide_out, factorize
 Matrix = list[list[int]]
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def smith_normal_form(a: Matrix) -> list[int]:
+    """The diagonal of the Smith normal form of an integer matrix: its
+    min(rows, columns) entries d_1 | d_2 | ..., nonnegative, zeros last.
 
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (d, u, v) with u a v = d, u and v unimodular, d diagonal with
-    d[i][i] | d[i+1][i+1] and nonnegative."""
+    The pivot p starts as an entry of least absolute value.  Euclid down its
+    column leaves either zeros or a smaller entry, the next pivot.  Once the
+    column is clear, a column operation changes the pivot's row alone, so
+    the row's other entries become their remainders mod p, and a nonzero
+    one is the next pivot.  Once both are clear p must divide the rest, else
+    a row holding an entry it does not divide is added to the pivot's.  A
+    finished pivot is one diagonal entry, and its row and column are dropped.
+    """
     d = [list(map(int, row)) for row in a]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pos = find_pivot(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
+    size = min(len(d), len(d[0])) if d else 0
+    diagonal: list[int] = []
+    while any(map(any, d)):
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(d) for j, x in enumerate(row) if x)
         while True:
-            # Euclidean reduction of column t, keeping the smallest entry at the pivot.
-            reduced = True
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(t, i, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        reduced = False
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(t, j, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        reduced = False
-            if not reduced:
+            moved = False
+            for r in range(len(d)):
+                if r != i and d[r][j]:
+                    q = d[r][j] // d[i][j]
+                    d[r] = [x - q * y for x, y in zip(d[r], d[i])]
+                    if d[r][j]:
+                        i, moved = r, True
+            if moved:
                 continue
-            # Pivot must divide the remaining block for the divisibility chain.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            p = d[i][j]
+            d[i] = [x % p for x in d[i]]
+            d[i][j] = p
+            left = [(abs(x), c) for c, x in enumerate(d[i]) if x and c != j]
+            if left:
+                j = min(left)[1]
+                continue
+            offender = next((r for r, row in enumerate(d) if any(x % p for x in row)), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return d, u, v
+            d[i] = [x + y for x, y in zip(d[i], d[offender])]
+        diagonal.append(abs(d[i][j]))
+        d = [row[:j] + row[j + 1 :] for r, row in enumerate(d) if r != i]
+    return diagonal + [0] * (size - len(diagonal))
 
 
 def invariant_factors_of_presentation(rows: Matrix, n_generators: int) -> list[int]:
@@ -116,10 +70,8 @@ def invariant_factors_of_presentation(rows: Matrix, n_generators: int) -> list[i
     """
     if any(len(r) != n_generators for r in rows):
         raise ValueError("presentation rows must match the number of generators")
-    d, _, _ = smith_normal_form(rows)
-    diag = [d[i][i] for i in range(min(len(d), n_generators))]
-    diag += [0] * (n_generators - len(diag))
-    if any(x == 0 for x in diag):
+    diag = smith_normal_form(rows)
+    if len(diag) < n_generators or 0 in diag:
         raise ValueError("presentation does not define a finite group")
     return [x for x in diag if x > 1]
 
@@ -169,27 +121,6 @@ def kernel_divisors(
             row.append(q)
         rows.append(row)
     return cokernel_divisors(domain_orders, rows)
-
-
-def row_reduce(rows) -> tuple[list[list[Fraction]], int]:
-    """Gauss-Jordan elimination over Q: the reduced row echelon form of an
-    integer or rational matrix, and its rank."""
-    matrix = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(matrix[0]) if matrix else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        lead = matrix[rank][col]
-        matrix[rank] = [x / lead for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
-        rank += 1
-    return matrix, rank
 
 
 def group_divisors_from_table(elements, add, zero) -> list[int]:

@@ -1,0 +1,95 @@
+"""Every public function, class and method of src/absarith has a reader.
+
+A name is read where it occurs, other than in its own definition, as a
+name, an attribute or an entry of __all__ (a module's declared API) in
+src/absarith or bench/ (read with the standard library's ast), or as a word
+of README.md.  The names that nothing there
+reads are on ALLOWED, each with its reason, and no name is on ALLOWED that
+has a reader or no definition, so that the list cannot go stale."""
+
+import ast
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Public names with no reader in src, bench or the README.
+ALLOWED = {
+    "count_xi_over_L": "acceptance criterion 10 counts sections with it",
+    "torsion_lcm": "acceptance criterion 3 reads the order of an image in Z[Q/Z] with it",
+    "norm_filtered_member": "acceptance criterion 9 tests the filtration with it",
+    "principal": "acceptance criterion 10 shifts a divisor by a principal one",
+    "push_forward": "acceptance criterion 9 pushes members forward with it",
+    "simplicial_level": "acceptance criterion 8 lists the levels of the object path with it",
+    "zero_map": "tests build the zero morphism of two groups with it",
+    "constant_to_base": "tests build the constant pointed map with it",
+    "is_effective": "a test checks which Witt elements are effective",
+    "odometer": "the Verschiebung on raw endomorphisms, which a test checks against witt.verschiebung",
+}
+
+
+def _python_files(directory: str) -> list[str]:
+    return sorted(os.path.join(directory, name) for name in os.listdir(directory) if name.endswith(".py"))
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """The public top-level functions and classes of a module and the public
+    methods of its public classes."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return names
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name, attribute, imported name and __all__ entry of a module."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            reads.update(ast.literal_eval(node.value))
+    return reads
+
+
+def unread(src: list[str], readers: list[str], text: str) -> list[str]:
+    """The public names defined in the src sources that neither the sources
+    nor the readers' sources read, nor the text names as a word."""
+    trees = [ast.parse(source) for source in src]
+    defined = [name for tree in trees for name in _definitions(tree)]
+    reads = set().union(*map(_reads, trees), *(_reads(ast.parse(source)) for source in readers))
+    words = set(re.findall(r"\w+", text))
+    return sorted({name for name in defined if name not in reads and name not in words})
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def test_the_audit_finds_a_name_nothing_reads():
+    src = [
+        "class Shape:\n    def area(self):\n        return 0\n    def spin(self):\n        pass\n"
+        "    def _hidden(self):\n        pass\n\ndef unused():\n    pass\n\ndef _private():\n    pass\n",
+        "from shapes import Shape\n\ndef draw(s):\n    return s.area()\n\ndef fill(s):\n    pass\n\n"
+        "__all__ = ['fill']\n",
+    ]
+    assert unread(src, [], "") == ["draw", "spin", "unused"]
+    assert unread(src, ["draw(Shape())\n"], "call `spin` first") == ["unused"]
+
+
+def test_every_public_name_has_a_reader_or_a_reason():
+    src = [_read(path) for path in _python_files(os.path.join(ROOT, "src", "absarith"))]
+    bench = [_read(path) for path in _python_files(os.path.join(ROOT, "bench"))]
+    assert unread(src, bench, _read(os.path.join(ROOT, "README.md"))) == sorted(ALLOWED)

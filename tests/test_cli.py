@@ -74,7 +74,7 @@ def test_gspace_pi_float_divisor(capsys):
     )
     assert result["outputs"]["pi0"] == "trivial"  # 2 <= 2 exp(0.2)
     assert result["outputs"]["pi1_count"] == 5  # floor(e^0.2) = 1, ball count in Z^2
-    assert result["outputs"]["pi_higher_trivial"] == []
+    assert result["outputs"]["pi_higher_trivial"] == [[2, True], [3, True]]
 
 
 def test_theta_rr(capsys):
@@ -425,11 +425,11 @@ def test_gspace_pi_certificate_work_does_not_grow_with_the_level(capsys):
     assert result["outputs"]["pi_higher_trivial"] == [[2, True], [3, True]]
     assert result["timing_ms"] < 100
     for k in ("1", "1000"):
-        outputs = run_json(capsys, "gspace", "pi", "--divisor", divisor, "--k", k, "--n-max", "25")["outputs"]
-        assert outputs["pi_higher_trivial"] == [[n, True] for n in range(2, 26)]
-        code, out, err = run(capsys, "gspace", "pi", "--divisor", divisor, "--k", k, "--n-max", "26")
+        outputs = run_json(capsys, "gspace", "pi", "--divisor", divisor, "--k", k, "--n-max", "1000")["outputs"]
+        assert outputs["pi_higher_trivial"] == [[n, True] for n in range(2, 1001)]
+        code, out, err = run(capsys, "gspace", "pi", "--divisor", divisor, "--k", k, "--n-max", "1001")
         assert code == 4 and out == ""
-        assert err == "error: the certificates up to degree 26 take 129400 cells, above the cap of 120000\n"
+        assert err == "error: the certificates up to degree 1001 read 1001000 face rows, above the cap of 1000000\n"
 
 
 def test_gspace_delannoy_routes_that_disagree_are_a_failed_self_check(capsys, monkeypatch):
@@ -525,7 +525,7 @@ _LOADED = [
     (("theta", "h0", "--deg", "1"), {"arakelov", "numth", "combinat"}),
     (("theta", "rr", "--deg", "2"), {"arakelov", "numth", "combinat"}),
     (("gspace", "delannoy", "--n", "3", "--k", "3"), {"combinat"}),
-    (("gspace", "pi", "--divisor", _DIVISOR_1_3, "--k", "1"), {"arakelov", "gamma_space", "smith", "numth", "combinat"}),
+    (("gspace", "pi", "--divisor", _DIVISOR_1_3, "--k", "1"), {"arakelov", "gamma_space", "numth", "combinat"}),
     (("dk", "check", "--hom", '{"domain":[2],"codomain":[4],"matrix":[[2]]}'), {"dold_kan", "smith", "numth"}),
 ]
 _REPORT_LOADED = """

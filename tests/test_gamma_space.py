@@ -669,7 +669,7 @@ def test_pi1_count_cross_checks_a_radius_zero_ball_at_a_huge_level(monkeypatch):
 
 def test_face_rank_from_distinct_rows_matches_all_rows():
     from absarith.gamma_space import face_equations
-    from absarith.smith import row_reduce
+    from smith_oracles import row_reduce
 
     for n in range(2, 31):
         rows = []
@@ -807,6 +807,40 @@ def test_higher_pi_trivial_rejects_a_level_below_1_and_negative_samples():
     for k, samples in ((0, 1), (1, -5), (-3, 0)):
         with pytest.raises(ValueError):
             higher_pi_trivial(2, cfg, k, samples=samples)
+
+
+def test_a_float_scale_certificate_is_the_witnesses_alone():
+    cfg = GSConfig(Lattice1(Fraction(1)), ScaleValue.from_log(0.5))
+    for n in (2, 3, 40):
+        cert = higher_pi_trivial(n, cfg, 3, samples=0)
+        assert cert.verified and cert.rank == n and cert.witness_equations == gamma_space.face_equations(n)[1]
+    with pytest.raises(ValueError, match="exact scale or samples=0"):
+        higher_pi_trivial(2, cfg, 1, samples=1)
+
+
+def test_a_sampled_draw_that_is_no_member_is_a_failed_self_check(monkeypatch):
+    members = gamma_space._members
+    monkeypatch.setattr(gamma_space, "_members", lambda *a: members(*a)[:-1] + [False])
+    with pytest.raises(SelfCheckFailed, match="a sampled draw of the degree 3 certificate at level 2 is not a member"):
+        higher_pi_trivial(3, _cfg(Fraction(3, 2), Fraction(1, 2)), 2, samples=10, seed=4)
+
+
+def test_uniform_block_refetches_twice_the_indices_it_lacks():
+    # With every byte above 31 dropped, a fetch keeps about one byte in eight,
+    # so the first fetch of 2 size bytes falls short and is followed by more.
+    size, redrawn = 40, bytes(range(1 << 5, 256))
+    for seed in range(20):
+        fetches = []
+        rng = random.Random(seed)
+        getrandbits = rng.getrandbits
+        rng.getrandbits = lambda bits: fetches.append(bits) or getrandbits(bits)
+        block = gamma_space._uniform_block(rng, size, redrawn)
+        replay, kept = random.Random(seed), b""
+        for bits in fetches:
+            assert len(kept) < size and bits == 16 * (size - len(kept)), (seed, fetches)
+            kept += replay.getrandbits(bits).to_bytes(bits // 8, "little").translate(gamma_space._TOP_BITS, redrawn)
+        assert len(kept) >= size and block == kept[:size]
+        assert len(fetches) > 1 and rng.getrandbits(64) == replay.getrandbits(64)
 
 
 def test_delannoy_digits_is_a_lower_bound_on_the_digits():

@@ -14,10 +14,7 @@ from absarith.smith import (
     smith_normal_form,
 )
 from helpers import small_groups as _small_groups
-
-
-def _matmul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+from smith_oracles import row_reduce
 
 
 def _det(m):
@@ -42,21 +39,34 @@ def _det(m):
 
 
 def test_smith_normal_form_random():
+    # The determinantal divisors: d_1 ... d_j is the gcd of the j x j minors
+    # (0 past the rank), and the diagonal is a nonnegative divisibility chain.
     rng = random.Random(61)
     for _ in range(60):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        d, u, v = smith_normal_form(a)
-        assert _matmul(_matmul(u, a), v) == d
-        assert abs(_det(u)) == 1 and abs(_det(v)) == 1
-        diag = [d[i][i] for i in range(min(m, n))]
-        for i in range(len(diag) - 1):
-            if diag[i + 1] != 0:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
+        diag = smith_normal_form(a)
+        assert len(diag) == min(m, n) and min(diag) >= 0
+        for j in range(1, min(m, n) + 1):
+            minors = (
+                _det([[a[r][c] for c in cols] for r in rows])
+                for rows in itertools.combinations(range(m), j)
+                for cols in itertools.combinations(range(n), j)
+            )
+            assert math.prod(diag[:j]) == math.gcd(*map(int, minors)), (a, diag, j)
+        for x, y in zip(diag, diag[1:]):
+            assert y == 0 or (x != 0 and y % x == 0)
+
+
+def test_row_reduce_oracle_on_a_matrix_of_lower_rank():
+    # Rank 2 in three columns, with a repeated row and a multiple of one: a
+    # pivot row that eliminated itself would leave a third pivot.
+    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [1, 2, 3]]
+    reduced, rank = row_reduce(rows)
+    assert rank == 2
+    assert reduced == [[1, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 0]]
+    assert row_reduce([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], 0)
+    assert row_reduce([]) == ([], 0)
 
 
 def test_invariant_factors():
