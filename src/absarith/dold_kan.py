@@ -12,19 +12,22 @@ identities come from one code path.
 Homotopy groups are computed by brute force, one routine for every degree n:
 spherical n-simplices are enumerated, the one-step relation from level n+1 is
 tabulated and checked to be an equivalence, and the isomorphism class of the
-quotient group is read off its addition table.  The expected answers are
-pi_0 = coker phi, pi_1 = ker phi, nothing above.  That enumeration runs on
-element indices, with addition and phi as lookup tables and every face
-compiled once per level, and searches each level column by column: the
-surviving tuples are held as one list per slot, every face slot is tested
-over whole columns as soon as its sources are assigned, and faces and sums
-are evaluated by C-level maps over the columns.  The quotient runs on
-integer codes of the rows (mixed radix, the row's position in its level),
-so no row tuple is built, and checks addition on generators of the
-spherical group.  The element objects above stay as the small-group oracle
-the compiled faces are tested against; the per-tuple push and adder (the
-oracles of the column forms), the filter form of the search and the
-quotient checked on every pair live with the tests (tests/dold_kan_oracles.py).
+quotient group is read off the element orders of its addition.  The expected
+answers are pi_0 = coker phi, pi_1 = ker phi, nothing above.  That
+enumeration runs on element indices, with addition and phi as lookup tables
+and every face compiled once per level, and searches each level column by
+column: the surviving tuples are held as one list per slot, every face slot
+is tested over whole columns as soon as its sources are assigned, and faces
+and sums are evaluated by C-level maps over the columns.  The quotient runs
+on integer codes of the rows (mixed radix, the row's position in its
+level), so no row tuple is built, checks addition on generators of the
+spherical group, and adds two classes by adding the codes of their first
+rows slot by slot through the level's addition tables.  The element objects
+above stay as the small-group oracle the compiled faces are tested against;
+the per-tuple push and adder (the oracles of the column forms), the filter
+form of the search, the quotient checked on every pair and the addition
+table built one factor at a time live with the tests
+(tests/dold_kan_oracles.py).
 """
 
 from __future__ import annotations
@@ -329,20 +332,20 @@ class HomotopyGroups:
         return dict(self.higher_trivial)
 
 
-def _quotient_divisors(elements: list, relation, translate, zero) -> tuple[int, ...]:
+def _quotient_divisors(elements: list, relation, translate, add, zero) -> tuple[int, ...]:
     """Isomorphism class of the quotient of a finite abelian group by a
     relation, asserted to be an equivalence compatible with addition.
 
     Elements are hashable codes (homotopy_groups passes the integer codes of
-    _row_codes), relation a collection of pairs of them, and translate(g) the
-    list of g + e for every element e, in order.  Once the relation is
-    reflexive, each element e is labelled by the set R(e) of elements related
-    to it, and every related pair (x, y) must carry equal labels.  That is
-    the same test as symmetry plus transitivity: R(x) = R(y) with y in R(y)
-    and x in R(x) gives y ~ x, and z in R(y) gives x ~ z; conversely the
-    labels of an equivalence are its classes.  It costs one pass over the
-    relation, and only after a failure do the pairwise scans run, to name the
-    property that fails.
+    _row_codes), relation a collection of pairs of them, translate(g) the
+    list of g + e for every element e, in order, and add(x, y) the code of
+    one sum x + y.  Once the relation is reflexive, each element e is
+    labelled by the set R(e) of elements related to it, and every related
+    pair (x, y) must carry equal labels.  That is the same test as symmetry
+    plus transitivity: R(x) = R(y) with y in R(y) and x in R(x) gives y ~ x,
+    and z in R(y) gives x ~ z; conversely the labels of an equivalence are
+    its classes.  It costs one pass over the relation, and only after a
+    failure do the pairwise scans run, to name the property that fails.
 
     Compatibility with addition is checked on generators.  They are chosen
     greedily in element order: an element outside the span of those before
@@ -355,11 +358,11 @@ def _quotient_divisors(elements: list, relation, translate, zero) -> tuple[int, 
     (each ends in the span, and in a finite group -g is a multiple of g), so
     every translation carries classes into classes, which is a ~ a' =>
     a + b ~ a' + b; with b ~ b' and commutativity, a + b ~ a' + b'.  The
-    class table is then read lazily: column j is the classes of the first
-    element of class j plus the first of each class, from one row of sums
-    when group_divisors_from_table first asks for it, and the quotient is
-    read off its element orders, with no Smith form: that serves only the
-    closed-form oracles, cokernel_divisors and kernel_divisors.
+    sum of classes i and j is then the class of the sum of their first
+    elements, one call of add each time group_divisors_from_table asks for
+    it, so no row of sums is built per class; the quotient is read off its
+    element orders, with no Smith form: that serves only the closed-form
+    oracles, cokernel_divisors and kernel_divisors.
     """
     related: dict = {e: set() for e in elements}
     for x, y in relation:
@@ -392,13 +395,13 @@ def _quotient_divisors(elements: list, relation, translate, zero) -> tuple[int, 
         coset = list(span)
         while not span.issuperset(coset := list(map(steps.__getitem__, coset))):
             span.update(coset)
-    table: list = [None] * len(class_index)
+    representatives = list(map(elements.__getitem__, firsts))
 
     def class_add(i: int, j: int) -> int:
-        if table[j] is None:
-            row = translate(elements[firsts[j]])
-            table[j] = list(map(class_of.__getitem__, map(row.__getitem__, firsts)))
-        return table[j][i]
+        label = class_of.get(add(representatives[i], representatives[j]))
+        if label is None:
+            raise SelfCheckFailed("homotopy quotient's elements are not closed under addition")
+        return label
 
     return tuple(group_divisors_from_table(range(len(class_index)), class_add, class_of[zero]))
 
@@ -431,17 +434,43 @@ def _translations(tables: Sequence, columns: Sequence, sizes: Sequence[int]):
     return translate
 
 
+def _adder(tables: Sequence, sizes: Sequence[int]):
+    """add(x, y): the code of the sum of the rows coded x and y, slot by
+    slot through that slot's table, the slots read off the codes last slot
+    first (the mixed radix of _row_codes)."""
+    slots = list(zip(reversed(tables), reversed(sizes)))
+
+    def add(x: int, y: int) -> int:
+        code, scale = 0, 1
+        for table, size in slots:
+            x, dx = divmod(x, size)
+            y, dy = divmod(y, size)
+            code += table[dx][dy] * scale
+            scale *= size
+        return code
+
+    return add
+
+
 def _add_table(orders: tuple[int, ...]) -> list[list[int]]:
     """Addition of a product of cyclic groups on element indices, the index of
     an element being its position in `elements()` (mixed radix, last
     coordinate fastest)."""
-    table, size = [[0]], 1
-    for m in reversed(orders):
-        # Prepend a factor Z/m: row d * size + i is row i with digit e in
-        # front of each entry, rotated by d blocks so that the digit is d + e.
-        shifted = [list(chain.from_iterable(map((e * size).__add__, row) for e in range(m))) for row in table]
-        table = [row[d * size :] + row[: d * size] for d in range(m) for row in shifted]
-        size *= m
+    if not orders:
+        return [[0]]
+    # The last factor Z/m alone: row d is range(m) rotated by d.
+    size = orders[-1]
+    doubled = list(range(size)) * 2
+    table = [doubled[d : d + size] for d in range(size)]
+    for m in reversed(orders[:-1]):
+        # Prepend a factor Z/m: row d * size + i is row i repeated with digit
+        # d + e mod m in front of its e-th copy, a cut at block d of row i
+        # repeated 2m times under the digits 0, ..., m - 1 twice over.
+        width = m * size
+        digits = list(chain.from_iterable(map(repeat, range(0, width, size), repeat(size)))) * 2
+        blocks = [list(map(add, digits, row * (2 * m))) for row in table]
+        table = [row[d * size : d * size + width] for d in range(m) for row in blocks]
+        size = width
     return table
 
 
@@ -580,8 +609,9 @@ def _pi(ix: _IndexedHom, n: int, spherical: list[list[int]]) -> tuple[tuple[int,
     both_zero = list(map(not_, map(add, xs, ys)))
     above = [list(compress(column, both_zero)) for column in leaves]
     relation = {(x, y) for x, y in zip(xs, ys) if x in members and y in members}
-    translate = _translations(ix.tables(n), spherical, sizes)
-    return _quotient_divisors(codes, relation, translate, 0), above
+    tables = ix.tables(n)
+    translate = _translations(tables, spherical, sizes)
+    return _quotient_divisors(codes, relation, translate, _adder(tables, sizes), 0), above
 
 
 def homotopy_groups(hom: GroupHom, n_max: int = 3, cap: int = DEFAULT_CAP) -> HomotopyGroups:

@@ -2,16 +2,17 @@
 
 The Smith form serves the closed-form route alone: a cokernel presented on
 the codomain generators, and a kernel as the cokernel of the dual map (by
-Pontryagin duality).  A brute-force group given only by its addition table
-is read off its element orders instead, with no matrix built, so the two
-routes never share a Smith form.  Every caller reads only the diagonal, so
-only the diagonal is computed, by the classic alternating row/column Euclid
-with no transforms kept; the tests check it against the determinantal
-divisors.
+Pontryagin duality).  A brute-force group given only by its addition law
+is read off a histogram of its element orders instead, with no matrix
+built, so the two routes never share a Smith form.  Every caller reads only
+the diagonal, so only the diagonal is computed, by the classic alternating
+row/column Euclid with no transforms kept; the tests check it against the
+determinantal divisors.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, prod
 
 from .numth import divide_out, factorize
@@ -128,10 +129,12 @@ def group_divisors_from_table(elements, add, zero) -> list[int]:
     law, read off its element orders.
 
     Each cyclic subgroup is walked once, x, 2x, ... until zero, which gives
-    the order of every multiple, ord(jx) = ord(x) / gcd(j, ord(x)).  If the
-    p-part is a product of Z/p^e_i, then c_k = p^(sum_i min(k, e_i)) elements
-    have order dividing p^k, and log_p(c_k / c_(k-1)) factors have order p^k
-    or more; the divisors must reproduce every c_k and multiply to the order.
+    the order of every multiple, ord(jx) = ord(x) / gcd(j, ord(x)), and the
+    orders are counted once into a histogram.  If the p-part is a product of
+    Z/p^e_i, then c_k = p^(sum_i min(k, e_i)) elements have order dividing
+    p^k, each c_k a sum over the histogram's orders, and log_p(c_k / c_(k-1))
+    factors have order p^k or more; the divisors must reproduce every c_k and
+    multiply to the order.
     """
     elems = list(elements)
     index = {g: i for i, g in enumerate(elems)}
@@ -154,11 +157,12 @@ def group_divisors_from_table(elements, add, zero) -> list[int]:
             walk.append(index[y])
         for j, k in enumerate(walk, start=1):
             orders[k] = len(walk) // gcd(j, len(walk))
-    consistent = not any(m % n for n in orders)
+    histogram = Counter(orders)
+    consistent = not any(m % n for n in histogram)
     divisors: list[int] = []
     for p, a in factorize(m).items():
         # counts[k] is c_k; Z/p^e has gcd(p^e, p^k) elements of order dividing p^k.
-        counts = [sum(p**k % n == 0 for n in orders) for k in range(a + 1)]
+        counts = [sum(c for n, c in histogram.items() if p**k % n == 0) for k in range(a + 1)]
         ranks = [divide_out(c // b, p)[0] for b, c in zip(counts, counts[1:])] + [0]
         part = [p**k for k in range(1, a + 1) for _ in range(ranks[k - 1] - ranks[k])]
         consistent &= counts == [prod(gcd(d, p**k) for d in part) for k in range(a + 1)]

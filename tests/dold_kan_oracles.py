@@ -1,8 +1,9 @@
 """Oracles of the Dold-Kan quotient and search, moved out of dold_kan when
 the routes that replaced them took their place: the quotient with its
 addition checked on every pair of elements (the generator check's oracle),
-the rows of sums behind it, the spherical sets as index tuples, and the
-per-tuple forms of the index path's faces and addition."""
+the rows of sums behind it, the spherical sets as index tuples, the
+per-tuple forms of the index path's faces and addition, and the addition
+table built by prepending one cyclic factor at a time."""
 
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ class _PerTupleIndexedHom(_IndexedHom):
         return not any(any(self.push(plan, v)) for plan in plans)
 
     def adder(self, n: int):
-        """Addition on level n, pair by pair: the oracle of _translations."""
+        """Addition on level n, pair by pair: the oracle of _translations and _adder."""
         tables = self.tables(n)
         return lambda x, y: tuple(map(getitem, map(getitem, tables, x), y))
 
@@ -112,3 +113,18 @@ def _vanishing(ix: _IndexedHom, n: int, plans) -> list[tuple[int, ...]]:
 def _spherical(ix: _IndexedHom, n: int) -> list:
     """Level-n index tuples whose n+1 faces all vanish (every vertex at n = 0)."""
     return _vanishing(ix, n, ix.faces(n) if n else ())
+
+
+def _add_table(orders: tuple[int, ...]) -> list[list[int]]:
+    """Addition of a product of cyclic groups on element indices, the index of
+    an element being its position in `elements()` (mixed radix, last
+    coordinate fastest), from the trivial group up: the oracle of
+    dold_kan._add_table."""
+    table, size = [[0]], 1
+    for m in reversed(orders):
+        # Prepend a factor Z/m: row d * size + i is row i with digit e in
+        # front of each entry, rotated by d blocks so that the digit is d + e.
+        shifted = [list(itertools.chain.from_iterable(map((e * size).__add__, row) for e in range(m))) for row in table]
+        table = [row[d * size :] + row[: d * size] for d in range(m) for row in shifted]
+        size *= m
+    return table

@@ -442,6 +442,22 @@ def test_gspace_delannoy_routes_that_disagree_are_a_failed_self_check(capsys, mo
     assert err.startswith("error: self-check failed: ") and err.count("\n") == 1
 
 
+def test_theta_mc_where_exp_h0_overflows_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "theta", "mc", "--deg", "710", "--seed", "1", "--samples", "1")
+    assert code == 3 and out == ""
+    assert err == "error: exp(h0) at h0 = 710.0 is above the largest float\n"
+
+
+def test_witt_mul_whose_answer_is_too_long_to_print_is_a_cap_error(capsys):
+    # 10^2999 squared has 5,999 digits, above the interpreter's limit on
+    # converting one integer to a string.
+    a = '{"1": 1%s}' % ("0" * 2999)
+    code, out, err = run(capsys, "witt", "mul", "--a", a, "--b", a)
+    assert code == 4 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: the answer holds an integer of more than {limit} digits, the limit on printing one\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

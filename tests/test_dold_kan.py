@@ -12,6 +12,8 @@ from absarith import dold_kan
 from absarith.dold_kan import (
     FiniteAbelianGroup,
     _IndexedHom,
+    _add_table,
+    _adder,
     _pi,
     _quotient_divisors,
     _row_codes,
@@ -31,6 +33,7 @@ from absarith.dold_kan import (
 )
 from absarith.errors import CapExceeded, SelfCheckFailed
 from absarith.smith import cokernel_divisors, kernel_divisors
+from dold_kan_oracles import _add_table as _prepending_add_table
 from dold_kan_oracles import _quotient_divisors as _pairwise_quotient_divisors
 from dold_kan_oracles import _PerTupleIndexedHom, _spherical, _sums, _vanishing
 from helpers import FACE_HOMS, random_abelian_group, random_hom, small_homs
@@ -490,6 +493,15 @@ def test_row_sums_match_the_pairwise_adder(hom):
             assert list(_sums(ix.tables(n), a, columns)) == [add(a, b) for b in elements]
 
 
+def test_addition_tables_equal_the_prepending_construction():
+    # Every group of the benchmark's homotopy slots (bench/workloads.py
+    # HOMOTOPY_SLOTS), a three-factor group and the trivial group, cell for
+    # cell.
+    slot_groups = ((4,), (2, 2), (8,), (6,), (12,), (9,), (3, 3), (2, 4), (16,), (4, 4), (2, 8), (32,))
+    for orders in slot_groups + ((2, 3, 4), ()):
+        assert _add_table(orders) == _prepending_add_table(orders), orders
+
+
 def test_homotopy_memory_on_the_identity_of_z100():
     # pi_0 relates all 10^4 edges of level 1; the column search keeps that
     # pass near the memory of the tuples it must produce.
@@ -526,9 +538,14 @@ def test_homotopy_leaves_no_cyclic_garbage():
 Z4_ELEMENTS = [(0,), (1,), (2,), (3,)]
 
 
-# Addition on Z/4 as translations of its 1-tuples: _z4_add(g) lists g + x for every x in Z4_ELEMENTS.
-def _z4_add(g):
+# Addition on Z/4 on its 1-tuples: _z4_translate(g) lists g + x for every x
+# in Z4_ELEMENTS, and _z4_add(g, h) is the one sum g + h.
+def _z4_translate(g):
     return [((g[0] + x) % 4,) for (x,) in Z4_ELEMENTS]
+
+
+def _z4_add(g, h):
+    return ((g[0] + h[0]) % 4,)
 
 
 def _z4_relation(*pairs):
@@ -549,7 +566,7 @@ def _z4_relation(*pairs):
 )
 def test_quotient_names_the_property_a_relation_lacks(relation, message):
     with pytest.raises(AssertionError) as info:
-        _quotient_divisors(Z4_ELEMENTS, relation, _z4_add, (0,))
+        _quotient_divisors(Z4_ELEMENTS, relation, _z4_translate, _z4_add, (0,))
     assert str(info.value) == f"homotopy relation is {message}"
 
 
@@ -562,7 +579,7 @@ def test_quotient_names_the_property_a_relation_lacks(relation, message):
     ],
 )
 def test_quotient_by_a_congruence(relation, divisors):
-    assert _quotient_divisors(Z4_ELEMENTS, relation, _z4_add, (0,)) == divisors
+    assert _quotient_divisors(Z4_ELEMENTS, relation, _z4_translate, _z4_add, (0,)) == divisors
 
 
 def test_quotient_names_a_sum_outside_its_elements():
@@ -570,7 +587,16 @@ def test_quotient_names_a_sum_outside_its_elements():
     elements = [(0,), (1,)]
     diagonal = {(e, e) for e in elements}
     with pytest.raises(SelfCheckFailed) as info:
-        _quotient_divisors(elements, diagonal, lambda g: [((g[0] + x) % 4,) for (x,) in elements], (0,))
+        _quotient_divisors(elements, diagonal, lambda g: [((g[0] + x) % 4,) for (x,) in elements], _z4_add, (0,))
+    assert str(info.value) == "homotopy quotient's elements are not closed under addition"
+
+
+def test_quotient_names_a_class_sum_outside_its_elements():
+    # The translations keep Z/4 closed, but an adder that disagrees with them
+    # lands outside it when the class table is read: 3 + 1 is sent to 4.
+    relation = _z4_relation()
+    with pytest.raises(SelfCheckFailed) as info:
+        _quotient_divisors(Z4_ELEMENTS, relation, _z4_translate, lambda g, h: (g[0] + h[0],), (0,))
     assert str(info.value) == "homotopy quotient's elements are not closed under addition"
 
 
@@ -636,11 +662,12 @@ def test_generator_check_agrees_with_the_pairwise_oracle():
         codes = _row_codes(columns, orders)
         code = dict(zip(elements, codes))
         translate = _translations(tables, columns, orders)
+        add = _adder(tables, orders)
         for _ in range(150):
             relation = _random_relations(rng, elements, orders)
             expected = _outcome(_pairwise_quotient_divisors, elements, relation, tables, elements[0])
             coded = {(code[x], code[y]) for x, y in relation}
-            assert _outcome(_quotient_divisors, codes, coded, translate, 0) == expected, (orders, relation)
+            assert _outcome(_quotient_divisors, codes, coded, translate, add, 0) == expected, (orders, relation)
             seen.add(expected if isinstance(expected, str) else "divisors")
     lacks = ("not reflexive", "not symmetric", "not transitive", "not compatible with addition")
     assert seen == {"divisors"} | {f"homotopy relation is {p}" for p in lacks}
@@ -649,8 +676,9 @@ def test_generator_check_agrees_with_the_pairwise_oracle():
 @pytest.mark.parametrize("hom", FACE_HOMS)
 def test_row_codes_and_translations_match_the_pairwise_adder(hom):
     # The integer codes are positions in level order, and each translation
-    # lists the codes of the level adder's sums, on the spherical sets of
-    # levels 0-2 and on the whole of level 1.
+    # lists the codes of the level adder's sums, as does the adder on codes
+    # pair by pair, on the spherical sets of levels 0-2 and on the whole of
+    # level 1.
     ix = _PerTupleIndexedHom(hom)
     for n, elements in [(n, _spherical(ix, n)) for n in (0, 1, 2)] + [(1, list(ix.level(1)))]:
         add = ix.adder(n)
@@ -659,8 +687,10 @@ def test_row_codes_and_translations_match_the_pairwise_adder(hom):
         codes = _row_codes(columns, ix.sizes(n))
         assert [level[c] for c in codes] == elements
         translate = _translations(ix.tables(n), columns, ix.sizes(n))
+        code_add = _adder(ix.tables(n), ix.sizes(n))
         for a, c in zip(elements, codes):
             assert [level[s] for s in translate(c)] == [add(a, b) for b in elements]
+            assert [level[code_add(c, d)] for d in codes] == [add(a, b) for b in elements]
 
 
 @pytest.mark.parametrize("hom", FACE_HOMS + _index_path_homs())

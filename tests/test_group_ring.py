@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from absarith import group_ring
+from absarith.errors import SelfCheckFailed
 from absarith.group_ring import (
     GroupRingElt,
     act_unit,
@@ -179,6 +180,24 @@ def test_a_symbol_of_huge_order_is_refused_unfactored(monkeypatch):
             seconds.append(time.perf_counter() - started)
             assert str(refused.value) == INVARIANCE_MESSAGE
         assert min(seconds) < 0.01, (n, seconds)
+
+
+def test_a_round_trip_that_drops_a_symbol_is_a_failed_self_check(monkeypatch):
+    w = WittElement.from_coeffs({6: 1})
+    x = witt_to_groupring(w)
+    exact = group_ring.witt_to_groupring
+    monkeypatch.setattr(group_ring, "witt_to_groupring", lambda v: GroupRingElt(exact(v).items[1:]))
+    with pytest.raises(SelfCheckFailed) as failed:
+        groupring_to_witt(x)
+    assert str(failed.value) == f"the Witt element {w!r} does not map back to the invariant element it came from"
+
+
+def test_an_orbit_sum_off_euler_phi_is_a_failed_self_check(monkeypatch):
+    exact = group_ring.euler_phi
+    monkeypatch.setattr(group_ring, "euler_phi", lambda n: exact(n) + 1)
+    with pytest.raises(SelfCheckFailed) as failed:
+        primitive_orbit_sum(9)
+    assert str(failed.value) == "rho(9) has 6 terms, but euler_phi(9) is 7"
 
 
 def test_operators_correspond():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from absarith import numth
 from absarith.numth import (
     divide_out,
     divisors,
@@ -294,6 +295,19 @@ def test_factor_steps_budget_raises_cap_exceeded_when_exhausted(monkeypatch):
     # Below the deterministic bound nothing is counted, and the count is per call.
     assert is_prime(999999999989) and factorize(2**20 * 3) == {2: 20, 3: 1}
     assert all(factorize(1031 * 1033) == {1031: 1, 1033: 1} for _ in range(3))
+
+
+@pytest.mark.parametrize(
+    "p, q, steps",
+    [(1000003, 1000033, 1022), (1048583, 2097169, 1790)],
+)
+def test_rho_work_on_a_semiprime_is_pinned(p, q, steps):
+    # The factors alone do not show which polynomials rho iterates: with
+    # x^2 - 1, x^2 - 2, ... in place of x^2 + 1, x^2 + 2, ... it finds the
+    # same primes after 894 and 3454 weighted squarings.
+    work = [0]
+    assert sorted(numth._prime_factors(p * q, work)) == [p, q]
+    assert work == [steps]
 
 
 def test_factorize_takes_out_high_powers_by_valuation():
