@@ -32,10 +32,10 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, compress, islice, repeat, tee
+from itertools import repeat, tee
 from operator import add, mul, sub
 
-from .combinat import delannoy, l1_within
+from .combinat import delannoy, l1_ball_columns
 from .errors import BUDGETS, check_budget, frozen, json_int, json_key, json_number, json_object
 from .numth import factorize, is_prime
 
@@ -248,15 +248,14 @@ def count_xi_over_L(xi_norm, lattice: Lattice1) -> int:
     return 1 + 2 * math.floor(xi_norm / lattice.generator)
 
 
-# Membership of phi in E_xi, the l1 ball sum |phi_i| <= xi_norm (inclusive).
-e_xi_member = l1_within
-
-
 def count_E_xi(lattice: Lattice1, k: int, xi_norm) -> list[tuple[Fraction, ...]]:
     """All phi in L^k with sum |phi_i| <= xi_norm, enumerated exactly.
 
     Requires a rational xi_norm (floats cannot settle the inclusive boundary).
-    The count always equals delannoy(floor(xi_norm/c), k).
+    The count always equals delannoy(floor(xi_norm/c), k): the rows of
+    combinat.l1_ball_columns at that radius, each int m read as c m from the
+    2r+1 multiples listed as m = 0..r, then -r..-1, so that a negative m
+    indexes its own multiple from the end.
     """
     if k < 1:
         raise ValueError("the number of coordinates must be >= 1")
@@ -266,64 +265,7 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm) -> list[tuple[Fraction, ...]]
     radius = math.floor(Fraction(xi_norm) / c)
     check_budget("lattice_points", delannoy(radius, k))
     multiples = [c * m for m in range(radius + 1)] + [c * m for m in range(-radius, 0)]
-    return list(zip(*_ball_columns(multiples, k)))
-
-
-def _ball_columns(multiples: list, k: int) -> list[list]:
-    """The l1 ball of radius r at level k as k columns, rows in lexicographic
-    order, one C-level pass each, on the multiples of any step c > 0 listed
-    as c m for m = 0..r, then -r..-1, so that a negative coordinate m indexes
-    its own multiple from the end: Fractions for count_E_xi, the ints m
-    themselves for pi1_count's cross-check.
-    """
-    radius = len(multiples) // 2
-    zero = multiples[0]
-    if radius == 0:
-        return [[zero]] * k
-    # under[d][l] = delannoy(l, d), the rows below a prefix with norm l left
-    # and d coordinates to go: D(l, d) - D(l-1, d) = D(l, d-1) + D(l-1, d-1).
-    under = [[1] * (radius + 1)]
-    for _ in range(k - 1):
-        under.append(list(accumulate(map(add, under[-1], chain((0,), under[-1])))))
-    # Column k-1-d is read off the prefixes with norm left (norms) and their
-    # first rows (starts): a prefix with norm l spans a block of D(l, d+1)
-    # rows, each value m in -l..l repeated D(l - |m|, d) times, built once per
-    # norm, and the rows between blocks, whose norm is spent, are 0.  The
-    # columns are padded to the length of the first, the layout's own count,
-    # so that a layout that miscounts cannot meet the closed form by padding.
-    values_of: dict[int, tuple] = {}
-    left_of: dict[int, tuple[int, ...]] = {}
-    norms, starts = [radius], [0]
-    columns = []
-    rows = 0
-    for d in range(k - 1, -1, -1):
-        block_of, offsets_of = {}, {}
-        for norm in set(norms):
-            if norm not in values_of:
-                values_of[norm] = tuple(map(multiples.__getitem__, range(-norm, norm + 1)))
-                # norm - |m| for m = -norm..norm.
-                left_of[norm] = tuple(chain(range(norm), range(norm, -1, -1)))
-            if d:
-                sizes = tuple(map(under[d].__getitem__, left_of[norm]))
-                block_of[norm] = tuple(chain.from_iterable(map(repeat, values_of[norm], sizes)))
-                offsets_of[norm] = tuple(islice(accumulate(sizes, initial=0), len(sizes)))
-            else:
-                block_of[norm] = values_of[norm]
-        blocks = list(map(block_of.__getitem__, norms))
-        ends = list(map(add, starts, map(len, blocks)))
-        gaps = map(repeat, repeat(zero), map(sub, starts, chain((0,), ends)))
-        rows = rows or ends[-1]
-        columns.append(list(chain.from_iterable(map(chain, gaps, blocks))) + [zero] * (rows - ends[-1]))
-        if d:
-            # The next prefixes: each value m of each block, where norm is left.
-            # The value 0 keeps its prefix's norm, so norms never runs out.
-            lefts = list(map(left_of.__getitem__, norms))
-            child_norms = list(chain.from_iterable(lefts))
-            firsts = chain.from_iterable(map(repeat, starts, map(len, lefts)))
-            child_starts = map(add, firsts, chain.from_iterable(map(offsets_of.__getitem__, norms)))
-            starts = list(compress(child_starts, child_norms))
-            norms = list(filter(None, child_norms))
-    return columns
+    return list(zip(*[map(multiples.__getitem__, column) for column in l1_ball_columns(radius, k)]))
 
 
 # Past pi s = 746, exp(-pi s m^2) underflows to 0.0 for every m >= 1.

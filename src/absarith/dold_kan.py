@@ -100,10 +100,6 @@ class GroupHom:
         return out
 
     @staticmethod
-    def zero_map(domain: FiniteAbelianGroup, codomain: FiniteAbelianGroup) -> "GroupHom":
-        return GroupHom(domain, codomain, tuple(codomain.zero() for _ in range(domain.rank)))
-
-    @staticmethod
     def identity(group: FiniteAbelianGroup) -> "GroupHom":
         rows = tuple(
             tuple(1 if i == j else 0 for j in range(group.rank)) for i in range(group.rank)

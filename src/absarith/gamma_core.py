@@ -73,10 +73,6 @@ class PointedEndo(PointedMap):
             raise ValueError("cyclic permutation needs order >= 1")
         return PointedEndo((0,) + tuple(x % k + 1 for x in range(1, k + 1)))
 
-    @staticmethod
-    def constant_to_base(n: int) -> "PointedEndo":
-        return PointedEndo((0,) * (n + 1))
-
     def power(self, n: int) -> "PointedEndo":
         """The n-th iterate (n >= 0)."""
         if n < 0:
@@ -119,27 +115,6 @@ def smash(s: PointedEndo, t: PointedEndo) -> PointedEndo:
         for j in range(1, nt + 1):
             si, tj = s(i), t(j)
             images[_smash_index(i, j, nt)] = 0 if si == 0 or tj == 0 else _smash_index(si, tj, nt)
-    return PointedEndo(images)
-
-
-def odometer(n: int, t: PointedEndo) -> PointedEndo:
-    """Endomorphism on n stacked copies of the domain that shifts copies
-    cyclically, applying t when wrapping from the last copy to the first.
-
-    A k-cycle of t becomes a single nk-cycle; this realizes the Verschiebung
-    at the level of raw endomorphisms.  Copy i of point x is encoded as
-    i * N + x for i in 0..n-1.
-    """
-    if n < 1:
-        raise ValueError("the odometer needs at least one copy")
-    size = t.domain_size
-    images = [0] * (n * size + 1)
-    for i in range(n):
-        for x in range(1, size + 1):
-            if i < n - 1:
-                images[i * size + x] = (i + 1) * size + x
-            else:
-                images[i * size + x] = t(x)  # lands in copy 0
     return PointedEndo(images)
 
 
@@ -245,7 +220,7 @@ def norm_filtered_member(phi: Sequence, cfg: NormedVectorConfig) -> bool:
     phi lists the values on the non-base points only.
     """
     if cfg.alpha == 1:
-        return l1_within(phi, cfg.lam, FLOAT_TOL)
+        return l1_within(phi, cfg.lam)
     total_f = sum(abs(float(v)) ** float(cfg.alpha) for v in phi)
     return total_f <= float(cfg.lam) + FLOAT_TOL
 

@@ -38,8 +38,8 @@ from itertools import compress, islice, repeat
 from operator import add, and_, floordiv, lt
 from typing import Sequence
 
-from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, _ball_columns, count_E_xi, degree_scale, lattice_of
-from .combinat import FLOAT_TOL, delannoy, l1_within
+from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, lattice_of
+from .combinat import delannoy, l1_ball_columns, l1_within
 from .errors import SelfCheckFailed, check_budget, frozen
 
 __all__ = [
@@ -110,9 +110,9 @@ def zero_element(cfg: GSConfig, n: int, k: int) -> GSElement:
 
 def member(cfg: GSConfig, e: GSElement) -> bool:
     """Whether the free norms sum to at most lambda (exactly for rational data,
-    else within FLOAT_TOL) and the torus entries are reduced, in [0, c)."""
+    else within combinat.FLOAT_TOL) and the torus entries are reduced, in [0, c)."""
     c = cfg.lattice.generator
-    return l1_within([v for vec in e.free for v in vec], cfg.lam, FLOAT_TOL) and all(0 <= t < c for t in e.torus)
+    return l1_within([v for vec in e.free for v in vec], cfg.lam) and all(0 <= t < c for t in e.torus)
 
 
 def _vec_add(v1: Sequence, v2: Sequence) -> tuple:
@@ -225,9 +225,9 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
     With cross_check the closed form is verified against the explicit
     enumeration.  It defaults to on for exact scales whose enumeration builds
     at most CROSS_CHECK_MAX_COORDINATES coordinates (count times k).  The
-    enumeration is count_E_xi's column layout on the integer multipliers
-    -r..r of c, with r = floor(lambda / c) taken from the exact config rather
-    than from pi1_radius, so the two floors stay separate computations.  Its
+    enumeration is combinat.l1_ball_columns, the integer ball of radius
+    r = floor(lambda / c), with r taken from the exact config rather than
+    from pi1_radius, so the two floors stay separate computations.  Its
     rows must be as many as the closed form gives, strictly increasing in
     lexicographic order (so distinct) and each of l1 norm at most r, so that
     they are exactly the lattice points of the ball; the order is one C-level
@@ -245,7 +245,7 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
         cfg = GSConfig.from_divisor(d)
         r = math.floor(cfg.lam / cfg.lattice.generator)
         check_budget("lattice_points", delannoy(r, k))
-        columns = _ball_columns(list(range(r + 1)) + list(range(-r, 0)), k)
+        columns = l1_ball_columns(r, k)
         rows = list(zip(*columns))
         if len(rows) != count:
             raise SelfCheckFailed(f"pi1_count's closed form gives {count}, its enumeration {len(rows)}")

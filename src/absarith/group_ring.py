@@ -22,7 +22,6 @@ outside are reduced into [0, 1) once, on the way in.
 
 from __future__ import annotations
 
-import cmath
 import json as _json
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,7 +29,7 @@ from typing import Mapping
 
 from .errors import SelfCheckFailed, frozen, json_int
 from .numth import euler_phi
-from .witt import Combination, WittElement, from_primitive_basis, ghost
+from .witt import Combination, WittElement, from_primitive_basis
 
 
 def _residue(p: int, q: int) -> tuple[int, int]:
@@ -180,26 +179,6 @@ def groupring_to_witt(x: GroupRingElt) -> WittElement:
     return w
 
 
-def fourier(x: GroupRingElt, n: int) -> complex:
-    """Floating-point character sum: sum of coeff * exp(2 pi i n g)."""
-    return sum(c * cmath.exp(2j * cmath.pi * n * float(g)) for g, c in x.items)
-
-
-def ghost_invariant(x: GroupRingElt, n: int) -> int:
-    """Exact integer value of the n-th character sum of an invariant element."""
-    return ghost(groupring_to_witt(x), n)
-
-
-def primitive_orbit_sum(n: int) -> GroupRingElt:
-    """The invariant sum rho(n) of all primitive n-torsion symbols."""
-    if n < 1:
-        raise ValueError("torsion order must be >= 1")
-    x = GroupRingElt(tuple((Fraction(a, n), 1) for a in range(n) if gcd(a, n) == 1))
-    if len(x.items) != euler_phi(n):
-        raise SelfCheckFailed(f"rho({n}) has {len(x.items)} terms, but euler_phi({n}) is {euler_phi(n)}")
-    return x
-
-
 __all__ = [
     "GroupRingElt",
     "sigma",
@@ -208,7 +187,4 @@ __all__ = [
     "is_invariant",
     "witt_to_groupring",
     "groupring_to_witt",
-    "fourier",
-    "ghost_invariant",
-    "primitive_orbit_sum",
 ]

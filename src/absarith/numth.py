@@ -19,7 +19,6 @@ split far enough, raises CapExceeded.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import check_budget
@@ -278,21 +277,10 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def padic_valuation(q: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational, for an integer p >= 2."""
-    if p < 2:
-        raise ValueError(f"padic_valuation requires p >= 2, got {p}")
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("the zero rational has no p-adic valuation")
-    return divide_out(q.numerator, p)[0] - divide_out(q.denominator, p)[0]
-
-
 __all__ = [
     "is_prime",
     "factorize",
     "divisors",
     "mobius",
     "euler_phi",
-    "padic_valuation",
 ]

@@ -29,36 +29,40 @@ def _default_metric(x, y):
     return abs(x - y)
 
 
-# Largest instance that exact=None solves by branch and bound.
+# Largest instance that packing_number solves exactly, by branch and bound;
+# past it a greedy maximal set gives a lower bound.
 BNB_MAX_POINTS = 40
 
 
-def packing_number(
-    points: Sequence,
-    radius,
-    metric: Callable | None = None,
-    exact: bool | None = None,
-) -> PackingResult:
+def packing_number(points: Sequence, radius, metric: Callable | None = None) -> PackingResult:
     """Maximal number of points with pairwise distance strictly above radius.
 
-    exact=None picks branch and bound up to BNB_MAX_POINTS points and greedy
-    beyond; exact=True forces branch and bound, exact=False forces greedy.
-    Comparisons against the radius are carried out in whatever arithmetic the
-    metric returns (exact for rational inputs).
+    The point count picks the route: branch and bound, exact, up to
+    BNB_MAX_POINTS points, and beyond that a greedy maximal set, reported
+    with exact=False as a lower bound.  Comparisons against the radius are
+    carried out in whatever arithmetic the metric returns (exact for
+    rational inputs).
     """
     metric = metric or _default_metric
-    n = len(points)
-    if n == 0:
-        return PackingResult(0, True)
-    if exact is None:
-        exact = n <= BNB_MAX_POINTS
-    if not exact:
-        chosen: list = []
-        for p in points:
-            if all(metric(p, q) > radius for q in chosen):
-                chosen.append(p)
-        return PackingResult(len(chosen), False)
+    if len(points) <= BNB_MAX_POINTS:
+        return PackingResult(_branch_and_bound(points, radius, metric), True)
+    return PackingResult(_greedy(points, radius, metric), False)
 
+
+def _greedy(points: Sequence, radius, metric: Callable) -> int:
+    """The size of the maximal set that takes each point in turn when it is
+    farther than radius from every point taken before."""
+    chosen: list = []
+    for p in points:
+        if all(metric(p, q) > radius for q in chosen):
+            chosen.append(p)
+    return len(chosen)
+
+
+def _branch_and_bound(points: Sequence, radius, metric: Callable) -> int:
+    """The size of a largest set with pairwise distances above radius, by
+    branch and bound on bitmasks of the points."""
+    n = len(points)
     adjacency = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
@@ -80,4 +84,4 @@ def packing_number(
         expand(candidates & ~(1 << v), size)
 
     expand((1 << n) - 1, 0)
-    return PackingResult(best, True)
+    return best

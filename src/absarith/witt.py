@@ -92,8 +92,7 @@ class WittElement(Combination):
     """An integer combination of cyclic-permutation classes, keyed by order.
 
     Zero coefficients are dropped, so equality is structural.  Negative
-    coefficients are allowed: the ring consists of formal differences, and
-    effectivity (all coefficients >= 0) is a queryable predicate.
+    coefficients are allowed: the ring consists of formal differences.
     """
 
     items: tuple[tuple[int, int], ...]
@@ -119,9 +118,6 @@ class WittElement(Combination):
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self.items)
-
-    def is_effective(self) -> bool:
-        return all(c >= 0 for _, c in self.items)
 
     def _product(self, other: "WittElement") -> "WittElement":
         # C(a) C(b) = gcd(a, b) C(lcm(a, b)), and lcm(a, b) = a // gcd(a, b) * b.

@@ -1,5 +1,6 @@
 """The odometer enumeration of integer l1 balls, the oracle of the
-column-by-column enumeration in arakelov.count_E_xi."""
+column-by-column layout combinat.l1_ball_columns, which arakelov.count_E_xi
+and gamma_space.pi1_count read."""
 
 from typing import Iterator
 

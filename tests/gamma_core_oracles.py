@@ -1,0 +1,26 @@
+"""The Verschiebung on raw endomorphisms, the route that tests check
+witt.verschiebung against: n stacked copies of a pointed set, shifted
+cyclically and twisted by the endomorphism on the wrap."""
+
+from absarith.gamma_core import PointedEndo
+
+
+def odometer(n: int, t: PointedEndo) -> PointedEndo:
+    """Endomorphism on n stacked copies of the domain that shifts copies
+    cyclically, applying t when wrapping from the last copy to the first.
+
+    A k-cycle of t becomes a single nk-cycle; this realizes the Verschiebung
+    at the level of raw endomorphisms.  Copy i of point x is encoded as
+    i * N + x for i in 0..n-1.
+    """
+    if n < 1:
+        raise ValueError("the odometer needs at least one copy")
+    size = t.domain_size
+    images = [0] * (n * size + 1)
+    for i in range(n):
+        for x in range(1, size + 1):
+            if i < n - 1:
+                images[i * size + x] = (i + 1) * size + x
+            else:
+                images[i * size + x] = t(x)  # lands in copy 0
+    return PointedEndo(images)

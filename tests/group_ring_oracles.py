@@ -3,14 +3,18 @@ Fraction keys throughout: the oracles for the shared merge of
 witt.Combination and for the integer-residue arithmetic of group_ring.  And
 the generator route to invariance that group_ring.is_invariant took before
 it counted orbits: act with generators of (Z/N)^x, N the lcm of the orders.
+And the character sums and orbit sums that tests read the ghost components
+and the invariant basis rho(n) from, by routes of their own.
 
 Imports no pytest, so the plain-script checks can use them too.
 """
 
+import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
-from absarith.group_ring import GroupRingElt
+from absarith.group_ring import GroupRingElt, groupring_to_witt
+from absarith.witt import ghost
 from numth_oracles import unit_group_generators
 
 
@@ -90,3 +94,18 @@ def is_invariant(x):
         {(u * a % n, n): c for (a, n), c in terms.items()} == terms
         for u in unit_group_generators(lcm(*(n for _, n in terms)))
     )
+
+
+def fourier(x, n):
+    """Floating-point character sum: sum of coeff * exp(2 pi i n g)."""
+    return sum(c * cmath.exp(2j * cmath.pi * n * float(g)) for g, c in x.items)
+
+
+def ghost_invariant(x, n):
+    """Exact integer value of the n-th character sum of an invariant element."""
+    return ghost(groupring_to_witt(x), n)
+
+
+def primitive_orbit_sum(n):
+    """The invariant sum rho(n) of all primitive n-torsion symbols."""
+    return GroupRingElt(tuple((Fraction(a, n), 1) for a in range(n) if gcd(a, n) == 1))

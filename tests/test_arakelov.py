@@ -15,7 +15,6 @@ from absarith.arakelov import (
     count_E_xi,
     count_xi_over_L,
     degree,
-    e_xi_member,
     exp_degree,
     gaussian_avg_mc,
     gaussian_avg_quadrature,
@@ -27,7 +26,7 @@ from absarith.arakelov import (
     _check_theta_param,
     _theta_param,
 )
-from absarith.combinat import delannoy
+from absarith.combinat import delannoy, l1_within
 from absarith.errors import BUDGETS, CapExceeded
 from combinat_oracles import iter_l1_ball
 
@@ -121,7 +120,7 @@ def test_count_E_xi_matches_delannoy():
                 pts = count_E_xi(lat, k, xi)
                 n = math.floor(xi / lat.generator)
                 assert len(pts) == delannoy(n, k)
-                assert all(e_xi_member(p, xi) for p in pts)
+                assert all(l1_within(p, xi) for p in pts)
 
 
 def _count_E_xi_per_coordinate(lattice, k, radius):

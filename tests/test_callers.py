@@ -1,11 +1,12 @@
 """Every public function, class and method of src/absarith has a reader.
 
 A name is read where it occurs, other than in its own definition, as a
-name, an attribute or an entry of __all__ (a module's declared API) in
-src/absarith or bench/ (read with the standard library's ast), or as a word
-of README.md.  The names that nothing there
-reads are on ALLOWED, each with its reason, and no name is on ALLOWED that
-has a reader or no definition, so that the list cannot go stale."""
+name, an attribute or an imported name in src/absarith or bench/ (read with
+the standard library's ast), or as a word of README.md.  A module's __all__
+lists names; it reads none.  The names that nothing there reads are on
+ALLOWED, each with the acceptance criterion that reads it or as part of the
+object path, and no name is on ALLOWED that has a reader or no definition,
+so that the list cannot go stale.  A name that only tests read fails here."""
 
 import ast
 import os
@@ -15,16 +16,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Public names with no reader in src, bench or the README.
 ALLOWED = {
+    "act_unit": "acceptance criterion 3 checks with it that units fix the image of a Witt element",
+    "rho_tilde": "acceptance criterion 2 checks the operator relations of sigma and rho_tilde with it",
     "count_xi_over_L": "acceptance criterion 10 counts sections with it",
     "torsion_lcm": "acceptance criterion 3 reads the order of an image in Z[Q/Z] with it",
     "norm_filtered_member": "acceptance criterion 9 tests the filtration with it",
     "principal": "acceptance criterion 10 shifts a divisor by a principal one",
     "push_forward": "acceptance criterion 9 pushes members forward with it",
     "simplicial_level": "acceptance criterion 8 lists the levels of the object path with it",
-    "zero_map": "tests build the zero morphism of two groups with it",
-    "constant_to_base": "tests build the constant pointed map with it",
-    "is_effective": "a test checks which Witt elements are effective",
-    "odometer": "the Verschiebung on raw endomorphisms, which a test checks against witt.verschiebung",
+    "degeneracy": "acceptance criterion 8 checks the simplicial identities with it; on the object path",
 }
 
 
@@ -49,7 +49,7 @@ def _definitions(tree: ast.Module) -> list[str]:
 
 
 def _reads(tree: ast.Module) -> set[str]:
-    """Every name, attribute, imported name and __all__ entry of a module."""
+    """Every name, attribute and imported name of a module."""
     reads = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -58,8 +58,6 @@ def _reads(tree: ast.Module) -> set[str]:
             reads.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             reads.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            reads.update(ast.literal_eval(node.value))
     return reads
 
 
@@ -85,8 +83,9 @@ def test_the_audit_finds_a_name_nothing_reads():
         "from shapes import Shape\n\ndef draw(s):\n    return s.area()\n\ndef fill(s):\n    pass\n\n"
         "__all__ = ['fill']\n",
     ]
-    assert unread(src, [], "") == ["draw", "spin", "unused"]
-    assert unread(src, ["draw(Shape())\n"], "call `spin` first") == ["unused"]
+    # fill is listed in __all__ and read nowhere.
+    assert unread(src, [], "") == ["draw", "fill", "spin", "unused"]
+    assert unread(src, ["draw(Shape())\n"], "call `spin` first") == ["fill", "unused"]
 
 
 def test_every_public_name_has_a_reader_or_a_reason():

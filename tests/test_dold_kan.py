@@ -36,7 +36,7 @@ from absarith.smith import cokernel_divisors, kernel_divisors
 from dold_kan_oracles import _add_table as _prepending_add_table
 from dold_kan_oracles import _quotient_divisors as _pairwise_quotient_divisors
 from dold_kan_oracles import _PerTupleIndexedHom, _spherical, _sums, _vanishing
-from helpers import FACE_HOMS, random_abelian_group, random_hom, small_homs
+from helpers import FACE_HOMS, random_abelian_group, random_hom, small_homs, zero_hom
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -126,13 +126,13 @@ def test_level_sizes():
     hom = GroupHom(Z2, Z3, ((0,),))
     assert simplicial_level(hom, 0).size == 3
     assert simplicial_level(hom, 1).size == 6
-    hom22 = GroupHom.zero_map(Z2, Z2)
+    hom22 = zero_hom(Z2, Z2)
     assert simplicial_level(hom22, 2).size == 8
     assert len(list(simplicial_level(hom22, 2).elements())) == 8
 
 
 def test_level_cap():
-    hom = GroupHom.zero_map(FiniteAbelianGroup((16,)), FiniteAbelianGroup((16,)))
+    hom = zero_hom(FiniteAbelianGroup((16,)), FiniteAbelianGroup((16,)))
     with pytest.raises(CapExceeded, match="level 5 has 16777216 elements, above the cap of 1000000"):
         list(simplicial_level(hom, 5).elements())
 
@@ -149,7 +149,7 @@ def test_level1_faces():
 
 
 def test_faces_agree_when_phi_zero():
-    hom = GroupHom.zero_map(Z2, Z2)
+    hom = zero_hom(Z2, Z2)
     level1 = simplicial_level(hom, 1)
     for e in level1.elements():
         assert boundary(0, e) == boundary(1, e)
@@ -274,7 +274,7 @@ def test_homotopy_identity_map():
 
 
 def test_homotopy_zero_map():
-    groups = homotopy_groups(GroupHom.zero_map(Z2, Z2))
+    groups = homotopy_groups(zero_hom(Z2, Z2))
     assert groups.pi0 == (2,) and groups.pi1 == (2,)
 
 
@@ -284,9 +284,9 @@ def test_homotopy_injection():
 
 
 def test_homotopy_trivial_groups():
-    groups = homotopy_groups(GroupHom.zero_map(TRIVIAL, Z4), n_max=2)
+    groups = homotopy_groups(zero_hom(TRIVIAL, Z4), n_max=2)
     assert groups.pi0 == (4,) and groups.pi1 == ()
-    groups = homotopy_groups(GroupHom.zero_map(Z4, TRIVIAL), n_max=2)
+    groups = homotopy_groups(zero_hom(Z4, TRIVIAL), n_max=2)
     assert groups.pi0 == () and groups.pi1 == (4,)
 
 
@@ -342,7 +342,7 @@ def test_homotopy_cap_bounds_the_face_work_of_a_trivial_domain(monkeypatch):
     # Every level of a map out of the trivial group has |B| elements, so only
     # the face work grows with n_max: n (n + 1)^2 column passes at level n,
     # 48 at level 3, 950,708 over levels 3..43 and 1,039,808 over 3..44.
-    hom = GroupHom.zero_map(TRIVIAL, Z2)
+    hom = zero_hom(TRIVIAL, Z2)
     assert homotopy_groups(hom, n_max=2, cap=2).pi0 == (2,)
     assert homotopy_groups(hom, n_max=3, cap=48).higher == {2: True, 3: True}
     assert homotopy_groups(hom, n_max=43).higher == {n: True for n in range(2, 44)}
@@ -522,7 +522,7 @@ def test_homotopy_leaves_no_cyclic_garbage():
     rng = random.Random(13)
     homs = [
         GroupHom.identity(FiniteAbelianGroup((8,))),
-        GroupHom.zero_map(FiniteAbelianGroup((2, 2)), Z4),
+        zero_hom(FiniteAbelianGroup((2, 2)), Z4),
         random_hom(rng, FiniteAbelianGroup((2, 3)), FiniteAbelianGroup((6,))),
     ]
     gc.collect()
@@ -709,6 +709,6 @@ def test_addition_table_cells_are_checked_before_any_table_is_built(monkeypatch)
         raise AssertionError("a table was built before the budget check")
 
     monkeypatch.setattr(dold_kan, "_IndexedHom", no_tables)
-    hom = GroupHom.zero_map(TRIVIAL, FiniteAbelianGroup((20_000,)))
+    hom = zero_hom(TRIVIAL, FiniteAbelianGroup((20_000,)))
     with pytest.raises(CapExceeded, match="addition tables of A and B take 400000001 cells"):
         homotopy_groups(hom, n_max=1)

@@ -58,7 +58,7 @@ def test_smash_wedge_compatibilities():
 
 
 def test_eventual_image_null_and_permutation():
-    subset, perm = eventual_image(PointedEndo.constant_to_base(3))
+    subset, perm = eventual_image(PointedEndo((0,) * 4))
     assert subset == (0,)
     assert perm == PointedEndo.identity(0)
     t = PointedEndo.cyclic(4)
@@ -109,7 +109,7 @@ def test_trace_multiplicative_under_smash():
 
 def test_cycle_type_examples():
     assert cycle_type(PointedEndo.cyclic(5)) == {5: 1}
-    assert cycle_type(PointedEndo.constant_to_base(4)) == {}
+    assert cycle_type(PointedEndo((0,) * 5)) == {}
 
 
 def test_cycle_type_mass():

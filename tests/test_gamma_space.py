@@ -452,7 +452,7 @@ def test_pi0_matches_circle_packing():
     for r, expected in ((Fraction(1, 3), 2), (Fraction(1, 5), 4), (Fraction(2, 7), 3)):
         assert pi0_cardinality_k1(_exp_divisor(r)) == expected
         points = [j / 1000 for j in range(1000)]
-        result = packing_number(points, float(r), metric=circle_distance, exact=False)
+        result = packing_number(points, float(r), metric=circle_distance)
         assert result.size == expected
         assert result.exact is False
 
@@ -599,8 +599,8 @@ def test_pi1_count_cross_checks_by_coordinates(monkeypatch):
     import absarith.gamma_space as gs
 
     calls = []
-    columns = gs._ball_columns
-    monkeypatch.setattr(gs, "_ball_columns", lambda multiples, k: calls.append(k) or columns(multiples, k))
+    columns = gs.l1_ball_columns
+    monkeypatch.setattr(gs, "l1_ball_columns", lambda radius, k: calls.append(k) or columns(radius, k))
     # Counts up to 20,000 at levels up to 3 are still enumerated ...
     for r, k in ((Fraction(7, 2), 1), (Fraction(9999), 1), (Fraction(99), 2), (Fraction(24), 3)):
         assert delannoy(int(r), k) <= 20_000
@@ -613,17 +613,17 @@ def test_pi1_count_cross_checks_by_coordinates(monkeypatch):
 
 
 def test_pi1_count_cross_check_fails_on_a_ball_layout_that_miscounts(monkeypatch):
-    # A mutant of count_E_xi's column layout whose block sizes follow a
+    # A mutant of the l1 ball's column layout whose block sizes follow a
     # shifted recurrence lays out too few rows for radius 7 at k = 3.  Padded
     # to the closed form, it listed 575 rows, only 382 of them distinct, and
     # pi1_count's cross-check passed; padded to its own first column, it must fail.
-    from absarith import arakelov
+    from absarith import combinat
 
-    source = inspect.getsource(arakelov._ball_columns)
+    source = inspect.getsource(combinat.l1_ball_columns)
     assert source.count("chain((0,), under[-1])") == 1
-    namespace = dict(vars(arakelov))
+    namespace = dict(vars(combinat))
     exec(source.replace("chain((0,), under[-1])", "chain((0, 0), under[-1])"), namespace)
-    monkeypatch.setattr(gamma_space, "_ball_columns", namespace["_ball_columns"])
+    monkeypatch.setattr(gamma_space, "l1_ball_columns", namespace["l1_ball_columns"])
     with pytest.raises(SelfCheckFailed, match="closed form gives 575"):
         pi1_count(_exp_divisor(7), 3)
 
@@ -639,15 +639,15 @@ def test_pi1_count_cross_check_fails_on_a_ball_layout_that_miscounts(monkeypatch
     ],
 )
 def test_pi1_count_cross_check_fails_on_a_layout_of_the_right_count_that_is_not_the_ball(monkeypatch, mutate, message):
-    columns = gamma_space._ball_columns
+    columns = gamma_space.l1_ball_columns
 
-    def mutant(multiples, k):
-        out = [list(col) for col in columns(multiples, k)]
+    def mutant(radius, k):
+        out = [list(col) for col in columns(radius, k)]
         for col in out:
-            mutate(col, len(multiples) // 2)
+            mutate(col, radius)
         return out
 
-    monkeypatch.setattr(gamma_space, "_ball_columns", mutant)
+    monkeypatch.setattr(gamma_space, "l1_ball_columns", mutant)
     for r, k in ((7, 3), (Fraction(9, 2), 1), (2, 5)):
         with pytest.raises(SelfCheckFailed, match=message):
             pi1_count(_exp_divisor(r), k)
@@ -659,8 +659,8 @@ def test_pi1_count_cross_checks_a_radius_zero_ball_at_a_huge_level(monkeypatch):
     # on request beyond it: its checks must not nest one lazy pass per
     # coordinate, which at level 200,000 overflowed the C stack.
     calls = []
-    columns = gamma_space._ball_columns
-    monkeypatch.setattr(gamma_space, "_ball_columns", lambda multiples, k: calls.append(k) or columns(multiples, k))
+    columns = gamma_space.l1_ball_columns
+    monkeypatch.setattr(gamma_space, "l1_ball_columns", lambda radius, k: calls.append(k) or columns(radius, k))
     d = _exp_divisor(Fraction(1, 3))
     assert pi1_count(d, gamma_space.CROSS_CHECK_MAX_COORDINATES) == 1
     assert pi1_count(d, 200_000, cross_check=True) == 1
@@ -723,8 +723,6 @@ def test_l1_within_matches_the_fraction_comparison_at_the_boundary():
             assert l1_within(vec, bound) == (norm <= bound), (vec, bound)
             if bound.denominator == 1:
                 assert l1_within(vec, int(bound)) == (norm <= bound), (vec, bound)
-            # tol plays no part in an exact comparison.
-            assert l1_within(vec, bound, tol=1.0) == (norm <= bound), (vec, bound)
     assert l1_within([], 0) and l1_within([], Fraction(0)) and not l1_within([], -1)
     assert not l1_within([], Fraction(-1, 10**40))
 
@@ -737,13 +735,21 @@ def test_l1_within_decides_a_rational_boundary_exactly():
     assert l1_within(tenths, Fraction(3, 10))
     assert not l1_within(tenths, Fraction(3, 10) - Fraction(1, 10**30))
     assert l1_within([1, -2], 3) and not l1_within([1, -2], 2)
-    # Against a float bound, rational entries are summed as floats.
-    assert not l1_within(tenths, 0.3)
-    assert l1_within(tenths, 0.3, tol=1e-12)
-    # tol applies only when the comparison is made in floats.
-    assert not l1_within(tenths, Fraction(3, 10) - Fraction(1, 10**15), tol=1e-12)
-    assert l1_within([0.1, -0.1, 0.1], Fraction(3, 10), tol=1e-12)
-    assert not l1_within([0.1, -0.1, 0.1], Fraction(3, 10))
+    # An exact comparison allows nothing above the bound, however little.
+    assert not l1_within(tenths, Fraction(3, 10) - Fraction(1, 10**15))
+
+
+def test_l1_within_allows_float_tol_above_a_float_bound():
+    from absarith.combinat import FLOAT_TOL, l1_within
+
+    tenths = [Fraction(1, 10), Fraction(-1, 10), Fraction(1, 10)]
+    # Against a float bound, or with a float entry, the entries are summed as
+    # floats, to 0.30000000000000004, which is within FLOAT_TOL of 0.3.
+    assert sum(abs(float(v)) for v in tenths) > 0.3
+    assert l1_within(tenths, 0.3)
+    assert l1_within([0.1, -0.1, 0.1], Fraction(3, 10))
+    assert not l1_within(tenths + [2 * FLOAT_TOL], 0.3)
+    assert not l1_within([0.1, -0.1, 0.1 + 2 * FLOAT_TOL], Fraction(3, 10))
 
 
 @pytest.mark.parametrize("deg", [-720.0, -745.0])

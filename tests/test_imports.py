@@ -3,7 +3,10 @@
 A name counts as used where it is read anywhere in the module (a call, an
 attribute's root, an annotation, a decorator) or listed in __all__.  The
 check reads each file with the standard library's ast, so a deletion that
-leaves an import behind fails here rather than lingering."""
+leaves an import behind fails here rather than lingering.
+
+No module imports an underscore name from another: what two modules share is
+public, and a module's private names stay free to change."""
 
 import ast
 import os
@@ -40,3 +43,27 @@ def test_the_check_finds_an_unused_import():
 def test_no_module_imports_a_name_it_never_uses(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as f:
         assert _unused_imports(f.read()) == [], module
+
+
+def _private_imports(source: str) -> list[str]:
+    """The underscore names, dunders aside, that a module imports by name."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_the_check_finds_a_private_import():
+    shapes = "def area(r):\n    return _square(r)\n\ndef _square(r):\n    return r * r\n"
+    draw = "from . import __version__\nfrom .shapes import _square, area\n\nx = area(_square(2))\n"
+    assert _private_imports(shapes) == []
+    assert _private_imports(draw) == ["_square (line 2)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_a_private_name_of_another(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as f:
+        assert _private_imports(f.read()) == [], module

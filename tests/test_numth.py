@@ -11,9 +11,7 @@ from absarith.numth import (
     factorize,
     is_prime,
     mobius,
-    padic_valuation,
 )
-from fractions import Fraction
 from math import gcd, isqrt
 from numth_oracles import divide_out as oracle_divide_out
 from numth_oracles import factorize as oracle_factorize
@@ -93,21 +91,6 @@ def test_unit_generators_generate():
         assert len(generated) == max(euler_phi(n), 1) if n > 1 else True
 
 
-def test_padic_valuation():
-    assert padic_valuation(12, 2) == 2
-    assert padic_valuation(Fraction(3, 8), 2) == -3
-    assert padic_valuation(Fraction(3, 8), 3) == 1
-    with pytest.raises(ValueError):
-        padic_valuation(0, 2)
-
-
-@pytest.mark.parametrize("p", [1, 0, -2])
-def test_padic_valuation_refuses_p_below_2(p):
-    # With p = 1 the division loop never ended, and p = 0 divided by zero.
-    with pytest.raises(ValueError, match="p >= 2"):
-        padic_valuation(Fraction(3, 8), p)
-
-
 def test_divide_out_matches_the_repeated_division_loop():
     rng = random.Random(32)
     ps = (2, 3, 4, 7, 10, 1021)
@@ -120,10 +103,6 @@ def test_divide_out_matches_the_repeated_division_loop():
     cases.append((3**50_000 * 5, 3))
     for n, p in cases:
         assert divide_out(n, p) == oracle_divide_out(n, p), (n, p)
-    for _ in range(200):
-        q = Fraction(rng.choice(ps) ** rng.randint(0, 70) * rng.randint(1, 999), rng.choice(ps) ** rng.randint(0, 70))
-        p = rng.choice(ps)
-        assert padic_valuation(-q, p) == oracle_divide_out(q.numerator, p)[0] - oracle_divide_out(q.denominator, p)[0]
 
 
 def test_unit_generator_lifts_a_root_that_is_not_primitive_mod_p_squared():

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from absarith.packing import PackingResult, circle_distance, packing_number
+from absarith import packing
+from absarith.packing import BNB_MAX_POINTS, PackingResult, circle_distance, packing_number
 
 
 def test_radius_at_least_diameter():
@@ -25,23 +26,30 @@ def test_empty_and_single():
     assert packing_number([2.0], 1) == PackingResult(1, True)
 
 
+def test_the_point_count_picks_the_route():
+    # Points 1/10 apart with radius 1/20 all fit: branch and bound says so
+    # exactly up to 40 points, and greedy reports the same size as a bound past it.
+    assert BNB_MAX_POINTS == 40
+    for n, exact in ((40, True), (41, False)):
+        points = [Fraction(j, 10) for j in range(n)]
+        assert packing_number(points, Fraction(1, 20)) == PackingResult(n, exact)
+
+
 def test_greedy_is_lower_bound():
     rng = random.Random(105)
     for _ in range(40):
         points = sorted(rng.uniform(0, 1) for _ in range(rng.randint(1, 18)))
         radius = rng.uniform(0.05, 0.4)
         exact = packing_number(points, radius)
-        greedy = packing_number(points, radius, exact=False)
-        assert exact.exact and not greedy.exact
-        assert greedy.size <= exact.size
+        assert exact.exact
+        assert packing._greedy(points, radius, packing._default_metric) <= exact.size
 
 
-def test_forced_modes():
+def test_both_routes_past_the_branch_and_bound_limit():
     points = [Fraction(j, 50) for j in range(50)]
     radius = Fraction(1, 10)
     # gaps must exceed 5 grid steps, so at most floor(50/6) = 8 points fit
-    exact = packing_number(points, radius, metric=circle_distance, exact=True)
-    assert exact.exact and exact.size == 8
+    assert packing._branch_and_bound(points, radius, circle_distance) == 8
     bound = packing_number(points, radius, metric=circle_distance)
-    assert not bound.exact  # 50 points exceeds the default branch and bound limit
-    assert bound.size <= exact.size
+    assert not bound.exact  # 50 points exceeds the branch and bound limit
+    assert bound.size <= 8
