@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
@@ -55,7 +56,7 @@ class ScaleValue:
     @staticmethod
     def exact_exp(r) -> "ScaleValue":
         r = Fraction(r)
-        if r <= 0:
+        if r.numerator <= 0:
             raise ValueError("exact scale must be a positive rational")
         return ScaleValue(r, math.log(r.numerator) - math.log(r.denominator))
 
@@ -168,10 +169,35 @@ class ArakelovDivisor:
         if len(arch_data) != 1:
             raise ValueError("a divisor's 'arch' part must carry exactly one of 'exact_exp' and 'float'")
         if "exact_exp" in arch_data:
-            arch = ScaleValue.exact_exp(Fraction(str(arch_data["exact_exp"])))
+            arch = ScaleValue.exact_exp(_exact_scale(str(arch_data["exact_exp"])))
         else:
             arch = ScaleValue.from_log(json_number(arch_data["float"]))
         return ArakelovDivisor.make(finite, arch)
+
+
+# The decimal forms of Fraction's string grammar that carry an exponent e, in
+# every supported Python: Fraction builds 10^|e| with no bound of its own.
+_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _exact_scale(text: str) -> Fraction:
+    """Fraction(text), refused with CapExceeded before it is built where the
+    string alone puts its value's bits above the divisor_bits cap.
+
+    A decimal with w digits before the point, f after it and exponent e is
+    M 10^(e - f) with 1 <= M < 10^(w + f), so |log10| of a nonzero value is
+    at least e - f, or -e - w, whichever is positive.  The bits of a reduced
+    n/m, log2 n + log2 m, are at least |log2 (n/m)|, so a value within the cap
+    is never refused.  Other forms hold no exponent, and int() bounds their
+    digits."""
+    match = _DECIMAL_EXPONENT.fullmatch(text)
+    if match:
+        whole, part, e = (g.replace("_", "") for g in match.groups(""))
+        e = int(e)
+        digits = max(e - len(part), -e - len(whole), 0)
+        # Clamped, as in _of_primes, so that the float stays finite.
+        check_budget("divisor_bits", min(digits, BUDGETS["divisor_bits"][0] + 1) * math.log2(10))
+    return Fraction(text)
 
 
 def principal(q) -> ArakelovDivisor:
@@ -193,21 +219,33 @@ def principal(q) -> ArakelovDivisor:
 # times.  The frozen __eq__, __hash__ and __repr__ read only the fields, so
 # equal divisors stay equal whether or not their memos are filled.  A cache
 # keyed on the value would outlive the object and make a query's cost depend
-# on the queries before it.
+# on the queries before it.  _finite_exp keeps prod p^(a_p) as the int pair
+# (N, D), N the powers with a_p > 0 and D those with a_p < 0, coprime as
+# their primes are distinct, so that each of its readers builds at most one
+# Fraction.
 
 
-def _finite_exp(d: ArakelovDivisor) -> Fraction:
-    """prod p^(a_p), the exp of the finite part's degree, once per object."""
+def _finite_exp(d: ArakelovDivisor) -> tuple[int, int]:
+    """(N, D) with prod p^(a_p) = N/D in lowest terms, the exp of the finite
+    part's degree, once per object."""
     memo = d.__dict__
-    prod = memo.get("_finite_exp")
-    if prod is None:
-        prod = memo["_finite_exp"] = math.prod((Fraction(p) ** a for p, a in d.finite), start=Fraction(1))
-    return prod
+    pair = memo.get("_finite_exp")
+    if pair is None:
+        num = den = 1
+        for p, a in d.finite:
+            if a > 0:
+                num *= p**a
+            else:
+                den *= p**-a
+        pair = memo["_finite_exp"] = num, den
+    return pair
 
 
 def lattice_of(d: ArakelovDivisor) -> Lattice1:
-    """Sections of the finite part: |q|_p <= p^(a_p) for all p means q in cZ."""
-    return Lattice1(1 / _finite_exp(d))
+    """Sections of the finite part: |q|_p <= p^(a_p) for all p means q in cZ,
+    c = D/N."""
+    num, den = _finite_exp(d)
+    return Lattice1(Fraction(den, num))
 
 
 def degree_scale(d: ArakelovDivisor) -> ScaleValue:
@@ -218,11 +256,14 @@ def degree_scale(d: ArakelovDivisor) -> ScaleValue:
     memo = d.__dict__
     scale = memo.get("_degree_scale")
     if scale is None:
-        prod = _finite_exp(d)
-        if d.arch.is_exact:
-            scale = ScaleValue.exact_exp(d.arch.exact * prod)
+        num, den = _finite_exp(d)
+        e = d.arch.exact
+        if e is not None:
+            # One normalised product; e > 0, so the result is positive.
+            r = Fraction(e.numerator * num, e.denominator * den)
+            scale = ScaleValue(r, math.log(r.numerator) - math.log(r.denominator))
         else:
-            scale = ScaleValue.from_log(d.arch.log + math.log(prod.numerator) - math.log(prod.denominator))
+            scale = ScaleValue.from_log(d.arch.log + math.log(num) - math.log(den))
         memo["_degree_scale"] = scale
     return scale
 
@@ -261,10 +302,11 @@ def count_E_xi(lattice: Lattice1, k: int, xi_norm) -> list[tuple[Fraction, ...]]
         raise ValueError("the number of coordinates must be >= 1")
     if not isinstance(xi_norm, (int, Fraction)):
         raise ValueError("exact enumeration requires a rational norm bound")
-    c = lattice.generator
-    radius = math.floor(Fraction(xi_norm) / c)
+    p, q = lattice.generator.numerator, lattice.generator.denominator
+    radius = xi_norm.numerator * q // (xi_norm.denominator * p)
     check_budget("lattice_points", delannoy(radius, k))
-    multiples = [c * m for m in range(radius + 1)] + [c * m for m in range(-radius, 0)]
+    # c m = p m / q, normalised by Fraction itself.
+    multiples = [Fraction(p * m, q) for m in range(radius + 1)] + [Fraction(p * m, q) for m in range(-radius, 0)]
     return list(zip(*[map(multiples.__getitem__, column) for column in l1_ball_columns(radius, k)]))
 
 
@@ -333,13 +375,16 @@ def _theta_tail_sum(t: float, eps: float) -> float:
 
 def _theta_param(d: ArakelovDivisor, eps: float) -> tuple[float, float]:
     """(t, deg) with t = exp(-2 deg), both read off degree_scale(d) once eps
-    is checked: t from the exact rational when there is one, so that linearly
-    equivalent divisors give identical output, and inf where it overflows."""
+    is checked: t from the exact rational a/b when there is one, so that
+    linearly equivalent divisors give identical output, and inf where it
+    overflows.  b^2 / a^2 is int true division, correctly rounded, the float
+    that float(Fraction) gives."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     ed = degree_scale(d)
+    e = ed.exact
     try:
-        t = float(1 / (ed.exact * ed.exact)) if ed.is_exact else math.exp(-2.0 * ed.log)
+        t = e.denominator**2 / e.numerator**2 if e is not None else math.exp(-2.0 * ed.log)
     except OverflowError:
         t = math.inf
     return t, ed.log

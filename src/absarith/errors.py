@@ -144,12 +144,18 @@ BUDGETS = {
     # gigabytes of lists, though its levels are far under the level cap.
     "table_cells": (10_000_000, "the addition tables of A and B take {amount} cells, above the cap of {limit}"),
     "lattice_points": (DEFAULT_CAP, "enumeration of {amount} lattice points exceeds cap {limit}"),
-    # The sum over p of |a_p| log2 p, the bits of the exact exp-degree's
-    # numerator and denominator together.  Its Fraction arithmetic costs
-    # quadratic-time gcds once both are large: the largest accepted `theta
-    # h0`, on 2^400000 / 3^252000, takes about 1 s on a 2.1 GHz Xeon core with
-    # the interpreter's start, and on 3^504000 about 0.2 s.
-    "divisor_bits": (800_000, "the divisor's prime powers, sum of |a_p| log2 p, are above the cap of {limit} bits"),
+    # The sum over p of |a_p| log2 p, the bits of the finite part's N and D
+    # (prod p^(a_p) = N/D) together, and a lower bound on the bits of an
+    # exact scale given as a string with a decimal exponent, read from its
+    # digits and exponent before Fraction builds 10^|e|.  The normalising
+    # Fractions of degree_scale and lattice_of cost a quadratic-time gcd each
+    # once N and D are both large: the largest accepted `theta h0`, on
+    # 2^400000 / 3^252000, takes about 0.3 s on a 2-core Xeon VM with the
+    # interpreter's start, and on 3^504000 about 0.2 s.
+    "divisor_bits": (
+        800_000,
+        "the divisor's prime powers, sum of |a_p| log2 p, or its exact scale are above the cap of {limit} bits",
+    ),
     # The work of one factorization or primality proof past the deterministic
     # Miller-Rabin tiers: Pollard-Brent rho steps and certificate squarings,
     # each weighted by 1 + (bits / 256)^2 (numth._spend), about its cost

@@ -226,12 +226,13 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
     enumeration.  It defaults to on for exact scales whose enumeration builds
     at most CROSS_CHECK_MAX_COORDINATES coordinates (count times k).  The
     enumeration is combinat.l1_ball_columns, the integer ball of radius
-    r = floor(lambda / c), with r taken from the exact config rather than
-    from pi1_radius, so the two floors stay separate computations.  Its
-    rows must be as many as the closed form gives, strictly increasing in
-    lexicographic order (so distinct) and each of l1 norm at most r, so that
-    they are exactly the lattice points of the ball; the order is one C-level
-    pass over the rows, the norms one per column.
+    r = floor(lambda / c), with r taken from the exact config by integer
+    floor division rather than from pi1_radius, so the two floors stay
+    separate computations.  Its rows must be as many as the closed form
+    gives, strictly increasing in lexicographic order (so distinct) and each
+    of l1 norm at most r, so that they are exactly the lattice points of the
+    ball; the order is one C-level pass over the rows, the norms one per
+    column.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -243,7 +244,8 @@ def pi1_count(d: ArakelovDivisor, k: int, cross_check: bool | None = None) -> in
         if not exact:
             raise ValueError("cross-check enumeration requires an exact scale")
         cfg = GSConfig.from_divisor(d)
-        r = math.floor(cfg.lam / cfg.lattice.generator)
+        lam, c = cfg.lam, cfg.lattice.generator
+        r = lam.numerator * c.denominator // (lam.denominator * c.numerator)
         check_budget("lattice_points", delannoy(r, k))
         columns = l1_ball_columns(r, k)
         rows = list(zip(*columns))

@@ -29,6 +29,7 @@ from absarith.arakelov import (
 from absarith.combinat import delannoy, l1_within
 from absarith.errors import BUDGETS, CapExceeded
 from combinat_oracles import iter_l1_ball
+import arakelov_oracles as oracles
 
 QUADRATURE_MAX_PIECES = BUDGETS["quadrature_pieces"][0]
 
@@ -110,6 +111,8 @@ def test_count_E_xi_examples():
     assert len(count_E_xi(lat, 2, Fraction(1))) == 5
     with pytest.raises(ValueError):
         count_E_xi(lat, 2, 1.5)
+    with pytest.raises(ValueError, match="number of coordinates must be >= 1"):
+        count_E_xi(lat, 0, Fraction(1))
 
 
 def test_count_E_xi_matches_delannoy():
@@ -146,7 +149,7 @@ def test_count_E_xi_matches_the_per_coordinate_multiples():
                     below = count_E_xi(lattice, k, c * radius - Fraction(1, 10**40))
                     assert repr(below) == repr(_count_E_xi_per_coordinate(lattice, k, radius - 1))
     for c in (Fraction(1), Fraction(2**200 + 1, 3**150)):
-        for k, radius in ((2000, 0), (100, 1), (20, 2)):
+        for k, radius in ((2000, 0), (100, 1), (20, 2), (1, 9999)):
             expected = _count_E_xi_per_coordinate(Lattice1(c), k, radius)
             got = count_E_xi(Lattice1(c), k, c * radius)
             assert got == expected and repr(got) == repr(expected), (c, k, radius)
@@ -235,6 +238,8 @@ def test_mc_deterministic_and_odd():
     single = gaussian_avg_mc(z, 1, seed=7)
     assert single.mean == int(single.mean) and int(single.mean) % 2 == 1
     assert single.stderr == 0.0
+    with pytest.raises(ValueError, match="at least one sample"):
+        gaussian_avg_mc(z, 0, seed=7)
 
 
 def test_mc_threads_do_not_change_result():
@@ -316,6 +321,8 @@ def test_divisor_json_reads_canonical_keys_and_number_exponents():
     for value in ("1.5", True, False, None, [1.5]):
         with pytest.raises(ValueError):
             ArakelovDivisor.from_json_dict({"arch": {"float": value}})
+    with pytest.raises(ValueError, match="'finite' part must be a JSON object"):
+        ArakelovDivisor.from_json_dict({"finite": [2, 1]})
 
 
 def test_degree_where_exp_degree_underflows():
@@ -906,24 +913,15 @@ def _memo_grid() -> list:
     return out
 
 
-def _fresh_scale(d) -> ScaleValue:
-    prod = Fraction(1)
-    for p, a in d.finite:
-        prod *= Fraction(p) ** a
-    if d.arch.is_exact:
-        return ScaleValue.exact_exp(d.arch.exact * prod)
-    return ScaleValue.from_log(d.arch.log + math.log(prod.numerator) - math.log(prod.denominator))
-
-
 def test_the_degree_memo_equals_a_fresh_computation_and_leaves_equality_alone():
     grid = _memo_grid()
     assert any(d.arch.is_exact for d in grid) and any(not d.arch.is_exact for d in grid)
     for d in grid:
         twin = ArakelovDivisor(d.finite, d.arch)
         scale = ak.degree_scale(d)
-        assert ak.degree_scale(d) is scale and scale == _fresh_scale(d)
+        assert ak.degree_scale(d) is scale and scale == oracles.degree_scale(d)
         assert (exp_degree(d), degree(d)) == (scale.value, scale.log)
-        assert lattice_of(d) == Lattice1(1 / math.prod((Fraction(p) ** a for p, a in d.finite), start=Fraction(1)))
+        assert lattice_of(d) == Lattice1(oracles.lattice_generator(d))
         # d's memo is filled and twin's is not; neither shows in ==, hash or repr.
         assert set(vars(d)) - set(vars(twin)) == {"_finite_exp", "_degree_scale"}
         assert d == twin and twin == d and hash(d) == hash(twin) and repr(d) == repr(twin)
@@ -934,20 +932,33 @@ def test_the_degree_memo_equals_a_fresh_computation_and_leaves_equality_alone():
 def test_each_divisor_computes_its_degree_once(monkeypatch):
     from absarith import gamma_space as gs
 
-    grid = _memo_grid()
-    products, scales = [], []
-    prod = math.prod
-    monkeypatch.setattr(math, "prod", lambda *args, **kwargs: products.append(1) or prod(*args, **kwargs))
-    for name in ("exact_exp", "from_log"):
-        make = getattr(ScaleValue, name)
-        monkeypatch.setattr(ScaleValue, name, staticmethod(lambda r, make=make: scales.append(1) or make(r)))
+    powers, scales = [], []
+
+    class Prime(int):
+        """A prime that records each power taken of it: the factors of
+        _finite_exp's product N/D."""
+
+        def __pow__(self, a):
+            powers.append((int(self), a))
+            return int(self) ** a
+
+    class CountedScale(ScaleValue):
+        def __init__(self, exact, log):
+            scales.append(1)
+            super().__init__(exact, log)
+
+    # The grid's divisors again, their primes recording their powers.
+    grid = [ArakelovDivisor(tuple((Prime(p), a) for p, a in d.finite), d.arch) for d in _memo_grid()]
+    monkeypatch.setattr(ak, "ScaleValue", CountedScale)
     for d in grid:
         for _ in range(3):
             ak.degree_scale(d), exp_degree(d), degree(d), lattice_of(d), theta_h0(d)
             gs.GSConfig.from_divisor(d), gs.pi0_trivial_predicate(d, 2)
             if d.arch.is_exact:
                 gs.pi0_cardinality_k1(d), gs.pi1_count(d, 2)
-    assert len(products) == len(scales) == len(grid)
+    # One product per object, each of its prime powers taken once, and one scale.
+    assert len(powers) == sum(len(d.finite) for d in grid)
+    assert len(scales) == len(grid)
 
 
 def test_principal_refuses_past_divisor_bits_before_it_factors(monkeypatch):
@@ -967,3 +978,110 @@ def test_principal_refuses_past_divisor_bits_before_it_factors(monkeypatch):
     assert time.perf_counter() - start < 0.5
     d = principal(Fraction(2**5000 * 3, 7))
     assert d == ArakelovDivisor(((2, 5000), (3, 1), (7, -1)), ScaleValue.exact_exp(Fraction(7, 2**5000 * 3)))
+
+
+def _identity_grid() -> list:
+    """Seeded divisors for the integer routes: empty supports, mixed signs,
+    primes near 10^12, exact and float scales (-0.0 among them), with sums
+    and negatives, and exp-degrees on either side of the float range of t."""
+    rng = random.Random(3931)
+    primes = (2, 3, 5, 7, 11, 13, 999999999989, 999999999959)
+    scales = [ScaleValue.exact_exp(1), ScaleValue.from_log(0.0), ScaleValue.from_log(-0.0)]
+    out = []
+    for _ in range(120):
+        finite = {p: rng.randint(-40, 40) for p in rng.sample(primes, rng.randint(0, 4))}
+        if rng.random() < 0.5:
+            num, den = (rng.randint(1, 10 ** rng.randint(1, 30)) for _ in range(2))
+            arch = ScaleValue.exact_exp(Fraction(num, den))
+        else:
+            arch = rng.choice(scales + [ScaleValue.from_log(rng.uniform(-40.0, 40.0))])
+        out.append(D(finite, arch))
+    out += [d + e for d, e in zip(out[::2], out[1::2])] + [-d for d in out[::3]]
+    out += [D({}, scale) for scale in scales]
+    out.append(ArakelovDivisor.from_json_dict({"finite": {"2": 3}, "arch": {"float": -0.0}}))
+    # t = exp(-2 deg) about the largest float: 3^646 is below it, and 2^1024
+    # above, from a prime power, from a support whose 5 the scale cancels and
+    # from the scale alone.
+    for finite, r in (({3: -323}, 1), ({2: -512}, 1), ({2: -511, 5: 1}, Fraction(1, 10)), ({}, Fraction(1, 2**512))):
+        out.append(D(finite, ScaleValue.exact_exp(r)))
+    return out
+
+
+def test_the_integer_scale_routes_match_their_fraction_oracles():
+    grid = _identity_grid()
+    # The largest accepted mixed-sign divisor, 400000 + 252000 log2 3 = 799,410 bits.
+    grid.append(D({2: 400000, 3: -252000}, ScaleValue.exact_exp(Fraction(5, 7))))
+    overflows = 0
+    for d in grid:
+        prod, scale = oracles.finite_exp(d), oracles.degree_scale(d)
+        assert ak._finite_exp(d) == (prod.numerator, prod.denominator)
+        assert lattice_of(d).generator == oracles.lattice_generator(d)
+        got = ak.degree_scale(d)
+        assert got.exact == scale.exact and repr(got.log) == repr(scale.log), d
+        try:
+            t = oracles.theta_t(d)
+        except OverflowError:
+            # _theta_param reads the OverflowError of its int division, or of
+            # math.exp on a float scale, as inf.
+            if got.exact is not None:
+                overflows += 1
+                with pytest.raises(OverflowError):
+                    got.exact.denominator**2 / got.exact.numerator**2
+            t = math.inf
+        assert repr(_theta_param(d, 1e-12)) == repr((t, scale.log)), d
+    assert overflows >= 3
+
+
+def test_the_integer_radii_match_their_fraction_oracle():
+    from absarith.gamma_space import GSConfig, pi1_count
+
+    for d in _identity_grid():
+        if d.arch.is_exact and oracles.degree_scale(d).exact < 40:
+            cfg = GSConfig.from_divisor(d)
+            r = oracles.radius(cfg.lam, cfg.lattice.generator)
+            # pi1_count's cross-check raises SelfCheckFailed where its r differs.
+            assert pi1_count(d, 1, cross_check=True) == delannoy(r, 1)
+            for k in (1, 2):
+                expected = _count_E_xi_per_coordinate(cfg.lattice, k, r)
+                assert repr(count_E_xi(cfg.lattice, k, cfg.lam)) == repr(expected)
+    rng = random.Random(77)
+    for _ in range(200):
+        c = Fraction(rng.randint(1, 10**rng.randint(1, 20)), rng.randint(1, 10**rng.randint(1, 20)))
+        xi = rng.choice((rng.randint(0, 50), Fraction(rng.randint(0, 10**6), rng.randint(1, 10**6)))) * c
+        # Fraction and int bounds, on a multiple of c and just inside one.
+        xi = rng.choice((xi, xi - Fraction(1, 10**30) if xi else xi, int(xi)))
+        r = oracles.radius(xi, c)
+        if r <= 60:
+            assert repr(count_E_xi(Lattice1(c), 1, xi)) == repr(_count_E_xi_per_coordinate(Lattice1(c), 1, r))
+
+
+def test_exact_scale_strings_are_bounded_before_they_are_built():
+    import time
+
+    def divisor(text):
+        return ArakelovDivisor.from_json_dict({"finite": {}, "arch": {"exact_exp": text}})
+
+    start = time.perf_counter()
+    for text in ("1e10000000", "1e100000000", "1e-100000000", "0e100000000", "1_0e1_000_000", " 1.5E+240825 "):
+        with pytest.raises(CapExceeded, match="800000 bits"):
+            divisor(text)
+    assert time.perf_counter() - start < 0.5
+    # 10^240000 has 797,263 bits, 10^240823 799,999.3: within the cap, and
+    # so is 10^-240823; 10^240824 has 800,002.6 bits.
+    for text, value in (
+        ("1e240000", Fraction(10**240000)),
+        ("1e240823", Fraction(10**240823)),
+        ("1e-240823", Fraction(1, 10**240823)),
+        ("0.0001e240827", Fraction(10**240823)),
+        ("12.5e3", Fraction(12500)),
+        ("3/7", Fraction(3, 7)),
+    ):
+        assert divisor(text).arch.exact == value, text
+    assert theta_h0(divisor("1e240000")) == 240000 * math.log(10)
+    with pytest.raises(CapExceeded):
+        divisor("1e240824")
+    # Malformed strings are Fraction's ValueError, exponent or not.
+    for text in ("e100000000", "1/2e100000000", "1e", "1e_5", "0x10"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            divisor(text)
+

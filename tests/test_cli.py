@@ -175,6 +175,16 @@ def test_cap_error_exit_code(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("scale", ["1e10000000", "1e100000000"])
+def test_an_exact_scale_past_divisor_bits_is_refused_before_it_is_built(capsys, scale):
+    divisor = '{"finite":{},"arch":{"exact_exp":"%s"}}' % scale
+    start = time.perf_counter()
+    code, out, err = run(capsys, "theta", "h0", "--divisor", divisor)
+    assert time.perf_counter() - start < 0.5
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and "above the cap of 800000 bits" in err
+
+
 def test_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["witt", "tau"])  # missing --endo
