@@ -323,10 +323,6 @@ class HomotopyGroups:
     pi1: tuple[int, ...]
     higher_trivial: tuple[tuple[int, bool], ...]
 
-    @property
-    def higher(self) -> dict[int, bool]:
-        return dict(self.higher_trivial)
-
 
 def _quotient_divisors(elements: list, relation, translate, add, zero) -> tuple[int, ...]:
     """Isomorphism class of the quotient of a finite abelian group by a

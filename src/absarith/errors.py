@@ -176,10 +176,10 @@ BUDGETS = {
     "delannoy_digits": (10_000, "a delannoy number of at least {amount:.0f} digits is above the cap of {limit}"),
     # The face rows the `gspace pi` certificates read, n - 1 of face 0 and as
     # many of face 2 at each degree n = 2..n-max, n-max (n-max - 1) in all,
-    # the same at every level and scale; the witnesses built and the answer
-    # grow with them.  The largest accepted, n-max 1000, takes about 0.6 s
-    # and 40 MB on a 2-core Xeon VM with the interpreter's start, and n-max
-    # 200 about 0.1 s; 1001 is refused.
+    # the same at every level and scale; the answer grows with them.  The
+    # largest accepted, n-max 1000, takes about 0.26 s and 16 MB on a 2-core
+    # Xeon VM with the interpreter's start, and n-max 200 about 0.11 s; 1001
+    # is refused.
     "certificate_rows": (
         1_000_000, "the certificates up to degree {n_max} read {amount} face rows, above the cap of {limit}"
     ),

@@ -168,28 +168,6 @@ def cycle_type(t: PointedEndo) -> dict[int, int]:
     return counts
 
 
-def collapse(x_size: int, y_indices: Sequence[int]) -> PointedMap:
-    """The quotient map X -> X/Y collapsing the marked subset Y to the base point.
-
-    Y must contain 0.  The surviving points keep their relative order and are
-    renumbered 1..(|X| - |Y| + 1).
-    """
-    y = set(y_indices)
-    if 0 not in y:
-        raise ValueError("the collapsed subset must contain the base point")
-    if any(i < 0 or i > x_size for i in y):
-        raise ValueError("collapsed index out of range")
-    images = []
-    nxt = 1
-    for x in range(x_size + 1):
-        if x in y:
-            images.append(0)
-        else:
-            images.append(nxt)
-            nxt += 1
-    return PointedMap(tuple(images), nxt - 1)
-
-
 @frozen
 class NormedVectorConfig:
     """Parameters of the norm filtration: sum |phi(x)|^alpha <= lam.

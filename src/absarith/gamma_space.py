@@ -313,10 +313,9 @@ def face_incidence(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], tuple[i
     return tuple(rows), torus_merge
 
 
-@lru_cache(maxsize=128)
-def face_equations(n: int) -> tuple[int, tuple[str, ...], bool]:
-    """(rank, witnesses, torus_pinned) of the face equations at degree
-    n >= 2, read from faces 0 and 2 alone.
+def face_equations(n: int) -> tuple[int, bool]:
+    """(rank, torus_pinned) of the face equations at degree n >= 2, read
+    from faces 0 and 2 alone.
 
     Each output free coordinate of a face that one input psi_s feeds gives
     the equation psi_s = 0 on a spherical simplex: a witness.  Face 0 keeps
@@ -328,18 +327,10 @@ def face_equations(n: int) -> tuple[int, tuple[str, ...], bool]:
     nothing into the torus, so it keeps the torus as it is and pins it.
     The work is the 2(n-1) rows of the two faces; no matrix is built.
     """
-    witnesses: list[str] = []
-    named: set[int] = set()
-    for j in (0, 2):
-        free_rows, torus_merge = face_incidence(n, j)
-        for i, sources in enumerate(free_rows, start=1):
-            if len(sources) == 1:
-                witnesses.append(f"face {j}, coordinate {i}: psi_{sources[0]} = 0")
-                named.add(sources[0])
-        if j == 0:
-            torus_pinned = not torus_merge
-    witnesses.append("face 0, torus coordinate: torus part = 0")
-    return len(named), tuple(witnesses), torus_pinned
+    rows0, torus_merge0 = face_incidence(n, 0)
+    rows2, _ = face_incidence(n, 2)
+    named = {sources[0] for sources in rows0 + rows2 if len(sources) == 1}
+    return len(named), not torus_merge0
 
 
 @frozen
@@ -348,10 +339,8 @@ class TrivialityCertificate:
 
     n: int
     k: int
-    free_dimension: int
     rank: int
     torus_pinned: bool
-    witness_equations: tuple[str, ...]
     samples_checked: int
     verified: bool
 
@@ -402,7 +391,7 @@ def higher_pi_trivial(
         raise ValueError("samples must be >= 0")
     if samples and not cfg.exact:
         raise ValueError("the sampled certificate uses exact arithmetic; use an exact scale or samples=0")
-    rank, witnesses, torus_pinned = face_equations(n)
+    rank, torus_pinned = face_equations(n)
     violated = samples
     if samples:
         frees, toruses = _byte_draws(random.Random(seed), n, k, samples)
@@ -420,10 +409,8 @@ def higher_pi_trivial(
     return TrivialityCertificate(
         n=n,
         k=k,
-        free_dimension=n,
         rank=rank,
         torus_pinned=torus_pinned,
-        witness_equations=witnesses,
         samples_checked=samples,
         verified=verified,
     )

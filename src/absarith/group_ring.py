@@ -72,9 +72,6 @@ class GroupRingElt(Combination):
     def terms(self) -> dict[Fraction, int]:
         return dict(self.items)
 
-    def coefficient(self, g) -> int:
-        return dict(self._merge_pairs()).get(_symbol(g), 0)
-
     def _merge_pairs(self):
         return (((g.numerator, g.denominator), c) for g, c in self.items)
 

@@ -1,8 +1,12 @@
 """The Verschiebung on raw endomorphisms, the route that tests check
 witt.verschiebung against: n stacked copies of a pointed set, shifted
-cyclically and twisted by the endomorphism on the wrap."""
+cyclically and twisted by the endomorphism on the wrap.  And the quotient
+map X -> X/Y, whose functoriality the tests check; nothing in the package
+builds one."""
 
-from absarith.gamma_core import PointedEndo
+from typing import Sequence
+
+from absarith.gamma_core import PointedEndo, PointedMap
 
 
 def odometer(n: int, t: PointedEndo) -> PointedEndo:
@@ -24,3 +28,25 @@ def odometer(n: int, t: PointedEndo) -> PointedEndo:
             else:
                 images[i * size + x] = t(x)  # lands in copy 0
     return PointedEndo(images)
+
+
+def collapse(x_size: int, y_indices: Sequence[int]) -> PointedMap:
+    """The quotient map X -> X/Y collapsing the marked subset Y to the base point.
+
+    Y must contain 0.  The surviving points keep their relative order and are
+    renumbered 1..(|X| - |Y| + 1).
+    """
+    y = set(y_indices)
+    if 0 not in y:
+        raise ValueError("the collapsed subset must contain the base point")
+    if any(i < 0 or i > x_size for i in y):
+        raise ValueError("collapsed index out of range")
+    images = []
+    nxt = 1
+    for x in range(x_size + 1):
+        if x in y:
+            images.append(0)
+        else:
+            images.append(nxt)
+            nxt += 1
+    return PointedMap(tuple(images), nxt - 1)

@@ -45,7 +45,7 @@ def _certificate_per_draw(n: int, cfg: GSConfig, k: int, samples: int, seed: int
     """higher_pi_trivial by the per-draw route on the same draws: membership
     and face 0 decided draw by draw, and the last face's table built as soon
     as any face 0 vanishes."""
-    rank, witnesses, torus_pinned = face_equations(n)
+    rank, torus_pinned = face_equations(n)
     violated = samples
     if samples:
         frees, toruses = _byte_draws(random.Random(seed), n, k, samples)
@@ -60,10 +60,8 @@ def _certificate_per_draw(n: int, cfg: GSConfig, k: int, samples: int, seed: int
     return TrivialityCertificate(
         n=n,
         k=k,
-        free_dimension=n,
         rank=rank,
         torus_pinned=torus_pinned,
-        witness_equations=witnesses,
         samples_checked=samples,
         verified=rank == n and torus_pinned and violated == samples,
     )

@@ -4,7 +4,8 @@ witt.Combination and for the integer-residue arithmetic of group_ring.  And
 the generator route to invariance that group_ring.is_invariant took before
 it counted orbits: act with generators of (Z/N)^x, N the lcm of the orders.
 And the character sums and orbit sums that tests read the ghost components
-and the invariant basis rho(n) from, by routes of their own.
+and the invariant basis rho(n) from, by routes of their own, and the
+coefficient of one symbol, read off the Fraction keys.
 
 Imports no pytest, so the plain-script checks can use them too.
 """
@@ -20,6 +21,11 @@ from numth_oracles import unit_group_generators
 
 def _ref_reduce(q):
     return q - (q.numerator // q.denominator)
+
+
+def coefficient(x: GroupRingElt, g) -> int:
+    """The coefficient in x of the class of g in Q/Z."""
+    return x.terms.get(_ref_reduce(Fraction(g)), 0)
 
 
 def _ref_canonical(terms):

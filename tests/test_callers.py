@@ -1,12 +1,16 @@
-"""Every public function, class and method of src/absarith has a reader.
+"""Every public function, class, method and field of src/absarith has a reader.
 
 A name is read where it occurs, other than in its own definition, as a
 name, an attribute or an imported name in src/absarith or bench/ (read with
-the standard library's ast), or as a word of README.md.  A module's __all__
-lists names; it reads none.  The names that nothing there reads are on
-ALLOWED, each with the acceptance criterion that reads it or as part of the
-object path, and no name is on ALLOWED that has a reader or no definition,
-so that the list cannot go stale.  A name that only tests read fails here."""
+the standard library's ast), or as a word of an inline code span of
+README.md; prose and fenced blocks name nothing.  A field, an annotated name
+in the body of a public class, is read only as an attribute there or as
+such a word, so that a keyword argument that sets it or a local variable
+of the same name does not count.  A module's __all__ lists names; it reads
+none.  The names that nothing there reads are on ALLOWED, each with the
+acceptance criterion that reads it or as part of the object path, and no
+name is on ALLOWED that has a reader or no definition, so that the list
+cannot go stale.  A name or a field that only tests read fails here."""
 
 import ast
 import os
@@ -25,6 +29,9 @@ ALLOWED = {
     "push_forward": "acceptance criterion 9 pushes members forward with it",
     "simplicial_level": "acceptance criterion 8 lists the levels of the object path with it",
     "degeneracy": "acceptance criterion 8 checks the simplicial identities with it; on the object path",
+    "face": "on the object path: the tests check the divisor space's simplicial identities with it",
+    "wedge": "acceptance criterion 1 checks that tau takes wedge sums to sums with it",
+    "samples_checked": "acceptance criterion 7 checks that a certificate drew its 1,000 samples with it",
 }
 
 
@@ -32,43 +39,52 @@ def _python_files(directory: str) -> list[str]:
     return sorted(os.path.join(directory, name) for name in os.listdir(directory) if name.endswith(".py"))
 
 
-def _definitions(tree: ast.Module) -> list[str]:
-    """The public top-level functions and classes of a module and the public
-    methods of its public classes."""
-    names = []
+def _definitions(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """The public top-level functions and classes of a module with the public
+    methods of its public classes, and the public fields of those classes."""
+    names, fields = [], []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             names.append(node.name)
             if isinstance(node, ast.ClassDef):
-                names += [
-                    item.name
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-                ]
-    return names
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        names.append(item.name)
+                    elif isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
+                        fields.append(item.target.id)
+    return names, fields
 
 
-def _reads(tree: ast.Module) -> set[str]:
-    """Every name, attribute and imported name of a module."""
-    reads = set()
+def _reads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Every name, attribute and imported name of a module, and its attributes alone."""
+    reads, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             reads.add(node.id)
         elif isinstance(node, ast.Attribute):
-            reads.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             reads.update(alias.name for alias in node.names)
-    return reads
+    return reads | attributes, attributes
+
+
+def _code_words(text: str) -> set[str]:
+    """The words of the text's inline code spans, fenced blocks dropped first."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.MULTILINE | re.DOTALL)
+    return set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", text))))
 
 
 def unread(src: list[str], readers: list[str], text: str) -> list[str]:
-    """The public names defined in the src sources that neither the sources
-    nor the readers' sources read, nor the text names as a word."""
+    """The public names and fields defined in the src sources that neither
+    the sources nor the readers' sources read, nor a code span of the text
+    names."""
     trees = [ast.parse(source) for source in src]
-    defined = [name for tree in trees for name in _definitions(tree)]
-    reads = set().union(*map(_reads, trees), *(_reads(ast.parse(source)) for source in readers))
-    words = set(re.findall(r"\w+", text))
-    return sorted({name for name in defined if name not in reads and name not in words})
+    definitions = [_definitions(tree) for tree in trees]
+    reads = [_reads(tree) for tree in trees + [ast.parse(source) for source in readers]]
+    words = _code_words(text)
+    names = {name for defined, _ in definitions for name in defined} - set().union(*(r for r, _ in reads))
+    fields = {name for _, defined in definitions for name in defined} - set().union(*(a for _, a in reads))
+    return sorted((names | fields) - words)
 
 
 def _read(path: str) -> str:
@@ -78,14 +94,19 @@ def _read(path: str) -> str:
 
 def test_the_audit_finds_a_name_nothing_reads():
     src = [
-        "class Shape:\n    def area(self):\n        return 0\n    def spin(self):\n        pass\n"
-        "    def _hidden(self):\n        pass\n\ndef unused():\n    pass\n\ndef _private():\n    pass\n",
-        "from shapes import Shape\n\ndef draw(s):\n    return s.area()\n\ndef fill(s):\n    pass\n\n"
-        "__all__ = ['fill']\n",
+        "class Shape:\n    sides: int\n    colour: str\n    _cache: dict\n    def area(self):\n"
+        "        return self.sides\n    def spin(self):\n        pass\n    def _hidden(self):\n        pass\n\n"
+        "def unused():\n    pass\n\ndef _private():\n    pass\n",
+        "from shapes import Shape\n\ndef draw(s):\n    colour = s.area()\n    return Shape(colour=colour)\n\n"
+        "def fill(s):\n    pass\n\n__all__ = ['fill']\n",
     ]
-    # fill is listed in __all__ and read nowhere.
-    assert unread(src, [], "") == ["draw", "fill", "spin", "unused"]
-    assert unread(src, ["draw(Shape())\n"], "call `spin` first") == ["fill", "unused"]
+    # fill is listed in __all__ and read nowhere; the field colour is set by
+    # a keyword and shares its name with a local variable, and is read nowhere.
+    assert unread(src, [], "") == ["colour", "draw", "fill", "spin", "unused"]
+    # Prose and fenced blocks name nothing; an inline code span does.
+    text = "call `spin` first, not unused or colour\n\n```\nfill(Shape())\n```\n"
+    assert unread(src, ["draw(Shape())\n"], text) == ["colour", "fill", "unused"]
+    assert unread(src, ["print(Shape().colour)\n"], "`draw`, `fill` and `unused(spin)`") == []
 
 
 def test_every_public_name_has_a_reader_or_a_reason():

@@ -7,7 +7,6 @@ from absarith.gamma_core import (
     NormedVectorConfig,
     PointedEndo,
     PointedMap,
-    collapse,
     cycle_type,
     eventual_image,
     norm_filtered_member,
@@ -16,6 +15,7 @@ from absarith.gamma_core import (
     trace,
     wedge,
 )
+from gamma_core_oracles import collapse
 from helpers import random_endo
 
 

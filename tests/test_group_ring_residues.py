@@ -33,6 +33,7 @@ from group_ring_oracles import (
     _ref_rho_tilde,
     _ref_sigma,
     _ref_witt_to_groupring,
+    coefficient,
 )
 from numth_oracles import unit_group_generators
 
@@ -156,7 +157,7 @@ def test_unreduced_and_negative_keys():
         assert repr(GroupRingElt.from_terms(terms)) == repr(_ref_canonical(terms))
     x = GroupRingElt.from_terms({"-1/4": 2, "3/4": 1, "10/8": -1, -2: 5, "6/9": 4})
     assert repr(x) == "GroupRingElt(items=((Fraction(0, 1), 5), (Fraction(1, 4), -1), (Fraction(2, 3), 4), (Fraction(3, 4), 3)))"
-    assert x.coefficient(Fraction(-5, 4)) == 3 and x.coefficient("-1/3") == 4
+    assert coefficient(x, Fraction(-5, 4)) == 3 and coefficient(x, "-1/3") == 4
 
 
 def test_act_unit_names_the_first_order_a_non_unit_shares():

@@ -81,7 +81,7 @@ def _cases():
         ),
         (
             gamma_space.TrivialityCertificate,
-            [(3, 1, 3, 3, True, ("face 0, torus coordinate: torus part = 0",), 50, True), (2, 1, 2, 2, True, (), 0, False)],
+            [(3, 1, 3, True, 50, True), (2, 1, 2, True, 0, False)],
             [],
         ),
     ]
