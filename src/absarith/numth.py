@@ -1,4 +1,4 @@
-"""Elementary number theory helpers: factorization, divisors, Mobius, Euler phi.
+"""Elementary number theory helpers: factorization, divisors, Euler phi.
 
 Everything here is exact integer arithmetic, and no answer rests on a probable
 prime.  Below 3.3e24, is_prime is a Miller-Rabin test to the smallest base set
@@ -255,18 +255,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def mobius(n: int) -> int:
-    """Mobius function: (-1)^(number of prime factors) on squarefree n, else 0."""
-    if n <= 0:
-        raise ValueError(f"mobius requires a positive integer, got {n}")
-    mu = 1
-    for _, e in factorize(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def euler_phi(n: int) -> int:
     """Euler totient of n >= 1."""
     if n <= 0:
@@ -281,6 +269,5 @@ __all__ = [
     "is_prime",
     "factorize",
     "divisors",
-    "mobius",
     "euler_phi",
 ]

@@ -8,6 +8,11 @@ to Z for each n, and determines the element by Mobius inversion:
 
     m(k) = (1/k) * sum over d | k of mu(k/d) * ghost(d).
 
+That sum is the definition; it is computed along multiples, with no Mobius
+function: ghost_vector adds k * m(k) to the components at the multiples of
+k, and from_ghost walks its index upward, reading k * m(k) off what is left
+at k and taking it from every multiple of k.
+
 Multiplication is C(a) * C(b) = gcd(a,b) * C(lcm(a,b)) extended bilinearly,
 which makes the ghost components multiply pointwise.  The Frobenius operator
 raises the endomorphism to a power, splitting C(k) into gcd(n,k) cycles of
@@ -24,11 +29,11 @@ from __future__ import annotations
 import json as _json
 from itertools import chain
 from math import gcd
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import frozen, json_int, json_key
 from .gamma_core import PointedEndo, cycle_type
-from .numth import divisors, mobius
+from .numth import divisors, factorize
 
 
 class Combination:
@@ -150,7 +155,11 @@ def ghost(w: WittElement, n: int) -> int:
 
 def ghost_vector(w: WittElement, n_max: int) -> dict[int, int]:
     """Ghost components on the divisor-closed set of divisors of 1..n_max."""
-    return {n: ghost(w, n) for n in range(1, n_max + 1)}
+    values = dict.fromkeys(range(1, n_max + 1), 0)
+    for k, c in w.items:
+        for n in range(k, n_max + 1, k):
+            values[n] += k * c
+    return values
 
 
 def from_ghost(values: Mapping[int, int]) -> WittElement:
@@ -158,21 +167,46 @@ def from_ghost(values: Mapping[int, int]) -> WittElement:
 
     values must be given on a divisor-closed index set; a ghost vector that
     does not invert to integer coefficients is rejected as inconsistent.
+
+    The index is walked upward.  What is left at k, once k' * m(k') has been
+    taken from it for each proper divisor k' of k, is sum over d | k of
+    mu(k/d) * ghost(d): ghost(n) is the sum of k * m(k) over k | n, and
+    Mobius inversion of that sum on the divisors of k leaves k * m(k).  So the
+    first k that does not divide what is left at k is the first k that does
+    not divide its Mobius sum, and the error names that sum.
     """
-    index = set(values)
-    for n in index:
-        if n < 1:
-            raise ValueError("ghost indices must be positive integers")
-        missing = [d for d in divisors(n) if d not in index]
-        if missing:
-            raise ValueError(f"ghost vector not divisor-closed: index {n} lacks divisors {missing}")
+    index = sorted(values)
+    top = index[-1] if index else 0
+    if index and index[0] < 1:
+        raise ValueError("ghost indices must be positive integers")
+    # len(index) positive integers up to len(index) are 1..len(index): closed.
+    # Otherwise n // p for each prime p | n suffices, from the bottom up: the
+    # first index that lacks one is the smallest that lacks a divisor.
+    if top != len(index):
+        for n in index:
+            if any(n // p not in values for p in factorize(n)):
+                missing = [d for d in divisors(n) if d not in values]
+                raise ValueError(f"ghost vector not divisor-closed: index {n} lacks divisors {missing}")
+    rest = dict(values)
     coeffs: dict[int, int] = {}
-    for k in sorted(index):
-        total = sum(mobius(k // d) * values[d] for d in divisors(k))
-        if total % k != 0:
-            raise ValueError(f"inconsistent ghost vector: Mobius sum at {k} is {total}, not divisible by {k}")
-        coeffs[k] = total // k
+    for k in index:
+        r = rest[k]
+        if r % k != 0:
+            raise ValueError(f"inconsistent ghost vector: Mobius sum at {k} is {r}, not divisible by {k}")
+        if r:
+            coeffs[k] = r // k
+            for m in _multiples(k, top, rest):
+                rest[m] -= r
     return WittElement.from_coeffs(coeffs)
+
+
+def _multiples(k: int, top: int, keys: Mapping[int, int]) -> Iterator[int]:
+    """The keys above k that k divides, for keys none above top: by stepping
+    up to top, or by a scan of the keys where they are fewer than the steps,
+    as on a sparse index with a huge key."""
+    if top // k <= len(keys):
+        return (m for m in range(2 * k, top + 1, k) if m in keys)
+    return (m for m in keys if m > k and m % k == 0)
 
 
 def frobenius(n: int, w: WittElement) -> WittElement:
@@ -195,7 +229,19 @@ def to_primitive_basis(w: WittElement) -> dict[int, int]:
 
 
 def from_primitive_basis(prim: Mapping[int, int]) -> WittElement:
-    """Inverse change of basis: rho(u) = sum over d | u of mu(u/d) * C(d)."""
+    """Inverse change of basis: rho(u) = sum over d | u of mu(u/d) * C(d).
+
+    Since C(n) = sum over u | n of rho(u), the coefficient of C(k) is the
+    coefficient of rho(k) less those of C(m) over the proper multiples m of
+    k, so a walk down the divisor closure of the keys reads each in turn.
+    """
     if any(u < 1 for u in prim):
         raise ValueError("primitive basis indices must be positive integers")
-    return WittElement._merged((d, c * mobius(u // d)) for u, c in prim.items() for d in divisors(u))
+    closure = sorted({d for u in prim for d in divisors(u)}, reverse=True)
+    top = closure[0] if closure else 0
+    found: dict[int, int] = {}  # the nonzero coefficients so far, all above k
+    for k in closure:
+        c = prim.get(k, 0) - sum(found[m] for m in _multiples(k, top, found))
+        if c:
+            found[k] = c
+    return WittElement._from_sums(found)

@@ -2,9 +2,11 @@
 numth.factorize and numth.divide_out replaced, kept as their oracles:
 Miller-Rabin to all 13 prime bases up to 41 below 3.3e24 and trial division
 above, trial division by 2, 3 and 6k+-1 up to the square root, and one
-division per factor p.  Also the generators of (Z/n)^x (primitive roots and
-their CRT lifts) that group_ring.is_invariant acted with before it counted
-orbits, kept for the generator route of group_ring_oracles.is_invariant."""
+division per factor p.  The Mobius function, which witt summed over divisors
+before it inverted along multiples, kept for the Mobius-sum forms of
+witt_oracles.  Also the generators of (Z/n)^x (primitive roots and their CRT
+lifts) that group_ring.is_invariant acted with before it counted orbits,
+kept for the generator route of group_ring_oracles.is_invariant."""
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Strong probable primes to all of _MR_BASES are prime below this bound
@@ -75,6 +77,18 @@ def divide_out(n: int, p: int) -> tuple[int, int]:
         n //= p
         e += 1
     return e, n
+
+
+def mobius(n: int) -> int:
+    """Mobius function: (-1)^(number of prime factors) on squarefree n, else 0."""
+    if n <= 0:
+        raise ValueError(f"mobius requires a positive integer, got {n}")
+    mu = 1
+    for _, e in factorize(n).items():
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
 
 
 def _primitive_root_mod_prime_power(p: int, e: int) -> int:

@@ -10,12 +10,12 @@ from absarith.numth import (
     euler_phi,
     factorize,
     is_prime,
-    mobius,
 )
 from math import gcd, isqrt
 from numth_oracles import divide_out as oracle_divide_out
 from numth_oracles import factorize as oracle_factorize
 from numth_oracles import is_prime as oracle_is_prime
+from numth_oracles import mobius
 from numth_oracles import unit_group_generators
 
 

@@ -1,7 +1,11 @@
 import random
+import time
 
 import pytest
 
+import witt_oracles
+from absarith import numth, witt
+from absarith.errors import json_key
 from absarith.gamma_core import PointedEndo, eventual_image, smash, trace, wedge
 from absarith.witt import (
     WittElement,
@@ -71,10 +75,128 @@ def test_from_ghost_examples():
 
 
 def test_from_ghost_errors():
-    with pytest.raises(ValueError):
-        from_ghost({2: 1})  # not divisor closed
-    with pytest.raises(ValueError):
-        from_ghost({1: 0, 2: 1})  # Mobius sum 1 not divisible by 2
+    with pytest.raises(ValueError, match=r"^ghost vector not divisor-closed: index 2 lacks divisors \[1\]$"):
+        from_ghost({2: 1})
+    with pytest.raises(ValueError, match="^inconsistent ghost vector: Mobius sum at 2 is 1, not divisible by 2$"):
+        from_ghost({1: 0, 2: 1})
+
+
+# A 12-digit prime: a sparse index with a key this large is scanned, never
+# stepped through up to the key.
+P12 = 100_000_000_003
+
+
+def _outcome(f, *args):
+    """repr of the answer, or the text of the ValueError raised."""
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _ghost_cases(rng):
+    """Ghost vectors of random elements: as they are, perturbed, with indices
+    dropped, with a nonpositive index, sparse on huge keys, and random."""
+    for i in range(600):
+        w = random_witt(rng, max_k=30)
+        g = witt_oracles.ghost_vector(w, rng.randint(0, 40))
+        kind = i % 6
+        if kind == 1 and g:
+            for _ in range(rng.randint(1, 3)):
+                g[rng.choice(list(g))] += rng.randint(-5, 5)
+        elif kind == 2:
+            for n in rng.sample(sorted(g), min(len(g), rng.randint(1, 3))):
+                del g[n]
+        elif kind == 3:
+            g[rng.randint(-5, 0)] = rng.randint(-2, 2)
+        elif kind == 4:
+            g = {1: rng.randint(-3, 3)}
+            for p in rng.sample([P12, 999_999_999_989, 2 * P12, 4, 6, 12], rng.randint(1, 3)):
+                g[p] = g[1] + p * rng.randint(-3, 3) + rng.choice((0, 0, 1))
+        elif kind == 5:
+            g = {rng.randint(1, 50): rng.randint(-20, 20) for _ in range(rng.randint(0, 10))}
+        yield g
+
+
+def test_inversion_matches_the_mobius_sums():
+    rng = random.Random(107)
+    outcomes = set()
+    for g in _ghost_cases(rng):
+        got = _outcome(from_ghost, g)
+        assert got == _outcome(witt_oracles.from_ghost, g), g
+        outcomes.add(got.split(":")[1] if got.startswith("ValueError") else "answer")
+    # every branch ran: answers and the three refusals
+    assert len(outcomes) == 4
+    for _ in range(300):
+        w = random_witt(rng, max_k=rng.choice((12, 60, 200)), terms=rng.randint(0, 8))
+        n_max = rng.randint(-2, 250)
+        assert repr(ghost_vector(w, n_max)) == repr(witt_oracles.ghost_vector(w, n_max))
+    for i in range(300):
+        prim = {rng.randint(-1 if i % 10 == 0 else 1, rng.choice((12, 60, 400))): rng.randint(-2, 2) for _ in range(8)}
+        if i % 7 == 0:
+            prim[rng.choice((P12, 2 * 3 * 5 * 7 * 11 * 13))] = rng.randint(-2, 2)
+        assert _outcome(from_primitive_basis, prim) == _outcome(witt_oracles.from_primitive_basis, prim), prim
+
+
+def test_inversion_walks_multiples_without_factorizing_each_divisor(monkeypatch):
+    w = WittElement.from_coeffs({1: 2, 6: -1, 97: 3, 4096: 1, 99_991: -2})
+    start = time.perf_counter()
+    assert from_ghost(ghost_vector(w, 10**5)) == w
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert from_ghost({1: 0, P12: 0}) == WittElement.zero()
+    assert from_ghost({1: 1, P12: 1 + 2 * P12}) == WittElement.from_coeffs({1: 1, P12: 2})
+    assert time.perf_counter() - start < 0.5
+
+    calls = []
+    factorize = numth.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    def refused(n):
+        raise AssertionError("the Mobius function is not needed")
+
+    for module in (numth, witt):
+        monkeypatch.setattr(module, "factorize", counted, raising=False)
+        monkeypatch.setattr(module, "mobius", refused, raising=False)
+    # an index that is not 1..n is checked for closure, one factorization an entry
+    index = sorted({d for n in (360, 840, 1001, 4096) for d in numth.divisors(n)})
+    calls.clear()
+    w = WittElement.from_coeffs({1: 1, 8: -2, 360: 1, 1001: 3})
+    assert from_ghost({n: ghost(w, n) for n in index}) == w
+    assert len(calls) <= len(index)
+    prim = {360: 1, 840: -2, 1001: 1, 4096: 5}
+    expected = repr(witt_oracles.from_primitive_basis(prim))
+    calls.clear()
+    assert repr(from_primitive_basis(prim)) == expected
+    assert len(calls) == len(prim)
+
+
+def test_argument_checks():
+    w = WittElement.basis(3)
+    with pytest.raises(ValueError, match="^cycle order must be >= 1$"):
+        WittElement.basis(0)
+    with pytest.raises(ValueError, match="must be an object"):
+        WittElement.from_json("[1]")
+    with pytest.raises(ValueError, match="^ghost indices must be positive integers$"):
+        from_ghost({0: 0, 1: 0})
+    with pytest.raises(ValueError, match="^Frobenius index must be >= 1$"):
+        frobenius(0, w)
+    with pytest.raises(ValueError, match="^Verschiebung index must be >= 1$"):
+        verschiebung(0, w)
+    with pytest.raises(ValueError, match="^primitive basis indices must be positive integers$"):
+        from_primitive_basis({0: 1})
+    # a float is no scalar, on either side: both methods return NotImplemented
+    with pytest.raises(TypeError):
+        w * 1.5
+    with pytest.raises(TypeError):
+        1.5 * w
+    # a key from a library caller's dict may be an int already, not a float
+    assert json_key(7) == 7
+    with pytest.raises(ValueError, match="expected an integer"):
+        json_key(2.0)
 
 
 def test_mul_examples():
@@ -284,16 +406,6 @@ def _ref_to_primitive_basis(w):
     return {u: c for u, c in sorted(out.items()) if c != 0}
 
 
-def _ref_from_primitive_basis(prim):
-    from absarith.numth import divisors, mobius
-
-    coeffs = {}
-    for u, c in prim.items():
-        for d in divisors(u):
-            coeffs[d] = coeffs.get(d, 0) + c * mobius(u // d)
-    return _ref_canonical(coeffs)
-
-
 def _cases(seed):
     """Seeded pairs of elements, with small supports so that keys collide, and
     the empty element on either side."""
@@ -327,7 +439,7 @@ def test_primitive_basis_matches_the_accumulating_oracle():
         assert repr(to_primitive_basis(a)) == repr(_ref_to_primitive_basis(a))
         # zero coefficients and indices whose Mobius sums collide or cancel
         prim = {rng.randint(1, 24): rng.randint(-2, 2) for _ in range(rng.randint(0, 6))}
-        assert repr(from_primitive_basis(prim)) == repr(_ref_from_primitive_basis(prim))
+        assert repr(from_primitive_basis(prim)) == repr(witt_oracles.from_primitive_basis(prim))
 
 
 def test_from_coeffs_matches_the_canonical_walk():
