@@ -55,7 +55,8 @@ class ScaleValue:
 
     @staticmethod
     def exact_exp(r) -> "ScaleValue":
-        r = Fraction(r)
+        if r.__class__ is not Fraction:
+            r = Fraction(r)
         if r.numerator <= 0:
             raise ValueError("exact scale must be a positive rational")
         return ScaleValue(r, math.log(r.numerator) - math.log(r.denominator))
@@ -214,10 +215,11 @@ def principal(q) -> ArakelovDivisor:
     return ArakelovDivisor._of_primes(support, ScaleValue.exact_exp(1 / absq))
 
 
-# _finite_exp and degree_scale keep their value in the divisor's __dict__,
-# so each is computed once per divisor object: a query reads them several
-# times.  The frozen __eq__, __hash__ and __repr__ read only the fields, so
-# equal divisors stay equal whether or not their memos are filled.  A cache
+# _finite_exp, lattice_of and degree_scale keep their value in the divisor's
+# __dict__, so each is computed once per divisor object: a query reads them
+# several times (an exact pi query reads the lattice twice).  The frozen
+# __eq__, __hash__ and __repr__ read only the fields, so equal divisors stay
+# equal whether or not their memos are filled.  A cache
 # keyed on the value would outlive the object and make a query's cost depend
 # on the queries before it.  _finite_exp keeps prod p^(a_p) as the int pair
 # (N, D), N the powers with a_p > 0 and D those with a_p < 0, coprime as
@@ -243,9 +245,13 @@ def _finite_exp(d: ArakelovDivisor) -> tuple[int, int]:
 
 def lattice_of(d: ArakelovDivisor) -> Lattice1:
     """Sections of the finite part: |q|_p <= p^(a_p) for all p means q in cZ,
-    c = D/N."""
-    num, den = _finite_exp(d)
-    return Lattice1(Fraction(den, num))
+    c = D/N, once per object."""
+    memo = d.__dict__
+    lattice = memo.get("_lattice")
+    if lattice is None:
+        num, den = _finite_exp(d)
+        lattice = memo["_lattice"] = Lattice1(Fraction(den, num))
+    return lattice
 
 
 def degree_scale(d: ArakelovDivisor) -> ScaleValue:

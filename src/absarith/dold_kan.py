@@ -226,7 +226,9 @@ def _check_monotone(theta: Sequence[int], n: int) -> None:
         raise ValueError("the map does not land in the stated codomain")
 
 
-@lru_cache(maxsize=None)
+# Keyed on any monotone map given to simplicial_map, which no budget bounds;
+# _face_slots keeps what the level search reads.
+@lru_cache(maxsize=1024)
 def dual_pair_map(theta: Sequence[int], n: int) -> PairMap:
     """The pair map induced on simplex pairs by a monotone theta: [m] -> [n].
 
@@ -473,6 +475,10 @@ def _element_index(orders: Sequence[int], value: Sequence[int]) -> int:
     return i
 
 
+# The face_passes budget bounds this cache: its keys are the levels 1..n_max
+# of a search that homotopy_groups admitted, n_max <= 43 under the default
+# cap, and level n holds at most (n + 1)^2 source pairs, a fraction 1/n of
+# the column passes the budget counts for it from level 3 on.
 @lru_cache(maxsize=None)
 def _face_slots(n: int) -> tuple:
     """The faces d_0..d_n of level n compiled from their pair maps, which

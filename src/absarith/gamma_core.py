@@ -35,7 +35,7 @@ class PointedMap:
     def __post_init__(self) -> None:
         if not self.images or self.images[0] != 0:
             raise ValueError("a pointed map must send the base point to 0")
-        if any(y < 0 or y > self.codomain_size for y in self.images):
+        if min(self.images) < 0 or max(self.images) > self.codomain_size:
             raise ValueError("image out of codomain range")
 
     @property
@@ -99,22 +99,24 @@ def wedge(s: PointedEndo, t: PointedEndo) -> PointedEndo:
     return PointedEndo(images)
 
 
-def _smash_index(i: int, j: int, nt: int) -> int:
-    return (i - 1) * nt + j
-
-
 def smash(s: PointedEndo, t: PointedEndo) -> PointedEndo:
     """Smash product: pairs (i, j) of non-base points, base point absorbing.
 
     The pair (i, j) is encoded row-major as (i-1)*N_t + j, so equality of smash
-    products is equality of image arrays.
+    products is equality of image arrays.  Row i is the image row of t shifted
+    to block s(i), with t's zeros kept, or a row of zeros when s(i) = 0; each
+    row is built in one pass over t's images.
     """
-    ns, nt = s.domain_size, t.domain_size
-    images = [0] * (ns * nt + 1)
-    for i in range(1, ns + 1):
-        for j in range(1, nt + 1):
-            si, tj = s(i), t(j)
-            images[_smash_index(i, j, nt)] = 0 if si == 0 or tj == 0 else _smash_index(si, tj, nt)
+    nt = t.domain_size
+    t_images = t.images[1:]
+    zeros = [0] * nt
+    images = [0]
+    for si in s.images[1:]:
+        if si:
+            shift = (si - 1) * nt
+            images += [shift + tj if tj else 0 for tj in t_images]
+        else:
+            images += zeros
     return PointedEndo(images)
 
 

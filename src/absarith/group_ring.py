@@ -17,17 +17,17 @@ methods.  Its items keep reduced Fraction keys in [0, 1), but the arithmetic
 runs on integer residues: a symbol a/n is the pair (a, n) with 0 <= a < n and
 gcd(a, n) = 1, the operators map such pairs, and the merge sums coefficients
 under them and builds each Fraction key of the result once.  Keys from
-outside are reduced into [0, 1) once, on the way in.
+outside are reduced into [0, 1) once, on the way in.  The linear operators
+end in the merge; the product reduces and sums its pairs of symbols in place.
 """
 
 from __future__ import annotations
 
-import json as _json
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .errors import SelfCheckFailed, frozen, json_int
+from .errors import SelfCheckFailed, frozen
 from .numth import euler_phi
 from .witt import Combination, WittElement, from_primitive_basis
 
@@ -39,17 +39,13 @@ def _residue(p: int, q: int) -> tuple[int, int]:
     return p // d, q // d
 
 
-def _fraction(g) -> Fraction:
-    """Fraction(g) for a symbol g given from outside; a zero denominator is a ValueError."""
+def _symbol(g) -> tuple[int, int]:
+    """The reduced residue of a symbol g given from outside; a zero
+    denominator is a ValueError."""
     try:
-        return Fraction(g)
+        q = Fraction(g)
     except ZeroDivisionError:
         raise ValueError(f"a symbol of Q/Z needs a nonzero denominator, got {g!r}") from None
-
-
-def _symbol(g) -> tuple[int, int]:
-    """The reduced residue of a symbol g given from outside."""
-    q = _fraction(g)
     return _residue(q.numerator, q.denominator)
 
 
@@ -84,29 +80,24 @@ class GroupRingElt(Combination):
         return cls(tuple((Fraction(a, n), sums[a, n]) for a, n in keys))
 
     def _product(self, other: "GroupRingElt") -> "GroupRingElt":
-        # e(a/n) e(b/m) = e((a m + b n) / (n m))
+        # e(a/n) e(b/m) = e((a m + b n) / (n m)), reduced as _residue does and
+        # summed in place: no generator, helper or merge call per pair.
         ys = [(h.numerator, h.denominator, ch) for h, ch in other.items]
-        return self._merged(
-            (_residue(a * m + b * n, n * m), ca * cb)
-            for (a, n), ca in self._merge_pairs()
-            for b, m, cb in ys
-        )
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for g, ca in self.items:
+            a, n = g.numerator, g.denominator
+            for b, m, cb in ys:
+                q = n * m
+                p = (a * m + b * n) % q
+                d = gcd(p, q)
+                key = p // d, q // d
+                out[key] = get(key, 0) + ca * cb
+        return self._from_sums(out)
 
     def torsion_lcm(self) -> int:
         """lcm of the orders of the support (1 for the zero element)."""
         return lcm(*(g.denominator for g, _ in self.items))
-
-    def to_json(self) -> str:
-        return _json.dumps(
-            {f"{g.numerator}/{g.denominator}": c for g, c in self.items}, sort_keys=True
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "GroupRingElt":
-        data = _json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("group ring JSON must be an object {'a/b': coefficient}")
-        return GroupRingElt.from_terms({_fraction(k): json_int(c) for k, c in data.items()})
 
 
 def sigma(n: int, x: GroupRingElt) -> GroupRingElt:

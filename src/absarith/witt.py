@@ -20,8 +20,8 @@ length k/gcd(n,k); the Verschiebung operator is the odometer C(k) -> C(nk).
 
 Combination is the additive core this ring shares with its copy inside
 Z[Q/Z] (group_ring): an element is the sorted tuple of its (key, nonzero
-coefficient) pairs, and every operation of either ring lists the pairs of
-its result and merges them once.
+coefficient) pairs.  Every linear operator of either ring lists the pairs of
+its result and merges them once; the two products sum theirs in place.
 """
 
 from __future__ import annotations
@@ -43,10 +43,13 @@ class Combination:
     A subclass is a frozen class whose one field, items, holds its (key,
     nonzero coefficient) pairs sorted by key.  It adds only the check or
     reduction of keys given from outside and _product, the product of two
-    elements.  The merge sums coefficients under merge keys: the item keys
-    themselves, unless the subclass lists its pairs under other keys
-    (_merge_pairs) and turns the summed merge keys back into sorted items
-    (_from_sums), as GroupRingElt does with integer residues.
+    elements.  The merge, which every linear operator ends in, sums
+    coefficients under merge keys: the item keys themselves, unless the
+    subclass lists its pairs under other keys (_merge_pairs) and turns the
+    summed merge keys back into sorted items (_from_sums), as GroupRingElt
+    does with integer residues.  _product sums its pairs of terms under
+    merge keys into a dict in place and hands it to _from_sums, as a
+    generator and a merge call per pair cost more than the sum.
     """
 
     @classmethod
@@ -125,13 +128,16 @@ class WittElement(Combination):
         return dict(self.items)
 
     def _product(self, other: "WittElement") -> "WittElement":
-        # C(a) C(b) = gcd(a, b) C(lcm(a, b)), and lcm(a, b) = a // gcd(a, b) * b.
-        return self._merged(
-            (a // (g := gcd(a, b)) * b, ca * cb * g) for a, ca in self.items for b, cb in other.items
-        )
-
-    def to_json(self) -> str:
-        return _json.dumps({str(k): c for k, c in self.items}, sort_keys=True)
+        # C(a) C(b) = gcd(a, b) C(lcm(a, b)), and lcm(a, b) = a // gcd(a, b) * b,
+        # summed in place: no generator, tuple or merge call per pair.
+        out: dict[int, int] = {}
+        get = out.get
+        for a, ca in self.items:
+            for b, cb in other.items:
+                g = gcd(a, b)
+                k = a // g * b
+                out[k] = get(k, 0) + ca * cb * g
+        return self._from_sums(out)
 
     @staticmethod
     def from_json(text: str) -> "WittElement":

@@ -2,7 +2,8 @@
 witt.verschiebung against: n stacked copies of a pointed set, shifted
 cyclically and twisted by the endomorphism on the wrap.  And the quotient
 map X -> X/Y, whose functoriality the tests check; nothing in the package
-builds one."""
+builds one.  And the smash product by a double loop over the pairs of
+points, the form that gamma_core.smash replaced with one pass per row."""
 
 from typing import Sequence
 
@@ -50,3 +51,15 @@ def collapse(x_size: int, y_indices: Sequence[int]) -> PointedMap:
             images.append(nxt)
             nxt += 1
     return PointedMap(tuple(images), nxt - 1)
+
+
+def smash(s: PointedEndo, t: PointedEndo) -> PointedEndo:
+    """The pair (i, j) of non-base points at (i - 1) N_t + j, sent to the
+    pair (s(i), t(j)), or to the base point when either image is 0."""
+    ns, nt = s.domain_size, t.domain_size
+    images = [0] * (ns * nt + 1)
+    for i in range(1, ns + 1):
+        for j in range(1, nt + 1):
+            si, tj = s(i), t(j)
+            images[(i - 1) * nt + j] = 0 if si == 0 or tj == 0 else (si - 1) * nt + tj
+    return PointedEndo(images)

@@ -5,7 +5,9 @@ the generator route to invariance that group_ring.is_invariant took before
 it counted orbits: act with generators of (Z/N)^x, N the lcm of the orders.
 And the character sums and orbit sums that tests read the ghost components
 and the invariant basis rho(n) from, by routes of their own, and the
-coefficient of one symbol, read off the Fraction keys.
+coefficient of one symbol, read off the Fraction keys.  And the product as
+the merge of a generator of its reduced residues, the form that
+GroupRingElt's product replaced with a sum in place.
 
 Imports no pytest, so the plain-script checks can use them too.
 """
@@ -14,7 +16,7 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
-from absarith.group_ring import GroupRingElt, groupring_to_witt
+from absarith.group_ring import GroupRingElt, _residue, groupring_to_witt
 from absarith.witt import ghost
 from numth_oracles import unit_group_generators
 
@@ -115,3 +117,12 @@ def ghost_invariant(x, n):
 def primitive_orbit_sum(n):
     """The invariant sum rho(n) of all primitive n-torsion symbols."""
     return GroupRingElt(tuple((Fraction(a, n), 1) for a in range(n) if gcd(a, n) == 1))
+
+
+def product(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
+    """e(a/n) e(b/m) = e((a m + b n) / (n m)), one (residue, coefficient)
+    pair per pair of symbols, merged once."""
+    ys = [(h.numerator, h.denominator, ch) for h, ch in y.items]
+    return GroupRingElt._merged(
+        (_residue(a * m + b * n, n * m), ca * cb) for (a, n), ca in x._merge_pairs() for b, m, cb in ys
+    )

@@ -43,6 +43,12 @@ def test_divisor_validation():
         D({4: 1}, ScaleValue.exact_exp(1))
     with pytest.raises(ValueError):
         ScaleValue.exact_exp(0)
+    with pytest.raises(ValueError):
+        ScaleValue.exact_exp(Fraction(-1, 2))
+    # a Fraction is kept as given, anything else is read by Fraction
+    half = Fraction(1, 2)
+    assert ScaleValue.exact_exp(half).exact is half
+    assert ScaleValue.exact_exp("2/4") == ScaleValue.exact_exp(0.5) == ScaleValue.exact_exp(half)
 
 
 def test_lattice_examples():
@@ -921,9 +927,9 @@ def test_the_degree_memo_equals_a_fresh_computation_and_leaves_equality_alone():
         scale = ak.degree_scale(d)
         assert ak.degree_scale(d) is scale and scale == oracles.degree_scale(d)
         assert (exp_degree(d), degree(d)) == (scale.value, scale.log)
-        assert lattice_of(d) == Lattice1(oracles.lattice_generator(d))
+        assert lattice_of(d) == Lattice1(oracles.lattice_generator(d)) and lattice_of(d) is lattice_of(d)
         # d's memo is filled and twin's is not; neither shows in ==, hash or repr.
-        assert set(vars(d)) - set(vars(twin)) == {"_finite_exp", "_degree_scale"}
+        assert set(vars(d)) - set(vars(twin)) == {"_finite_exp", "_lattice", "_degree_scale"}
         assert d == twin and twin == d and hash(d) == hash(twin) and repr(d) == repr(twin)
         assert {twin: 1}[d] == 1
         assert ak.degree_scale(twin) == scale and lattice_of(twin) == lattice_of(d)

@@ -15,6 +15,7 @@ from absarith.gamma_core import (
     trace,
     wedge,
 )
+import gamma_core_oracles
 from gamma_core_oracles import collapse
 from helpers import random_endo
 
@@ -24,6 +25,8 @@ def test_pointed_map_validation():
         PointedMap((1, 0), 1)  # base point not preserved
     with pytest.raises(ValueError):
         PointedMap((0, 5), 2)  # image out of range
+    with pytest.raises(ValueError):
+        PointedMap((0, 1, -1), 2)  # image out of range
 
 
 def test_wedge_identities():
@@ -55,6 +58,18 @@ def test_smash_wedge_compatibilities():
         assert cycle_type(smash(smash(a, b), c)) == cycle_type(smash(a, smash(b, c)))
         assert cycle_type(wedge(wedge(a, b), c)) == cycle_type(wedge(a, wedge(b, c)))
         assert cycle_type(smash(a, wedge(b, c))) == cycle_type(wedge(smash(a, b), smash(a, c)))
+
+
+def test_smash_matches_the_double_loop():
+    # sizes 0 to 40 on either side, with maps that send every point to 0,
+    # identities, and random maps that send some points to 0
+    rng = random.Random(13)
+    maps = [PointedEndo((0,) * (n + 1)) for n in (0, 1, 5, 40)] + [PointedEndo.identity(n) for n in (1, 7)]
+    maps += [random_endo(rng, 40) for _ in range(40)]
+    for s in maps:
+        for t in rng.sample(maps, 12) + [maps[0], maps[3]]:
+            assert repr(smash(s, t)) == repr(gamma_core_oracles.smash(s, t))
+    assert smash(maps[3], maps[-1]).images == (0,) * (40 * maps[-1].domain_size + 1)
 
 
 def test_eventual_image_null_and_permutation():

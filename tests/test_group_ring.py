@@ -243,15 +243,17 @@ def test_fourier_close_to_exact_ghost():
 
 
 def test_json_roundtrip():
+    # a JSON object of "a/n" keys, read back by from_terms
     rng = random.Random(49)
     for _ in range(20):
         x = random_groupring(rng)
-        assert GroupRingElt.from_json(x.to_json()) == x
+        text = json.dumps({f"{g.numerator}/{g.denominator}": c for g, c in x.items})
+        assert GroupRingElt.from_terms(json.loads(text)) == x
 
 
-def test_from_json_rejects_a_zero_denominator():
+def test_from_terms_rejects_a_zero_denominator():
     with pytest.raises(ValueError, match="nonzero denominator"):
-        GroupRingElt.from_json('{"1/0": 1}')
+        GroupRingElt.from_terms({"1/0": 1})
     with pytest.raises(ValueError, match="nonzero denominator"):
         GroupRingElt.from_terms({"2/0": 1})
 
@@ -297,7 +299,7 @@ def test_from_terms_matches_the_canonical_merge():
             terms[Fraction(rng.randint(-2 * den, 2 * den), den)] = rng.randint(-2, 2)
         assert repr(GroupRingElt.from_terms(terms)) == repr(_ref_canonical(terms))
         text = json.dumps({f"{g.numerator}/{g.denominator}": c for g, c in terms.items()})
-        assert repr(GroupRingElt.from_json(text)) == repr(_ref_canonical(terms))
+        assert repr(GroupRingElt.from_terms(json.loads(text))) == repr(_ref_canonical(terms))
     for n in range(1, 40):
         expected = _ref_canonical({Fraction(a, n): 1 for a in range(n) if gcd(a, n) == 1})
         assert repr(primitive_orbit_sum(n)) == repr(expected)

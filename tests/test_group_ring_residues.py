@@ -5,6 +5,8 @@ canonicalize oracles of group_ring_oracles, on supports like the benchmark's
 (orders up to 1260, about 10^3 symbols, mixed-sign coefficients), on
 elements that exactly one unit generator moves, and on the edge cases: the
 zero element, unreduced and negative keys, and act_unit's non-unit message.
+The product is also compared with the merge of its residues, the form it
+replaced.
 
 Needs no pytest: `PYTHONPATH=src python tests/test_group_ring_residues.py`
 runs the same checks as a plain script, for interpreters without pytest
@@ -34,6 +36,7 @@ from group_ring_oracles import (
     _ref_sigma,
     _ref_witt_to_groupring,
     coefficient,
+    product,
 )
 from numth_oracles import unit_group_generators
 
@@ -158,6 +161,37 @@ def test_unreduced_and_negative_keys():
     x = GroupRingElt.from_terms({"-1/4": 2, "3/4": 1, "10/8": -1, -2: 5, "6/9": 4})
     assert repr(x) == "GroupRingElt(items=((Fraction(0, 1), 5), (Fraction(1, 4), -1), (Fraction(2, 3), 4), (Fraction(3, 4), 3)))"
     assert coefficient(x, Fraction(-5, 4)) == 3 and coefficient(x, "-1/3") == 4
+
+
+# The largest prime below 10^12.
+PRIME_12 = 999_999_999_989
+
+
+def test_product_matches_the_merge_oracle():
+    """The product, summed in place, against the merge of its residues: on
+    the benchmark's supports, on 30-term factors, on products that cancel
+    to zero, with the empty factor, with the unit e(0) and with symbols of a
+    12-digit prime order."""
+    rng = random.Random(153)
+    E, zero, one = GroupRingElt.e, GroupRingElt.zero(), GroupRingElt.e(0)
+
+    def shaped():
+        return GroupRingElt.from_terms(
+            {Fraction(rng.randrange(den), den): rng.choice((-3, -2, -1, 1, 2, 3)) for den in rng.choices(range(1, 61), k=30)}
+        )
+
+    pairs = [(witt_to_groupring(_mixed_witt(rng, big)), witt_to_groupring(_mixed_witt(rng, small))) for big, small in SUPPORTS]
+    pairs += [(shaped(), shaped()) for _ in range(24)]
+    # (e(1/n) - e(0)) times the sum of the n-torsion symbols cancels to zero
+    cancelling = [(E(Fraction(1, n)) - one, witt_to_groupring(WittElement.basis(n))) for n in (1, 2, 6, 60)]
+    pairs += cancelling
+    p = E(Fraction(1, PRIME_12))
+    pairs += [(zero, zero), (zero, shaped()), (shaped(), zero), (one, one), (one, shaped()), (shaped(), one)]
+    pairs += [(p, p), (p, shaped()), (p + one, 2 * p - E(Fraction(PRIME_12 - 1, PRIME_12))), (p, E(Fraction(PRIME_12 - 1, PRIME_12)))]
+    for x, y in pairs:
+        assert repr(x * y) == repr(product(x, y)), (x, y)
+    assert [x * y for x, y in cancelling] == [zero] * len(cancelling)
+    assert repr(p * E(Fraction(PRIME_12 - 1, PRIME_12))) == repr(one)
 
 
 def test_act_unit_names_the_first_order_a_non_unit_shares():

@@ -50,6 +50,14 @@ coefficient.  The second route acts on the element with generators of
 images of seeded Witt elements, the same with one symbol dropped, added or
 given another coefficient, and elements that exactly one generator moves;
 each route runs with the other's helpers patched to raise.
+
+Acceptance criterion 2 multiplies Witt elements, and its oracle sums the
+same pairs as the product does.  Here each ghost component is the ring map
+to Z: ghost_m(x y) = ghost_m(x) ghost_m(y) at every m up to the largest key
+the product can have, which by Mobius inversion determines x y.  The
+products run with ghost_vector patched to raise, and the ghosts come from
+ghost_vector alone, with the product, the merge and the other operators and
+inversions of witt patched to raise.
 """
 
 import math
@@ -60,7 +68,7 @@ from fractions import Fraction
 
 import group_ring_oracles
 import numth_oracles
-from absarith import arakelov, combinat, dold_kan, gamma_core, gamma_space, group_ring, numth, smith
+from absarith import arakelov, combinat, dold_kan, gamma_core, gamma_space, group_ring, numth, smith, witt
 from absarith.arakelov import (
     ArakelovDivisor,
     Lattice1,
@@ -78,7 +86,7 @@ from absarith.gamma_core import NormedVectorConfig, PointedEndo, PointedMap, tra
 from absarith.gamma_space import GSConfig, face, member, zero_element
 from absarith.group_ring import GroupRingElt, groupring_to_witt, witt_to_groupring
 from absarith.smith import cokernel_divisors, elementary_divisors, group_divisors_from_table, kernel_divisors
-from absarith.witt import ghost, tau
+from absarith.witt import Combination, WittElement, ghost, tau
 from combinat_oracles import iter_l1_ball
 from gamma_space_oracles import _coordinate_values, _element_from_indices
 from helpers import FACE_HOMS, random_abelian_group, random_endo, random_hom, random_witt
@@ -492,3 +500,52 @@ def test_invariance_by_orbit_counts_and_by_unit_generators(monkeypatch):
                 assert not fixed and str(exc) == "only invariant group-ring elements correspond to Witt elements"
             else:
                 assert fixed and back == x, x
+
+
+def _ghost_product_cases() -> list[tuple[WittElement, WittElement]]:
+    """Seeded pairs: shaped like the benchmark's, 30 terms each on keys up
+    to 60, and small ones whose keys collide, with the empty element on
+    either side."""
+    rng = random.Random(1005)
+
+    def shaped():
+        return WittElement.from_coeffs({k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in rng.sample(range(1, 61), 30)})
+
+    zero = WittElement.zero()
+    pairs = [(zero, zero), (zero, shaped()), (shaped(), zero)]
+    pairs += [(shaped(), shaped()) for _ in range(6)]
+    pairs += [(random_witt(rng, max_k=30, terms=8), random_witt(rng, max_k=30, terms=8)) for _ in range(200)]
+    return pairs
+
+
+def _ghost_product_mismatches(monkeypatch, pairs) -> int:
+    """The number of components m, up to the largest key of x y and of the
+    lcm of each pair of keys, at which ghost_m(x y) differs from
+    ghost_m(x) ghost_m(y)."""
+    with monkeypatch.context() as m:
+        m.setattr(witt, "ghost_vector", _raises("ghost_vector"))
+        products = [x * y for x, y in pairs]
+    with monkeypatch.context() as m:
+        for name in ("ghost", "from_ghost", "frobenius", "verschiebung", "from_primitive_basis"):
+            m.setattr(witt, name, _raises(name))
+        m.setattr(WittElement, "_product", _raises("_product"))
+        m.setattr(Combination, "_merged", classmethod(_raises("_merged")))
+        mismatches = 0
+        for (x, y), xy in zip(pairs, products):
+            keys = [k for k, _ in xy.items] + [math.lcm(a, b) for a, _ in x.items for b, _ in y.items]
+            top = max(keys, default=1)
+            gx, gy, gxy = (witt.ghost_vector(w, top) for w in (x, y, xy))
+            mismatches += sum(gxy[n] != gx[n] * gy[n] for n in range(1, top + 1))
+    return mismatches
+
+
+def test_ghost_components_of_a_witt_product_multiply(monkeypatch):
+    assert _ghost_product_mismatches(monkeypatch, _ghost_product_cases()) == 0
+
+
+def test_the_ghost_row_catches_a_product_without_the_gcd(monkeypatch):
+    def lcm_only(self, other):
+        return WittElement._merged((math.lcm(a, b), ca * cb) for a, ca in self.items for b, cb in other.items)
+
+    monkeypatch.setattr(WittElement, "_product", lcm_only)
+    assert _ghost_product_mismatches(monkeypatch, _ghost_product_cases()) > 0

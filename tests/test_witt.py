@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -5,6 +6,7 @@ import pytest
 
 import witt_oracles
 from absarith import numth, witt
+from absarith.cli import _witt_json
 from absarith.errors import json_key
 from absarith.gamma_core import PointedEndo, eventual_image, smash, trace, wedge
 from absarith.witt import (
@@ -334,10 +336,11 @@ def test_primitive_basis_roundtrip():
 
 
 def test_json_roundtrip():
+    # the CLI writes an element as _witt_json and reads it with from_json
     rng = random.Random(26)
     for _ in range(20):
         w = random_witt(rng)
-        assert WittElement.from_json(w.to_json()) == w
+        assert WittElement.from_json(json.dumps(_witt_json(w))) == w
 
 
 # The parent's accumulate-then-canonicalize bodies of the operators, kept as
@@ -431,6 +434,39 @@ def test_operators_match_the_accumulating_oracle():
         if n:
             assert repr(frobenius(n, a)) == repr(_ref_frobenius(n, a))
             assert repr(verschiebung(n, a)) == repr(_ref_verschiebung(n, a))
+
+
+# The largest prime below 10^12.
+PRIME_12 = 999_999_999_989
+
+
+def _product_cases(seed):
+    """Seeded pairs for the product: shaped like the benchmark's, 30 terms
+    each on keys up to 60; products that cancel to zero, by C(k) C(k) =
+    k C(k) = k C(1) C(k); the empty factor; the key 1; a 12-digit prime key;
+    and small supports, where keys collide."""
+    rng = random.Random(seed)
+
+    def shaped():
+        return WittElement.from_coeffs({k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in rng.sample(range(1, 61), 30)})
+
+    zero, one, p = WittElement.zero(), WittElement.one(), WittElement.basis(PRIME_12)
+    pairs = [(shaped(), shaped()) for _ in range(24)]
+    pairs += [(WittElement.basis(k) - k * one, WittElement.basis(k)) for k in (1, 2, 6, 60, PRIME_12)]
+    pairs += [(zero, zero), (zero, shaped()), (shaped(), zero), (one, one), (one, shaped()), (shaped(), one)]
+    pairs += [(p, p), (p, shaped()), (p + one, p - 2 * one), (3 * p, WittElement.basis(2 * PRIME_12))]
+    pairs += [(random_witt(rng, max_k=12, terms=8), random_witt(rng, max_k=12, terms=8)) for _ in range(100)]
+    return pairs
+
+
+def test_product_matches_the_merge_oracle():
+    pairs = _product_cases(111)
+    for x, y in pairs:
+        assert repr(x * y) == repr(witt_oracles.product(x, y)), (x, y)
+    cancelling = [x * y for x, y in pairs[24:29]]
+    assert cancelling == [WittElement.zero()] * 5
+    p = WittElement.basis(PRIME_12)
+    assert repr(p * p) == repr(PRIME_12 * p)
 
 
 def test_primitive_basis_matches_the_accumulating_oracle():

@@ -2,7 +2,9 @@
 witt.from_primitive_basis replaced with walks along multiples, kept as their
 oracles: one ghost component per index, a sum over the divisors of each
 index with the Mobius function of each quotient, and one Mobius value per
-divisor of each primitive-basis key.
+divisor of each primitive-basis key.  And the product as the merge of a
+generator of its pairs, the form that WittElement's product replaced with
+a sum in place.
 
 from_ghost checks that every index is positive before it checks closure, and
 names the smallest index that lacks a divisor, as witt.from_ghost does.
@@ -10,6 +12,7 @@ names the smallest index that lacks a divisor, as witt.from_ghost does.
 Imports no pytest, so the plain-script checks can use them too.
 """
 
+from math import gcd
 from typing import Mapping
 
 from absarith.numth import divisors
@@ -50,3 +53,11 @@ def from_primitive_basis(prim: Mapping[int, int]) -> WittElement:
         for d in divisors(u):
             coeffs[d] = coeffs.get(d, 0) + c * mobius(u // d)
     return WittElement.from_coeffs(coeffs)
+
+
+def product(x: WittElement, y: WittElement) -> WittElement:
+    """C(a) C(b) = gcd(a, b) C(lcm(a, b)), one (key, coefficient) pair per
+    pair of terms, merged once."""
+    return WittElement._merged(
+        (a // (g := gcd(a, b)) * b, ca * cb * g) for a, ca in x.items for b, cb in y.items
+    )
