@@ -272,14 +272,6 @@ class LevelDescriptor:
     def size(self) -> int:
         return self.hom.codomain.order * self.hom.domain.order**self.n
 
-    def element(self, a_values: Sequence[Sequence[int]], b_value: Sequence[int]) -> HPhiElement:
-        values = tuple(tuple(v) for v in a_values) + (tuple(b_value),)
-        return HPhiElement(self.hom, simplex_pair(self.n), values)
-
-    def zero(self) -> HPhiElement:
-        values = (self.hom.domain.zero(),) * self.n + (self.hom.codomain.zero(),)
-        return HPhiElement(self.hom, simplex_pair(self.n), values)
-
     def elements(self) -> Iterator[HPhiElement]:
         """Every element of the level: A-values at points 1..n, then the B-value."""
         check_budget("level_elements", self.size, n=self.n)

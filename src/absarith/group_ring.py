@@ -13,12 +13,12 @@ the Frobenius operator and rho_n the Verschiebung.
 
 GroupRingElt shares witt.Combination with WittElement: the one merge (equal
 keys summed, zero coefficients dropped, sorted by key) and the additive
-methods.  Its items keep reduced Fraction keys in [0, 1), but the arithmetic
-runs on integer residues: a symbol a/n is the pair (a, n) with 0 <= a < n and
-gcd(a, n) = 1, the operators map such pairs, and the merge sums coefficients
-under them and builds each Fraction key of the result once.  Keys from
-outside are reduced into [0, 1) once, on the way in.  The linear operators
-end in the merge; the product reduces and sums its pairs of symbols in place.
+methods.  A symbol a/n is keyed by its reduced residue, the pair (a, n) with
+0 <= a < n and gcd(a, n) = 1, so items are ((a, n), c) pairs in the plain
+sorted order of those pairs, and the operators map such pairs.  A key from
+outside is read as a Fraction and reduced into [0, 1) once, on the way in.
+The linear operators end in the merge; the product reduces and sums its
+pairs of symbols in place.
 """
 
 from __future__ import annotations
@@ -53,41 +53,27 @@ def _symbol(g) -> tuple[int, int]:
 class GroupRingElt(Combination):
     """A finitely supported integer function on Q/Z, under convolution."""
 
-    items: tuple[tuple[Fraction, int], ...]
+    items: tuple[tuple[tuple[int, int], int], ...]
 
     @staticmethod
     def from_terms(terms: Mapping[Fraction, int]) -> "GroupRingElt":
-        return GroupRingElt._merged((_symbol(g), int(c)) for g, c in terms.items())
+        for c in terms.values():
+            if type(c) is not int:
+                raise ValueError(f"group-ring coefficients must be integers, got {c!r}")
+        return GroupRingElt._merged((_symbol(g), c) for g, c in terms.items())
 
     @staticmethod
     def e(g) -> "GroupRingElt":
         """The basis symbol of the class of g in Q/Z."""
-        return GroupRingElt(((Fraction(*_symbol(g)), 1),))
-
-    @property
-    def terms(self) -> dict[Fraction, int]:
-        return dict(self.items)
-
-    def _merge_pairs(self):
-        return (((g.numerator, g.denominator), c) for g, c in self.items)
-
-    @classmethod
-    def _from_sums(cls, sums: dict) -> "GroupRingElt":
-        # a/n < b/m exactly when a (L/n) < b (L/m), for L the lcm of the orders
-        keys = [key for key, c in sums.items() if c]
-        order = lcm(*{n for _, n in keys})
-        keys.sort(key=lambda key: key[0] * (order // key[1]))
-        return cls(tuple((Fraction(a, n), sums[a, n]) for a, n in keys))
+        return GroupRingElt(((_symbol(g), 1),))
 
     def _product(self, other: "GroupRingElt") -> "GroupRingElt":
         # e(a/n) e(b/m) = e((a m + b n) / (n m)), reduced as _residue does and
         # summed in place: no generator, helper or merge call per pair.
-        ys = [(h.numerator, h.denominator, ch) for h, ch in other.items]
         out: dict[tuple[int, int], int] = {}
         get = out.get
-        for g, ca in self.items:
-            a, n = g.numerator, g.denominator
-            for b, m, cb in ys:
+        for (a, n), ca in self.items:
+            for (b, m), cb in other.items:
                 q = n * m
                 p = (a * m + b * n) % q
                 d = gcd(p, q)
@@ -97,14 +83,14 @@ class GroupRingElt(Combination):
 
     def torsion_lcm(self) -> int:
         """lcm of the orders of the support (1 for the zero element)."""
-        return lcm(*(g.denominator for g, _ in self.items))
+        return lcm(*(n for (_, n), _ in self.items))
 
 
 def sigma(n: int, x: GroupRingElt) -> GroupRingElt:
     """Ring endomorphism e(g) -> e(n g); colliding images accumulate."""
     if n < 1:
         raise ValueError("sigma index must be >= 1")
-    return GroupRingElt._merged((_residue(n * a, m), c) for (a, m), c in x._merge_pairs())
+    return GroupRingElt._merged((_residue(n * a, m), c) for (a, m), c in x.items)
 
 
 def rho_tilde(n: int, x: GroupRingElt) -> GroupRingElt:
@@ -113,18 +99,17 @@ def rho_tilde(n: int, x: GroupRingElt) -> GroupRingElt:
         raise ValueError("rho index must be >= 1")
     # The preimages of a/b are (a + j b)/(n b) for j = 0..n-1, all in [0, 1).
     return GroupRingElt._merged(
-        (_residue(a + j * b, n * b), c) for (a, b), c in x._merge_pairs() for j in range(n)
+        (_residue(a + j * b, n * b), c) for (a, b), c in x.items for j in range(n)
     )
 
 
 def act_unit(u: int, x: GroupRingElt) -> GroupRingElt:
     """Automorphism of Q/Z induced by a unit u: g -> u g (u coprime to all orders)."""
-    pairs = list(x._merge_pairs())
-    for (_, n), _ in pairs:
+    for (_, n), _ in x.items:
         if gcd(u, n) != 1:
             raise ValueError(f"{u} is not a unit modulo the order {n}")
     # u a stays prime to n, so no reduction is needed
-    return GroupRingElt._merged(((u * a % n, n), c) for (a, n), c in pairs)
+    return GroupRingElt._merged(((u * a % n, n), c) for (a, n), c in x.items)
 
 
 def _orbit_coefficients(x: GroupRingElt) -> dict[int, int] | None:
@@ -135,8 +120,7 @@ def _orbit_coefficients(x: GroupRingElt) -> dict[int, int] | None:
     when its count k has 2 k^2 >= n, so e(1/N) alone is refused unfactored."""
     prim: dict[int, int] = {}
     counts: dict[int, int] = {}
-    for g, c in x.items:
-        n = g.denominator
+    for (_, n), c in x.items:
         if prim.setdefault(n, c) != c:
             return None
         counts[n] = counts.get(n, 0) + 1

@@ -44,36 +44,31 @@ class Combination:
     nonzero coefficient) pairs sorted by key.  It adds only the check or
     reduction of keys given from outside and _product, the product of two
     elements.  The merge, which every linear operator ends in, sums
-    coefficients under merge keys: the item keys themselves, unless the
-    subclass lists its pairs under other keys (_merge_pairs) and turns the
-    summed merge keys back into sorted items (_from_sums), as GroupRingElt
-    does with integer residues.  _product sums its pairs of terms under
-    merge keys into a dict in place and hands it to _from_sums, as a
-    generator and a merge call per pair cost more than the sum.
+    coefficients under equal keys, drops zeros and sorts (_from_sums).
+    _product sums its pairs of terms into a dict in place and hands it to
+    _from_sums, as a generator and a merge call per pair cost more than the
+    sum.
     """
 
     @classmethod
     def _merged(cls, pairs):
-        """The element of the (merge key, coefficient) pairs: equal keys
-        summed, zeros dropped, sorted."""
+        """The element of the (key, coefficient) pairs: equal keys summed,
+        zeros dropped, sorted."""
         out: dict = {}
         for k, c in pairs:
             out[k] = out.get(k, 0) + c
         return cls._from_sums(out)
 
     @classmethod
-    def _from_sums(cls, sums: dict):
+    def _from_sums(cls, sums: Mapping):
         return cls(tuple(sorted((k, c) for k, c in sums.items() if c)))
-
-    def _merge_pairs(self):
-        return self.items
 
     @classmethod
     def zero(cls):
         return cls(())
 
     def __add__(self, other):
-        return self._merged(chain(self._merge_pairs(), other._merge_pairs()))
+        return self._merged(chain(self.items, other.items))
 
     def __neg__(self):
         return self.__class__(tuple((k, -c) for k, c in self.items))
@@ -107,14 +102,13 @@ class WittElement(Combination):
 
     @staticmethod
     def from_coeffs(coeffs: Mapping[int, int]) -> "WittElement":
+        for k, c in coeffs.items():
+            if type(k) is not int or type(c) is not int:
+                raise ValueError(f"cycle lengths and coefficients must be integers, got {k!r}: {c!r}")
         bad = [k for k in coeffs if k < 1]
         if bad:
             raise ValueError(f"cycle length must be a positive integer, got {min(bad)}")
-        return WittElement._merged((int(k), int(c)) for k, c in coeffs.items())
-
-    @staticmethod
-    def one() -> "WittElement":
-        return WittElement(((1, 1),))
+        return WittElement._from_sums(coeffs)
 
     @staticmethod
     def basis(k: int) -> "WittElement":
@@ -122,10 +116,6 @@ class WittElement(Combination):
         if k < 1:
             raise ValueError("cycle order must be >= 1")
         return WittElement(((k, 1),))
-
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self.items)
 
     def _product(self, other: "WittElement") -> "WittElement":
         # C(a) C(b) = gcd(a, b) C(lcm(a, b)), and lcm(a, b) = a // gcd(a, b) * b,

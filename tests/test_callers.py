@@ -3,10 +3,11 @@
 A name is read where it occurs, other than in its own definition, as a
 name, an attribute or an imported name in src/absarith or bench/ (read with
 the standard library's ast), or as a word of an inline code span of
-README.md; prose and fenced blocks name nothing.  A field, an annotated name
-in the body of a public class, is read only as an attribute there or as
-such a word, so that a keyword argument that sets it or a local variable
-of the same name does not count.  A module's __all__ lists names; it reads
+README.md; prose and fenced blocks name nothing.  A member of a public
+class, its method, property or field (an annotated name in its body), is
+read only as an attribute there or as such a word, so that a keyword
+argument that sets a field or a local variable of the same name does not
+count.  A module's __all__ lists names; it reads
 none.  The names that nothing there reads are on ALLOWED, each with the
 acceptance criterion that reads it or as part of the object path, and no
 name is on ALLOWED that has a reader or no definition, so that the list
@@ -40,19 +41,19 @@ def _python_files(directory: str) -> list[str]:
 
 
 def _definitions(tree: ast.Module) -> tuple[list[str], list[str]]:
-    """The public top-level functions and classes of a module with the public
-    methods of its public classes, and the public fields of those classes."""
-    names, fields = [], []
+    """The public top-level functions and classes of a module, and the public
+    methods, properties and fields of those classes."""
+    names, members = [], []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             names.append(node.name)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        names.append(item.name)
+                        members.append(item.name)
                     elif isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
-                        fields.append(item.target.id)
-    return names, fields
+                        members.append(item.target.id)
+    return names, members
 
 
 def _reads(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -75,16 +76,16 @@ def _code_words(text: str) -> set[str]:
 
 
 def unread(src: list[str], readers: list[str], text: str) -> list[str]:
-    """The public names and fields defined in the src sources that neither
-    the sources nor the readers' sources read, nor a code span of the text
-    names."""
+    """The public names and class members defined in the src sources that
+    neither the sources nor the readers' sources read, nor a code span of the
+    text names."""
     trees = [ast.parse(source) for source in src]
     definitions = [_definitions(tree) for tree in trees]
     reads = [_reads(tree) for tree in trees + [ast.parse(source) for source in readers]]
     words = _code_words(text)
     names = {name for defined, _ in definitions for name in defined} - set().union(*(r for r, _ in reads))
-    fields = {name for _, defined in definitions for name in defined} - set().union(*(a for _, a in reads))
-    return sorted((names | fields) - words)
+    members = {name for _, defined in definitions for name in defined} - set().union(*(a for _, a in reads))
+    return sorted((names | members) - words)
 
 
 def _read(path: str) -> str:
@@ -95,18 +96,20 @@ def _read(path: str) -> str:
 def test_the_audit_finds_a_name_nothing_reads():
     src = [
         "class Shape:\n    sides: int\n    colour: str\n    _cache: dict\n    def area(self):\n"
-        "        return self.sides\n    def spin(self):\n        pass\n    def _hidden(self):\n        pass\n\n"
+        "        return self.sides\n    def spin(self):\n        pass\n    def tint(self):\n        pass\n"
+        "    def _hidden(self):\n        pass\n\n"
         "def unused():\n    pass\n\ndef _private():\n    pass\n",
-        "from shapes import Shape\n\ndef draw(s):\n    colour = s.area()\n    return Shape(colour=colour)\n\n"
+        "from shapes import Shape\n\ndef draw(s):\n    colour, tint = s.area(), 2\n    return Shape(colour=colour * tint)\n\n"
         "def fill(s):\n    pass\n\n__all__ = ['fill']\n",
     ]
     # fill is listed in __all__ and read nowhere; the field colour is set by
-    # a keyword and shares its name with a local variable, and is read nowhere.
-    assert unread(src, [], "") == ["colour", "draw", "fill", "spin", "unused"]
+    # a keyword and shares its name with a local variable, and is read nowhere;
+    # the method tint is read only as a bare local name of its own.
+    assert unread(src, [], "") == ["colour", "draw", "fill", "spin", "tint", "unused"]
     # Prose and fenced blocks name nothing; an inline code span does.
     text = "call `spin` first, not unused or colour\n\n```\nfill(Shape())\n```\n"
-    assert unread(src, ["draw(Shape())\n"], text) == ["colour", "fill", "unused"]
-    assert unread(src, ["print(Shape().colour)\n"], "`draw`, `fill` and `unused(spin)`") == []
+    assert unread(src, ["draw(Shape())\n"], text) == ["colour", "fill", "tint", "unused"]
+    assert unread(src, ["print(Shape().colour, Shape().tint())\n"], "`draw`, `fill` and `unused(spin)`") == []
 
 
 def test_every_public_name_has_a_reader_or_a_reason():

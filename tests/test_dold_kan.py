@@ -140,10 +140,9 @@ def test_level_cap():
 def test_level1_faces():
     # on an edge (a, b): face 0 is b, face 1 is phi(a) + b
     hom = GroupHom(Z2, Z4, ((2,),))
-    level1 = simplicial_level(hom, 1)
     for a in Z2.elements():
         for b in Z4.elements():
-            e = level1.element([a], b)
+            e = HPhiElement(hom, simplex_pair(1), (a, b))
             assert boundary(0, e).values == (b,)
             assert boundary(1, e).values == (Z4.add(hom.apply(a), b),)
 
@@ -206,7 +205,7 @@ def test_simplicial_functoriality_random():
 
 def test_simplicial_map_rejects_nonmonotone():
     hom = GroupHom.identity(Z2)
-    e = simplicial_level(hom, 2).zero()
+    e = HPhiElement(hom, simplex_pair(2), (Z2.zero(),) * 3)
     with pytest.raises(ValueError):
         simplicial_map((1, 0, 2), 2, e)
 

@@ -30,6 +30,7 @@ from group_ring_oracles import (
     fourier,
     ghost_invariant,
     primitive_orbit_sum,
+    terms,
 )
 from helpers import random_groupring, random_witt
 
@@ -247,7 +248,7 @@ def test_json_roundtrip():
     rng = random.Random(49)
     for _ in range(20):
         x = random_groupring(rng)
-        text = json.dumps({f"{g.numerator}/{g.denominator}": c for g, c in x.items})
+        text = json.dumps({f"{a}/{n}": c for (a, n), c in x.items})
         assert GroupRingElt.from_terms(json.loads(text)) == x
 
 
@@ -256,6 +257,15 @@ def test_from_terms_rejects_a_zero_denominator():
         GroupRingElt.from_terms({"1/0": 1})
     with pytest.raises(ValueError, match="nonzero denominator"):
         GroupRingElt.from_terms({"2/0": 1})
+
+
+def test_from_terms_refuses_a_coefficient_that_is_not_an_int():
+    # a float, a Fraction, a bool and a string are each refused by name, not truncated
+    for c in (1.5, 2.0, Fraction(1, 2), True, "1"):
+        with pytest.raises(ValueError) as refused:
+            GroupRingElt.from_terms({"1/2": 1, "1/3": c})
+        assert str(refused.value) == f"group-ring coefficients must be integers, got {c!r}"
+    assert GroupRingElt.from_terms({"1/2": 3}) == 3 * E(Fraction(1, 2))
 
 
 def test_operators_match_the_accumulating_oracle():
@@ -272,7 +282,7 @@ def test_operators_match_the_accumulating_oracle():
         assert repr(x - y) == repr(_ref_add(x, _ref_neg(y)))
         assert repr(-x) == repr(_ref_neg(x))
         m = rng.randint(0, 4)
-        assert repr(m * x) == repr(x * m) == repr(_ref_canonical({g: m * c for g, c in x.items}))
+        assert repr(m * x) == repr(x * m) == repr(_ref_canonical({g: m * c for g, c in terms(x).items()}))
         assert repr(x * y) == repr(_ref_mul(x, y))
         assert repr(sigma(n, x)) == repr(_ref_sigma(n, x))
         assert repr(rho_tilde(n, x)) == repr(_ref_rho_tilde(n, x))

@@ -6,7 +6,8 @@ canonicalize oracles of group_ring_oracles, on supports like the benchmark's
 elements that exactly one unit generator moves, and on the edge cases: the
 zero element, unreduced and negative keys, and act_unit's non-unit message.
 The product is also compared with the merge of its residues, the form it
-replaced.
+replaced.  Every operator returns its items in the one canonical form, and
+the benchmark's group-ring queries build no Fraction.
 
 Needs no pytest: `PYTHONPATH=src python tests/test_group_ring_residues.py`
 runs the same checks as a plain script, for interpreters without pytest
@@ -15,6 +16,7 @@ installed.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from absarith.group_ring import (
     GroupRingElt,
@@ -37,6 +39,7 @@ from group_ring_oracles import (
     _ref_witt_to_groupring,
     coefficient,
     product,
+    terms,
 )
 from numth_oracles import unit_group_generators
 
@@ -89,7 +92,7 @@ def test_operators_on_benchmark_supports():
         assert is_invariant(z)
         assert groupring_to_witt(z) == v * w
         # non-invariant elements on the same orders: random sets of the symbols
-        keys = [g for g, _ in x.items]
+        keys = list(terms(x))
         part, few = (
             GroupRingElt.from_terms({g: rng.choice((-2, -1, 1, 2)) for g in rng.sample(keys, size)})
             for size in (len(keys) // 2, 24)
@@ -159,7 +162,7 @@ def test_unreduced_and_negative_keys():
             terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
         assert repr(GroupRingElt.from_terms(terms)) == repr(_ref_canonical(terms))
     x = GroupRingElt.from_terms({"-1/4": 2, "3/4": 1, "10/8": -1, -2: 5, "6/9": 4})
-    assert repr(x) == "GroupRingElt(items=((Fraction(0, 1), 5), (Fraction(1, 4), -1), (Fraction(2, 3), 4), (Fraction(3, 4), 3)))"
+    assert repr(x) == "GroupRingElt(items=(((0, 1), 5), ((1, 4), -1), ((2, 3), 4), ((3, 4), 3)))"
     assert coefficient(x, Fraction(-5, 4)) == 3 and coefficient(x, "-1/3") == 4
 
 
@@ -199,9 +202,81 @@ def test_act_unit_names_the_first_order_a_non_unit_shares():
     for u in (2, 3, 6, 7, 14, 0):
         expected = _error(lambda: _ref_act_unit(u, x))
         assert _error(lambda: act_unit(u, x)) == expected
-    assert _error(lambda: act_unit(6, x)) == "6 is not a unit modulo the order 9"
+    # the items are in (a, n) order, so (1, 4) comes before (1, 9)
+    assert _error(lambda: act_unit(6, x)) == "6 is not a unit modulo the order 4"
     assert _error(lambda: act_unit(2, x)) == "2 is not a unit modulo the order 4"
     assert repr(act_unit(5, x)) == repr(_ref_act_unit(5, x))
+
+
+def _assert_canonical(x):
+    """Reduced residues (a, n), 0 <= a < n and gcd(a, n) = 1, as strictly
+    increasing keys, each with a nonzero int coefficient."""
+    keys = [key for key, _ in x.items]
+    assert all(type(a) is int and type(n) is int and 0 <= a < n and gcd(a, n) == 1 for a, n in keys), x
+    assert all(key < following for key, following in zip(keys, keys[1:])), x
+    assert all(type(c) is int and c != 0 for _, c in x.items), x
+
+
+def test_every_operator_returns_the_canonical_form():
+    rng = random.Random(159)
+    pairs = []
+    for big, small in SUPPORTS:
+        x, y = witt_to_groupring(_mixed_witt(rng, big)), witt_to_groupring(_mixed_witt(rng, small))
+        pairs.append((x, y))
+        pairs.append((GroupRingElt.from_terms({g: rng.choice((-1, 1)) for g in rng.sample(list(terms(x)), 40)}), y))
+    for _ in range(200):
+        # small orders and unreduced keys, so that sums, images and preimages collide and cancel
+        small = [
+            GroupRingElt.from_terms({f"{rng.randint(-20, 20)}/{rng.randint(1, 12)}": rng.randint(-2, 2) for _ in range(rng.randint(0, 6))})
+            for _ in range(2)
+        ]
+        pairs.append(tuple(small))
+    for x, y in pairs:
+        n, u, m = rng.randint(1, 7), rng.choice((1, 5, 7, 11, 13)), rng.randint(-2, 2)
+        results = [x, y, x + y, x - y, -x, x - x, m * x, x * m, x * y, sigma(n, x), rho_tilde(n, x)]
+        if all(gcd(u, key[1]) == 1 for key, _ in x.items):
+            results.append(act_unit(u, x))
+        for z in results:
+            _assert_canonical(z)
+    for k in (1, 2, 12, 1260):
+        _assert_canonical(witt_to_groupring(WittElement.basis(k)))
+    assert GroupRingElt.e("-5/4").items == (((3, 4), 1),)
+    assert GroupRingElt.e(Fraction(6, 3)).items == (((0, 1), 1),)
+
+
+def _fractions_built(run) -> int:
+    """The number of Fractions constructed while run() runs."""
+    built = []
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counting
+    try:
+        run()
+    finally:
+        Fraction.__new__ = new
+    return len(built)
+
+
+def test_the_benchmark_queries_build_no_fraction():
+    # The group-ring query of the benchmark: the product of the images of two
+    # Witt elements with positive coefficients, its invariance and its way back.
+    rng = random.Random(161)
+    factors = [tuple(WittElement.from_coeffs({k: rng.choice((1, 2, 3)) for k in s}) for s in pair) for pair in SUPPORTS]
+    answers = []
+
+    def queries():
+        for v, w in factors:
+            z = witt_to_groupring(v) * witt_to_groupring(w)
+            answers.append((is_invariant(z), groupring_to_witt(z)))
+
+    assert _fractions_built(queries) == 0
+    assert answers == [(True, v * w) for v, w in factors]
+    # the count sees a Fraction where one is built: a symbol from outside
+    assert _fractions_built(lambda: GroupRingElt.e("1/2")) == 1
 
 
 if __name__ == "__main__":

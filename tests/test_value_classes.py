@@ -49,7 +49,7 @@ def _cases():
         ),
         (packing.PackingResult, [(3, True), (3, False)], []),
         (witt.WittElement, [(((1, 2), (6, -1)),), ((),)], []),
-        (group_ring.GroupRingElt, [(((Fraction(0), 1), (half, -2)),), ((),)], []),
+        (group_ring.GroupRingElt, [((((0, 1), 1), ((1, 2), -2)),), ((),)], []),
         (arakelov.ScaleValue, [(Fraction(1, 3), -1.0986122886681098), (None, 0.25)], []),
         (arakelov.Lattice1, [(Fraction(2, 5),), (Fraction(7),)], [(Fraction(0),), (Fraction(-1, 2),)]),
         (arakelov.ArakelovDivisor, [(((2, 1), (3, -2)), exact), ((), inexact)], []),

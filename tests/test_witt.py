@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -208,7 +209,7 @@ def test_mul_examples():
     rng = random.Random(8)
     for _ in range(30):
         w = random_witt(rng)
-        assert w * WittElement.one() == w
+        assert w * WittElement.basis(1) == w
 
 
 def test_mul_matches_smash():
@@ -242,7 +243,7 @@ def test_ring_axioms():
 
 def test_frobenius_examples():
     assert frobenius(2, WittElement.basis(2)) == WittElement.from_coeffs({1: 2})
-    assert frobenius(7, WittElement.one()) == WittElement.one()
+    assert frobenius(7, WittElement.basis(1)) == WittElement.basis(1)
     assert frobenius(2, WittElement.basis(6)) == WittElement.from_coeffs({3: 2})
 
 
@@ -323,7 +324,7 @@ def test_general_divisibility_relation():
 
 
 def test_primitive_basis_examples():
-    assert to_primitive_basis(WittElement.one()) == {1: 1}
+    assert to_primitive_basis(WittElement.basis(1)) == {1: 1}
     assert to_primitive_basis(WittElement.basis(2)) == {1: 1, 2: 1}
     assert from_primitive_basis({1: 1, 2: 1}) == WittElement.basis(2)
 
@@ -358,7 +359,7 @@ def _ref_canonical(coeffs):
 
 
 def _ref_add(x, y):
-    out = x.coeffs
+    out = dict(x.items)
     for k, c in y.items:
         out[k] = out.get(k, 0) + c
     return _ref_canonical(out)
@@ -450,7 +451,7 @@ def _product_cases(seed):
     def shaped():
         return WittElement.from_coeffs({k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in rng.sample(range(1, 61), 30)})
 
-    zero, one, p = WittElement.zero(), WittElement.one(), WittElement.basis(PRIME_12)
+    zero, one, p = WittElement.zero(), WittElement.basis(1), WittElement.basis(PRIME_12)
     pairs = [(shaped(), shaped()) for _ in range(24)]
     pairs += [(WittElement.basis(k) - k * one, WittElement.basis(k)) for k in (1, 2, 6, 60, PRIME_12)]
     pairs += [(zero, zero), (zero, shaped()), (shaped(), zero), (one, one), (one, shaped()), (shaped(), one)]
@@ -495,3 +496,12 @@ def test_from_coeffs_matches_the_canonical_walk():
         WittElement.from_coeffs({3: 1, 0: 0, -1: 0})
     with pytest.raises(ValueError, match="got 0$"):
         WittElement.from_json('{"2": 1, "0": 0}')
+
+
+def test_from_coeffs_refuses_a_key_or_coefficient_that_is_not_an_int():
+    # each is refused by name, not truncated: 1.9 once gave C(2), 3.7 C(3)
+    for key, c in ((2, 1.9), (3.7, 1), (2, True), (True, 1), (2, Fraction(3, 1)), (4.0, 1), ("2", 1)):
+        with pytest.raises(ValueError) as refused:
+            WittElement.from_coeffs({5: 1, key: c})
+        assert str(refused.value) == f"cycle lengths and coefficients must be integers, got {key!r}: {c!r}"
+    assert WittElement.from_coeffs({2: 2, 3: 0}) == 2 * WittElement.basis(2)
