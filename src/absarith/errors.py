@@ -183,6 +183,12 @@ BUDGETS = {
     "certificate_rows": (
         1_000_000, "the certificates up to degree {n_max} read {amount} face rows, above the cap of {limit}"
     ),
+    # The indices samples (n + 1) k that a sampled higher_pi_trivial draws,
+    # checked before the generator is asked for twice as many bytes.  At the
+    # cap, n = 2 and k = 1, whose draws most often reach face 1 (one in 7),
+    # take about 1.2 s and 70 MB on a 2-core Xeon VM, other shapes about
+    # 0.3 s; acceptance draws 1,000 (5 + 1) 3.
+    "certificate_indices": (20_000_000, "a certificate drawing {amount} indices is above the cap of {limit}"),
     # `theta mc --samples`: about 0.13 s on one such core, with the
     # interpreter's start and numpy's import.
     "mc_samples": (6_000_000, "{amount} Monte Carlo samples are above the cap of {limit}"),

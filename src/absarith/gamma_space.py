@@ -34,8 +34,8 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice, repeat
-from operator import add, and_, floordiv, lt
+from itertools import islice
+from operator import add, floordiv, lt
 from typing import Sequence
 
 from .arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_E_xi, degree_scale, lattice_of
@@ -369,19 +369,19 @@ def higher_pi_trivial(
 
     A sample has free entries lambda/(4nk) m with m in -2..2 and torus
     entries c t/7 with t in 0..6, each index a uniform draw from the seeded
-    generator's bytes, the same for the same seed.  _byte_draws gives each
-    draw as two byte strings: the free indices r = m + 2 and the torus
-    indices t.  Membership (_members) is decided by one bound on the bytes
-    of all draws together, and face 0 (_face0_vanishes) on the torus bytes
-    first, then the free bytes of the draws whose torus is zero.  Only a
-    draw whose face 0 vanishes has its other faces decided on its indices
-    (_index_face_is_zero), and only one whose faces 0..n-1 all vanish
+    generator's bytes, the same for the same seed.  _face0_draws decides the
+    draws on the two blocks of each round's bytes, the free indices r = m + 2
+    and the torus indices t: membership by one bound on each block, and face
+    0 on the draws whose torus bytes are all zero, and it returns only those
+    whose face 0 vanishes.  Only they have their other faces decided on their
+    indices (_index_face_is_zero), and only one whose faces 0..n-1 all vanish
     reaches face n, which builds the 5 x 7 table of which pairs (m, t) land
     in cZ (_last_face_table) the first time.  No nonzero draw gets that far,
-    by the argument above.  The object path, member and face on the
+    by the argument above.  The draws are bounded by the certificate_indices
+    budget on samples (n + 1) k.  The object path, member and face on the
     GSElement of the same draw, is the oracle; tests/gamma_space_oracles.py
-    decides each draw on its own bytes, with the table built up front, as
-    another.
+    cuts the same bytes into one string per draw and decides each on its
+    own, with the table built up front, as another.
     """
     if n < 2:
         raise ValueError("this certificate only applies above degree 1")
@@ -391,14 +391,12 @@ def higher_pi_trivial(
         raise ValueError("samples must be >= 0")
     if samples and not cfg.exact:
         raise ValueError("the sampled certificate uses exact arithmetic; use an exact scale or samples=0")
+    check_budget("certificate_indices", samples * (n + 1) * k)
     rank, torus_pinned = face_equations(n)
     violated = samples
     if samples:
-        frees, toruses = _byte_draws(random.Random(seed), n, k, samples)
-        if not all(_members(frees, toruses, n, k)):
-            raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is not a member")
         last_face_zero = None
-        for free, torus in compress(zip(frees, toruses), _face0_vanishes(frees, toruses, n, k)):
+        for free, torus in _face0_draws(random.Random(seed), n, k, samples):
             rows = [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
             if all(_index_face_is_zero(j, rows, torus, None) for j in range(1, n)):
                 if last_face_zero is None:
@@ -422,33 +420,44 @@ _TOP_BITS = bytes(b >> 5 for b in range(256))
 _FREE_REDRAWN, _TORUS_REDRAWN = bytes(range(5 << 5, 256)), bytes(range(7 << 5, 256))
 # The values of the free indices r = m + 2 and of the torus indices t.
 _FREE_INDICES, _TORUS_INDICES = bytes(range(5)), bytes(range(7))
-# _ABS_M[r]: |m| for the free index r = m + 2.
-_ABS_M = bytes(abs(r - 2) for r in range(256))
 
 
-def _byte_draws(rng: random.Random, n: int, k: int, samples: int) -> tuple[list[bytes], list[bytes]]:
-    """`samples` nonzero draws as byte strings: for each draw its n k free
-    indices r = m + 2 (psi_1 first) and its k torus indices t.
+def _face0_draws(rng: random.Random, n: int, k: int, samples: int) -> list[tuple[bytes, bytes]]:
+    """Of `samples` nonzero draws, those whose face 0 vanishes, each as its
+    n k free indices r = m + 2 (psi_1 first) and its k torus indices t.
 
-    The free indices of all draws still wanted come from one block, then
-    their torus indices from a second (_uniform_block), each index uniform;
-    the blocks are cut into one string per draw, the all-zero draw is
-    dropped, and blocks are drawn again until `samples` draws are in hand.
+    Each round draws one block of free indices for all the draws still
+    wanted, then one of their torus indices (_uniform_block), each index
+    uniform.  Every free index in 0..4 gives sum|m| <= 2nk <= 4nk and every
+    torus index in 0..6 puts c t/7 in [0, c), so that one bound on each
+    block makes every draw a member; where it fails, SelfCheckFailed.  Face
+    0 keeps psi_2..psi_n and the torus, so it vanishes on the draws whose
+    torus bytes are all 0 (one in 7^k, found by searching the torus block)
+    and whose free bytes after the first k are all 2.  Such a draw whose
+    first k free bytes are 2 too is the zero draw: it is dropped, and the
+    next round draws as many as were dropped.
     """
     nk = n * k
-    zero_free, zero_torus = b"\x02" * nk, bytes(k)
-    frees: list[bytes] = []
-    toruses: list[bytes] = []
-    while len(frees) < samples:
-        want = samples - len(frees)
-        free_block = _uniform_block(rng, want * nk, _FREE_REDRAWN)
-        torus_block = _uniform_block(rng, want * k, _TORUS_REDRAWN)
-        for i in range(want):
-            free, torus = free_block[i * nk : (i + 1) * nk], torus_block[i * k : (i + 1) * k]
-            if free != zero_free or torus != zero_torus:
-                frees.append(free)
-                toruses.append(torus)
-    return frees, toruses
+    zero_torus, zero_free, tail = bytes(k), b"\x02" * nk, b"\x02" * (nk - k)
+    found = []
+    while samples:
+        free_block = _uniform_block(rng, samples * nk, _FREE_REDRAWN)
+        torus_block = _uniform_block(rng, samples * k, _TORUS_REDRAWN)
+        if free_block.translate(None, _FREE_INDICES) or torus_block.translate(None, _TORUS_INDICES):
+            raise SelfCheckFailed(f"a sampled draw of the degree {n} certificate at level {k} is out of range")
+        samples = 0
+        at = torus_block.find(zero_torus)
+        while at >= 0:
+            if at % k:  # a run of zeros across two draws: go on from the next draw
+                at = torus_block.find(zero_torus, at - at % k + k)
+                continue
+            start = at // k * nk
+            if free_block.startswith(zero_free, start):
+                samples += 1
+            elif free_block.startswith(tail, start + k):
+                found.append((free_block[start : start + nk], zero_torus))
+            at = torus_block.find(zero_torus, at + k)
+    return found
 
 
 def _uniform_block(rng: random.Random, size: int, redrawn: bytes) -> bytes:
@@ -460,31 +469,6 @@ def _uniform_block(rng: random.Random, size: int, redrawn: bytes) -> bytes:
         fetch = 2 * (size - len(block))
         block += rng.getrandbits(8 * fetch).to_bytes(fetch, "little").translate(_TOP_BITS, redrawn)
     return block[:size]
-
-
-def _members(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:
-    """member() on each draw's bytes: the free norms lambda/(4nk) sum|m| are
-    at most lambda exactly when sum|m| <= 4nk, and c t/7 lies in [0, c)
-    exactly when t <= 6.  One bound decides the whole block: free bytes all
-    in 0..4 give sum|m| <= 2nk, and torus bytes all in 0..6 fit, which every
-    block of _byte_draws meets (each tested by deleting those values from
-    the joined bytes); only where it fails is each draw's sum taken."""
-    if not b"".join(frees).translate(None, _FREE_INDICES) and not b"".join(toruses).translate(None, _TORUS_INDICES):
-        return [True] * len(frees)
-    norms_fit = map((4 * n * k).__ge__, map(sum, map(bytes.translate, frees, repeat(_ABS_M))))
-    return list(map(and_, norms_fit, map((6).__ge__, map(max, toruses))))
-
-
-def _face0_vanishes(frees: list[bytes], toruses: list[bytes], n: int, k: int) -> list[bool]:
-    """Whether face 0, which keeps psi_2..psi_n and the torus, is zero for
-    each draw: its torus bytes all 0 and its free bytes after the first k
-    all 2 (m = 0).  The torus is compared first, and the free bytes only of
-    the draws whose torus is zero."""
-    tail = b"\x02" * (n * k - k)
-    vanishes = list(map(bytes(k).__eq__, toruses))
-    for i in compress(range(len(vanishes)), vanishes):
-        vanishes[i] = frees[i].endswith(tail)
-    return vanishes
 
 
 def _last_face_table(cfg: GSConfig, n: int, k: int) -> tuple[tuple[bool, ...], ...]:

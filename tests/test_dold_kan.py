@@ -24,6 +24,7 @@ from absarith.dold_kan import (
     PairOfPointedSets,
     boundary,
     coface,
+    codegeneracy,
     degeneracy,
     h_phi_map,
     homotopy_groups,
@@ -53,6 +54,29 @@ def test_group_hom_validation():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
 
+
+def test_argument_checks():
+    hom = GroupHom.identity(Z2)
+    level1 = next(simplicial_level(hom, 1).elements())
+    with pytest.raises(ValueError, match="^element does not live on the source of the map$"):
+        h_phi_map(PairMap(simplex_pair(2), simplex_pair(2), (0, 1, 2, 3)), level1)
+    with pytest.raises(ValueError, match="^simplicial degree must be nonnegative$"):
+        simplex_pair(-1)
+    with pytest.raises(ValueError, match="^simplicial degree must be nonnegative$"):
+        simplicial_level(hom, -1)
+    # simplicial_map checks theta through dual_pair_map
+    with pytest.raises(ValueError, match="^a monotone map needs a nonempty domain$"):
+        simplicial_map((), 1, level1)
+    with pytest.raises(ValueError, match="^the map does not land in the stated codomain$"):
+        simplicial_map((0, 2), 1, level1)
+    with pytest.raises(ValueError, match="^element is not at the stated level$"):
+        simplicial_map((0,), 2, level1)
+    for j, n in ((0, 0), (-1, 2), (3, 2)):
+        with pytest.raises(ValueError, match="^coface index out of range$"):
+            coface(j, n)
+    for j, n in ((-1, 2), (3, 2)):
+        with pytest.raises(ValueError, match="^codegeneracy index out of range$"):
+            codegeneracy(j, n)
 
 def _random_pair(rng, max_size):
     size = rng.randint(1, max_size)

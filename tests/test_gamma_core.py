@@ -29,6 +29,16 @@ def test_pointed_map_validation():
         PointedMap((0, 1, -1), 2)  # image out of range
 
 
+def test_argument_checks():
+    with pytest.raises(ValueError, match="^composition size mismatch$"):
+        PointedEndo.identity(2).compose(PointedEndo.identity(3))
+    with pytest.raises(ValueError, match="^cyclic permutation needs order >= 1$"):
+        PointedEndo.cyclic(0)
+    with pytest.raises(ValueError, match="^negative iterate of a non-invertible map$"):
+        PointedEndo.cyclic(2).power(-1)
+    with pytest.raises(ValueError, match="^trace requires n >= 1$"):
+        trace(PointedEndo.cyclic(2), 0)
+
 def test_wedge_identities():
     one = PointedEndo.identity(1)
     assert wedge(one, one) == PointedEndo.identity(2)

@@ -2,15 +2,17 @@ import hashlib
 import inspect
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 import pytest
 
 from absarith import gamma_space
 from absarith.arakelov import ArakelovDivisor, Lattice1, ScaleValue, count_xi_over_L, degree_scale, lattice_of, principal
 from absarith.combinat import delannoy, delannoy_table
-from absarith.errors import CapExceeded, SelfCheckFailed
+from absarith.errors import BUDGETS, CapExceeded, SelfCheckFailed
 from absarith.gamma_space import (
     GSConfig,
     _index_face_is_zero,
@@ -31,13 +33,14 @@ from absarith.gamma_space import (
 from absarith.packing import circle_distance, packing_number
 from combinat_oracles import iter_l1_ball
 from gamma_space_oracles import (
+    _byte_draws,
     _certificate_per_draw,
     _coordinate_values,
     _draw_nonzero_indices,
     _element_from_indices,
-    _face0_vanishes_per_draw,
+    _face0_vanishes,
     _indices_are_member,
-    _members_per_draw,
+    _members,
 )
 
 
@@ -461,7 +464,8 @@ def test_a_certificate_without_samples_is_the_rank_alone(monkeypatch):
     def drawn(*args):
         raise AssertionError("a certificate with samples=0 draws nothing")
 
-    monkeypatch.setattr(gamma_space, "_byte_draws", drawn)
+    monkeypatch.setattr(gamma_space, "_face0_draws", drawn)
+    monkeypatch.setattr(gamma_space, "_uniform_block", drawn)
     cfg = _cfg(Fraction(3, 2), Fraction(1, 2))
     for n in (2, 3, 7):
         cert = higher_pi_trivial(n, cfg, 10**9, samples=0)
@@ -498,6 +502,14 @@ def _l1_ball_recursive(k, radius):
     for first in range(-radius, radius + 1):
         for rest in _l1_ball_recursive(k - 1, radius - abs(first)):
             yield (first,) + rest
+
+
+def test_delannoy_refuses_negative_arguments():
+    for n, k in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^delannoy is defined for nonnegative arguments$"):
+            delannoy(n, k)
+        with pytest.raises(ValueError, match="^delannoy_table requires nonnegative bounds$"):
+            delannoy_table(n, k)
 
 
 def test_iter_l1_ball_matches_recursive_reference():
@@ -759,11 +771,10 @@ def test_pi0_cardinality_where_exp_minus_degree_overflows(deg):
 
 
 def test_byte_draws_are_seeded_uniform_and_nonzero(monkeypatch):
-    # The draws' contract: reproducible per seed, indices in range, no
-    # all-zero draw, each value as frequent as a uniform draw makes it, and
-    # the redraws of both loops reached.
-    from absarith.gamma_space import _byte_draws
-
+    # The draws' contract, on the oracle that cuts them one by one:
+    # reproducible per seed, indices in range, no all-zero draw, each value
+    # as frequent as a uniform draw makes it, and the redraws of both loops
+    # reached.
     for n, k in ((2, 1), (3, 2), (5, 7)):
         for seed in range(20):
             frees, toruses = _byte_draws(random.Random(seed), n, k, 30)
@@ -844,10 +855,42 @@ def test_a_float_scale_certificate_is_the_witnesses_alone():
 
 
 def test_a_sampled_draw_that_is_no_member_is_a_failed_self_check(monkeypatch):
-    members = gamma_space._members
-    monkeypatch.setattr(gamma_space, "_members", lambda *a: members(*a)[:-1] + [False])
-    with pytest.raises(SelfCheckFailed, match="a sampled draw of the degree 3 certificate at level 2 is not a member"):
-        higher_pi_trivial(3, _cfg(Fraction(3, 2), Fraction(1, 2)), 2, samples=10, seed=4)
+    # One byte of a block spoiled: a free index 255 (|m| = 253 > 4nk) or a
+    # torus index 7 (c 7/7 = c, outside [0, c)).  Either draw is no member,
+    # and the bound on its block refuses the certificate.
+    uniform_block = gamma_space._uniform_block
+    cfg = _cfg(Fraction(3, 2), Fraction(1, 2))
+    for spoilt, byte in ((gamma_space._FREE_REDRAWN, 255), (gamma_space._TORUS_REDRAWN, 7)):
+
+        def spoiling(rng, size, redrawn, spoilt=spoilt, byte=byte):
+            block = uniform_block(rng, size, redrawn)
+            return block[: size // 2] + bytes([byte]) + block[size // 2 + 1 :] if redrawn == spoilt else block
+
+        with monkeypatch.context() as m:
+            m.setattr(gamma_space, "_uniform_block", spoiling)
+            frees, toruses = _byte_draws(random.Random(4), 3, 2, 10)
+            assert _members(frees, toruses, 3, 2).count(False) == 1
+            with pytest.raises(SelfCheckFailed, match="a sampled draw of the degree 3 certificate at level 2 is out"):
+                higher_pi_trivial(3, cfg, 2, samples=10, seed=4)
+
+
+def test_a_certificate_past_its_index_budget_is_refused_before_it_draws(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a refused certificate reads no face and draws nothing")
+
+    cap = BUDGETS["certificate_indices"][0]
+    cfg = _cfg(Fraction(3, 2), Fraction(1, 2))
+    start = time.perf_counter()
+    with monkeypatch.context() as m:
+        m.setattr(gamma_space, "_uniform_block", drawn)
+        m.setattr(gamma_space, "face_equations", drawn)
+        for n, k, samples in ((2, 1, 10**15), (5, 3, cap // 18 + 1), (3, 10**9, 1), (cap, 1, 1)):
+            with pytest.raises(CapExceeded, match=f"drawing {samples * (n + 1) * k} indices is above the cap of {cap}"):
+                higher_pi_trivial(n, cfg, k, samples=samples)
+    assert time.perf_counter() - start < 0.1
+    # Acceptance's largest certificate, 1,000 samples at degree 5 and level 3,
+    # draws 18,000 indices.
+    assert higher_pi_trivial(5, cfg, 3, samples=1000, seed=7).verified
 
 
 def test_uniform_block_refetches_twice_the_indices_it_lacks():
@@ -903,53 +946,50 @@ def test_certificates_equal_the_per_draw_route():
                     assert got == _certificate_per_draw(n, cfg, k, samples, seed), (n, k, seed, samples)
 
 
-def test_block_membership_and_face0_equal_the_per_draw_route():
-    # The draws of the certificate, then the same with some draws moved out
-    # of range (free indices up to 12, torus indices up to 9) or onto face 0
-    # vanishing, so that the block bound fails and the per-draw sums decide.
-    rng = random.Random(77)
-    seen = set()
-    for n in range(2, 7):
+def test_block_decisions_equal_the_per_draw_oracles(monkeypatch):
+    # The draws whose face 0 vanishes, decided on each round's two blocks,
+    # are those of the oracles: the draws cut one by one, every one a member,
+    # face 0 decided draw by draw.  Both routes ask for blocks of the same
+    # sizes in the same order and leave the generator in the same state, and
+    # some seeds draw a zero draw and so a second round.
+    sizes = []
+    uniform_block = gamma_space._uniform_block
+    monkeypatch.setattr(gamma_space, "_uniform_block", lambda *a: sizes.append(a[1]) or uniform_block(*a))
+    second_rounds = face0 = 0
+    for n in range(2, 6):
         for k in range(1, 5):
-            for seed in range(10):
-                frees, toruses = gamma_space._byte_draws(random.Random(seed), n, k, 50)
-                cases = [(frees, toruses)]
-                frees, toruses = list(frees), list(toruses)
-                for i in rng.sample(range(50), 10):
-                    shape = rng.randrange(3)
-                    if shape == 0:
-                        frees[i] = bytes(rng.randint(0, 12) for _ in range(n * k))
-                    elif shape == 1:
-                        toruses[i] = bytes(rng.randint(0, 9) for _ in range(k))
-                    else:
-                        frees[i] = frees[i][:k] + b"\x02" * (n * k - k)
-                        toruses[i] = bytes(k)
-                cases.append((frees, toruses))
-                for fs, ts in cases:
-                    members = gamma_space._members(fs, ts, n, k)
-                    face0 = gamma_space._face0_vanishes(fs, ts, n, k)
-                    assert members == _members_per_draw(fs, ts, n, k)
-                    assert face0 == _face0_vanishes_per_draw(fs, ts, n, k)
-                    seen.update(zip(members, face0))
-    assert seen == {(True, True), (True, False), (False, False)}
+            for seed in range(200):
+                for samples in (50, 1000) if seed < 5 else (50,):
+                    rng, oracle_rng = random.Random(seed), random.Random(seed)
+                    sizes.clear()
+                    got = gamma_space._face0_draws(rng, n, k, samples)
+                    block_sizes = list(sizes)
+                    sizes.clear()
+                    frees, toruses = _byte_draws(oracle_rng, n, k, samples)
+                    assert sizes == block_sizes, (n, k, seed, samples)
+                    assert all(_members(frees, toruses, n, k))
+                    expected = list(compress(zip(frees, toruses), _face0_vanishes(frees, toruses, n, k)))
+                    assert got == expected, (n, k, seed, samples)
+                    assert rng.getrandbits(64) == oracle_rng.getrandbits(64)
+                    second_rounds += len(block_sizes) > 2
+                    face0 += len(got)
+    assert second_rounds > 0 and face0 > 0
 
 
 def test_a_sampled_run_that_never_reaches_face_n_builds_no_last_face_table(monkeypatch):
     built, face0_zero = [], []
-    last_face_table, face0_vanishes = gamma_space._last_face_table, gamma_space._face0_vanishes
+    last_face_table, face0_draws = gamma_space._last_face_table, gamma_space._face0_draws
     monkeypatch.setattr(gamma_space, "_last_face_table", lambda *a: built.append(a) or last_face_table(*a))
-    monkeypatch.setattr(
-        gamma_space, "_face0_vanishes", lambda *a: face0_zero.append(sum(got := face0_vanishes(*a))) or got
-    )
+    monkeypatch.setattr(gamma_space, "_face0_draws", lambda *a: face0_zero.append(len(got := face0_draws(*a))) or got)
     for n, k in ((2, 1), (3, 1), (2, 2)):
         for cfg in _index_route_configs(n, k):
             for seed in range(5):
                 assert higher_pi_trivial(n, cfg, k, samples=1000, seed=seed).verified
     # Draws whose face 0 vanished went on to face 1, which each failed.
     assert sum(face0_zero) > 0 and built == []
-    # The zero draw, which _byte_draws never gives, reaches face n: the
+    # The zero draw, which _face0_draws never gives, reaches face n: the
     # table is built once for all of its copies, and the certificate fails.
-    monkeypatch.setattr(gamma_space, "_byte_draws", lambda rng, n, k, m: ([b"\x02" * (n * k)] * m, [bytes(k)] * m))
+    monkeypatch.setattr(gamma_space, "_face0_draws", lambda rng, n, k, m: [(b"\x02" * (n * k), bytes(k))] * m)
     cfg = _index_route_configs(3, 2)[0]
     assert not higher_pi_trivial(3, cfg, 2, samples=5).verified
     assert built == [(cfg, 3, 2)]

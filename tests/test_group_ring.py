@@ -49,6 +49,13 @@ def test_sigma_examples():
     assert sigma(3, E(Fraction(1, 6)) + E(Fraction(5, 6))) == 2 * E(Fraction(1, 2))
 
 
+def test_argument_checks():
+    x = E(Fraction(1, 2))
+    with pytest.raises(ValueError, match="^sigma index must be >= 1$"):
+        sigma(0, x)
+    with pytest.raises(ValueError, match="^rho index must be >= 1$"):
+        rho_tilde(0, x)
+
 def test_sigma_is_ring_endomorphism():
     rng = random.Random(31)
     for _ in range(60):

@@ -7,10 +7,11 @@ trace(t, n) on t itself: it counts the fixed points of t.power(n), and every
 fixed point of T^n lies in the eventual image.
 
 Acceptance criterion 7 samples members of the divisor space and checks that
-each violates a face.  The draws are taken once, by _byte_draws, and then
-decided twice: on their bytes, as the certificate decides them, and by member
-and face on the GSElements built from their indices.  Each route runs with
-the other's functions patched to raise.  count_E_xi builds the lattice ball by
+each violates a face.  The certificate decides its draws on the blocks of
+their bytes (_face0_draws); the same draws, cut one by one by the oracles'
+_byte_draws, are decided again by member and face on the GSElements built
+from their indices.  Each route runs with the other's functions patched to
+raise.  count_E_xi builds the lattice ball by
 columns; the odometer of combinat_oracles lists it vector by vector.
 
 Acceptance criterion 10 compares invariants of a divisor and of its shifts
@@ -88,7 +89,7 @@ from absarith.group_ring import GroupRingElt, groupring_to_witt, witt_to_groupri
 from absarith.smith import cokernel_divisors, elementary_divisors, group_divisors_from_table, kernel_divisors
 from absarith.witt import Combination, WittElement, ghost, tau
 from combinat_oracles import iter_l1_ball
-from gamma_space_oracles import _coordinate_values, _element_from_indices
+from gamma_space_oracles import _byte_draws, _coordinate_values, _element_from_indices
 from helpers import FACE_HOMS, random_abelian_group, random_endo, random_hom, random_witt
 
 N_MAX = 12
@@ -149,54 +150,55 @@ def _rows(free, n, k):
     return [[r - 2 for r in free[i : i + k]] for i in range(0, n * k, k)]
 
 
-def _byte_route(seed, n, k, frees, toruses):
-    """Per draw: its indices, then member, face 0 zero and, where face 0
-    vanishes, faces 1..n zero, as the certificate decides them on bytes."""
+def _byte_route(seed, n, k):
+    """The certificate's decisions on bytes: the draws whose face 0 vanishes
+    (_face0_draws, which refuses a draw that is no member), each as its
+    indices with whether faces 1..n vanish, and the certificate's verdict."""
     cfg = _cert_config(seed, n, k)
     table = gamma_space._last_face_table(cfg, n, k)
     out = []
-    for free, torus in zip(frees, toruses):
+    for free, torus in gamma_space._face0_draws(random.Random(seed), n, k, CERT_DRAWS):
         rows = _rows(free, n, k)
-        face0 = gamma_space._face0_vanishes([free], [torus], n, k)[0]
-        later = tuple(gamma_space._index_face_is_zero(j, rows, torus, table) for j in range(1, n + 1)) if face0 else ()
-        out.append((rows, list(torus), gamma_space._members([free], [torus], n, k)[0], face0, later))
+        later = tuple(gamma_space._index_face_is_zero(j, rows, torus, table) for j in range(1, n + 1))
+        out.append((rows, list(torus), later))
     return out, gamma_space.higher_pi_trivial(n, cfg, k, samples=CERT_DRAWS, seed=seed).verified
 
 
 def _object_route(seed, n, k, frees, toruses):
     """The same decisions by member and face on the GSElement built from the
-    indices of each draw."""
+    indices of each draw: those whose face 0 vanishes, with faces 1..n, and
+    whether every draw is a member and violates some face."""
     cfg = _cert_config(seed, n, k)
     values = _coordinate_values(cfg, n, k)
     free_values, torus_values = values
     zero = zero_element(cfg, n - 1, k)
     out = []
+    members = []
     for free, torus in zip(frees, toruses):
         e = _element_from_indices(k, _rows(free, n, k), torus, *values)
-        rows = [[free_values.index(v) - 2 for v in vec] for vec in e.free]
-        face0 = face(cfg, 0, e) == zero
-        later = tuple(face(cfg, j, e) == zero for j in range(1, n + 1)) if face0 else ()
-        out.append((rows, [torus_values.index(v) for v in e.torus], member(cfg, e), face0, later))
-    # Every draw violates some face: face 0, or failing that a later one.
-    return out, all(not face0 or not all(later) for _, _, _, face0, later in out)
+        members.append(member(cfg, e))
+        if face(cfg, 0, e) == zero:
+            rows = [[free_values.index(v) - 2 for v in vec] for vec in e.free]
+            later = tuple(face(cfg, j, e) == zero for j in range(1, n + 1))
+            out.append((rows, [torus_values.index(v) for v in e.torus], later))
+    # Every draw is a member and violates some face: face 0, or failing that a later one.
+    return out, all(members) and not any(all(later) for _, _, later in out)
 
 
 def test_certificate_byte_decisions_are_the_object_paths(monkeypatch):
-    draws = [gamma_space._byte_draws(random.Random(seed), n, k, CERT_DRAWS) for seed, n, k in CERT_CASES]
+    draws = [_byte_draws(random.Random(seed), n, k, CERT_DRAWS) for seed, n, k in CERT_CASES]
     with monkeypatch.context() as m:
         for name in ("member", "face", "zero_element", "GSElement", "l1_within"):
             m.setattr(gamma_space, name, _raises(name))
-        by_bytes = [_byte_route(*case, *drawn) for case, drawn in zip(CERT_CASES, draws)]
+        by_bytes = [_byte_route(*case) for case in CERT_CASES]
     with monkeypatch.context() as m:
-        for name in (
-            "_byte_draws", "_uniform_block", "_members", "_face0_vanishes", "_index_face_is_zero", "_last_face_table"
-        ):
+        for name in ("_face0_draws", "_uniform_block", "_index_face_is_zero", "_last_face_table"):
             m.setattr(gamma_space, name, _raises(name))
         by_objects = [_object_route(*case, *drawn) for case, drawn in zip(CERT_CASES, draws)]
     vanished = 0
     for case, got, expected in zip(CERT_CASES, by_bytes, by_objects):
         assert got == expected, case
-        vanished += sum(face0 for _, _, _, face0, _ in got[0])
+        vanished += len(got[0])
     assert vanished > 0
 
 

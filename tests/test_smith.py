@@ -76,6 +76,10 @@ def test_invariant_factors():
         invariant_factors_of_presentation([[2, 0]], 2)  # infinite quotient
 
 
+def test_presentation_rows_must_match_the_generators():
+    with pytest.raises(ValueError, match="^presentation rows must match the number of generators$"):
+        invariant_factors_of_presentation([[2, 0], [0, 4, 0]], 2)
+
 def test_elementary_divisors():
     assert elementary_divisors([6]) == [2, 3]
     assert elementary_divisors([2, 4]) == [2, 4]
