@@ -81,11 +81,6 @@ class ScaleValue:
             return ScaleValue.exact_exp(self.exact * other.exact)
         return ScaleValue.from_log(self.log + other.log)
 
-    def inverted(self) -> "ScaleValue":
-        if self.exact is not None:
-            return ScaleValue.exact_exp(1 / self.exact)
-        return ScaleValue.from_log(-self.log)
-
 
 @frozen
 class Lattice1:
@@ -107,6 +102,9 @@ class ArakelovDivisor:
 
     @staticmethod
     def make(finite: Mapping[int, int], arch: ScaleValue) -> "ArakelovDivisor":
+        for p, a in finite.items():
+            if type(p) is not int or type(a) is not int:
+                raise ValueError(f"primes and exponents must be integers, got {p!r}: {a!r}")
         for p in sorted(finite):
             if not is_prime(p):
                 raise ValueError(f"divisor support must consist of primes, got {p}")
@@ -120,7 +118,7 @@ class ArakelovDivisor:
         bits, max_bits = 0.0, BUDGETS["divisor_bits"][0]
         for p, a in sorted(finite.items()):
             if a != 0:
-                items.append((int(p), int(a)))
+                items.append((p, a))
                 # log2 p >= 1, so clamping |a_p| keeps the test and the float finite
                 bits += min(abs(a), max_bits + 1) * math.log2(p)
         check_budget("divisor_bits", bits)
@@ -144,12 +142,6 @@ class ArakelovDivisor:
         for p, a in other.finite:
             out[p] = out.get(p, 0) + a
         return ArakelovDivisor._of_primes(out, self.arch.combined(other.arch))
-
-    def __neg__(self) -> "ArakelovDivisor":
-        return ArakelovDivisor(tuple((p, -a) for p, a in self.finite), self.arch.inverted())
-
-    def __sub__(self, other: "ArakelovDivisor") -> "ArakelovDivisor":
-        return self + (-other)
 
     def to_json_dict(self) -> dict:
         arch = (
@@ -528,8 +520,6 @@ def _chunk_exps(x):
 class McResult:
     mean: float
     stderr: float
-    samples: int
-    seed: int
 
 
 _MC_CHUNK = 1 << 16
@@ -701,7 +691,7 @@ def gaussian_avg_mc(
         stderr = math.sqrt(var / samples)
     else:
         stderr = 0.0
-    return McResult(mean=mean, stderr=stderr, samples=samples, seed=seed)
+    return McResult(mean=mean, stderr=stderr)
 
 
 def riemann_roch_defect(d: float, eps: float = 1e-12) -> float:

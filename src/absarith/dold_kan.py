@@ -99,13 +99,6 @@ class GroupHom:
             out = self.codomain.add(out, tuple(coeff * x for x in row))
         return out
 
-    @staticmethod
-    def identity(group: FiniteAbelianGroup) -> "GroupHom":
-        rows = tuple(
-            tuple(1 if i == j else 0 for j in range(group.rank)) for i in range(group.rank)
-        )
-        return GroupHom(group, group, rows)
-
     def to_json_dict(self) -> dict:
         return {
             "domain": list(self.domain.orders),
@@ -226,9 +219,6 @@ def _check_monotone(theta: Sequence[int], n: int) -> None:
         raise ValueError("the map does not land in the stated codomain")
 
 
-# Keyed on any monotone map given to simplicial_map, which no budget bounds;
-# _face_slots keeps what the level search reads.
-@lru_cache(maxsize=1024)
 def dual_pair_map(theta: Sequence[int], n: int) -> PairMap:
     """The pair map induced on simplex pairs by a monotone theta: [m] -> [n].
 

@@ -179,7 +179,9 @@ BUDGETS = {
     # the same at every level and scale; the answer grows with them.  The
     # largest accepted, n-max 1000, takes about 0.26 s and 16 MB on a 2-core
     # Xeon VM with the interpreter's start, and n-max 200 about 0.11 s; 1001
-    # is refused.
+    # is refused.  The library's higher_pi_trivial also checks the 2(n - 1)
+    # rows of each certificate before it builds them, so a library caller's
+    # n above 500,001 is refused too.
     "certificate_rows": (
         1_000_000, "the certificates up to degree {n_max} read {amount} face rows, above the cap of {limit}"
     ),

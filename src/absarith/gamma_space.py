@@ -354,8 +354,10 @@ def higher_pi_trivial(
     is the witnesses of faces 0 and 2 (face_equations): face 0 kills
     psi_2..psi_n and the torus, face 2 kills psi_1, so the face equations
     have full rank n over Q, counted as the coordinates the witnesses name,
-    and the torus is pinned.  That depends on n alone, in O(n) work.  On top
-    of the symbolic proof, `samples` randomly sampled nonzero members are
+    and the torus is pinned.  That depends on n alone, in O(n) work, and its
+    2(n - 1) face rows are checked against the certificate_rows budget
+    before they are built, so n above 500,001 is refused.  On top of the
+    symbolic proof, `samples` randomly sampled nonzero members are
     checked to violate at least one spherical equation; with samples=0 the
     certificate is the witnesses alone, nothing is drawn or built whose size
     grows with k, and a float scale is accepted (the samples use exact
@@ -392,6 +394,7 @@ def higher_pi_trivial(
     if samples and not cfg.exact:
         raise ValueError("the sampled certificate uses exact arithmetic; use an exact scale or samples=0")
     check_budget("certificate_indices", samples * (n + 1) * k)
+    check_budget("certificate_rows", 2 * (n - 1), n_max=n)
     rank, torus_pinned = face_equations(n)
     violated = samples
     if samples:

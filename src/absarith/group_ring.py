@@ -62,11 +62,6 @@ class GroupRingElt(Combination):
                 raise ValueError(f"group-ring coefficients must be integers, got {c!r}")
         return GroupRingElt._merged((_symbol(g), c) for g, c in terms.items())
 
-    @staticmethod
-    def e(g) -> "GroupRingElt":
-        """The basis symbol of the class of g in Q/Z."""
-        return GroupRingElt(((_symbol(g), 1),))
-
     def _product(self, other: "GroupRingElt") -> "GroupRingElt":
         # e(a/n) e(b/m) = e((a m + b n) / (n m)), reduced as _residue does and
         # summed in place: no generator, helper or merge call per pair.

@@ -25,16 +25,12 @@ def circle_distance(x, y):
     return min(d, 1 - d)
 
 
-def _default_metric(x, y):
-    return abs(x - y)
-
-
 # Largest instance that packing_number solves exactly, by branch and bound;
 # past it a greedy maximal set gives a lower bound.
 BNB_MAX_POINTS = 40
 
 
-def packing_number(points: Sequence, radius, metric: Callable | None = None) -> PackingResult:
+def packing_number(points: Sequence, radius, metric: Callable) -> PackingResult:
     """Maximal number of points with pairwise distance strictly above radius.
 
     The point count picks the route: branch and bound, exact, up to
@@ -43,7 +39,6 @@ def packing_number(points: Sequence, radius, metric: Callable | None = None) -> 
     carried out in whatever arithmetic the metric returns (exact for
     rational inputs).
     """
-    metric = metric or _default_metric
     if len(points) <= BNB_MAX_POINTS:
         return PackingResult(_branch_and_bound(points, radius, metric), True)
     return PackingResult(_greedy(points, radius, metric), False)

@@ -70,12 +70,6 @@ class Combination:
     def __add__(self, other):
         return self._merged(chain(self.items, other.items))
 
-    def __neg__(self):
-        return self.__class__(tuple((k, -c) for k, c in self.items))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rmul__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
+from absarith.arakelov import ArakelovDivisor, ScaleValue
 from absarith.dold_kan import FiniteAbelianGroup, GroupHom
 from absarith.gamma_core import PointedEndo
 from absarith.group_ring import GroupRingElt
@@ -33,6 +34,23 @@ def random_groupring(rng: random.Random, max_den: int = 8, max_coeff: int = 3, t
     return GroupRingElt.from_terms(out)
 
 
+def symbol(g) -> GroupRingElt:
+    """e(g), the basis symbol of the class of g in Q/Z."""
+    return GroupRingElt.from_terms({g: 1})
+
+
+def negated(d: ArakelovDivisor) -> ArakelovDivisor:
+    """The divisor -d: every exponent and the archimedean exponent negated."""
+    arch = ScaleValue.exact_exp(1 / d.arch.exact) if d.arch.is_exact else ScaleValue.from_log(-d.arch.log)
+    return ArakelovDivisor(tuple((p, -a) for p, a in d.finite), arch)
+
+
+def identity_hom(group: FiniteAbelianGroup) -> GroupHom:
+    """The identity homomorphism of the group: generator i to generator i."""
+    rows = tuple(tuple(1 if i == j else 0 for j in range(group.rank)) for i in range(group.rank))
+    return GroupHom(group, group, rows)
+
+
 def zero_hom(domain: FiniteAbelianGroup, codomain: FiniteAbelianGroup) -> GroupHom:
     """The homomorphism that sends every generator to zero."""
     return GroupHom(domain, codomain, tuple(codomain.zero() for _ in range(domain.rank)))
@@ -40,11 +58,11 @@ def zero_hom(domain: FiniteAbelianGroup, codomain: FiniteAbelianGroup) -> GroupH
 
 # Face checks and both routes of criterion 8 run on these maps.
 FACE_HOMS = [
-    GroupHom.identity(FiniteAbelianGroup((2,))),
+    identity_hom(FiniteAbelianGroup((2,))),
     zero_hom(FiniteAbelianGroup((2,)), FiniteAbelianGroup((2,))),
-    GroupHom.identity(FiniteAbelianGroup((4,))),
+    identity_hom(FiniteAbelianGroup((4,))),
     zero_hom(FiniteAbelianGroup((4,)), FiniteAbelianGroup((4,))),
-    GroupHom.identity(FiniteAbelianGroup((2, 2))),
+    identity_hom(FiniteAbelianGroup((2, 2))),
     GroupHom(FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 2)), ((0, 1), (1, 1))),
     GroupHom(FiniteAbelianGroup((4,)), FiniteAbelianGroup((8,)), ((2,),)),
     GroupHom(FiniteAbelianGroup((6,)), FiniteAbelianGroup((3,)), ((1,),)),

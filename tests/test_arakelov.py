@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import types
 from fractions import Fraction
 from itertools import tee
@@ -30,6 +31,7 @@ from absarith.combinat import delannoy, l1_within
 from absarith.errors import BUDGETS, CapExceeded
 from combinat_oracles import iter_l1_ball
 import arakelov_oracles as oracles
+from helpers import negated
 
 QUADRATURE_MAX_PIECES = BUDGETS["quadrature_pieces"][0]
 
@@ -49,6 +51,22 @@ def test_divisor_validation():
     half = Fraction(1, 2)
     assert ScaleValue.exact_exp(half).exact is half
     assert ScaleValue.exact_exp("2/4") == ScaleValue.exact_exp(0.5) == ScaleValue.exact_exp(half)
+
+
+def test_make_refuses_a_prime_or_an_exponent_that_is_not_an_int():
+    # Neither is truncated: 2^1.5 3^True was once 2 3, of degree log 6.
+    one = ScaleValue.exact_exp(1)
+    for finite, named in (
+        ({2: 1.5, 3: True}, "2: 1.5"),
+        ({3: True}, "3: True"),
+        ({2.0: 1}, "2.0: 1"),
+        ({True: 1}, "True: 1"),
+        ({Fraction(2): 1}, "Fraction(2, 1): 1"),
+        ({2: Fraction(1)}, "2: Fraction(1, 1)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"primes and exponents must be integers, got {named}")):
+            D(finite, one)
+    assert D({2: 1, 3: -1}, one).finite == ((2, 1), (3, -1))
 
 
 def test_lattice_examples():
@@ -716,17 +734,6 @@ def test_linearly_equivalent_divisors_share_theta_and_exp_degree(q):
     assert theta_h0(shifted) == pytest.approx(theta_h0(floating), rel=1e-14)
 
 
-def test_negation_and_difference_of_divisors():
-    for d in (D({2: 3, 5: -1}, ScaleValue.exact_exp(Fraction(2, 7))), D({3: 1, 7: -2}, ScaleValue.from_log(0.4))):
-        assert exp_degree(d - d) == 1
-        assert lattice_of(-d).generator == 1 / lattice_of(d).generator
-        assert -(-d) == d
-    # With no negative exponent, deg f = u + log N and deg(-f) = -u - log N
-    # round alike, so negation is exact on a float scale too.
-    f = D({3: 1}, ScaleValue.from_log(0.4))
-    assert degree(-f) == -degree(f)
-
-
 # e^u or the generator c alone out of a float's range: c = 2^-1100 and
 # e^-800 underflow to 0.0, e^1000 and 2^1100 overflow (degrees about 62.5,
 # -37.6, -39.7 and -62.5).
@@ -890,7 +897,7 @@ def test_sums_and_principal_divisors_do_not_reprove_their_primes(monkeypatch):
 
     monkeypatch.setattr(ak, "is_prime", refuse)
     assert (d1 + d2).finite == ((2, 1), (3, -1), (p, 2))
-    assert (d1 - d1).finite == ()
+    assert (d1 + negated(d1)).finite == ()
     assert principal(Fraction(-12 * p, 35)).finite == ((2, 2), (3, 1), (5, -1), (7, -1), (p, 1))
     with pytest.raises(CapExceeded, match="800000 bits"):
         big + big
@@ -915,7 +922,7 @@ def _memo_grid() -> list:
             parts.append(D(finite, arch))
         d, e = parts
         q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 90), rng.randint(1, 90))
-        out += [d, d + e, -d, d - e, d + principal(q)]
+        out += [d, d + e, negated(d), d + negated(e), d + principal(q)]
     return out
 
 
@@ -1002,7 +1009,7 @@ def _identity_grid() -> list:
         else:
             arch = rng.choice(scales + [ScaleValue.from_log(rng.uniform(-40.0, 40.0))])
         out.append(D(finite, arch))
-    out += [d + e for d, e in zip(out[::2], out[1::2])] + [-d for d in out[::3]]
+    out += [d + e for d, e in zip(out[::2], out[1::2])] + [negated(d) for d in out[::3]]
     out += [D({}, scale) for scale in scales]
     out.append(ArakelovDivisor.from_json_dict({"finite": {"2": 3}, "arch": {"float": -0.0}}))
     # t = exp(-2 deg) about the largest float: 3^646 is below it, and 2^1024

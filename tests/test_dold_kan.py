@@ -37,7 +37,7 @@ from absarith.smith import cokernel_divisors, kernel_divisors
 from dold_kan_oracles import _add_table as _prepending_add_table
 from dold_kan_oracles import _quotient_divisors as _pairwise_quotient_divisors
 from dold_kan_oracles import _PerTupleIndexedHom, _spherical, _sums, _vanishing
-from helpers import FACE_HOMS, random_abelian_group, random_hom, small_homs, zero_hom
+from helpers import FACE_HOMS, identity_hom, random_abelian_group, random_hom, small_homs, zero_hom
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -56,7 +56,7 @@ def test_group_hom_validation():
 
 
 def test_argument_checks():
-    hom = GroupHom.identity(Z2)
+    hom = identity_hom(Z2)
     level1 = next(simplicial_level(hom, 1).elements())
     with pytest.raises(ValueError, match="^element does not live on the source of the map$"):
         h_phi_map(PairMap(simplex_pair(2), simplex_pair(2), (0, 1, 2, 3)), level1)
@@ -129,7 +129,7 @@ def test_h_phi_map_functoriality():
 
 def test_h_phi_map_collapse_applies_phi():
     # collapsing the unmarked part onto a marked point pushes the sum through phi
-    hom = GroupHom.identity(Z2)
+    hom = identity_hom(Z2)
     src = PairOfPointedSets(3, frozenset({0, 3}))  # points 1,2 unmarked, 3 marked
     dst = PairOfPointedSets(1, frozenset({0, 1}))
     f = PairMap(src, dst, (0, 1, 1, 1))
@@ -188,7 +188,7 @@ def _all_monotone(m, n):
 
 def test_simplicial_identities_exhaustive():
     # all face/degeneracy identities on levels <= 3 for A = B = Z/2
-    hom = GroupHom.identity(Z2)
+    hom = identity_hom(Z2)
     for n in range(4):
         for e in simplicial_level(hom, n).elements():
             if n >= 2:
@@ -228,7 +228,7 @@ def test_simplicial_functoriality_random():
 
 
 def test_simplicial_map_rejects_nonmonotone():
-    hom = GroupHom.identity(Z2)
+    hom = identity_hom(Z2)
     e = HPhiElement(hom, simplex_pair(2), (Z2.zero(),) * 3)
     with pytest.raises(ValueError):
         simplicial_map((1, 0, 2), 2, e)
@@ -291,7 +291,7 @@ def _smash_element(hom, pair, components, k):
 
 
 def test_homotopy_identity_map():
-    groups = homotopy_groups(GroupHom.identity(Z2))
+    groups = homotopy_groups(identity_hom(Z2))
     assert groups.pi0 == () and groups.pi1 == ()
     assert dict(groups.higher_trivial) == {2: True, 3: True}
 
@@ -344,7 +344,7 @@ def test_higher_homotopy_trivial():
 )
 def test_homotopy_cap_covers_every_level_it_needs(group, n_max, cap):
     with pytest.raises(CapExceeded):
-        homotopy_groups(GroupHom.identity(group), n_max=n_max, cap=cap)
+        homotopy_groups(identity_hom(group), n_max=n_max, cap=cap)
 
 
 def test_homotopy_cap_is_checked_before_enumerating():
@@ -354,7 +354,7 @@ def test_homotopy_cap_is_checked_before_enumerating():
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded):
-            homotopy_groups(GroupHom.identity(group), cap=10**6)
+            homotopy_groups(identity_hom(group), cap=10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,7 +423,7 @@ def _index_path_homs():
     """The identity on Z/2 and four distinct seeded nonzero maps between
     nontrivial groups of order at most 6."""
     rng = random.Random(1212)
-    homs = [GroupHom.identity(Z2)]
+    homs = [identity_hom(Z2)]
     while len(homs) < 5:
         a, b = random_abelian_group(rng, 6), random_abelian_group(rng, 6)
         if a.orders and b.orders:
@@ -487,7 +487,7 @@ def test_pruned_search_equals_the_filter_form_on_every_small_hom():
 def test_pruned_search_prunes_a_level_of_a_million_tuples():
     # Level 4 of the identity on Z/16 has 16^5 = 1,048,576 tuples and only
     # the zero one is spherical.
-    ix = _IndexedHom(GroupHom.identity(FiniteAbelianGroup((16,))))
+    ix = _IndexedHom(identity_hom(FiniteAbelianGroup((16,))))
     assert _vanishing(ix, 4, ix.faces(4)) == [(0,) * 5]
 
 
@@ -528,7 +528,7 @@ def test_addition_tables_equal_the_prepending_construction():
 def test_homotopy_memory_on_the_identity_of_z100():
     # pi_0 relates all 10^4 edges of level 1; the column search keeps that
     # pass near the memory of the tuples it must produce.
-    hom = GroupHom.identity(FiniteAbelianGroup((100,)))
+    hom = identity_hom(FiniteAbelianGroup((100,)))
     tracemalloc.start()
     try:
         groups = homotopy_groups(hom, n_max=1)
@@ -544,7 +544,7 @@ def test_homotopy_leaves_no_cyclic_garbage():
     # caller that runs it in a loop never waits on the cycle collector.
     rng = random.Random(13)
     homs = [
-        GroupHom.identity(FiniteAbelianGroup((8,))),
+        identity_hom(FiniteAbelianGroup((8,))),
         zero_hom(FiniteAbelianGroup((2, 2)), Z4),
         random_hom(rng, FiniteAbelianGroup((2, 3)), FiniteAbelianGroup((6,))),
     ]

@@ -854,6 +854,21 @@ def test_a_float_scale_certificate_is_the_witnesses_alone():
         higher_pi_trivial(2, cfg, 1, samples=1)
 
 
+def test_a_certificate_checks_its_face_rows_before_it_builds_them(monkeypatch):
+    # 2(n - 1) rows against certificate_rows' 10^6: n = 500,001 reaches the
+    # rows, n = 500,002 and 10^7 are refused before any is built.
+    def refuse(n, j):
+        raise AssertionError(f"face {j} of degree {n} built")
+
+    monkeypatch.setattr(gamma_space, "face_incidence", refuse)
+    cfg = GSConfig(Lattice1(Fraction(1)), ScaleValue.from_log(0.5))
+    for n in (500_002, 10**7):
+        with pytest.raises(CapExceeded, match=f"up to degree {n} read {2 * (n - 1)} face rows"):
+            higher_pi_trivial(n, cfg, 1, samples=0)
+    with pytest.raises(AssertionError, match="face 0 of degree 500001 built"):
+        higher_pi_trivial(500_001, cfg, 1, samples=0)
+
+
 def test_a_sampled_draw_that_is_no_member_is_a_failed_self_check(monkeypatch):
     # One byte of a block spoiled: a free index 255 (|m| = 253 > 4nk) or a
     # torus index 7 (c 7/7 = c, outside [0, c)).  Either draw is no member,

@@ -5,9 +5,13 @@ from absarith import packing
 from absarith.packing import BNB_MAX_POINTS, PackingResult, circle_distance, packing_number
 
 
+def line_distance(x, y):
+    return abs(x - y)
+
+
 def test_radius_at_least_diameter():
     points = [0.0, 0.3, 0.7, 1.4]
-    assert packing_number(points, 1.4) == PackingResult(1, True)
+    assert packing_number(points, 1.4, line_distance) == PackingResult(1, True)
 
 
 def test_equally_spaced_circle():
@@ -22,8 +26,8 @@ def test_equally_spaced_circle():
 
 
 def test_empty_and_single():
-    assert packing_number([], 1).size == 0
-    assert packing_number([2.0], 1) == PackingResult(1, True)
+    assert packing_number([], 1, line_distance).size == 0
+    assert packing_number([2.0], 1, line_distance) == PackingResult(1, True)
 
 
 def test_the_point_count_picks_the_route():
@@ -32,7 +36,7 @@ def test_the_point_count_picks_the_route():
     assert BNB_MAX_POINTS == 40
     for n, exact in ((40, True), (41, False)):
         points = [Fraction(j, 10) for j in range(n)]
-        assert packing_number(points, Fraction(1, 20)) == PackingResult(n, exact)
+        assert packing_number(points, Fraction(1, 20), line_distance) == PackingResult(n, exact)
 
 
 def test_greedy_is_lower_bound():
@@ -40,9 +44,9 @@ def test_greedy_is_lower_bound():
     for _ in range(40):
         points = sorted(rng.uniform(0, 1) for _ in range(rng.randint(1, 18)))
         radius = rng.uniform(0.05, 0.4)
-        exact = packing_number(points, radius)
+        exact = packing_number(points, radius, line_distance)
         assert exact.exact
-        assert packing._greedy(points, radius, packing._default_metric) <= exact.size
+        assert packing._greedy(points, radius, line_distance) <= exact.size
 
 
 def test_both_routes_past_the_branch_and_bound_limit():

@@ -90,7 +90,7 @@ from absarith.smith import cokernel_divisors, elementary_divisors, group_divisor
 from absarith.witt import Combination, WittElement, ghost, tau
 from combinat_oracles import iter_l1_ball
 from gamma_space_oracles import _byte_draws, _coordinate_values, _element_from_indices
-from helpers import FACE_HOMS, random_abelian_group, random_endo, random_hom, random_witt
+from helpers import FACE_HOMS, random_abelian_group, random_endo, random_hom, random_witt, symbol
 
 N_MAX = 12
 
@@ -444,7 +444,7 @@ def _generated(gens, n):
 def _invariance_cases() -> list[GroupRingElt]:
     rng = random.Random(1003)
     images = [witt_to_groupring(random_witt(rng, max_k=30, terms=5)) for _ in range(160)]
-    cases = [GroupRingElt.zero(), GroupRingElt.e(0), *images]
+    cases = [GroupRingElt.zero(), symbol(0), *images]
     for x in images:
         terms = group_ring_oracles.terms(x)
         n = rng.randint(1, 30)
@@ -467,7 +467,7 @@ def _invariance_cases() -> list[GroupRingElt]:
             assert moving not in fixed_by_rest
             c = rng.choice((-3, -1, 2, 3))
             x = GroupRingElt.from_terms({Fraction(a, n): c for a in fixed_by_rest})
-            cases += [x, x - 2 * witt_to_groupring(random_witt(rng, max_k=12))]
+            cases += [x, x + -2 * witt_to_groupring(random_witt(rng, max_k=12))]
     return cases
 
 
